@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: subcommand-specific outcome codes (documented per command),
-64 for usage errors, 65 for parse errors, 70 for broken engine invariants.
+64 for usage errors, 65 for parse errors, 70 for internal errors (a broken
+engine invariant or any other crash), never a verdict code.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .classify import classify
 from .containment import check_containment
@@ -30,15 +30,6 @@ from .validation import validate
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
-
-
-@dataclass
-class CliConfig:
-    max_domain: int = 4
-    budget_seconds: float = 10.0
-    axiom_cap: int = 4096
-    rdf_mode: str = GENERALIZED
-    threads: int = 1
 
 
 class _UsageError(Exception):
@@ -164,6 +155,9 @@ def dispatch(argv: list[str]) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
+    except Exception as err:  # a crash must not read as a verdict exit code
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def _report(args, data: dict) -> None:

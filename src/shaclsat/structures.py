@@ -128,17 +128,34 @@ def with_constants(structure: FiniteStructure, constants: set[Term]) -> FiniteSt
 
 
 class Evaluator:
+    """Set-at-a-time model checking over one structure.
+
+    A subformula's extension is the set of domain indices where it holds.
+    Boolean connectives are set operations over ``range(n)``.  Threshold-1
+    existentials are preimages of their body's extension through the path;
+    a star is a backward fixpoint and never builds its closure.  Counting
+    thresholds above 1 and the disjoint/equals/order atoms read per-node
+    successor sets.  Extensions of filters, quantifiers and path atoms are
+    computed once and cached by the AST node itself, so equal subformulas
+    share one entry.
+    """
+
     def __init__(self, structure: FiniteStructure):
         self.s = structure
         self.index = {term: i for i, term in enumerate(structure.domain)}
         self.n = len(structure.domain)
+        self.everything = frozenset(range(self.n))
         self.rel_pairs: dict[tuple[Term, bool], set[tuple[int, int]]] = {}
-        self.has_shape: set[tuple[int, Term]] = {
-            (self.index[t], name) for t, name in structure.has_shape if t in self.index
+        members: dict[Term, set[int]] = {}
+        for t, name in structure.has_shape:
+            if t in self.index:
+                members.setdefault(name, set()).add(self.index[t])
+        self._shapes: dict[Term, frozenset[int]] = {
+            name: frozenset(xs) for name, xs in members.items()
         }
         self._path_cache: dict[PathExpr, set[tuple[int, int]]] = {}
-        self._formula_cache: dict[tuple[int, int], bool] = {}
-        self._cached_nodes: list[SclFormula] = []
+        self._successors: dict[PathExpr, dict[int, frozenset[int]]] = {}
+        self._extensions: dict[SclFormula, frozenset[int]] = {}
         self._order_position: Optional[dict[Term, tuple[int, int]]] = None
         if structure.order_blocks is not None:
             self._order_position = {}
@@ -206,6 +223,39 @@ class Evaluator:
             out |= {(start, j) for j in reached}
         return out
 
+    def successors(self, path: PathExpr) -> dict[int, frozenset[int]]:
+        """Path successors per node; nodes without successors are absent."""
+        if path not in self._successors:
+            grouped: dict[int, set[int]] = {}
+            for i, j in self.path_pairs(path):
+                grouped.setdefault(i, set()).add(j)
+            self._successors[path] = {i: frozenset(js) for i, js in grouped.items()}
+        return self._successors[path]
+
+    def preimage(self, path: PathExpr, targets: frozenset[int]) -> frozenset[int]:
+        """Nodes with at least one path successor in `targets`."""
+        if isinstance(path, Rel):
+            pred = self.successors(Rel(path.name, not path.inverted))
+            out: set[int] = set()
+            for j in targets:
+                out.update(pred.get(j, ()))
+            return frozenset(out)
+        if isinstance(path, Seq):
+            return self.preimage(path.left, self.preimage(path.right, targets))
+        if isinstance(path, Alt):
+            return self.preimage(path.left, targets) | self.preimage(path.right, targets)
+        if isinstance(path, Opt):
+            return targets | self.preimage(path.inner, targets)
+        if isinstance(path, Star):
+            # backward BFS: each node enters the frontier once
+            reached = set(targets)
+            frontier = targets
+            while frontier:
+                frontier = self.preimage(path.inner, frontier) - reached
+                reached |= frontier
+            return frozenset(reached)
+        raise TypeError(f"unknown path {path!r}")  # pragma: no cover
+
     # interpreted atoms ----------------------------------------------------
 
     def filter_truth(self, name, element: int) -> bool:
@@ -232,57 +282,77 @@ class Evaluator:
 
     # formulas --------------------------------------------------------------
 
-    def formula(self, f: SclFormula, element: int) -> bool:
-        key = (id(f), element)
-        if key in self._formula_cache:
-            return self._formula_cache[key]
-        result = self._formula(f, element)
-        self._formula_cache[key] = result
-        self._cached_nodes.append(f)  # keep ids stable while cached
-        return result
+    def assign(self, shape: Term, members: frozenset[int]) -> None:
+        """Add elements to a shape's hasShape set.
 
-    def _formula(self, f: SclFormula, x: int) -> bool:
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, EqConst):
-            target = self.s.denote(f.constant)
-            return self.s.domain[x] == target
-        if isinstance(f, Filter):
-            return self.filter_truth(f.name, x)
-        if isinstance(f, HasShape):
-            return (x, f.shape) in self.has_shape
+        Call it before any extension that mentions the shape is computed:
+        extensions are cached and do not see later assignments.
+        """
+        self._shapes[shape] = self._shapes.get(shape, frozenset()) | members
+
+    def formula(self, f: SclFormula, element: int) -> bool:
+        return element in self.extension(f)
+
+    def extension(self, f: SclFormula) -> frozenset[int]:
+        """Domain indices where `f` holds (one stack frame per formula level).
+
+        Connectives and constants are not cached: a lookup hashes the whole
+        subtree, which costs more than their set operation, and long
+        connective chains (a wide ``sh:in``) would exhaust the recursion
+        limit in the hash.
+        """
         if isinstance(f, Not):
-            return not self.formula(f.body, x)
+            return self.everything - self.extension(f.body)
         if isinstance(f, And):
-            return self.formula(f.left, x) and self.formula(f.right, x)
-        if isinstance(f, CountExists):
-            pairs = self.path_pairs(f.path)
-            count = 0
-            for i, j in pairs:
-                if i == x and self.formula(f.body, j):
-                    count += 1
-                    if count >= f.threshold:
-                        return True
-            return False
-        if isinstance(f, Disjoint):
-            rel = self.relation(f.relation)
-            return not any(
-                (x, j) in rel for i, j in self.path_pairs(f.path) if i == x
+            return self.extension(f.left) & self.extension(f.right)
+        if isinstance(f, HasShape):
+            return self._shapes.get(f.shape, frozenset())
+        if isinstance(f, Top):
+            return self.everything
+        if isinstance(f, EqConst):
+            target = self.index.get(self.s.denote(f.constant))
+            return frozenset() if target is None else frozenset((target,))
+        out = self._extensions.get(f)
+        if out is not None:
+            return out
+        if isinstance(f, Filter):
+            out = frozenset(x for x in range(self.n) if self.filter_truth(f.name, x))
+        elif isinstance(f, CountExists):
+            body = self.extension(f.body)
+            if f.threshold == 1:
+                out = self.preimage(f.path, body)
+            else:
+                out = frozenset(
+                    x for x, ys in self.successors(f.path).items()
+                    if len(ys & body) >= f.threshold
+                )
+        elif isinstance(f, (Disjoint, Equals, OrderCmp)):
+            path_succ = self.successors(f.path)
+            rel_succ = self.successors(Rel(f.relation))
+            none = frozenset()
+            out = frozenset(
+                x for x in range(self.n)
+                if self._pair_atom(f, path_succ.get(x, none), rel_succ.get(x, none))
             )
+        else:
+            raise TypeError(f"unknown formula {f!r}")
+        self._extensions[f] = out
+        return out
+
+    def _pair_atom(
+        self, f: SclFormula, path_succ: frozenset[int], rel_succ: frozenset[int]
+    ) -> bool:
+        """A disjoint, equals or order atom at a node with these successors."""
+        if isinstance(f, Disjoint):
+            return path_succ.isdisjoint(rel_succ)
         if isinstance(f, Equals):
-            path_succ = {j for i, j in self.path_pairs(f.path) if i == x}
-            rel_succ = {j for i, j in self.relation(f.relation) if i == x}
             return path_succ == rel_succ
-        if isinstance(f, OrderCmp):
-            path_succ = {j for i, j in self.path_pairs(f.path) if i == x}
-            rel_succ = {j for i, j in self.relation(f.relation) if i == x}
-            for y in path_succ:
-                for z in rel_succ:
-                    a, b = (z, y) if f.inverted else (y, z)
-                    if not self._sigma(a, b, f.strict):
-                        return False
-            return True
-        raise TypeError(f"unknown formula {f!r}")
+        for y in path_succ:
+            for z in rel_succ:
+                a, b = (z, y) if f.inverted else (y, z)
+                if not self._sigma(a, b, f.strict):
+                    return False
+        return True
 
     # sentences ---------------------------------------------------------------
 
@@ -304,28 +374,19 @@ class Evaluator:
             return [] if self.formula(part.body, x) else [x]
         if isinstance(part, ForClass):
             cls = self.s.denote(part.cls)
-            is_a = self.relation(iri(ns.RDF_TYPE))
-            out = []
-            if cls in self.index:
-                c = self.index[cls]
-                for x in range(self.n):
-                    if (x, c) in is_a and not self.formula(part.body, x):
-                        out.append(x)
-            return out
+            if cls not in self.index:
+                return []
+            members = self.successors(Rel(iri(ns.RDF_TYPE), True)).get(self.index[cls])
+            return sorted((members or frozenset()) - self.extension(part.body))
         if isinstance(part, ForSubjectsOf):
-            rel = self.relation(part.relation, part.inverted)
-            subjects = sorted({i for i, _ in rel})
-            return [x for x in subjects if not self.formula(part.body, x)]
+            subjects = self.successors(Rel(part.relation, part.inverted))
+            return sorted(subjects.keys() - self.extension(part.body))
         if isinstance(part, ShapeDef):
             # definitions hold by construction once the assignment is computed
-            out = []
-            for x in range(self.n):
-                holds = (x, part.name) in self.has_shape
-                if holds != self.formula(part.body, x):
-                    out.append(x)
-            return out
+            mismatch = self.extension(HasShape(part.name)) ^ self.extension(part.body)
+            return sorted(mismatch)
         if isinstance(part, AtMostGlobal):
-            hits = [x for x in range(self.n) if self.formula(part.body, x)]
+            hits = sorted(self.extension(part.body))
             return hits if len(hits) > part.bound else []
         raise TypeError(f"unknown sentence {part!r}")
 
@@ -358,14 +419,12 @@ def compute_shape_assignment(
     for d in defs:
         visit(d)
 
-    working = replace(structure)
+    ev = Evaluator(structure)
     assignment = set(structure.has_shape)
     for d in order:
-        working = replace(working, has_shape=frozenset(assignment))
-        ev = Evaluator(working)
-        for x, term in enumerate(working.domain):
-            if ev.formula(d.body, x):
-                assignment.add((term, d.name))
+        members = ev.extension(d.body)
+        ev.assign(d.name, members)
+        assignment.update((structure.domain[x], d.name) for x in members)
     return replace(structure, has_shape=frozenset(assignment))
 
 

@@ -313,8 +313,3 @@ def compare_terms(a: Term, b: Term) -> ComparisonVerdict:
     except TypeError:
         # e.g. naive vs timezone-aware dateTime values
         return ComparisonVerdict.INCOMPARABLE
-
-
-def comparison_type_of(term: Term) -> Optional[str]:
-    value = term_value(term)
-    return None if value is None else value[0]

@@ -181,3 +181,27 @@ def test_text_output_mode(files, capsys):
     assert "Decidable" in out and "finite-model property" in out
     assert dispatch(["--output", "text", "sat", str(shapes)]) == 0
     assert capsys.readouterr().out.startswith("Sat")
+
+
+def test_crash_exits_70_without_traceback(files, capsys, monkeypatch):
+    _, shapes, graph = files
+
+    def crash(graph, doc):
+        raise KeyError("engine bug")
+
+    monkeypatch.setattr("shaclsat.cli.validate", crash)
+    assert dispatch(["validate", str(graph), str(shapes)]) == 70
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'engine bug'\n"  # one line, no traceback
+
+
+def test_wide_in_list_never_reads_as_violation(tmp_path, capsys):
+    values = " ".join(f":v{i}" for i in range(400))
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(f":s a sh:NodeShape ; sh:targetNode :v0 ; sh:in ({values}) ."))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(":v0 :p :v1 ."))
+    for argv in (["validate", str(graph), str(shapes)], ["translate", str(shapes)],
+                 ["classify", str(shapes)]):
+        assert dispatch(argv) in (0, 70)
+        assert "Traceback" not in capsys.readouterr().err

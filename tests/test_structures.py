@@ -2,16 +2,24 @@ import random
 
 import pytest
 
-from corpus import doc_ttl, random_formula, random_structure
+from corpus import doc_ttl, random_formula, random_path, random_structure
 from shaclsat import namespaces as ns
+from shaclsat.filter_semantics import term_satisfies
 from shaclsat.scl import (
+    Alt,
+    And,
     AtMostGlobal,
     CountExists,
+    Disjoint,
     EqConst,
+    Equals,
+    Filter,
     HasShape,
     Not,
+    Opt,
     OrderCmp,
     Rel,
+    Seq,
     ShapeDef,
     Star,
     Top,
@@ -28,7 +36,7 @@ from shaclsat.structures import (
     evaluate_sentence,
     with_constants,
 )
-from shaclsat.terms import integer, iri, literal
+from shaclsat.terms import ComparisonVerdict, compare_terms, integer, iri, literal
 from shaclsat.translate import extract_definitions, translate
 from shaclsat.turtle import parse_turtle
 
@@ -97,23 +105,75 @@ def test_star_matches_independent_closure_oracle():
         assert star == expected
 
 
+def _reference_pairs(structure, path):
+    """Path semantics over plain pair sets of terms, star by iterating to a fixpoint."""
+    if isinstance(path, Rel):
+        pairs = structure.relations.get(path.name, frozenset())
+        return {(b, a) for a, b in pairs} if path.inverted else set(pairs)
+    if isinstance(path, Seq):
+        left = _reference_pairs(structure, path.left)
+        right = _reference_pairs(structure, path.right)
+        return {(a, d) for a, b in left for c, d in right if b == c}
+    if isinstance(path, Alt):
+        return _reference_pairs(structure, path.left) | _reference_pairs(structure, path.right)
+    identity = {(t, t) for t in structure.domain}
+    if isinstance(path, Opt):
+        return identity | _reference_pairs(structure, path.inner)
+    step = _reference_pairs(structure, path.inner)
+    closure = identity
+    while True:
+        grown = closure | {(a, d) for a, b in closure for c, d in step if b == c}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def _reference_holds(structure, f, x):
+    """Per-element truth of a formula at term x, counting witnesses one by one."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, EqConst):
+        return x == structure.denote(f.constant)
+    if isinstance(f, Filter):
+        return term_satisfies(f.name, x)
+    if isinstance(f, HasShape):
+        return (x, f.shape) in structure.has_shape
+    if isinstance(f, Not):
+        return not _reference_holds(structure, f.body, x)
+    if isinstance(f, And):
+        return _reference_holds(structure, f.left, x) and _reference_holds(structure, f.right, x)
+    path_succ = {b for a, b in _reference_pairs(structure, f.path) if a == x}
+    if isinstance(f, CountExists):
+        witnesses = [y for y in path_succ if _reference_holds(structure, f.body, y)]
+        return len(witnesses) >= f.threshold
+    rel_succ = {b for a, b in structure.relations.get(f.relation, frozenset()) if a == x}
+    if isinstance(f, Disjoint):
+        return not path_succ & rel_succ
+    if isinstance(f, Equals):
+        return path_succ == rel_succ
+    allowed = {ComparisonVerdict.LT} if f.strict else {ComparisonVerdict.LT, ComparisonVerdict.EQ}
+    return all(
+        compare_terms(*((z, y) if f.inverted else (y, z))) in allowed
+        for y in path_succ
+        for z in rel_succ
+    )
+
+
 def test_counting_agrees_with_witness_enumeration():
+    # every path constructor and atom under counting, against the per-element reference
     rng = random.Random(23)
-    for _ in range(100):
+    for _ in range(300):
         structure = random_structure(rng, max_size=5)
         ev = Evaluator(structure)
-        body = random_formula(rng, 1)
-        n = rng.randint(1, 3)
-        formula = CountExists(n, Rel(R), body)
-        for x in range(len(structure.domain)):
-            rel = structure.relations.get(R, frozenset())
-            witnesses = {
-                b
-                for a, b in rel
-                if a == structure.domain[x]
-                and ev.formula(body, structure.domain.index(b))
-            }
-            assert ev.formula(formula, x) == (len(witnesses) >= n)
+        formulas = [
+            random_formula(rng, 3),
+            CountExists(rng.randint(1, 3), random_path(rng, 2), random_formula(rng, 1)),
+        ]
+        for formula in formulas:
+            for x, term in enumerate(structure.domain):
+                assert ev.formula(formula, x) == _reference_holds(structure, formula, term), (
+                    formula, term, structure
+                )
 
 
 def test_reachability_with_star_formula():
