@@ -4,20 +4,13 @@ satisfiability."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import shapes as sh
 from .direct_validation import validate_direct
-from .scl import ShapeDef, conjuncts, node_constants, sentence_conj
-from .search import (
-    CANONICAL,
-    ModelConfirmationError,
-    SearchBudgetExceeded,
-    _Grounder,
-    _solve_lex_least,
-)
+from .scl import ShapeDef, conjuncts, sentence_conj
+from .search import CANONICAL, ModelConfirmationError, SearchBudgetExceeded, _least_model
 from .terms import GENERALIZED, Term, TripleGraph, iri
 from .translate import extract_definitions, translate
 
@@ -101,45 +94,26 @@ def check_containment(
     phi1 = translate(doc1)
     phi2 = translate(doc2)
     defs2 = extract_definitions(phi2)
-    targeted2 = [part for part in conjuncts(phi2) if not isinstance(part, ShapeDef)]
+    targeted2 = tuple(part for part in conjuncts(phi2) if not isinstance(part, ShapeDef))
     if not targeted2:
         return ContainmentVerdict("NoCounterexampleUpTo", bound=max_domain)
 
     base = sentence_conj([phi1, defs2])
     full = sentence_conj([base, phi2])  # scanned for signature symbols only
-    constants = node_constants(full)
-    deadline = time.monotonic() + budget if budget else None
-
-    lower = max(1, len(constants))
-    if lower > max_domain:
-        return ContainmentVerdict("NoCounterexampleUpTo", bound=max_domain)
     try:
-        for k in range(lower, max_domain + 1):
-            grounder = _Grounder(base, k, CANONICAL, scan=full)
-            failing = [-grounder.sentence_lit(part) for part in targeted2]
-            grounder.cnf.add(failing)
-            assignment = _solve_lex_least(
-                grounder.cnf.n_vars,
-                grounder.cnf.clauses,
-                grounder.decision_vars,
-                grounder.preferred,
-                deadline,
-                minimize=True,
-            )
-            if assignment is None:
-                continue
-            structure = grounder.decode(assignment)
-            graph = structure.to_graph(GENERALIZED)
-            r1 = validate_direct(graph, doc1)
-            r2 = validate_direct(graph, doc2)
-            if not r1.conforms or r2.conforms:
-                raise ModelConfirmationError(
-                    "counterexample candidate failed direct confirmation"
-                )
-            return ContainmentVerdict("NotContained", counterexample=graph)
-        return ContainmentVerdict("NoCounterexampleUpTo", bound=max_domain)
+        structure = _least_model(
+            base, max_domain, budget, CANONICAL, scan=full, refuted=targeted2
+        )
     except SearchBudgetExceeded:
         return ContainmentVerdict("Aborted", reason="budget exhausted")
+    if structure is None:
+        return ContainmentVerdict("NoCounterexampleUpTo", bound=max_domain)
+    graph = structure.to_graph(GENERALIZED)
+    r1 = validate_direct(graph, doc1)
+    r2 = validate_direct(graph, doc2)
+    if not r1.conforms or r2.conforms:
+        raise ModelConfirmationError("counterexample candidate failed direct confirmation")
+    return ContainmentVerdict("NotContained", counterexample=graph)
 
 
 # --------------------------------------------------------------------------

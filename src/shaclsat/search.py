@@ -62,6 +62,7 @@ from .scl import (
 )
 from .structures import Evaluator, FiniteStructure, OrderBlock, compute_shape_assignment
 from .terms import ComparisonVerdict, Term, compare_terms, iri, literal
+from .translate import extract_definitions
 
 CANONICAL = "canonical"
 UNINTERPRETED = "uninterpreted"
@@ -69,6 +70,11 @@ UNINTERPRETED = "uninterpreted"
 
 class SearchBudgetExceeded(Exception):
     pass
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchBudgetExceeded()
 
 
 class ModelConfirmationError(RuntimeError):
@@ -160,9 +166,8 @@ class _Solver:
             lit = self.trail[self.qhead]
             self.qhead += 1
             self.propagations += 1
-            if self.deadline is not None and self.propagations % 4096 == 0:
-                if time.monotonic() > self.deadline:
-                    raise SearchBudgetExceeded()
+            if self.propagations % 4096 == 0:
+                _check_deadline(self.deadline)
             falsified = -lit
             watchers = self.watches.get(falsified, [])
             i = 0
@@ -290,42 +295,23 @@ def _solve_once(
     decisions: list[int],
     preferred: dict[int, bool],
     deadline: Optional[float],
-    fixed: list[int] = (),
 ) -> Optional[list[int]]:
-    solver = _Solver(n_vars, clauses, deadline)
-    for lit in fixed:
-        if not solver._enqueue(lit, None):
-            return None
-    return solver.solve(decisions, preferred)
+    """The lex-least model over `decisions` (each compared under its
+    preferred polarity), or None if the clauses are unsatisfiable.
 
-
-def _solve_lex_least(
-    n_vars: int,
-    clauses: list[list[int]],
-    decisions: list[int],
-    preferred: dict[int, bool],
-    deadline: Optional[float],
-    minimize: bool,
-) -> Optional[list[int]]:
-    model = _solve_once(n_vars, clauses, decisions, preferred, deadline)
-    if model is None or not minimize:
-        return model
-    prefix: list[int] = []
-    for var in decisions:
-        want = var if preferred.get(var, False) else -var
-        have = model[var] * var if model[var] != 0 else -var
-        if (have > 0) == (want > 0):
-            prefix.append(want)
-            continue
-        attempt = _solve_once(
-            n_vars, clauses, decisions, preferred, deadline, fixed=prefix + [want]
-        )
-        if attempt is not None:
-            model = attempt
-            prefix.append(want)
-        else:
-            prefix.append(-want)
-    return model
+    No minimisation pass is needed as long as `_Solver` keeps this
+    condition: it decides the first unassigned variable of `decisions`,
+    always on its preferred polarity, and never restarts.  A variable
+    assigned at level l by propagation or by a learned clause was still
+    unassigned when each decision at levels <= l was picked, so all of
+    those decisions come earlier in the order, and the clauses plus those
+    decisions imply its value.  Hence a variable takes its non-preferred
+    value only when no model agreeing on the earlier variables has the
+    preferred one: the first model found is the least one.  A faster
+    existence check (VSIDS, restarts) must still answer SAT with a
+    static-order pass like this one.
+    """
+    return _Solver(n_vars, clauses, deadline).solve(decisions, preferred)
 
 
 # --------------------------------------------------------------------------
@@ -397,9 +383,6 @@ def _order_atoms_present(sentence: SclSentence) -> bool:
             if isinstance(f, OrderCmp):
                 return True
     return False
-
-
-_ORDER_WITNESS_FAMILIES = ("integer", "string", "dateTime", "boolean")
 
 
 def _order_witnesses(count: int) -> list[Term]:
@@ -1011,15 +994,9 @@ class _Grounder:
             }
             if pairs:
                 relations[r] = frozenset(pairs)
-        has_shape = frozenset(
-            (terms[i], name)
-            for (name, i), var in self.hs.items()
-            if truth(var)
-        )
         return FiniteStructure(
             domain=tuple(terms),
             relations=relations,
-            has_shape=has_shape,
             filter_interp=filter_interp,
             order_blocks=order_blocks,
             constants=constants_map,
@@ -1061,13 +1038,50 @@ class _Grounder:
 # --------------------------------------------------------------------------
 
 
+def _least_model(
+    sentence: SclSentence,
+    max_domain: int,
+    budget: float,
+    mode: str,
+    scan: Optional[SclSentence] = None,
+    refuted: tuple[SclSentence, ...] = (),
+) -> Optional[FiniteStructure]:
+    """The least model of `sentence` over the smallest domain size up to
+    `max_domain`, or None when there is none.
+
+    A non-empty `refuted` also requires some of its parts to fail.  `scan`
+    (default: `sentence`) supplies the signature: relations, constants,
+    filters and shape definitions.  The decoded structure carries no
+    shape assignment.  Raises SearchBudgetExceeded once `budget` seconds
+    have passed, checked before grounding each size, before solving it
+    and during propagation.
+    """
+    deadline = time.monotonic() + budget if budget else None
+    scan = scan if scan is not None else sentence
+    lower = max(1, len(node_constants(scan))) if mode == CANONICAL else 1
+    for k in range(lower, max_domain + 1):
+        _check_deadline(deadline)
+        grounder = _Grounder(sentence, k, mode, scan)
+        if refuted:
+            grounder.cnf.add([-grounder.sentence_lit(part) for part in refuted])
+        _check_deadline(deadline)
+        assignment = _solve_once(
+            grounder.cnf.n_vars,
+            grounder.cnf.clauses,
+            grounder.decision_vars,
+            grounder.preferred,
+            deadline,
+        )
+        if assignment is not None:
+            return grounder.decode(assignment)
+    return None
+
+
 def bounded_sat(
     sentence: SclSentence,
     max_domain: int = 4,
     budget: float = 10.0,
     mode: str = CANONICAL,
-    minimize: bool = True,
-    extra_clause_builder=None,
 ) -> SatVerdict:
     """Search for a model with at most `max_domain` elements.
 
@@ -1075,50 +1089,15 @@ def bounded_sat(
     domain size, UnsatUpTo(max_domain) when sizes 1..max_domain are
     exhausted, or Aborted on budget exhaustion.
     """
-    deadline = time.monotonic() + budget if budget else None
-    constants = node_constants(sentence)
-    lower = 1
-    if mode == CANONICAL:
-        lower = max(1, len(constants))
-        if lower > max_domain:
-            return SatVerdict("UnsatUpTo", bound=max_domain)
     try:
-        for k in range(lower, max_domain + 1):
-            grounder = _Grounder(sentence, k, mode)
-            if extra_clause_builder is not None:
-                extra_clause_builder(grounder)
-            assignment = _solve_lex_least(
-                grounder.cnf.n_vars,
-                grounder.cnf.clauses,
-                grounder.decision_vars,
-                grounder.preferred,
-                deadline,
-                minimize,
-            )
-            if assignment is None:
-                continue
-            structure = grounder.decode(assignment)
-            confirmed = compute_shape_assignment(
-                FiniteStructure(
-                    domain=structure.domain,
-                    relations=structure.relations,
-                    filter_interp=structure.filter_interp,
-                    order_blocks=structure.order_blocks,
-                    constants=structure.constants,
-                ),
-                _definitions_of(sentence),
-            )
-            if not Evaluator(confirmed).sentence(sentence):
-                raise ModelConfirmationError(
-                    "decoded model failed re-evaluation at size %d" % k
-                )
-            return SatVerdict("Sat", model=confirmed)
-        return SatVerdict("UnsatUpTo", bound=max_domain)
+        structure = _least_model(sentence, max_domain, budget, mode)
     except SearchBudgetExceeded:
         return SatVerdict("Aborted", reason="budget exhausted")
-
-
-def _definitions_of(sentence: SclSentence) -> SclSentence:
-    from .translate import extract_definitions
-
-    return extract_definitions(sentence)
+    if structure is None:
+        return SatVerdict("UnsatUpTo", bound=max_domain)
+    confirmed = compute_shape_assignment(structure, extract_definitions(sentence))
+    if not Evaluator(confirmed).sentence(sentence):
+        raise ModelConfirmationError(
+            "decoded model failed re-evaluation at size %d" % len(confirmed.domain)
+        )
+    return SatVerdict("Sat", model=confirmed)

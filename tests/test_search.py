@@ -151,9 +151,24 @@ def test_star_infinite_chain_demand_unsat():
 
 
 def test_budget_abort():
+    from corpus import doc_ttl
     from shaclsat.gadgets import gadget_infinity
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
 
     verdict = bounded_sat(gadget_infinity("O"), max_domain=6, budget=0.02, mode=UNINTERPRETED)
+    assert verdict.outcome == "Aborted"
+    # grounding (the filter catalog) is the cost here, and each solve stays
+    # under the 4,096 propagations between the solver's own clock checks
+    filters8 = parse_document(doc_ttl(
+        ":s a sh:NodeShape ; sh:targetNode :alice ;\n"
+        "  sh:property [ sh:path :name ; sh:minCount 1 ; sh:datatype xsd:string ;\n"
+        '                sh:minLength 2 ; sh:maxLength 5 ; sh:pattern "^a" ] ;\n'
+        "  sh:property [ sh:path :age ; sh:minCount 1 ; sh:datatype xsd:integer ;\n"
+        "                sh:minInclusive 18 ; sh:maxInclusive 99 ] ;\n"
+        "  sh:property [ sh:path :friend ; sh:minCount 2 ; sh:nodeKind sh:IRI ] .\n"
+    ))
+    verdict = bounded_sat(translate(filters8), max_domain=5, budget=1e-3)
     assert verdict.outcome == "Aborted"
 
 

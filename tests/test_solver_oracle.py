@@ -5,7 +5,7 @@ import random
 
 from corpus import random_formula
 from shaclsat.scl import AtConst, ForClass, SclSentence, sentence_conj
-from shaclsat.search import UNINTERPRETED, _solve_lex_least, bounded_sat
+from shaclsat.search import UNINTERPRETED, _solve_once, bounded_sat
 from shaclsat.structures import Evaluator, FiniteStructure
 from shaclsat.terms import iri
 
@@ -37,27 +37,46 @@ def _brute_force_models(n_vars: int, clauses) -> list[tuple[int, ...]]:
     return models
 
 
+def _random_tseitin_cnf(rng: random.Random, n_vars: int, n_clauses: int):
+    """Random clauses over variables 1..n_vars, plus a few auxiliaries
+    a <-> l1 & l2 numbered from n_vars + 1, as the grounder defines them;
+    later clauses sometimes use them.  Returns (total variables, clauses)."""
+    clauses = _random_cnf(rng, n_vars, n_clauses)
+    total = n_vars
+    for _ in range(rng.randint(0, 3)):
+        l1, l2 = (rng.choice((1, -1)) * rng.randint(1, total) for _ in range(2))
+        total += 1
+        a = total
+        clauses += [[-a, l1], [-a, l2], [a, -l1, -l2]]
+        if rng.random() < 0.5:
+            clauses.append([rng.choice((a, -a))] + _random_cnf(rng, n_vars, 1)[0])
+    return total, clauses
+
+
 def test_solver_agrees_with_truth_table_and_returns_lex_least():
     rng = random.Random(31337)
-    for trial in range(300):
+    for trial in range(1500):
         n = rng.randint(2, 9)
-        clauses = _random_cnf(rng, n, rng.randint(1, 30))
-        decisions = list(range(1, n + 1))
+        total, clauses = _random_tseitin_cnf(rng, n, rng.randint(1, 30))
+        # a shuffled static order over the non-auxiliary variables only
+        decisions = rng.sample(range(1, n + 1), n)
         preferred = {v: rng.random() < 0.5 for v in decisions}
-        model = _solve_lex_least(n, clauses, decisions, preferred, None, minimize=True)
-        reference = _brute_force_models(n, clauses)
+        model = _solve_once(total, clauses, decisions, preferred, None)
+        reference = _brute_force_models(total, clauses)
         if model is None:
             assert not reference, (clauses, reference[:1])
             continue
         assert reference, clauses
-        bits = tuple(model[v] == 1 for v in decisions)
-        assert bits in reference
-        # lexicographically least under the preference polarity
+        bits = tuple(model[v] == 1 for v in range(1, total + 1))
+        assert bits in reference, (clauses, bits)
+
+        # lexicographically least under the preference polarity, compared
+        # on the decision variables in their order
         def key(assignment):
             return tuple(assignment[v - 1] != preferred[v] for v in decisions)
 
         best = min(reference, key=key)
-        assert key(bits) == key(best), (clauses, preferred, bits, best)
+        assert key(bits) == key(best), (clauses, decisions, preferred, bits, best)
 
 
 def _enumerate_structures(relations, constants, size):
