@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import classify
@@ -58,17 +57,6 @@ def _load_sentence(path: str, lang: str, mode: str) -> SclSentence:
     if lang == "scl":
         return parse_scl(_read(path))
     return translate(extract_document(_load_graph(path, mode)))
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("SHACL_LOGIC_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"SHACL_LOGIC_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise _UsageError("SHACL_LOGIC_THREADS must be >= 1")
-    return value
 
 
 def _build_parser() -> _Parser:
@@ -140,7 +128,6 @@ def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _threads_from_env()
         return _run(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

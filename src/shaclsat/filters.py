@@ -649,7 +649,6 @@ def gamma_with_witnesses(combo: FilterCombination, want: int) -> tuple[Cardinali
 
     if infinite:
         return INFINITE, witnesses
-    total -= 0  # negative_eq exclusions are handled inside the family counts
     return _finite(max(total, 0)), witnesses
 
 
@@ -788,9 +787,7 @@ def collect_combinations(sentence: SclSentence, cap: int = 4096) -> Iterator[Fil
     """Full-sign combinations over the sentence's filter/constant alphabet,
     skipping those already ruled out by a pairwise incompatibility."""
     filters, constants = filter_alphabet(sentence)
-    incompat = {
-        frozenset((repr_key(a), repr_key(b))) for a, b in incompatible_pairs(filters, constants)
-    }
+    incompat = {frozenset((a, b)) for a, b in incompatible_pairs(filters, constants)}
     items: list[object] = list(constants) + list(filters)
     emitted = 0
     for signs in product((True, False), repeat=len(items)):
@@ -813,16 +810,10 @@ def collect_combinations(sentence: SclSentence, cap: int = 4096) -> Iterator[Fil
         yield combo
 
 
-def repr_key(item: object) -> tuple:
-    if isinstance(item, Term):
-        return ("term",) + item.sort_key()
-    return ("filter",) + item.sort_key()  # type: ignore[union-attr]
-
-
 def _has_incompatible_pair(positives: list, incompat: set) -> bool:
     for i in range(len(positives)):
         for j in range(i + 1, len(positives)):
-            if frozenset((repr_key(positives[i]), repr_key(positives[j]))) in incompat:
+            if frozenset((positives[i], positives[j])) in incompat:
                 return True
     return False
 

@@ -208,18 +208,15 @@ def rewrite_sentence(sentence: SclSentence, passes: str) -> SentenceRewrite:
 def name_subformulas(sentence: SclSentence) -> SclSentence:
     """Replace every quantification body with a fresh named shape, inner
     bodies first, so each quantification scopes over a plain atom."""
-    from .scl_text import print_scl_formula
-
     new_defs: list[ShapeDef] = []
-    names: dict[str, Term] = {}
+    names: dict[SclFormula, Term] = {}
 
     def name_for(body: SclFormula) -> Term:
-        key = print_scl_formula(body)
-        if key not in names:
+        if body not in names:
             fresh = iri(f"{ns.GEN_NS}def:n{len(names)}")
-            names[key] = fresh
+            names[body] = fresh
             new_defs.append(ShapeDef(fresh, body))
-        return names[key]
+        return names[body]
 
     def go(f: SclFormula) -> SclFormula:
         if isinstance(f, CountExists):

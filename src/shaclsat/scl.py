@@ -4,10 +4,14 @@ Sentences are conjunctions of targeted constraint formulas and shape-name
 definitions; formulas have exactly one free variable by construction.
 Plain existential quantification is normalized to a counting quantifier
 with threshold 1, so the C feature is triggered only by thresholds != 1.
+
+Path, formula and sentence nodes are interned (hash-consed): structurally
+equal nodes are one object, so ``==`` is identity and hashing is O(1).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -84,38 +88,70 @@ class MaxValue(FilterName):
 
 
 # --------------------------------------------------------------------------
+# Interning
+# --------------------------------------------------------------------------
+
+
+class _Interned(type):
+    """Metaclass of the AST node bases: a call returns the canonical node.
+
+    The node is built first, so the dataclass defaults and checks apply,
+    then looked up by its class and field values (a node's instance dict
+    holds exactly its fields, in declaration order).  Child nodes in that
+    key are canonical already and hash by identity, so neither building nor
+    hashing a node recurses.  Node classes are declared
+    ``@dataclass(frozen=True, eq=False)``.  The call is positional-only
+    because ``ForClass`` has a field named ``cls``.
+    """
+
+    _canonical: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __call__(cls, /, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)
+        return _Interned._canonical.setdefault((cls, *node.__dict__.values()), node)
+
+
+class _Node(metaclass=_Interned):
+    """Base of the node bases: a copied or unpickled node is rebuilt through
+    the hook, so it is the canonical one."""
+
+    def __reduce__(self):
+        return type(self), tuple(self.__dict__.values())
+
+
+# --------------------------------------------------------------------------
 # Path expressions
 # --------------------------------------------------------------------------
 
 
-class PathExpr:
+class PathExpr(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rel(PathExpr):
     name: Term
     inverted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Seq(PathExpr):
     left: PathExpr
     right: PathExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Opt(PathExpr):
     inner: PathExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alt(PathExpr):
     left: PathExpr
     right: PathExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(PathExpr):
     inner: PathExpr
 
@@ -125,42 +161,42 @@ class Star(PathExpr):
 # --------------------------------------------------------------------------
 
 
-class SclFormula:
+class SclFormula(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(SclFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqConst(SclFormula):
     constant: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filter(SclFormula):
     name: FilterName
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HasShape(SclFormula):
     shape: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(SclFormula):
     body: SclFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(SclFormula):
     left: SclFormula
     right: SclFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountExists(SclFormula):
     """At least `threshold` path successors satisfying the body."""
 
@@ -173,19 +209,19 @@ class CountExists(SclFormula):
             raise ValueError("counting threshold must be >= 1; use Top for 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Disjoint(SclFormula):
     path: PathExpr
     relation: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Equals(SclFormula):
     path: PathExpr
     relation: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderCmp(SclFormula):
     """Every path successor is <= (or <) every relation successor.
 
@@ -203,47 +239,47 @@ class OrderCmp(SclFormula):
 # --------------------------------------------------------------------------
 
 
-class SclSentence:
+class SclSentence(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopSentence(SclSentence):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtConst(SclSentence):
     constant: Term
     body: SclFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForClass(SclSentence):
     cls: Term
     body: SclFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForSubjectsOf(SclSentence):
     relation: Term
     inverted: bool
     body: SclFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SAnd(SclSentence):
     left: SclSentence
     right: SclSentence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeDef(SclSentence):
     name: Term
     body: SclFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtMostGlobal(SclSentence):
     """Extended form: at most `bound` domain elements satisfy the body.
 
@@ -266,10 +302,6 @@ class AtMostGlobal(SclSentence):
 
 def exists(path: PathExpr, body: SclFormula = Top()) -> SclFormula:
     return CountExists(1, path, body)
-
-
-def neg(body: SclFormula) -> SclFormula:
-    return Not(body)
 
 
 def conj(parts: list[SclFormula]) -> SclFormula:

@@ -469,10 +469,9 @@ class _Grounder:
         self.sb: dict[tuple[int, int], int] = {}
         self.lt: dict[tuple[int, int], int] = {}
         self.hs: dict[tuple[Term, int], int] = {}
-        self._formula_lit: dict[tuple[int, int], int] = {}
-        self._path_mat: dict[int, list[list[int]]] = {}
+        self._formula_lit: dict[tuple[SclFormula, int], int] = {}
+        self._path_mat: dict[PathExpr, list[list[int]]] = {}
         self._sigma_cache: dict[tuple[int, int, bool], int] = {}
-        self._keepalive: list[object] = []
 
         if mode == CANONICAL:
             self._setup_canonical()
@@ -715,10 +714,8 @@ class _Grounder:
         ]
 
     def path_matrix(self, path: PathExpr) -> list[list[int]]:
-        key = id(path)
-        if key in self._path_mat:
-            return self._path_mat[key]
-        self._keepalive.append(path)
+        if path in self._path_mat:
+            return self._path_mat[path]
         if isinstance(path, Rel):
             mat = self._rel_matrix(path.name, path.inverted)
         elif isinstance(path, Seq):
@@ -746,16 +743,15 @@ class _Grounder:
                 steps *= 2
         else:  # pragma: no cover
             raise TypeError(f"unknown path {path!r}")
-        self._path_mat[key] = mat
+        self._path_mat[path] = mat
         return mat
 
     # ---- formulas -----------------------------------------------------------
 
     def formula_lit(self, f: SclFormula, i: int) -> int:
-        key = (id(f), i)
+        key = (f, i)
         if key in self._formula_lit:
             return self._formula_lit[key]
-        self._keepalive.append(f)
         lit = self._formula_lit_raw(f, i)
         self._formula_lit[key] = lit
         return lit

@@ -51,9 +51,6 @@ from .terms import (
     iri,
 )
 
-CANONICAL = "canonical"
-
-
 @dataclass(frozen=True)
 class OrderBlock:
     comparison_type: str
@@ -135,9 +132,9 @@ class Evaluator:
     existentials are preimages of their body's extension through the path;
     a star is a backward fixpoint and never builds its closure.  Counting
     thresholds above 1 and the disjoint/equals/order atoms read per-node
-    successor sets.  Extensions of filters, quantifiers and path atoms are
-    computed once and cached by the AST node itself, so equal subformulas
-    share one entry.
+    successor sets.  Every subformula's extension except a shape atom's is
+    computed once and cached by its (interned) AST node, so equal
+    subformulas share one entry.
     """
 
     def __init__(self, structure: FiniteStructure):
@@ -294,28 +291,22 @@ class Evaluator:
         return element in self.extension(f)
 
     def extension(self, f: SclFormula) -> frozenset[int]:
-        """Domain indices where `f` holds (one stack frame per formula level).
-
-        Connectives and constants are not cached: a lookup hashes the whole
-        subtree, which costs more than their set operation, and long
-        connective chains (a wide ``sh:in``) would exhaust the recursion
-        limit in the hash.
-        """
-        if isinstance(f, Not):
-            return self.everything - self.extension(f.body)
-        if isinstance(f, And):
-            return self.extension(f.left) & self.extension(f.right)
+        """Domain indices where `f` holds (one stack frame per formula level)."""
         if isinstance(f, HasShape):
             return self._shapes.get(f.shape, frozenset())
-        if isinstance(f, Top):
-            return self.everything
-        if isinstance(f, EqConst):
-            target = self.index.get(self.s.denote(f.constant))
-            return frozenset() if target is None else frozenset((target,))
         out = self._extensions.get(f)
         if out is not None:
             return out
-        if isinstance(f, Filter):
+        if isinstance(f, Not):
+            out = self.everything - self.extension(f.body)
+        elif isinstance(f, And):
+            out = self.extension(f.left) & self.extension(f.right)
+        elif isinstance(f, Top):
+            out = self.everything
+        elif isinstance(f, EqConst):
+            target = self.index.get(self.s.denote(f.constant))
+            out = frozenset() if target is None else frozenset((target,))
+        elif isinstance(f, Filter):
             out = frozenset(x for x in range(self.n) if self.filter_truth(f.name, x))
         elif isinstance(f, CountExists):
             body = self.extension(f.body)

@@ -162,16 +162,6 @@ def test_parse_error_exit_65(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env_guard(files, capsys, monkeypatch):
-    _, shapes, graph = files
-    monkeypatch.setenv("SHACL_LOGIC_THREADS", "not-a-number")
-    assert dispatch(["validate", str(graph), str(shapes)]) == 64
-    capsys.readouterr()
-    monkeypatch.setenv("SHACL_LOGIC_THREADS", "2")
-    assert dispatch(["validate", str(graph), str(shapes)]) == 0
-    capsys.readouterr()
-
-
 def test_text_output_mode(files, capsys):
     _, shapes, graph = files
     assert dispatch(["--output", "text", "validate", str(graph), str(shapes)]) == 0
@@ -205,3 +195,21 @@ def test_wide_in_list_never_reads_as_violation(tmp_path, capsys):
                  ["classify", str(shapes)]):
         assert dispatch(argv) in (0, 70)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_wide_in_under_property_shape_agrees_on_both_routes(tmp_path, capsys):
+    values = " ".join(f":v{i}" for i in range(300))
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        f":s a sh:NodeShape ; sh:targetNode :a ; sh:property [ sh:path :p ; sh:in ({values}) ] ."
+    ))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text("@prefix : <http://corpus.example/> .\n:a :p :v1 , :w .\n")
+    reports = []
+    for extra in ([], ["--direct"]):
+        assert dispatch(["validate", *extra, str(graph), str(shapes)]) == 1
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1] == {
+        "conforms": False,
+        "violations": [{"focusNode": "<http://corpus.example/a>", "shape": "<http://corpus.example/s>"}],
+    }

@@ -1,8 +1,11 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
-from corpus import random_formula
+from corpus import corpus_documents, random_formula
 from shaclsat.scl import (
     Alt,
     And,
@@ -18,9 +21,12 @@ from shaclsat.scl import (
     Not,
     Opt,
     OrderCmp,
+    PathExpr,
     RecursiveDefinition,
     Rel,
     SAnd,
+    SclFormula,
+    SclSentence,
     Seq,
     ShapeDef,
     Star,
@@ -32,9 +38,15 @@ from shaclsat.scl import (
     disj,
     exists,
     features_of,
+    formula_paths,
     sentence_conj,
+    sentence_formulas,
+    walk_formulas,
 )
+from shaclsat.scl_text import parse_scl, print_scl
+from shaclsat.shapes import parse_document
 from shaclsat.terms import iri
+from shaclsat.translate import translate
 
 R = iri("http://e/R")
 Q = iri("http://e/Q")
@@ -165,3 +177,55 @@ def test_ast_size_counts_nodes():
     assert ast_size(Top()) == 1
     assert ast_size(And(Top(), Top())) == 3
     assert ast_size(exists(Seq(Rel(R), Rel(Q)), Top())) == 5
+
+
+# --------------------------------------------------------------------------
+# Interning: structurally equal nodes are one object
+# --------------------------------------------------------------------------
+
+
+def _node_classes():
+    pending = [PathExpr, SclFormula, SclSentence]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        yield cls
+
+
+def _corpus_sentences():
+    return [translate(parse_document(text)) for _, text in corpus_documents()]
+
+
+def _nodes(sentence):
+    yield from conjuncts(sentence)
+    for body in sentence_formulas(sentence):
+        yield from walk_formulas(body)
+        yield from formula_paths(body)
+
+
+def test_every_node_class_is_interned_with_identity_equality():
+    metaclass = type(SclFormula)
+    for cls in _node_classes():
+        assert type(cls) is metaclass, cls
+        assert cls.__eq__ is object.__eq__, cls
+        assert cls.__hash__ is object.__hash__, cls
+
+
+def test_equal_nodes_are_one_object():
+    assert Rel(R) is Rel(R, False) is Rel(name=R, inverted=False)
+    assert exists(Seq(Rel(R), Rel(Q))) is CountExists(1, Seq(Rel(R), Rel(Q)), Top())
+    assert ForClass(C, Top()) is ForClass(C, body=Top())
+    for sentence in _corpus_sentences():
+        assert parse_scl(print_scl(sentence)) is sentence
+        assert copy.deepcopy(sentence) is sentence
+        assert pickle.loads(pickle.dumps(sentence)) is sentence
+        for node in _nodes(sentence):
+            assert dataclasses.replace(node) is node
+
+
+def test_hashing_a_deep_chain_does_not_recurse():
+    deep = Top()
+    for _ in range(5000):
+        deep = Not(deep)
+    assert hash(deep) == hash(deep)
+    assert {deep: 1}[deep] == 1

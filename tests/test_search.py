@@ -22,7 +22,7 @@ from shaclsat.scl import (
     TopSentence,
     sentence_conj,
 )
-from shaclsat.search import UNINTERPRETED, bounded_sat
+from shaclsat.search import UNINTERPRETED, _Grounder, bounded_sat
 from shaclsat.terms import iri
 
 EX = "http://e/"
@@ -196,3 +196,15 @@ def test_at_most_global_constraints_are_enforced():
         ]
     )
     assert bounded_sat(phi, max_domain=4, mode=UNINTERPRETED).outcome == "UnsatUpTo"
+
+
+def test_equal_subformulas_share_one_literal():
+    s1 = iri(EX + "s1")
+
+    def built():
+        return And(CountExists(1, Seq(Rel(R), Rel(Q)), Top()), Not(HasShape(s1)))
+
+    sentence = SAnd(AtConst(C, built()), ShapeDef(s1, Top()))
+    grounder = _Grounder(sentence, 3, UNINTERPRETED)
+    for i in range(3):
+        assert grounder.formula_lit(built(), i) == grounder.formula_lit(built(), i)
