@@ -17,7 +17,7 @@ from .direct_validation import validate_direct
 from .filters import CapExceeded, axiomatize, has_pattern_filters
 from .gadgets import DOMINO_VARIANTS, INFINITY_KINDS, TilingSystem, gadget_domino, gadget_infinity
 from .rewrite import name_subformulas, rewrite_sentence
-from .scl import SclSentence
+from .scl import IllFormedSentence, SclSentence
 from .scl_text import SclSyntaxError, parse_scl, print_scl
 from .search import CANONICAL, UNINTERPRETED, ModelConfirmationError, bounded_sat
 from .shapes import ShaclModelError, extract_document
@@ -133,7 +133,7 @@ def dispatch(argv: list[str]) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
     except (ParseError, SclSyntaxError, StrictModeError, ShaclModelError,
-            NotShaclExpressible, CapExceeded, json.JSONDecodeError) as err:
+            NotShaclExpressible, CapExceeded, IllFormedSentence, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_DATAERR
     except ModelConfirmationError as err:

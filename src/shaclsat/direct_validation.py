@@ -233,7 +233,7 @@ class _Validator:
         return all(self._node_constraint(c, v) for v in values)
 
 
-def target_extension(graph: TripleGraph, g: _Graph, target: sh.Target) -> set[Term]:
+def target_extension(g: _Graph, target: sh.Target) -> set[Term]:
     if isinstance(target, sh.NodeTarget):
         return {target.node}
     if isinstance(target, sh.ClassTarget):
@@ -251,7 +251,7 @@ def validate_direct(graph: TripleGraph, doc: sh.ShaclDocument) -> ValidationRepo
     violations: list[tuple[Term, Term]] = []
     for shape in doc.shapes:
         for target in shape.targets:
-            for focus in sorted(target_extension(graph, validator.g, target), key=Term.sort_key):
+            for focus in sorted(target_extension(validator.g, target), key=Term.sort_key):
                 if not validator.conforms(shape, focus):
                     violations.append((focus, shape.name))
     unique = sorted(set(violations), key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))

@@ -475,7 +475,7 @@ def _count_family(
         bounds = _family_bounds(sv, STRING)
         if bounds is None:
             return Cardinality(0), []
-        nul_family = _nul_interval_terms(bounds, datatype)
+        nul_family = _nul_interval_terms(bounds)
         if nul_family is not None:
             return enumerate_terms(nul_family)
         if bounds.lo is not None and bounds.hi is not None and bounds.lo[1] > bounds.hi[1]:
@@ -502,7 +502,7 @@ def _point_term(bounds: _Bounds, datatype: str) -> Optional[Term]:
     return None
 
 
-def _nul_interval_terms(bounds: _Bounds, datatype: str) -> Optional[list[Term]]:
+def _nul_interval_terms(bounds: _Bounds) -> Optional[list[Term]]:
     """The one finite shape of a string interval: upper bound reachable from
     the lower bound by appending NUL characters."""
     if bounds.lo is None or bounds.hi is None:

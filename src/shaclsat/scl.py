@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .terms import Term
+from .terms import Term, n3
 
 
 # --------------------------------------------------------------------------
@@ -438,19 +438,31 @@ def features_of(node: Union[SclSentence, SclFormula]) -> FeatureSet:
 @dataclass(frozen=True)
 class MissingDefinition:
     shape: Term
+    kind = "missing"
 
 
 @dataclass(frozen=True)
 class DuplicateDefinition:
     shape: Term
+    kind = "duplicate"
 
 
 @dataclass(frozen=True)
 class RecursiveDefinition:
     shape: Term
+    kind = "recursive"
 
 
 Defect = Union[MissingDefinition, DuplicateDefinition, RecursiveDefinition]
+
+
+class IllFormedSentence(ValueError):
+    """A sentence with missing, duplicate or recursive shape definitions."""
+
+    def __init__(self, defects: list[Defect]):
+        self.defects = tuple(defects)
+        named = "; ".join(f"{d.kind} shape definition {n3(d.shape)}" for d in defects)
+        super().__init__(f"sentence is not well formed: {named}")
 
 
 def shape_definitions(sentence: SclSentence) -> list[ShapeDef]:

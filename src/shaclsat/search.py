@@ -41,6 +41,7 @@ from .scl import (
     ForClass,
     ForSubjectsOf,
     HasShape,
+    IllFormedSentence,
     Not,
     Opt,
     OrderCmp,
@@ -52,6 +53,7 @@ from .scl import (
     ShapeDef,
     Star,
     Top,
+    check_well_formed,
     conjuncts,
     formula_filters,
     node_constants,
@@ -60,12 +62,13 @@ from .scl import (
     walk_formulas,
     sentence_formulas,
 )
-from .structures import Evaluator, FiniteStructure, OrderBlock, compute_shape_assignment
+from .structures import FiniteStructure, OrderBlock, shape_evaluator
 from .terms import ComparisonVerdict, Term, compare_terms, iri, literal
 from .translate import extract_definitions
 
 CANONICAL = "canonical"
 UNINTERPRETED = "uninterpreted"
+CATALOG_CAP = 1 << 12  # most filter combinations the canonical catalog enumerates
 
 
 class SearchBudgetExceeded(Exception):
@@ -403,7 +406,6 @@ def _build_catalog(
     filters: list,
     fresh_count: int,
     order_needed: bool,
-    cap: int = 1 << 12,
 ) -> list[Term]:
     """Candidate terms for free domain slots in canonical mode."""
     taken = {canonical_key(c) for c in constants}
@@ -418,7 +420,7 @@ def _build_catalog(
     for i in range(fresh_count):
         push(iri(f"{ns.GEN_NS}elem:{i}"))
     if filters:
-        if 2 ** len(filters) > cap:
+        if 2 ** len(filters) > CATALOG_CAP:
             raise CapExceeded(f"filter alphabet too large for catalog ({len(filters)} filters)")
         from itertools import product
 
@@ -1083,17 +1085,19 @@ def bounded_sat(
 
     Returns the canonically least model over the smallest satisfiable
     domain size, UnsatUpTo(max_domain) when sizes 1..max_domain are
-    exhausted, or Aborted on budget exhaustion.
+    exhausted, or Aborted on budget exhaustion.  Raises IllFormedSentence
+    when a shape definition is missing, duplicated or recursive.
     """
+    defects = check_well_formed(sentence)
+    if defects:
+        raise IllFormedSentence(defects)
     try:
         structure = _least_model(sentence, max_domain, budget, mode)
     except SearchBudgetExceeded:
         return SatVerdict("Aborted", reason="budget exhausted")
     if structure is None:
         return SatVerdict("UnsatUpTo", bound=max_domain)
-    confirmed = compute_shape_assignment(structure, extract_definitions(sentence))
-    if not Evaluator(confirmed).sentence(sentence):
-        raise ModelConfirmationError(
-            "decoded model failed re-evaluation at size %d" % len(confirmed.domain)
-        )
-    return SatVerdict("Sat", model=confirmed)
+    ev = shape_evaluator(structure, extract_definitions(sentence))
+    if not ev.sentence(sentence):
+        raise ModelConfirmationError("decoded model failed re-evaluation at size %d" % ev.n)
+    return SatVerdict("Sat", model=ev.assigned_structure())

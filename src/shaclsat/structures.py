@@ -142,7 +142,6 @@ class Evaluator:
         self.index = {term: i for i, term in enumerate(structure.domain)}
         self.n = len(structure.domain)
         self.everything = frozenset(range(self.n))
-        self.rel_pairs: dict[tuple[Term, bool], set[tuple[int, int]]] = {}
         members: dict[Term, set[int]] = {}
         for t, name in structure.has_shape:
             if t in self.index:
@@ -150,7 +149,6 @@ class Evaluator:
         self._shapes: dict[Term, frozenset[int]] = {
             name: frozenset(xs) for name, xs in members.items()
         }
-        self._path_cache: dict[PathExpr, set[tuple[int, int]]] = {}
         self._successors: dict[PathExpr, dict[int, frozenset[int]]] = {}
         self._extensions: dict[SclFormula, frozenset[int]] = {}
         self._order_position: Optional[dict[Term, tuple[int, int]]] = None
@@ -160,74 +158,45 @@ class Evaluator:
                 for pos, term in enumerate(block.members):
                     self._order_position[term] = (b, pos)
 
-    # relations ---------------------------------------------------------
-
-    def relation(self, name: Term, inverted: bool = False) -> set[tuple[int, int]]:
-        key = (name, inverted)
-        if key not in self.rel_pairs:
-            pairs = self.s.relations.get(name, frozenset())
-            indexed = {
-                (self.index[a], self.index[b])
-                for a, b in pairs
-                if a in self.index and b in self.index
-            }
-            if inverted:
-                indexed = {(b, a) for a, b in indexed}
-            self.rel_pairs[key] = indexed
-        return self.rel_pairs[key]
-
     # paths ---------------------------------------------------------------
-
-    def path_pairs(self, path: PathExpr) -> set[tuple[int, int]]:
-        if path in self._path_cache:
-            return self._path_cache[path]
-        if isinstance(path, Rel):
-            out = set(self.relation(path.name, path.inverted))
-        elif isinstance(path, Seq):
-            left = self.path_pairs(path.left)
-            right = self.path_pairs(path.right)
-            by_mid: dict[int, set[int]] = {}
-            for m, j in right:
-                by_mid.setdefault(m, set()).add(j)
-            out = {(i, j) for i, m in left for j in by_mid.get(m, ())}
-        elif isinstance(path, Alt):
-            out = self.path_pairs(path.left) | self.path_pairs(path.right)
-        elif isinstance(path, Opt):
-            out = {(i, i) for i in range(self.n)} | self.path_pairs(path.inner)
-        elif isinstance(path, Star):
-            out = self._reflexive_transitive(self.path_pairs(path.inner))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown path {path!r}")
-        self._path_cache[path] = out
-        return out
-
-    def _reflexive_transitive(self, base: set[tuple[int, int]]) -> set[tuple[int, int]]:
-        succ: dict[int, set[int]] = {i: set() for i in range(self.n)}
-        for i, j in base:
-            succ[i].add(j)
-        out: set[tuple[int, int]] = set()
-        for start in range(self.n):
-            reached = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for j in succ[node]:
-                        if j not in reached:
-                            reached.add(j)
-                            nxt.append(j)
-                frontier = nxt
-            out |= {(start, j) for j in reached}
-        return out
 
     def successors(self, path: PathExpr) -> dict[int, frozenset[int]]:
         """Path successors per node; nodes without successors are absent."""
-        if path not in self._successors:
-            grouped: dict[int, set[int]] = {}
-            for i, j in self.path_pairs(path):
-                grouped.setdefault(i, set()).add(j)
-            self._successors[path] = {i: frozenset(js) for i, js in grouped.items()}
-        return self._successors[path]
+        out = self._successors.get(path)
+        if out is not None:
+            return out
+        grouped: dict[int, set[int]] = {}
+        if isinstance(path, Rel):
+            for a, b in self.s.relations.get(path.name, ()):
+                if path.inverted:
+                    a, b = b, a
+                grouped.setdefault(self.index[a], set()).add(self.index[b])
+        elif isinstance(path, Seq):
+            right = self.successors(path.right)
+            for i, mids in self.successors(path.left).items():
+                reached = set().union(*(right.get(m, ()) for m in mids))
+                if reached:
+                    grouped[i] = reached
+        elif isinstance(path, Alt):
+            left, right = self.successors(path.left), self.successors(path.right)
+            grouped = {i: {*left.get(i, ()), *right.get(i, ())} for i in left.keys() | right.keys()}
+        elif isinstance(path, Opt):
+            inner = self.successors(path.inner)
+            grouped = {i: {i, *inner.get(i, ())} for i in range(self.n)}
+        elif isinstance(path, Star):
+            # forward BFS from each node: each node enters a frontier once
+            inner = self.successors(path.inner)
+            for start in range(self.n):
+                reached, frontier = {start}, {start}
+                while frontier:
+                    frontier = {j for x in frontier for j in inner.get(x, ())} - reached
+                    reached |= frontier
+                grouped[start] = reached
+        else:  # pragma: no cover
+            raise TypeError(f"unknown path {path!r}")
+        out = {i: frozenset(js) for i, js in grouped.items()}
+        self._successors[path] = out
+        return out
 
     def preimage(self, path: PathExpr, targets: frozenset[int]) -> frozenset[int]:
         """Nodes with at least one path successor in `targets`."""
@@ -286,6 +255,11 @@ class Evaluator:
         extensions are cached and do not see later assignments.
         """
         self._shapes[shape] = self._shapes.get(shape, frozenset()) | members
+
+    def assigned_structure(self) -> FiniteStructure:
+        """The structure with the assigned shape members added to hasShape."""
+        assigned = {(self.s.domain[x], name) for name, xs in self._shapes.items() for x in xs}
+        return replace(self.s, has_shape=self.s.has_shape | assigned)
 
     def formula(self, f: SclFormula, element: int) -> bool:
         return element in self.extension(f)
@@ -382,15 +356,13 @@ class Evaluator:
         raise TypeError(f"unknown sentence {part!r}")
 
 
-def compute_shape_assignment(
-    structure: FiniteStructure, definitions: SclSentence
-) -> FiniteStructure:
-    """Populate hasShape by evaluating each definition in dependency order."""
+def shape_evaluator(structure: FiniteStructure, definitions: SclSentence) -> Evaluator:
+    """An evaluator over `structure` whose hasShape is populated by
+    evaluating each definition in dependency order."""
     defs = shape_definitions(definitions)
-    names = [d.name for d in defs]
-    if len(names) != len(set(names)):
-        raise ValueError("duplicate shape definitions")
     by_name = {d.name: d for d in defs}
+    if len(by_name) != len(defs):
+        raise ValueError("duplicate shape definitions")
 
     order: list[ShapeDef] = []
     state: dict[Term, int] = {}
@@ -411,20 +383,23 @@ def compute_shape_assignment(
         visit(d)
 
     ev = Evaluator(structure)
-    assignment = set(structure.has_shape)
     for d in order:
-        members = ev.extension(d.body)
-        ev.assign(d.name, members)
-        assignment.update((structure.domain[x], d.name) for x in members)
-    return replace(structure, has_shape=frozenset(assignment))
+        ev.assign(d.name, ev.extension(d.body))
+    return ev
+
+
+def compute_shape_assignment(
+    structure: FiniteStructure, definitions: SclSentence
+) -> FiniteStructure:
+    """Populate hasShape by evaluating each definition in dependency order."""
+    return shape_evaluator(structure, definitions).assigned_structure()
 
 
 def evaluate_sentence(structure: FiniteStructure, sentence: SclSentence) -> bool:
     """Truth of a sentence after computing the shape assignment it needs."""
     from .translate import extract_definitions
 
-    prepared = compute_shape_assignment(structure, extract_definitions(sentence))
-    return Evaluator(prepared).sentence(sentence)
+    return shape_evaluator(structure, extract_definitions(sentence)).sentence(sentence)
 
 
 def evaluate(structure: FiniteStructure, node, at: Optional[Term] = None) -> bool:

@@ -358,7 +358,7 @@ class _Parser:
         elif tok.kind == "lbracket":
             term = self._blank_property_list()
         elif tok.kind == "string":
-            term = self._literal_tail(str(tok.value), tok)
+            term = self._literal_tail(str(tok.value))
         elif tok.kind == "number":
             term = tok.value
         elif tok.kind == "keyword" and tok.value in ("true", "false"):
@@ -371,7 +371,7 @@ class _Parser:
             return self._check_subject(term, tok)
         return term
 
-    def _literal_tail(self, lexical: str, tok: _Token) -> Term:
+    def _literal_tail(self, lexical: str) -> Term:
         nxt = self._peek()
         if nxt.kind == "carets":
             self._next()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import shapes as sh
 from .direct_validation import ValidationReport
 from .scl import ShapeDef, node_constants, sentence_conj
-from .structures import Evaluator, canonical_structure, compute_shape_assignment, with_constants
+from .structures import canonical_structure, shape_evaluator, with_constants
 from .terms import Term, TripleGraph
 from .translate import extract_definitions, translate_tagged
 
@@ -20,14 +20,13 @@ def validate(graph: TripleGraph, doc: sh.ShaclDocument) -> ValidationReport:
     tagged = translate_tagged(doc)
     sentence = sentence_conj([part for _, part in tagged])
     structure = with_constants(canonical_structure(graph), node_constants(sentence))
-    prepared = compute_shape_assignment(structure, extract_definitions(sentence))
-    ev = Evaluator(prepared)
+    ev = shape_evaluator(structure, extract_definitions(sentence))
 
     violations: list[tuple[Term, Term]] = []
     for shape_name, part in tagged:
         if isinstance(part, ShapeDef):
             continue
         for x in ev.counterexamples(part):
-            violations.append((prepared.domain[x], shape_name))
+            violations.append((structure.domain[x], shape_name))
     unique = sorted(set(violations), key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
     return ValidationReport(not unique, tuple(unique))

@@ -213,3 +213,26 @@ def test_wide_in_under_property_shape_agrees_on_both_routes(tmp_path, capsys):
         "conforms": False,
         "violations": [{"focusNode": "<http://corpus.example/a>", "shape": "<http://corpus.example/s>"}],
     }
+
+
+@pytest.mark.parametrize(
+    "text, defect",
+    [
+        ("(def-shape <http://e/s> (not (hasshape <http://e/s>)))",
+         "recursive shape definition <http://e/s>"),
+        ("(def-shape <http://e/s> (hasshape <http://e/s>))",
+         "recursive shape definition <http://e/s>"),
+        ("(and (def-shape <http://e/s> (top)) (def-shape <http://e/s> (top)))",
+         "duplicate shape definition <http://e/s>"),
+        ("(at <http://e/a> (hasshape <http://e/t>))",
+         "missing shape definition <http://e/t>"),
+    ],
+    ids=["negated-self", "self", "duplicate", "missing"],
+)
+def test_sat_ill_formed_sentence_exit_65(tmp_path, capsys, text, defect):
+    scl = tmp_path / "ill.scl"
+    scl.write_text(text)
+    assert dispatch(["sat", str(scl)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert defect in captured.err and "Traceback" not in captured.err

@@ -148,11 +148,11 @@ def test_monotone_targets_under_triple_addition():
     for graph in graphs_for(seed=3, count=20):
         from shaclsat.direct_validation import _Graph, target_extension
 
-        base = target_extension(graph, _Graph(graph), doc.shapes[0].targets[0])
+        base = target_extension(_Graph(graph), doc.shapes[0].targets[0])
         extra = Triple(iri(EX + "new"), iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
                        iri(EX + "P"))
         bigger = TripleGraph(frozenset(set(graph.triples) | {extra}))
-        grown = target_extension(bigger, _Graph(bigger), doc.shapes[0].targets[0])
+        grown = target_extension(_Graph(bigger), doc.shapes[0].targets[0])
         assert base <= grown
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -79,7 +80,25 @@ def test_structures_reject_stray_relation_terms():
         )
 
 
+def _pairs(successors):
+    return {(i, j) for i, js in successors.items() for j in js}
+
+
 def test_star_matches_independent_closure_oracle():
+    # every path constructor against the pair-set reference semantics
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(300):
+        structure = random_structure(rng, max_size=5)
+        ev = Evaluator(structure)
+        index = {t: i for i, t in enumerate(structure.domain)}
+        path = random_path(rng, 3)
+        seen.add((type(path).__name__, getattr(path, "inverted", False)))
+        expected = {(index[a], index[b]) for a, b in _reference_pairs(structure, path)}
+        assert _pairs(ev.successors(path)) == expected, (path, structure)
+    assert {kind for kind, _ in seen} == {"Rel", "Seq", "Alt", "Opt", "Star"}
+    assert ("Rel", True) in seen
+
     rng = random.Random(17)
     for _ in range(100):
         size = rng.randint(1, 6)
@@ -89,7 +108,7 @@ def test_star_matches_independent_closure_oracle():
         }
         structure = FiniteStructure(domain=terms, relations={R: frozenset(pairs)})
         ev = Evaluator(structure)
-        star = ev.path_pairs(Star(Rel(R)))
+        star = _pairs(ev.successors(Star(Rel(R))))
         # oracle: boolean matrix closure by iterated squaring
         index = {t: i for i, t in enumerate(terms)}
         mat = [[i == j for j in range(size)] for i in range(size)]
@@ -317,3 +336,43 @@ def test_public_evaluate_convenience():
         evaluate(s, Top())
     with pytest.raises(ValueError):
         evaluate(s, Top(), at=iri(EX + "ghost"))
+
+
+def test_logic_route_builds_one_evaluator(monkeypatch):
+    # the evaluator that assigns the shapes also answers the question
+    from shaclsat.search import bounded_sat
+    from shaclsat.validation import validate
+
+    built = []
+    init = Evaluator.__init__
+
+    def counting_init(self, structure):
+        built.append(structure)
+        init(self, structure)
+
+    monkeypatch.setattr(Evaluator, "__init__", counting_init)
+    g = parse_turtle(
+        "@prefix : <http://corpus.example/> .\n"
+        ":Alex a :Student ; :hasFaculty :CS ; :hasSupervisor :Jane .\n"
+        ":Jane :hasFaculty :Physics ."
+    )
+    doc = parse_document(
+        doc_ttl(
+            ":studentShape a sh:NodeShape ; sh:targetClass :Student ; sh:not :disjFacultyShape .\n"
+            ":disjFacultyShape a sh:PropertyShape ; sh:path (:hasSupervisor :hasFaculty) ; "
+            "sh:disjoint :hasFaculty ."
+        )
+    )
+    sentence = translate(doc)
+
+    assert not validate(g, doc).conforms
+    assert len(built) == 1
+    built.clear()
+    assert not evaluate_sentence(canonical_structure(g), sentence)
+    assert len(built) == 1
+    built.clear()
+    verdict = bounded_sat(sentence, max_domain=3)
+    assert verdict.is_sat and len(built) == 1
+    bare = replace(verdict.model, has_shape=frozenset())
+    assert verdict.model.has_shape
+    assert verdict.model == compute_shape_assignment(bare, extract_definitions(sentence))
