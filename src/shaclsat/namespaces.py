@@ -105,10 +105,3 @@ SH_NK_IRI_OR_LITERAL = _sh("IRIOrLiteral")
 
 # Namespace for deterministic names this package generates itself.
 GEN_NS = "urn:shaclsat:"
-
-WELL_KNOWN_PREFIXES = {
-    "rdf": RDF_NS,
-    "rdfs": RDFS_NS,
-    "xsd": XSD_NS,
-    "sh": SH_NS,
-}

@@ -63,9 +63,9 @@ def _map_formula(f: SclFormula, fn: Callable[[SclFormula], SclFormula]) -> SclFo
 
 
 def _defect(rule: str, reason: str, node: SclFormula) -> RewriteDefect:
-    from .scl_text import print_scl_formula
+    from .scl_text import print_scl
 
-    return RewriteDefect(rule, reason, print_scl_formula(node))
+    return RewriteDefect(rule, reason, print_scl(node))
 
 
 # --------------------------------------------------------------------------

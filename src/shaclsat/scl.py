@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Container, Iterator, Union
 
-from .terms import Term, n3
+from .namespaces import RDF_TYPE
+from .terms import Term, iri, n3
 
 
 # --------------------------------------------------------------------------
@@ -344,11 +345,43 @@ def sentence_conj(parts: list[SclSentence]) -> SclSentence:
 
 def conjuncts(sentence: SclSentence) -> Iterator[SclSentence]:
     """Flatten a sentence conjunction, left to right."""
-    if isinstance(sentence, SAnd):
-        yield from conjuncts(sentence.left)
-        yield from conjuncts(sentence.right)
-    elif not isinstance(sentence, TopSentence):
-        yield sentence
+    stack = [sentence]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, SAnd):
+            stack += (part.right, part.left)
+        elif not isinstance(part, TopSentence):
+            yield part
+
+
+# --------------------------------------------------------------------------
+# Traversal
+# --------------------------------------------------------------------------
+
+
+def children(node: _Node) -> tuple[_Node, ...]:
+    """The sub-nodes of a node, in field order (a node's instance dict holds
+    exactly its fields)."""
+    return tuple(v for v in node.__dict__.values() if isinstance(v, _Node))
+
+
+def nodes(root: _Node, skip: Container[_Node] = ()) -> Iterator[_Node]:
+    """Every distinct node reachable from `root`, each yielded once, children
+    before parents and left before right.  Nodes in `skip` are neither
+    yielded nor descended into.  The walk keeps an explicit stack, so depth
+    costs no recursion."""
+    seen = {root}
+    stack = [(root, iter(children(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child not in seen and child not in skip:
+                seen.add(child)
+                stack.append((child, iter(children(child))))
+                break
+        else:
+            stack.pop()
+            yield node
 
 
 # --------------------------------------------------------------------------
@@ -362,66 +395,27 @@ ALL_FEATURES = (S, Z, A, T, D, E, O, OPRIME, C)
 FeatureSet = frozenset
 
 
-def _walk_paths(path: PathExpr) -> Iterator[PathExpr]:
-    yield path
-    if isinstance(path, (Seq, Alt)):
-        yield from _walk_paths(path.left)
-        yield from _walk_paths(path.right)
-    elif isinstance(path, (Opt, Star)):
-        yield from _walk_paths(path.inner)
-
-
-def walk_formulas(formula: SclFormula) -> Iterator[SclFormula]:
-    yield formula
-    if isinstance(formula, Not):
-        yield from walk_formulas(formula.body)
-    elif isinstance(formula, And):
-        yield from walk_formulas(formula.left)
-        yield from walk_formulas(formula.right)
-    elif isinstance(formula, CountExists):
-        yield from walk_formulas(formula.body)
-
-
-def formula_paths(formula: SclFormula) -> Iterator[PathExpr]:
-    for f in walk_formulas(formula):
-        if isinstance(f, CountExists):
-            yield from _walk_paths(f.path)
-        elif isinstance(f, (Disjoint, Equals, OrderCmp)):
-            yield from _walk_paths(f.path)
-
-
-def sentence_formulas(sentence: SclSentence) -> Iterator[SclFormula]:
-    for part in conjuncts(sentence):
-        if isinstance(part, (AtConst, ForClass, ForSubjectsOf, ShapeDef, AtMostGlobal)):
-            yield part.body
-
-
 def features_of(node: Union[SclSentence, SclFormula]) -> FeatureSet:
     """The prominent-feature flags used by a sentence or formula."""
     flags: set[str] = set()
     order_atoms = []
-    formulas = (
-        list(sentence_formulas(node)) if isinstance(node, SclSentence) else [node]
-    )
-    for root in formulas:
-        for f in walk_formulas(root):
-            if isinstance(f, CountExists) and f.threshold != 1:
-                flags.add(C)
-            elif isinstance(f, Disjoint):
-                flags.add(D)
-            elif isinstance(f, Equals):
-                flags.add(E)
-            elif isinstance(f, OrderCmp):
-                order_atoms.append(f)
-        for path in formula_paths(root):
-            if isinstance(path, Seq):
-                flags.add(S)
-            elif isinstance(path, Opt):
-                flags.add(Z)
-            elif isinstance(path, Alt):
-                flags.add(A)
-            elif isinstance(path, Star):
-                flags.add(T)
+    for n in nodes(node):
+        if isinstance(n, CountExists) and n.threshold != 1:
+            flags.add(C)
+        elif isinstance(n, Disjoint):
+            flags.add(D)
+        elif isinstance(n, Equals):
+            flags.add(E)
+        elif isinstance(n, OrderCmp):
+            order_atoms.append(n)
+        elif isinstance(n, Seq):
+            flags.add(S)
+        elif isinstance(n, Opt):
+            flags.add(Z)
+        elif isinstance(n, Alt):
+            flags.add(A)
+        elif isinstance(n, Star):
+            flags.add(T)
     if order_atoms:
         if any(atom.inverted for atom in order_atoms):
             flags.add(O)
@@ -469,48 +463,63 @@ def shape_definitions(sentence: SclSentence) -> list[ShapeDef]:
     return [part for part in conjuncts(sentence) if isinstance(part, ShapeDef)]
 
 
-def referenced_shapes(formula: SclFormula) -> set[Term]:
-    return {f.shape for f in walk_formulas(formula) if isinstance(f, HasShape)}
+def referenced_shapes(node: _Node) -> set[Term]:
+    """The shape names of the hasShape atoms under `node`."""
+    return {n.shape for n in nodes(node) if isinstance(n, HasShape)}
 
 
-def check_well_formed(sentence: SclSentence) -> list[Defect]:
-    """Every referenced shape name has exactly one definition and the
-    definition dependency graph is acyclic."""
+def definition_order(sentence: SclSentence) -> tuple[list[ShapeDef], list[Defect]]:
+    """The first definition of each shape name, each one after the
+    definitions its body references, and the sentence's defects: duplicate
+    definitions in sentence order, then missing ones, then recursive ones.
+
+    The dependency graph is searched depth first from each name in sort
+    order, dependencies in sort order.  A definition with an edge to one
+    still open is recursive, and is reported when it closes.
+    """
     defects: list[Defect] = []
-    defs: dict[Term, SclFormula] = {}
+    defs: dict[Term, ShapeDef] = {}
     for d in shape_definitions(sentence):
         if d.name in defs:
             defects.append(DuplicateDefinition(d.name))
         else:
-            defs[d.name] = d.body
-
-    used: set[Term] = set()
-    for body in sentence_formulas(sentence):
-        used |= referenced_shapes(body)
-    for name in sorted(used - set(defs), key=Term.sort_key):
+            defs[d.name] = d
+    for name in sorted(referenced_shapes(sentence) - defs.keys(), key=Term.sort_key):
         defects.append(MissingDefinition(name))
 
-    # cycle detection over the definition dependency graph
-    color: dict[Term, int] = {}
+    def deps(name: Term) -> Iterator[Term]:
+        return iter(sorted(referenced_shapes(defs[name].body) & defs.keys(), key=Term.sort_key))
 
-    def visit(name: Term) -> bool:
-        if color.get(name) == 2:
-            return False
-        if color.get(name) == 1:
-            return True
-        color[name] = 1
-        cyclic = False
-        for dep in sorted(referenced_shapes(defs[name]) & set(defs), key=Term.sort_key):
-            if visit(dep):
-                cyclic = True
-        color[name] = 2
-        if cyclic:
-            defects.append(RecursiveDefinition(name))
-        return False
+    order: list[ShapeDef] = []
+    closed: dict[Term, bool] = {}  # False while the name is open
+    recursive: set[Term] = set()
+    for root in sorted(defs, key=Term.sort_key):
+        if root in closed:
+            continue
+        closed[root] = False
+        stack = [(root, deps(root))]
+        while stack:
+            name, pending = stack[-1]
+            for dep in pending:
+                if dep not in closed:
+                    closed[dep] = False
+                    stack.append((dep, deps(dep)))
+                    break
+                if not closed[dep]:
+                    recursive.add(name)
+            else:
+                stack.pop()
+                closed[name] = True
+                order.append(defs[name])
+                if name in recursive:
+                    defects.append(RecursiveDefinition(name))
+    return order, defects
 
-    for name in sorted(defs, key=Term.sort_key):
-        visit(name)
-    return defects
+
+def check_well_formed(sentence: SclSentence) -> list[Defect]:
+    """Every referenced shape name has exactly one definition and the
+    definition dependency graph is acyclic; the defects otherwise."""
+    return definition_order(sentence)[1]
 
 
 # --------------------------------------------------------------------------
@@ -518,80 +527,40 @@ def check_well_formed(sentence: SclSentence) -> list[Defect]:
 # --------------------------------------------------------------------------
 
 
-def ast_size(node) -> int:
-    """Number of AST nodes (sentences, formulas and paths)."""
-    if isinstance(node, SclSentence):
-        total = 0
-        for part in conjuncts(node):
-            total += 1 + (ast_size(part.body) if hasattr(part, "body") else 0)
-        return max(total, 1)
-    if isinstance(node, (Not,)):
-        return 1 + ast_size(node.body)
-    if isinstance(node, And):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, CountExists):
-        return 1 + ast_size(node.path) + ast_size(node.body)
-    if isinstance(node, (Disjoint, Equals, OrderCmp)):
-        return 1 + ast_size(node.path)
-    if isinstance(node, (Seq, Alt)):
-        return 1 + ast_size(node.left) + ast_size(node.right)
-    if isinstance(node, (Opt, Star)):
-        return 1 + ast_size(node.inner)
-    return 1
+def ast_size(node: _Node) -> int:
+    """Number of AST nodes (sentences, formulas and paths), a shared subtree
+    counted at each occurrence; a sentence counts its conjuncts, not the
+    conjunctions joining them."""
+    size: dict[_Node, int] = {}
+    for n in nodes(node):
+        own = 0 if isinstance(n, (SAnd, TopSentence)) else 1
+        size[n] = own + sum(size[c] for c in children(n))
+    return max(size[node], 1)
 
 
 def node_constants(node: Union[SclSentence, SclFormula]) -> set[Term]:
     """Node constants occurring in a sentence or formula (not shape names)."""
     out: set[Term] = set()
-    if isinstance(node, SclSentence):
-        for part in conjuncts(node):
-            if isinstance(part, AtConst):
-                out.add(part.constant)
-            elif isinstance(part, ForClass):
-                out.add(part.cls)
-            out |= node_constants(part.body) if hasattr(part, "body") else set()
-        return out
-    for f in walk_formulas(node):
-        if isinstance(f, EqConst):
-            out.add(f.constant)
+    for n in nodes(node):
+        if isinstance(n, (AtConst, EqConst)):
+            out.add(n.constant)
+        elif isinstance(n, ForClass):
+            out.add(n.cls)
     return out
 
 
 def relation_names(node: Union[SclSentence, SclFormula]) -> set[Term]:
     """Binary relation names used anywhere in the sentence or formula."""
     out: set[Term] = set()
-
-    def from_formula(formula: SclFormula) -> None:
-        for f in walk_formulas(formula):
-            if isinstance(f, (Disjoint, Equals, OrderCmp)):
-                out.add(f.relation)
-        for p in formula_paths(formula):
-            if isinstance(p, Rel):
-                out.add(p.name)
-
-    if isinstance(node, SclSentence):
-        from .namespaces import RDF_TYPE
-        from .terms import iri
-
-        for part in conjuncts(node):
-            if isinstance(part, ForClass):
-                out.add(iri(RDF_TYPE))
-            elif isinstance(part, ForSubjectsOf):
-                out.add(part.relation)
-            if hasattr(part, "body"):
-                from_formula(part.body)
-    else:
-        from_formula(node)
+    for n in nodes(node):
+        if isinstance(n, (Disjoint, Equals, OrderCmp, ForSubjectsOf)):
+            out.add(n.relation)
+        elif isinstance(n, Rel):
+            out.add(n.name)
+        elif isinstance(n, ForClass):
+            out.add(iri(RDF_TYPE))
     return out
 
 
 def formula_filters(node: Union[SclSentence, SclFormula]) -> set[FilterName]:
-    out: set[FilterName] = set()
-    formulas = (
-        list(sentence_formulas(node)) if isinstance(node, SclSentence) else [node]
-    )
-    for root in formulas:
-        for f in walk_formulas(root):
-            if isinstance(f, Filter):
-                out.add(f.name)
-    return out
+    return {n.name for n in nodes(node) if isinstance(n, Filter)}

@@ -105,73 +105,69 @@ def _filter(name: FilterName) -> str:
     raise TypeError(f"unknown filter {name!r}")
 
 
-def _path(path: PathExpr) -> str:
-    if isinstance(path, Rel):
-        return f"(inv {_term(path.name)})" if path.inverted else f"(rel {_term(path.name)})"
-    if isinstance(path, Seq):
-        return f"(seq {_path(path.left)} {_path(path.right)})"
-    if isinstance(path, Opt):
-        return f"(opt {_path(path.inner)})"
-    if isinstance(path, Alt):
-        return f"(alt {_path(path.left)} {_path(path.right)})"
-    if isinstance(path, Star):
-        return f"(star {_path(path.inner)})"
-    raise TypeError(f"unknown path {path!r}")
-
-
-def _formula(f: SclFormula) -> str:
-    if isinstance(f, Top):
-        return "(top)"
-    if isinstance(f, EqConst):
-        return f"(eq {_term(f.constant)})"
-    if isinstance(f, Filter):
-        return f"(filter {_filter(f.name)})"
-    if isinstance(f, HasShape):
-        return f"(hasshape {_term(f.shape)})"
-    if isinstance(f, Not):
-        return f"(not {_formula(f.body)})"
-    if isinstance(f, And):
-        return f"(and {_formula(f.left)} {_formula(f.right)})"
-    if isinstance(f, CountExists):
-        return f"(count>= {f.threshold} {_path(f.path)} {_formula(f.body)})"
-    if isinstance(f, Disjoint):
-        return f"(disjoint {_path(f.path)} {_term(f.relation)})"
-    if isinstance(f, Equals):
-        return f"(equals {_path(f.path)} {_term(f.relation)})"
-    if isinstance(f, OrderCmp):
-        op = "lt" if f.strict else "le"
-        direction = "inv" if f.inverted else "fwd"
-        return f"(order {_path(f.path)} {_term(f.relation)} {op} {direction})"
-    raise TypeError(f"unknown formula {f!r}")
-
-
-def _sentence(s: SclSentence) -> str:
-    if isinstance(s, TopSentence):
-        return "(top)"
-    if isinstance(s, SAnd):
-        return f"(and {_sentence(s.left)} {_sentence(s.right)})"
-    if isinstance(s, AtConst):
-        return f"(at {_term(s.constant)} {_formula(s.body)})"
-    if isinstance(s, ForClass):
-        return f"(for-class {_term(s.cls)} {_formula(s.body)})"
-    if isinstance(s, ForSubjectsOf):
-        head = "for-objects" if s.inverted else "for-subjects"
-        return f"({head} {_term(s.relation)} {_formula(s.body)})"
-    if isinstance(s, ShapeDef):
-        return f"(def-shape {_term(s.name)} {_formula(s.body)})"
-    if isinstance(s, AtMostGlobal):
-        return f"(at-most {s.bound} {_formula(s.body)})"
-    raise TypeError(f"unknown sentence {s!r}")
+def _pieces(node: Union[SclSentence, SclFormula, PathExpr]) -> list:
+    """A node's rendering as literal strings and child nodes, in print order."""
+    if isinstance(node, (Top, TopSentence)):
+        return ["(top)"]
+    if isinstance(node, (And, SAnd)):
+        return ["(and ", node.left, " ", node.right, ")"]
+    if isinstance(node, Rel):
+        return [f"(inv {_term(node.name)})" if node.inverted else f"(rel {_term(node.name)})"]
+    if isinstance(node, Seq):
+        return ["(seq ", node.left, " ", node.right, ")"]
+    if isinstance(node, Opt):
+        return ["(opt ", node.inner, ")"]
+    if isinstance(node, Alt):
+        return ["(alt ", node.left, " ", node.right, ")"]
+    if isinstance(node, Star):
+        return ["(star ", node.inner, ")"]
+    if isinstance(node, EqConst):
+        return [f"(eq {_term(node.constant)})"]
+    if isinstance(node, Filter):
+        return [f"(filter {_filter(node.name)})"]
+    if isinstance(node, HasShape):
+        return [f"(hasshape {_term(node.shape)})"]
+    if isinstance(node, Not):
+        return ["(not ", node.body, ")"]
+    if isinstance(node, CountExists):
+        return [f"(count>= {node.threshold} ", node.path, " ", node.body, ")"]
+    if isinstance(node, Disjoint):
+        return ["(disjoint ", node.path, f" {_term(node.relation)})"]
+    if isinstance(node, Equals):
+        return ["(equals ", node.path, f" {_term(node.relation)})"]
+    if isinstance(node, OrderCmp):
+        op = "lt" if node.strict else "le"
+        direction = "inv" if node.inverted else "fwd"
+        return ["(order ", node.path, f" {_term(node.relation)} {op} {direction})"]
+    if isinstance(node, AtConst):
+        return [f"(at {_term(node.constant)} ", node.body, ")"]
+    if isinstance(node, ForClass):
+        return [f"(for-class {_term(node.cls)} ", node.body, ")"]
+    if isinstance(node, ForSubjectsOf):
+        head = "for-objects" if node.inverted else "for-subjects"
+        return [f"({head} {_term(node.relation)} ", node.body, ")"]
+    if isinstance(node, ShapeDef):
+        return [f"(def-shape {_term(node.name)} ", node.body, ")"]
+    if isinstance(node, AtMostGlobal):
+        return [f"(at-most {node.bound} ", node.body, ")"]
+    raise TypeError(f"unknown node {node!r}")
 
 
 def print_scl(node: Union[SclSentence, SclFormula]) -> str:
-    if isinstance(node, SclSentence):
-        return _sentence(node)
-    return _formula(node)
+    """The canonical text of a sentence or formula.
 
-
-def print_scl_formula(node: SclFormula) -> str:
-    return _formula(node)
+    Pieces are expanded from an explicit stack and joined once, so the work
+    is linear in the output and depth costs no recursion.
+    """
+    out: list[str] = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_pieces(item)))
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------

@@ -57,10 +57,9 @@ from .scl import (
     conjuncts,
     formula_filters,
     node_constants,
+    nodes,
     relation_names,
     shape_definitions,
-    walk_formulas,
-    sentence_formulas,
 )
 from .structures import FiniteStructure, OrderBlock, shape_evaluator
 from .terms import ComparisonVerdict, Term, compare_terms, iri, literal
@@ -380,14 +379,6 @@ class _Cnf:
             self.add([-l for l in subset])
 
 
-def _order_atoms_present(sentence: SclSentence) -> bool:
-    for root in sentence_formulas(sentence):
-        for f in walk_formulas(root):
-            if isinstance(f, OrderCmp):
-                return True
-    return False
-
-
 def _order_witnesses(count: int) -> list[Term]:
     out: list[Term] = []
     for i in range(count):
@@ -455,7 +446,7 @@ class _Grounder:
         for d in shape_definitions(scan):
             seen_defs.setdefault(d.name, d)
         self.defs = list(seen_defs.values())
-        self.order_needed = _order_atoms_present(scan)
+        self.order_needed = any(isinstance(n, OrderCmp) for n in nodes(scan))
 
         self.decision_vars: list[int] = []
         self.preferred: dict[int, bool] = {}

@@ -38,9 +38,11 @@ from .scl import (
     Top,
     TopSentence,
     Alt,
+    IllFormedSentence,
+    MissingDefinition,
     conjuncts,
-    referenced_shapes,
-    shape_definitions,
+    definition_order,
+    nodes,
 )
 from .terms import (
     ComparisonVerdict,
@@ -265,44 +267,51 @@ class Evaluator:
         return element in self.extension(f)
 
     def extension(self, f: SclFormula) -> frozenset[int]:
-        """Domain indices where `f` holds (one stack frame per formula level)."""
+        """Domain indices where `f` holds.
+
+        Uncached subformulas are computed children first, so nesting depth
+        costs no recursion; a shape atom reads the current assignment.
+        """
         if isinstance(f, HasShape):
             return self._shapes.get(f.shape, frozenset())
         out = self._extensions.get(f)
-        if out is not None:
-            return out
+        if out is None:
+            for g in nodes(f, self._extensions):
+                if isinstance(g, SclFormula) and not isinstance(g, HasShape):
+                    self._extensions[g] = self._compute(g)
+            out = self._extensions[f]
+        return out
+
+    def _compute(self, f: SclFormula) -> frozenset[int]:
+        """The extension of `f` from its subformulas' extensions."""
         if isinstance(f, Not):
-            out = self.everything - self.extension(f.body)
-        elif isinstance(f, And):
-            out = self.extension(f.left) & self.extension(f.right)
-        elif isinstance(f, Top):
-            out = self.everything
-        elif isinstance(f, EqConst):
+            return self.everything - self.extension(f.body)
+        if isinstance(f, And):
+            return self.extension(f.left) & self.extension(f.right)
+        if isinstance(f, Top):
+            return self.everything
+        if isinstance(f, EqConst):
             target = self.index.get(self.s.denote(f.constant))
-            out = frozenset() if target is None else frozenset((target,))
-        elif isinstance(f, Filter):
-            out = frozenset(x for x in range(self.n) if self.filter_truth(f.name, x))
-        elif isinstance(f, CountExists):
+            return frozenset() if target is None else frozenset((target,))
+        if isinstance(f, Filter):
+            return frozenset(x for x in range(self.n) if self.filter_truth(f.name, x))
+        if isinstance(f, CountExists):
             body = self.extension(f.body)
             if f.threshold == 1:
-                out = self.preimage(f.path, body)
-            else:
-                out = frozenset(
-                    x for x, ys in self.successors(f.path).items()
-                    if len(ys & body) >= f.threshold
-                )
-        elif isinstance(f, (Disjoint, Equals, OrderCmp)):
+                return self.preimage(f.path, body)
+            return frozenset(
+                x for x, ys in self.successors(f.path).items()
+                if len(ys & body) >= f.threshold
+            )
+        if isinstance(f, (Disjoint, Equals, OrderCmp)):
             path_succ = self.successors(f.path)
             rel_succ = self.successors(Rel(f.relation))
             none = frozenset()
-            out = frozenset(
+            return frozenset(
                 x for x in range(self.n)
                 if self._pair_atom(f, path_succ.get(x, none), rel_succ.get(x, none))
             )
-        else:
-            raise TypeError(f"unknown formula {f!r}")
-        self._extensions[f] = out
-        return out
+        raise TypeError(f"unknown formula {f!r}")
 
     def _pair_atom(
         self, f: SclFormula, path_succ: frozenset[int], rel_succ: frozenset[int]
@@ -358,30 +367,15 @@ class Evaluator:
 
 def shape_evaluator(structure: FiniteStructure, definitions: SclSentence) -> Evaluator:
     """An evaluator over `structure` whose hasShape is populated by
-    evaluating each definition in dependency order."""
-    defs = shape_definitions(definitions)
-    by_name = {d.name: d for d in defs}
-    if len(by_name) != len(defs):
-        raise ValueError("duplicate shape definitions")
+    evaluating each definition in dependency order.
 
-    order: list[ShapeDef] = []
-    state: dict[Term, int] = {}
-
-    def visit(d: ShapeDef) -> None:
-        if state.get(d.name) == 2:
-            return
-        if state.get(d.name) == 1:
-            raise ValueError(f"recursive shape definition {d.name}")
-        state[d.name] = 1
-        for dep in sorted(referenced_shapes(d.body), key=Term.sort_key):
-            if dep in by_name:
-                visit(by_name[dep])
-        state[d.name] = 2
-        order.append(d)
-
-    for d in defs:
-        visit(d)
-
+    A shape without a definition keeps the structure's hasShape members.
+    Raises IllFormedSentence for a duplicate or recursive definition.
+    """
+    order, defects = definition_order(definitions)
+    defects = [d for d in defects if not isinstance(d, MissingDefinition)]
+    if defects:
+        raise IllFormedSentence(defects)
     ev = Evaluator(structure)
     for d in order:
         ev.assign(d.name, ev.extension(d.body))

@@ -200,8 +200,6 @@ STRING = "string"
 BOOLEAN = "boolean"
 DATETIME = "dateTime"
 
-COMPARISON_TYPES = (NUMERIC, STRING, BOOLEAN, DATETIME)
-
 NumericValue = Union[Fraction, float]  # float only for +/-inf
 
 

@@ -29,6 +29,7 @@ from .scl import (
     HasDatatype,
     HasLanguage,
     HasShape,
+    IllFormedSentence,
     IsBlank,
     IsIri,
     IsLiteral,
@@ -48,6 +49,7 @@ from .scl import (
     ShapeDef,
     Star,
     Top,
+    check_well_formed,
     conj,
     conjuncts,
     disj,
@@ -55,7 +57,7 @@ from .scl import (
     forall_path,
     sentence_conj,
 )
-from .scl_text import print_scl, print_scl_formula
+from .scl_text import print_scl
 from .terms import Term, Triple, TripleGraph, integer, iri
 
 
@@ -316,7 +318,7 @@ class _MuState:
 def _mu_path(state: _MuState, path: PathExpr) -> Term:
     if isinstance(path, Rel) and not path.inverted:
         return path.name
-    key = print_scl_formula(exists(path, Top()))
+    key = print_scl(exists(path, Top()))
     node = state.blank_node(f"path|{key}")
     if isinstance(path, Rel):
         state.add(node, ns.SH_INVERSE_PATH, path.name)
@@ -381,14 +383,14 @@ def _mu_filter(state: _MuState, name, subject: Term) -> None:
 
 def _property_block(state: _MuState, formula: SclFormula, path: PathExpr) -> Term:
     """A fresh property shape node carrying the given path."""
-    node = _hash_name("pshape", print_scl_formula(formula))
+    node = _hash_name("pshape", print_scl(formula))
     state.add(node, ns.RDF_TYPE, iri(ns.SH_PROPERTY_SHAPE))
     state.add(node, ns.SH_PATH, _mu_path(state, path))
     return node
 
 
 def _mu_formula(state: _MuState, formula: SclFormula) -> Term:
-    key = print_scl_formula(formula)
+    key = print_scl(formula)
     if key in state.shape_names:
         return state.shape_names[key]
     name = _hash_name("shape", key)
@@ -433,12 +435,12 @@ def _mu_formula(state: _MuState, formula: SclFormula) -> Term:
 
 
 def back_translate_graph(sentence: SclSentence) -> TripleGraph:
-    """The shape graph of the inverse translation."""
-    from .scl import check_well_formed
-
+    """The shape graph of the inverse translation.  Raises
+    IllFormedSentence when a shape definition is missing, duplicated or
+    recursive."""
     defects = check_well_formed(sentence)
     if defects:
-        raise NotShaclExpressible(f"sentence is not well formed: {defects}")
+        raise IllFormedSentence(defects)
     state = _MuState()
     parts = list(conjuncts(sentence))
     if not parts:

@@ -193,7 +193,7 @@ def test_wide_in_list_never_reads_as_violation(tmp_path, capsys):
     graph.write_text(doc_ttl(":v0 :p :v1 ."))
     for argv in (["validate", str(graph), str(shapes)], ["translate", str(shapes)],
                  ["classify", str(shapes)]):
-        assert dispatch(argv) in (0, 70)
+        assert dispatch(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
 
 
@@ -213,6 +213,27 @@ def test_wide_in_under_property_shape_agrees_on_both_routes(tmp_path, capsys):
         "conforms": False,
         "violations": [{"focusNode": "<http://corpus.example/a>", "shape": "<http://corpus.example/s>"}],
     }
+
+
+def test_many_shapes_answer_on_every_command(tmp_path, capsys):
+    count = 1200
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl("\n".join(
+        f":s{i} a sh:NodeShape ; sh:targetNode :n{i} ; sh:class :C{i % 3} ." for i in range(count)
+    )))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl("\n".join(f":n{i} a :C{i % 5} ." for i in range(0, count, 2))))
+    reports = []
+    for extra in ([], ["--direct"]):
+        assert dispatch(["validate", *extra, str(graph), str(shapes)]) == 1
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["violations"]) > count // 2
+    assert dispatch(["translate", str(shapes)]) == 0
+    assert dispatch(["classify", str(shapes)]) == 0
+    capsys.readouterr()
+    assert dispatch(["sat", str(shapes), "--max-domain", "2"]) != 70
+    assert "internal error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -236,3 +257,14 @@ def test_sat_ill_formed_sentence_exit_65(tmp_path, capsys, text, defect):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert defect in captured.err and "Traceback" not in captured.err
+
+
+def test_back_translate_names_the_ill_formed_defect(tmp_path, capsys):
+    scl = tmp_path / "ill.scl"
+    scl.write_text("(at <http://e/a> (hasshape <http://e/t>))")
+    assert dispatch(["back-translate", str(scl)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sentence is not well formed: missing shape definition <http://e/t>\n"
+    )

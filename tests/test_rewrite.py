@@ -31,7 +31,7 @@ from shaclsat.scl import (
     disj,
     exists,
     features_of,
-    walk_formulas,
+    nodes,
 )
 from shaclsat.structures import Evaluator
 from shaclsat.terms import iri
@@ -172,7 +172,7 @@ def test_name_subformulas_bodies_become_atoms():
     assert isinstance(definition, ShapeDef)
     assert at.body == exists(Rel(R), HasShape(definition.name))
     for part in parts:
-        for f in walk_formulas(part.body):
+        for f in nodes(part.body):
             if isinstance(f, CountExists):
                 assert isinstance(f.body, (HasShape, Top))
 

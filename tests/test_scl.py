@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from corpus import corpus_documents, random_formula
+from corpus import corpus_documents, random_formula, random_path
 from shaclsat.scl import (
     Alt,
     And,
@@ -34,14 +34,13 @@ from shaclsat.scl import (
     TopSentence,
     ast_size,
     check_well_formed,
+    children,
     conjuncts,
     disj,
     exists,
     features_of,
-    formula_paths,
+    nodes,
     sentence_conj,
-    sentence_formulas,
-    walk_formulas,
 )
 from shaclsat.scl_text import parse_scl, print_scl
 from shaclsat.shapes import parse_document
@@ -196,13 +195,6 @@ def _corpus_sentences():
     return [translate(parse_document(text)) for _, text in corpus_documents()]
 
 
-def _nodes(sentence):
-    yield from conjuncts(sentence)
-    for body in sentence_formulas(sentence):
-        yield from walk_formulas(body)
-        yield from formula_paths(body)
-
-
 def test_every_node_class_is_interned_with_identity_equality():
     metaclass = type(SclFormula)
     for cls in _node_classes():
@@ -219,7 +211,7 @@ def test_equal_nodes_are_one_object():
         assert parse_scl(print_scl(sentence)) is sentence
         assert copy.deepcopy(sentence) is sentence
         assert pickle.loads(pickle.dumps(sentence)) is sentence
-        for node in _nodes(sentence):
+        for node in nodes(sentence):
             assert dataclasses.replace(node) is node
 
 
@@ -229,3 +221,58 @@ def test_hashing_a_deep_chain_does_not_recurse():
         deep = Not(deep)
     assert hash(deep) == hash(deep)
     assert {deep: 1}[deep] == 1
+
+
+# --------------------------------------------------------------------------
+# Traversal: one walk over the interned nodes, no recursion
+# --------------------------------------------------------------------------
+
+
+def _reference_walk(node, out):
+    """Every node under `node`, by plain recursion over the dataclass fields."""
+    out.add(node)
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, (PathExpr, SclFormula, SclSentence)):
+            _reference_walk(value, out)
+    return out
+
+
+def test_nodes_yields_each_node_once_children_first():
+    rng = random.Random(31)
+    roots = _corpus_sentences()
+    roots += [random_formula(rng, 4) for _ in range(150)]
+    roots += [random_path(rng, 4) for _ in range(150)]
+    for root in roots:
+        order = list(nodes(root))
+        assert len(order) == len(set(order)), root
+        position = {node: i for i, node in enumerate(order)}
+        for node in order:
+            for child in children(node):
+                assert position[child] < position[node], (child, node)
+        assert set(order) == _reference_walk(root, set())
+        assert order[-1] is root
+
+
+def test_nodes_does_not_enter_skipped_subtrees():
+    inner = Not(EqConst(C))
+    f = And(inner, Not(inner))
+    assert list(nodes(f)) == [EqConst(C), inner, Not(inner), f]
+    assert list(nodes(f, skip={inner})) == [Not(inner), f]
+
+
+def test_deep_not_chain_prints_classifies_and_evaluates():
+    from shaclsat.classify import classify
+    from shaclsat.structures import FiniteStructure, evaluate
+
+    depth = 10_000
+    deep = EqConst(C)
+    for _ in range(depth):
+        deep = Not(deep)
+    assert print_scl(deep) == "(not " * depth + "(eq <http://e/c>)" + ")" * depth
+    sentence = sentence_conj([AtConst(C, deep), ShapeDef(S1, deep)])
+    assert ast_size(sentence) == 2 * (depth + 2)
+    assert classify(sentence).raw_features == frozenset()
+    structure = FiniteStructure(domain=(C, Q))
+    assert evaluate(structure, deep, at=C) and not evaluate(structure, deep, at=Q)
+    assert evaluate(structure, sentence)

@@ -259,6 +259,26 @@ def test_recursive_definitions_rejected():
         compute_shape_assignment(s, d)
 
 
+def test_shape_evaluator_names_ill_formed_definitions():
+    from shaclsat.scl import IllFormedSentence
+    from shaclsat.structures import shape_evaluator
+
+    s1, s2, given = iri(EX + "s1"), iri(EX + "s2"), iri(EX + "given")
+    cases = {
+        "duplicate shape definition": sentence_conj([ShapeDef(s1, Top()), ShapeDef(s1, Top())]),
+        "recursive shape definition": sentence_conj(
+            [ShapeDef(s1, HasShape(s2)), ShapeDef(s2, Not(HasShape(s1)))]
+        ),
+    }
+    for named, definitions in cases.items():
+        with pytest.raises(IllFormedSentence, match=named):
+            shape_evaluator(chain("a"), definitions)
+    # a shape without a definition keeps the structure's hasShape members
+    s = replace(chain("a", "b"), has_shape=frozenset({(iri(EX + "b"), given)}))
+    ev = shape_evaluator(s, ShapeDef(s1, exists(Rel(R), HasShape(given))))
+    assert ev.extension(HasShape(s1)) == frozenset({0})
+
+
 def test_explicit_order_blocks():
     a, b, c = integer(1), literal("x"), iri(EX + "n")
     structure = FiniteStructure(
