@@ -451,8 +451,7 @@ class _Grounder:
         self.decision_vars: list[int] = []
         self.preferred: dict[int, bool] = {}
 
-        self.slot_terms: list[Optional[Term]] = [None] * k
-        self.const_slot: dict[Term, int] = {}
+        self.const_slot = {c: i for i, c in enumerate(self.constants)}
         self.catalog: list[Term] = []
         self.ch: dict[tuple[int, int], int] = {}
         self.den: dict[tuple[Term, int], int] = {}
@@ -482,28 +481,24 @@ class _Grounder:
 
     # ---- variable setup -------------------------------------------------
 
+    def _decide(self, preferred: bool) -> int:
+        """A new decision variable, branched on first at `preferred`."""
+        v = self.cnf.new_var()
+        self.decision_vars.append(v)
+        self.preferred[v] = preferred
+        return v
+
     def _setup_canonical(self) -> None:
         m = len(self.constants)
         if m > self.k:
             raise ValueError("domain too small for the constants")
-        for i, c in enumerate(self.constants):
-            self.slot_terms[i] = c
-            self.const_slot[c] = i
         fresh = self.k - m
         self.catalog = _build_catalog(self.constants, self.filters, fresh, self.order_needed)
-        if fresh > len(self.catalog):
-            # not enough distinct candidate terms; extend with plain IRIs
-            base = len(self.catalog)
-            for i in range(fresh - base):
-                self.catalog.append(iri(f"{ns.GEN_NS}extra:{i}"))
+        # not enough distinct candidate terms; extend with plain IRIs
+        self.catalog += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(self.catalog))]
         for s in range(m, self.k):
-            for t in range(len(self.catalog)):
-                v = self.cnf.new_var()
-                self.ch[(s, t)] = v
-                self.decision_vars.append(v)
-                self.preferred[v] = True if t == 0 else False
-        for s in range(m, self.k):
-            row = [self.ch[(s, t)] for t in range(len(self.catalog))]
+            row = [self._decide(t == 0) for t in range(len(self.catalog))]
+            self.ch.update(((s, t), v) for t, v in enumerate(row))
             self.cnf.add(row)  # at least one
             self.cnf.at_most(row, 1)
         for t in range(len(self.catalog)):
@@ -517,12 +512,8 @@ class _Grounder:
 
     def _setup_uninterpreted(self) -> None:
         for c in self.constants:
-            for i in range(self.k):
-                v = self.cnf.new_var()
-                self.den[(c, i)] = v
-                self.decision_vars.append(v)
-                self.preferred[v] = i == 0
-            row = [self.den[(c, i)] for i in range(self.k)]
+            row = [self._decide(i == 0) for i in range(self.k)]
+            self.den.update(((c, i), v) for i, v in enumerate(row))
             self.cnf.add(row)
             self.cnf.at_most(row, 1)
 
@@ -530,39 +521,24 @@ class _Grounder:
         for r in self.relations:
             for i in range(self.k):
                 for j in range(self.k):
-                    v = self.cnf.new_var()
-                    self.rel[(r, i, j)] = v
-                    self.decision_vars.append(v)
-                    self.preferred[v] = False
+                    self.rel[(r, i, j)] = self._decide(False)
 
     def _setup_filter_vars(self) -> None:
         for f in self.filters:
             for i in range(self.k):
-                v = self.cnf.new_var()
-                self.filt[(f, i)] = v
-                self.decision_vars.append(v)
-                self.preferred[v] = False
+                self.filt[(f, i)] = self._decide(False)
 
     def _setup_order_vars(self) -> None:
         k = self.k
         for i in range(k):
-            v = self.cnf.new_var()
-            self.inb[i] = v
-            self.decision_vars.append(v)
-            self.preferred[v] = False
+            self.inb[i] = self._decide(False)
         for i in range(k):
             for j in range(i + 1, k):
-                v = self.cnf.new_var()
-                self.sb[(i, j)] = v
-                self.decision_vars.append(v)
-                self.preferred[v] = False
+                self.sb[(i, j)] = self._decide(False)
         for i in range(k):
             for j in range(k):
                 if i != j:
-                    v = self.cnf.new_var()
-                    self.lt[(i, j)] = v
-                    self.decision_vars.append(v)
-                    self.preferred[v] = False
+                    self.lt[(i, j)] = self._decide(False)
         sb = lambda i, j: self.sb[(min(i, j), max(i, j))]
         for i in range(k):
             for j in range(i + 1, k):
@@ -589,9 +565,7 @@ class _Grounder:
             for j in range(k):
                 for l in range(k):
                     if i < j and j != l and i != l:
-                        a, b = min(j, l), max(j, l)
-                        c, d = min(i, l), max(i, l)
-                        self.cnf.add([-sb(i, j), -self.sb[(a, b)], self.sb[(c, d)]])
+                        self.cnf.add([-sb(i, j), -sb(j, l), sb(i, l)])
 
     def _setup_shape_vars(self) -> None:
         for d in self.defs:
@@ -608,79 +582,52 @@ class _Grounder:
             raise KeyError(f"unknown constant {c}")
         return self.den[(c, i)]
 
+    def _choices(self, s: int) -> list[tuple[int, Term]]:
+        """Canonical mode: the (literal, term) pairs slot `s` may hold.  The
+        constants fill the first slots, one each; a free slot may hold any
+        catalog term."""
+        if s < len(self.constants):
+            return [(self.cnf.true_lit, self.constants[s])]
+        return [(self.ch[(s, t)], term) for t, term in enumerate(self.catalog)]
+
     def _filter_lit(self, name, i: int) -> int:
         key = (name, i)
-        if key in self.filt:
-            return self.filt[key]
-        if self.mode == UNINTERPRETED:
-            raise KeyError(f"filter {name} not set up")
-        term = self.slot_terms[i]
-        if term is not None:
-            return self.cnf.true_lit if term_satisfies(name, term) else self.cnf.false_lit
-        lits = [
-            self.ch[(i, t)]
-            for t, cand in enumerate(self.catalog)
-            if term_satisfies(name, cand)
-        ]
-        lit = self.cnf.aux_or(lits) if lits else self.cnf.false_lit
-        self.filt[key] = lit
-        return lit
+        if key not in self.filt:
+            if self.mode == UNINTERPRETED:
+                raise KeyError(f"filter {name} not set up")
+            self.filt[key] = self.cnf.aux_or(
+                [lit for lit, term in self._choices(i) if term_satisfies(name, term)]
+            )
+        return self.filt[key]
 
     def _sigma_lit(self, a: int, b: int, strict: bool) -> int:
         """y <= z (or <) between slots a and b."""
         key = (a, b, strict)
-        if key in self._sigma_cache:
-            return self._sigma_cache[key]
-        if self.mode == UNINTERPRETED:
-            if a == b:
+        if key not in self._sigma_cache:
+            if self.mode == CANONICAL:
+                lit = self._sigma_canonical(a, b, strict)
+            elif a == b:
                 lit = self.cnf.false_lit if strict else self.inb[a]
             else:
                 lit = self.lt[(a, b)]
             self._sigma_cache[key] = lit
-            return lit
-        lit = self._sigma_canonical(a, b, strict)
-        self._sigma_cache[key] = lit
-        return lit
-
-    def _verdict_ok(self, verdict: ComparisonVerdict, strict: bool) -> bool:
-        if strict:
-            return verdict is ComparisonVerdict.LT
-        return verdict in (ComparisonVerdict.LT, ComparisonVerdict.EQ)
+        return self._sigma_cache[key]
 
     def _sigma_canonical(self, a: int, b: int, strict: bool) -> int:
-        ta, tb = self.slot_terms[a], self.slot_terms[b]
-        if ta is not None and tb is not None:
-            ok = self._verdict_ok(compare_terms(ta, tb), strict)
-            return self.cnf.true_lit if ok else self.cnf.false_lit
-        if ta is not None and tb is None:
-            lits = [
-                self.ch[(b, t)]
-                for t, cand in enumerate(self.catalog)
-                if self._verdict_ok(compare_terms(ta, cand), strict)
-            ]
-            return self.cnf.aux_or(lits) if lits else self.cnf.false_lit
-        if ta is None and tb is not None:
-            lits = [
-                self.ch[(a, t)]
-                for t, cand in enumerate(self.catalog)
-                if self._verdict_ok(compare_terms(cand, tb), strict)
-            ]
-            return self.cnf.aux_or(lits) if lits else self.cnf.false_lit
+        ok = (ComparisonVerdict.LT,) if strict else (ComparisonVerdict.LT, ComparisonVerdict.EQ)
         if a == b:
-            verdicts = [
-                self.ch[(a, t)]
-                for t, cand in enumerate(self.catalog)
-                if self._verdict_ok(compare_terms(cand, cand), strict)
+            return self.cnf.aux_or(
+                [lit for lit, term in self._choices(a) if compare_terms(term, term) in ok]
+            )
+        # two slots never hold the same term, so a pair of one term is skipped
+        return self.cnf.aux_or(
+            [
+                self.cnf.aux_and([lit_a, lit_b])
+                for lit_a, term_a in self._choices(a)
+                for lit_b, term_b in self._choices(b)
+                if term_a != term_b and compare_terms(term_a, term_b) in ok
             ]
-            return self.cnf.aux_or(verdicts) if verdicts else self.cnf.false_lit
-        pair_lits = []
-        for t, cand_a in enumerate(self.catalog):
-            for u, cand_b in enumerate(self.catalog):
-                if t == u:
-                    continue  # two slots never hold the same catalog term
-                if self._verdict_ok(compare_terms(cand_a, cand_b), strict):
-                    pair_lits.append(self.cnf.aux_and([self.ch[(a, t)], self.ch[(b, u)]]))
-        return self.cnf.aux_or(pair_lits) if pair_lits else self.cnf.false_lit
+        )
 
     # ---- paths ------------------------------------------------------------
 
@@ -715,23 +662,14 @@ class _Grounder:
             mat = self._compose(self.path_matrix(path.left), self.path_matrix(path.right))
         elif isinstance(path, Alt):
             mat = self._union(self.path_matrix(path.left), self.path_matrix(path.right))
-        elif isinstance(path, Opt):
-            inner = self.path_matrix(path.inner)
-            mat = [
-                [
-                    self.cnf.true_lit if i == j else inner[i][j]
-                    for j in range(self.k)
-                ]
-                for i in range(self.k)
-            ]
-        elif isinstance(path, Star):
+        elif isinstance(path, (Opt, Star)):
             inner = self.path_matrix(path.inner)
             mat = [
                 [self.cnf.true_lit if i == j else inner[i][j] for j in range(self.k)]
                 for i in range(self.k)
             ]
             steps = 1
-            while steps < self.k - 1:
+            while isinstance(path, Star) and steps < self.k - 1:
                 mat = self._compose(mat, mat)
                 steps *= 2
         else:  # pragma: no cover
@@ -770,10 +708,6 @@ class _Grounder:
             hits = [
                 cnf.aux_and([mat[x][j], self.formula_lit(f.body, j)]) for j in range(self.k)
             ]
-            if f.threshold > self.k:
-                return cnf.false_lit
-            if f.threshold == 1:
-                return cnf.aux_or(hits)
             options = [
                 cnf.aux_and(list(subset)) for subset in combinations(hits, f.threshold)
             ]
@@ -835,15 +769,12 @@ class _Grounder:
                         )
             return cnf.aux_and(checks)
         if isinstance(part, ForSubjectsOf):
-            checks = []
-            for i in range(self.k):
-                for j in range(self.k):
-                    edge = (
-                        self.rel[(part.relation, j, i)]
-                        if part.inverted
-                        else self.rel[(part.relation, i, j)]
-                    )
-                    checks.append(cnf.aux_or([-edge, self.formula_lit(part.body, i)]))
+            edges = self._rel_matrix(part.relation, part.inverted)
+            checks = [
+                cnf.aux_or([-edges[i][j], self.formula_lit(part.body, i)])
+                for i in range(self.k)
+                for j in range(self.k)
+            ]
             return cnf.aux_and(checks)
         if isinstance(part, ShapeDef):
             checks = [
@@ -856,8 +787,6 @@ class _Grounder:
             violations = [
                 cnf.aux_and(list(subset)) for subset in combinations(hits, part.bound + 1)
             ]
-            if not violations:
-                return cnf.true_lit
             return -cnf.aux_or(violations)
         raise TypeError(f"unknown sentence {part!r}")
 
@@ -867,63 +796,35 @@ class _Grounder:
 
     # ---- symmetry ----------------------------------------------------------------
 
-    def _permuted_var(self, var_key, swap: tuple[int, int]):
-        a, b = swap
-
-        def sigma(i: int) -> int:
-            return b if i == a else a if i == b else i
-
-        kind, payload = var_key
-        if kind == "den":
-            c, i = payload
-            return ("den", (c, sigma(i)))
-        if kind == "rel":
-            r, i, j = payload
-            return ("rel", (r, sigma(i), sigma(j)))
-        if kind == "filt":
-            f, i = payload
-            return ("filt", (f, sigma(i)))
-        if kind == "inb":
-            return ("inb", sigma(payload))
-        if kind == "sb":
-            i, j = payload
-            x, y = sigma(i), sigma(j)
-            return ("sb", (min(x, y), max(x, y)))
-        if kind == "lt":
-            i, j = payload
-            return ("lt", (sigma(i), sigma(j)))
-        raise KeyError(kind)
-
     def _symmetry_leader(self) -> None:
         """Lexicographic leader constraints for adjacent slot swaps."""
-        var_key: dict[int, tuple] = {}
-        for (c, i), v in self.den.items():
-            var_key[v] = ("den", (c, i))
-        for (r, i, j), v in self.rel.items():
-            var_key[v] = ("rel", (r, i, j))
-        for (f, i), v in self.filt.items():
-            var_key[v] = ("filt", (f, i))
-        for i, v in self.inb.items():
-            var_key[v] = ("inb", i)
-        for (i, j), v in self.sb.items():
-            var_key[v] = ("sb", (i, j))
-        for (i, j), v in self.lt.items():
-            var_key[v] = ("lt", (i, j))
-        lookup = {key: var for var, key in var_key.items()}
-
         for e in range(self.k - 1):
-            swap = (e, e + 1)
+
+            def sw(i: int) -> int:
+                return e + 1 if i == e else e if i == e + 1 else i
+
+            # each decision variable's partner under swapping slots e, e+1
+            image: dict[int, int] = {}
+            for (c, i), v in self.den.items():
+                image[v] = self.den[(c, sw(i))]
+            for (r, i, j), v in self.rel.items():
+                image[v] = self.rel[(r, sw(i), sw(j))]
+            for (f, i), v in self.filt.items():
+                image[v] = self.filt[(f, sw(i))]
+            for i, v in self.inb.items():
+                image[v] = self.inb[sw(i)]
+            for (i, j), v in self.sb.items():
+                image[v] = self.sb[(min(sw(i), sw(j)), max(sw(i), sw(j)))]
+            for (i, j), v in self.lt.items():
+                image[v] = self.lt[(sw(i), sw(j))]
             prefix_eq = self.cnf.true_lit
             for var in self.decision_vars:
-                key = var_key.get(var)
-                if key is None:
-                    continue
-                other = lookup[self._permuted_var(key, swap)]
+                other = image[var]
                 if other == var:
                     continue
                 # both positions compare under the current position's
                 # preference polarity: bit_t(M) <= bit_t(swapped M)
-                if self.preferred.get(var, False):
+                if self.preferred[var]:
                     bit, other_bit = -var, -other
                 else:
                     bit, other_bit = var, other
@@ -943,17 +844,10 @@ class _Grounder:
         if self.mode == CANONICAL:
             terms: list[Term] = []
             for s in range(self.k):
-                if self.slot_terms[s] is not None:
-                    terms.append(self.slot_terms[s])
-                else:
-                    chosen = None
-                    for t in range(len(self.catalog)):
-                        if truth(self.ch[(s, t)]):
-                            chosen = self.catalog[t]
-                            break
-                    if chosen is None:  # pragma: no cover - exactly-one guarantees
-                        raise ModelConfirmationError("free slot without a term")
-                    terms.append(chosen)
+                chosen = [term for lit, term in self._choices(s) if truth(lit)]
+                if not chosen:  # pragma: no cover - exactly-one guarantees
+                    raise ModelConfirmationError("free slot without a term")
+                terms.append(chosen[0])
             constants_map: dict[Term, Term] = {}
             filter_interp = None
             order_blocks = None

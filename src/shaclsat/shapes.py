@@ -209,18 +209,17 @@ class ShaclDocument:
     vocabulary_context: frozenset[Term] = frozenset()
 
     def __post_init__(self) -> None:
-        names = [s.name for s in self.shapes]
-        if len(names) != len(set(names)):
+        by_name = {s.name: s for s in self.shapes}
+        if len(by_name) != len(self.shapes):
             raise ShaclModelError("duplicate shape names in document")
         cycle = _find_reference_cycle(self.shapes)
         if cycle:
             raise RecursiveShapeError(f"recursive shape reference: {cycle}")
+        # not a field: stays out of __eq__, __hash__ and __repr__
+        object.__setattr__(self, "_by_name", by_name)
 
     def shape(self, name: Term) -> Shape:
-        for s in self.shapes:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self._by_name[name]
 
     def language_set(self) -> tuple[str, ...]:
         """All language tags mentioned in language_in constraints, sorted."""
@@ -273,30 +272,32 @@ def referenced_shape_names(shapes) -> set[Term]:
 
 
 def _find_reference_cycle(shapes) -> Optional[list[Term]]:
+    """The first reference cycle a depth-first search meets, visiting names
+    and their references in sort order, as [n0, ..., n0]; else None."""
     graph = {s.name: referenced_shape_names([s]) for s in shapes}
-    color: dict[Term, int] = {}
-    stack: list[Term] = []
-
-    def visit(name: Term) -> Optional[list[Term]]:
-        if color.get(name) == 2:
-            return None
-        if color.get(name) == 1:
-            return stack[stack.index(name) :] + [name]
-        color[name] = 1
-        stack.append(name)
-        for dep in sorted(graph.get(name, ()), key=Term.sort_key):
-            if dep in graph:
-                found = visit(dep)
-                if found:
-                    return found
-        stack.pop()
-        color[name] = 2
-        return None
-
-    for name in sorted(graph, key=Term.sort_key):
-        found = visit(name)
-        if found:
-            return found
+    deps = {
+        name: [d for d in sorted(refs, key=Term.sort_key) if d in graph]
+        for name, refs in graph.items()
+    }
+    done: set[Term] = set()
+    for root in sorted(graph, key=Term.sort_key):
+        if root in done:
+            continue
+        path = [root]  # the names being visited, outermost first
+        on_path = {root}
+        pending = [iter(deps[root])]
+        while pending:
+            dep = next(pending[-1], None)
+            if dep is None:
+                pending.pop()
+                on_path.remove(path[-1])
+                done.add(path.pop())
+            elif dep in on_path:
+                return path[path.index(dep) :] + [dep]
+            elif dep not in done:
+                path.append(dep)
+                on_path.add(dep)
+                pending.append(iter(deps[dep]))
     return None
 
 

@@ -163,10 +163,20 @@ class Evaluator:
     # paths ---------------------------------------------------------------
 
     def successors(self, path: PathExpr) -> dict[int, frozenset[int]]:
-        """Path successors per node; nodes without successors are absent."""
+        """Path successors per node; nodes without successors are absent.
+
+        Uncached subpaths are computed children first, so nesting depth
+        costs no recursion.
+        """
         out = self._successors.get(path)
-        if out is not None:
-            return out
+        if out is None:
+            for p in nodes(path, self._successors):
+                self._successors[p] = self._compute_successors(p)
+            out = self._successors[path]
+        return out
+
+    def _compute_successors(self, path: PathExpr) -> dict[int, frozenset[int]]:
+        """The successors of `path` from its subpaths' successors."""
         grouped: dict[int, set[int]] = {}
         if isinstance(path, Rel):
             for a, b in self.s.relations.get(path.name, ()):
@@ -196,33 +206,40 @@ class Evaluator:
                 grouped[start] = reached
         else:  # pragma: no cover
             raise TypeError(f"unknown path {path!r}")
-        out = {i: frozenset(js) for i, js in grouped.items()}
-        self._successors[path] = out
-        return out
+        return {i: frozenset(js) for i, js in grouped.items()}
 
     def preimage(self, path: PathExpr, targets: frozenset[int]) -> frozenset[int]:
-        """Nodes with at least one path successor in `targets`."""
-        if isinstance(path, Rel):
-            pred = self.successors(Rel(path.name, not path.inverted))
-            out: set[int] = set()
-            for j in targets:
-                out.update(pred.get(j, ()))
-            return frozenset(out)
-        if isinstance(path, Seq):
-            return self.preimage(path.left, self.preimage(path.right, targets))
-        if isinstance(path, Alt):
-            return self.preimage(path.left, targets) | self.preimage(path.right, targets)
-        if isinstance(path, Opt):
-            return targets | self.preimage(path.inner, targets)
-        if isinstance(path, Star):
-            # backward BFS: each node enters the frontier once
-            reached = set(targets)
-            frontier = targets
-            while frontier:
-                frontier = self.preimage(path.inner, frontier) - reached
-                reached |= frontier
-            return frozenset(reached)
-        raise TypeError(f"unknown path {path!r}")  # pragma: no cover
+        """Nodes with at least one path successor in `targets`.
+
+        A sequence is unfolded from an explicit stack, rightmost step
+        first, so a long `sh:path` list costs no recursion.
+        """
+        steps = [path]
+        while steps:
+            step = steps.pop()
+            if isinstance(step, Seq):
+                steps += (step.left, step.right)
+            elif isinstance(step, Rel):
+                pred = self.successors(Rel(step.name, not step.inverted))
+                out: set[int] = set()
+                for j in targets:
+                    out.update(pred.get(j, ()))
+                targets = frozenset(out)
+            elif isinstance(step, Alt):
+                targets = self.preimage(step.left, targets) | self.preimage(step.right, targets)
+            elif isinstance(step, Opt):
+                targets = targets | self.preimage(step.inner, targets)
+            elif isinstance(step, Star):
+                # backward BFS: each node enters the frontier once
+                reached = set(targets)
+                frontier = targets
+                while frontier:
+                    frontier = self.preimage(step.inner, frontier) - reached
+                    reached |= frontier
+                targets = frozenset(reached)
+            else:  # pragma: no cover
+                raise TypeError(f"unknown path {step!r}")
+        return targets
 
     # interpreted atoms ----------------------------------------------------
 

@@ -217,23 +217,31 @@ def test_wide_in_under_property_shape_agrees_on_both_routes(tmp_path, capsys):
 
 def test_many_shapes_answer_on_every_command(tmp_path, capsys):
     count = 1200
-    shapes = tmp_path / "shapes.ttl"
-    shapes.write_text(doc_ttl("\n".join(
-        f":s{i} a sh:NodeShape ; sh:targetNode :n{i} ; sh:class :C{i % 3} ." for i in range(count)
-    )))
     graph = tmp_path / "graph.ttl"
     graph.write_text(doc_ttl("\n".join(f":n{i} a :C{i % 5} ." for i in range(0, count, 2))))
-    reports = []
-    for extra in ([], ["--direct"]):
-        assert dispatch(["validate", *extra, str(graph), str(shapes)]) == 1
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
-    assert len(json.loads(reports[0])["violations"]) > count // 2
-    assert dispatch(["translate", str(shapes)]) == 0
-    assert dispatch(["classify", str(shapes)]) == 0
-    capsys.readouterr()
-    assert dispatch(["sat", str(shapes), "--max-domain", "2"]) != 70
-    assert "internal error" not in capsys.readouterr().err
+    focus_nodes = []
+    # the second document adds a blank shape per shape: 2,400 shapes
+    for constraint in ("sh:class :C{} .", "sh:not [ sh:class :C{} ] ."):
+        shapes = tmp_path / "shapes.ttl"
+        shapes.write_text(doc_ttl("\n".join(
+            f":s{i} a sh:NodeShape ; sh:targetNode :n{i} ; " + constraint.format(i % 3)
+            for i in range(count)
+        )))
+        reports = []
+        for extra in ([], ["--direct"]):
+            assert dispatch(["validate", *extra, str(graph), str(shapes)]) == 1
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        focus_nodes.append({v["focusNode"] for v in json.loads(reports[0])["violations"]})
+        assert dispatch(["translate", str(shapes)]) == 0
+        assert dispatch(["classify", str(shapes)]) == 0
+        capsys.readouterr()
+        assert dispatch(["sat", str(shapes), "--max-domain", "2"]) != 70
+        assert "internal error" not in capsys.readouterr().err
+    assert len(focus_nodes[0]) > count // 2
+    # every focus node violates exactly one of the two documents
+    assert focus_nodes[0].isdisjoint(focus_nodes[1])
+    assert len(focus_nodes[0] | focus_nodes[1]) == count
 
 
 @pytest.mark.parametrize(
@@ -268,3 +276,59 @@ def test_back_translate_names_the_ill_formed_defect(tmp_path, capsys):
     assert captured.err == (
         "error: sentence is not well formed: missing shape definition <http://e/t>\n"
     )
+
+
+def _node_chain(length: int, closed: bool) -> str:
+    """:s0 targets :a; each :s{i} refers to :s{i+1} by sh:node; the last
+    shape checks a class, or closes the chain back to :s0."""
+    body = [f":s{i} a sh:NodeShape ; sh:node :s{i + 1} ." for i in range(1, length)]
+    tail = "sh:node :s0 ." if closed else "sh:class :C ."
+    return doc_ttl(
+        ":s0 a sh:NodeShape ; sh:targetNode :a ; sh:node :s1 .\n"
+        + "\n".join(body)
+        + f"\n:s{length} a sh:NodeShape ; {tail}\n"
+    )
+
+
+def test_long_node_chain_translates_and_validates(tmp_path, capsys):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(_node_chain(1500, closed=False))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(":a a :C ."))
+    assert dispatch(["translate", str(shapes)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert dispatch(["validate", str(graph), str(shapes)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"conforms": True, "violations": []}
+    assert "Traceback" not in captured.err
+
+
+def test_long_node_cycle_names_the_recursive_reference(tmp_path, capsys):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(_node_chain(1500, closed=True))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(":a a :C ."))
+    assert dispatch(["validate", str(graph), str(shapes)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == "" and "recursive shape reference" in captured.err
+    assert "<http://corpus.example/s1500>" in captured.err
+
+
+def test_long_path_list_gives_one_report_on_both_routes(tmp_path, capsys):
+    steps = " ".join([":p"] * 1500)
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        f":most a sh:PropertyShape ; sh:targetNode :a , :b ; sh:path ({steps}) ; sh:maxCount 1 .\n"
+        f":least a sh:PropertyShape ; sh:targetNode :a , :b ; sh:path ({steps}) ; sh:minCount 1 .\n"
+    ))
+    graph = tmp_path / "graph.ttl"
+    # 1500 steps reach {:a, :c} from :a and {:b} from :b
+    graph.write_text(doc_ttl(":a :p :a , :c .\n:b :p :b ."))
+    reports = []
+    for extra in ([], ["--direct"]):
+        assert dispatch(["validate", *extra, str(graph), str(shapes)]) == 1
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1] == {
+        "conforms": False,
+        "violations": [{"focusNode": "<http://corpus.example/a>", "shape": "<http://corpus.example/most>"}],
+    }

@@ -1,3 +1,5 @@
+import pytest
+
 from shaclsat import namespaces as ns
 from shaclsat.filters import axiomatize
 from shaclsat.scl import (
@@ -208,3 +210,24 @@ def test_equal_subformulas_share_one_literal():
     grounder = _Grounder(sentence, 3, UNINTERPRETED)
     for i in range(3):
         assert grounder.formula_lit(built(), i) == grounder.formula_lit(built(), i)
+
+
+@pytest.mark.parametrize("q_value, outcome", [(3, "UnsatUpTo"), (5, "UnsatUpTo"), (7, "Sat")])
+def test_order_atom_between_two_constants(q_value, outcome):
+    from corpus import doc_ttl
+    from shaclsat.direct_validation import validate_direct
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    doc = parse_document(doc_ttl(
+        ":s a sh:NodeShape ; sh:targetNode :alice ;\n"
+        "    sh:property [ sh:path :p ; sh:hasValue 5 ] ;\n"
+        f"    sh:property [ sh:path :q ; sh:hasValue {q_value} ] ;\n"
+        "    sh:property [ sh:path :p ; sh:lessThan :q ] ."
+    ))
+    v = bounded_sat(translate(doc), max_domain=4)
+    assert v.outcome == outcome
+    if v.is_sat:
+        # :alice, 5 and 7 are constants, so the order atom compares two fixed slots
+        assert len(v.model.domain) == 3
+        assert validate_direct(v.model.to_graph(), doc).conforms

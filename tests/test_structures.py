@@ -124,6 +124,21 @@ def test_star_matches_independent_closure_oracle():
         assert star == expected
 
 
+def test_preimage_matches_reference_pairs():
+    # sequences nested on either side, against the pair-set reference semantics
+    rng = random.Random(31)
+    for _ in range(300):
+        structure = random_structure(rng, max_size=5)
+        index = {t: i for i, t in enumerate(structure.domain)}
+        path = random_path(rng, 2)
+        for _ in range(rng.randint(1, 3)):
+            step = random_path(rng, 2)
+            path = Seq(path, step) if rng.random() < 0.5 else Seq(step, path)
+        targets = frozenset(i for i in range(len(structure.domain)) if rng.random() < 0.5)
+        expected = {index[a] for a, b in _reference_pairs(structure, path) if index[b] in targets}
+        assert Evaluator(structure).preimage(path, targets) == expected, (path, structure)
+
+
 def _reference_pairs(structure, path):
     """Path semantics over plain pair sets of terms, star by iterating to a fixpoint."""
     if isinstance(path, Rel):
