@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 from . import namespaces as ns
@@ -111,16 +111,34 @@ class SatVerdict:
 
 
 class _Solver:
+    """CDCL over a fixed static branching order, with two watched literals
+    per clause and first-UIP learning; no restarts and no clause deletion.
+
+    The search is a contract, because `_solve_once` returns its first model
+    as the least one and the benchmark pins its counters.  A change that
+    keeps the search keeps the visit order: `_propagate` visits a literal's
+    watchers in list order; a clause whose watch moves is swapped with the
+    last watcher, removed, and appended at the end of its new literal's
+    list; a learned clause is sorted by decreasing level before it is
+    watched.  `solve`, `_analyze` and the `propagations` attribute keep
+    their names, because the benchmark's tracer wraps or reads them.
+
+    `assign` and `watches` are indexed by the literal itself: a negative
+    literal wraps to the upper half of the 2n + 1 entries, so `assign[lit]`
+    is 1, -1 or 0 for true, false or unassigned, and `assign[1:n + 1]` is
+    the assignment of the variables.
+    """
+
     def __init__(self, n_vars: int, clauses: list[list[int]], deadline: Optional[float]):
         self.n = n_vars
-        self.assign = [0] * (n_vars + 1)  # 0 unknown, 1 true, -1 false
+        self.assign = [0] * (2 * n_vars + 1)
         self.level = [0] * (n_vars + 1)
         self.reason: list[Optional[list[int]]] = [None] * (n_vars + 1)
+        self.seen = [False] * (n_vars + 1)  # scratch of `_analyze`, all False between calls
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: dict[int, list[list[int]]] = {}
-        self.clauses: list[list[int]] = []
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n_vars + 1)]
         self.deadline = deadline
         self.propagations = 0
         self.ok = True
@@ -142,108 +160,120 @@ class _Solver:
             if not self._enqueue(clause[0], None):
                 self.ok = False
             return
-        self.clauses.append(clause)
-        self.watches.setdefault(clause[0], []).append(clause)
-        self.watches.setdefault(clause[1], []).append(clause)
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
-        value = self._value(lit)
-        if value == 1:
-            return True
-        if value == -1:
-            return False
+        value = self.assign[lit]
+        if value:
+            return value == 1
+        self.assign[lit] = 1
+        self.assign[-lit] = -1
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
     def _propagate(self) -> Optional[list[int]]:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            if self.propagations % 4096 == 0:
-                _check_deadline(self.deadline)
-            falsified = -lit
-            watchers = self.watches.get(falsified, [])
-            i = 0
-            while i < len(watchers):
-                clause = watchers[i]
-                # normalize: watched literals are clause[0], clause[1]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self._value(clause[0]) == 1:
-                    i += 1
-                    continue
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._value(clause[j]) != -1:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        watchers[i] = watchers[-1]
-                        watchers.pop()
-                        moved = True
-                        break
-                if moved:
-                    continue
-                # unit or conflict on clause[0]
-                if not self._enqueue(clause[0], clause):
-                    return clause
-                i += 1
-        return None
+        assign, level, reason = self.assign, self.level, self.reason
+        watches, trail = self.watches, self.trail
+        depth = len(self.trail_lim)
+        qhead, propagations = self.qhead, self.propagations
+        try:
+            while qhead < len(trail):
+                falsified = -trail[qhead]
+                qhead += 1
+                propagations += 1
+                if not propagations & 4095:
+                    _check_deadline(self.deadline)
+                watchers = watches[falsified]
+                i = 0
+                end = len(watchers)
+                while i < end:
+                    clause = watchers[i]
+                    # normalize: watched literals are clause[0], clause[1]
+                    first = clause[0]
+                    if first == falsified:
+                        first = clause[0] = clause[1]
+                        clause[1] = falsified
+                    value = assign[first]
+                    if value == 1:
+                        i += 1
+                        continue
+                    for j in range(2, len(clause)):
+                        other = clause[j]
+                        if assign[other] != -1:
+                            clause[1] = other
+                            clause[j] = falsified
+                            watches[other].append(clause)
+                            end -= 1
+                            watchers[i] = watchers[end]
+                            watchers.pop()
+                            break
+                    else:
+                        # unit or conflict on clause[0]
+                        if value == -1:
+                            return clause
+                        assign[first] = 1
+                        assign[-first] = -1
+                        var = first if first > 0 else -first
+                        level[var] = depth
+                        reason[var] = clause
+                        trail.append(first)
+                        i += 1
+            return None
+        finally:
+            self.qhead = qhead
+            self.propagations = propagations
 
     # conflict analysis ------------------------------------------------
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        level, reason, trail, seen = self.level, self.reason, self.trail, self.seen
         learned: list[int] = []
-        seen = [False] * (self.n + 1)
         counter = 0
-        p: Optional[int] = None  # trail literal currently being expanded
+        p = 0  # trail literal currently being expanded; 0 is no literal
         clause = conflict
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         current_level = len(self.trail_lim)
         while True:
             for q in clause:
-                if p is not None and q == p:
+                if q == p:
                     continue
                 var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    if self.level[var] >= current_level:
+                    if level[var] >= current_level:
                         counter += 1
                     else:
                         learned.append(q)
             while True:
-                p = self.trail[index]
+                p = trail[index]
                 index -= 1
                 if seen[abs(p)]:
                     break
             counter -= 1
             seen[abs(p)] = False
             if counter == 0:
-                learned.append(-p)
                 break
-            clause = self.reason[abs(p)] or []
+            clause = reason[abs(p)] or []
+        for q in learned:
+            seen[abs(q)] = False
+        learned.append(-p)
         if len(learned) == 1:
             return learned, 0
-        levels = sorted({self.level[abs(q)] for q in learned[:-1]}, reverse=True)
-        return learned, levels[0]
+        return learned, max(level[abs(q)] for q in learned[:-1])
 
     def _backjump(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            mark = self.trail_lim.pop()
-            while len(self.trail) > mark:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.assign[var] = 0
-                self.reason[var] = None
-            self.qhead = min(self.qhead, len(self.trail))
+        mark = self.trail_lim[target_level]
+        del self.trail_lim[target_level:]
+        assign, trail = self.assign, self.trail
+        for lit in trail[mark:]:
+            assign[lit] = 0
+            assign[-lit] = 0
+        del trail[mark:]
+        self.qhead = min(self.qhead, mark)
 
     # main loop ----------------------------------------------------------
 
@@ -254,18 +284,20 @@ class _Solver:
         conflict = self._propagate()
         if conflict is not None:
             return None
+        assign = self.assign
         cursor = 0
         while True:
             # pick the first unassigned decision variable in static order
-            while cursor < len(decisions) and self.assign[decisions[cursor]] != 0:
+            while cursor < len(decisions) and assign[decisions[cursor]] != 0:
                 cursor += 1
             if cursor >= len(decisions):
                 # aux variables are determined by the decisions; propagate
                 # has already run, so anything unassigned is unconstrained
+                model = assign[: self.n + 1]
                 for var in range(1, self.n + 1):
-                    if self.assign[var] == 0:
-                        self.assign[var] = -1
-                return list(self.assign)
+                    if model[var] == 0:
+                        model[var] = -1
+                return model
             var = decisions[cursor]
             lit = var if preferred.get(var, False) else -var
             self.trail_lim.append(len(self.trail))
@@ -283,9 +315,8 @@ class _Solver:
                         return None
                 else:
                     learned.sort(key=lambda q: -self.level[abs(q)])
-                    self.clauses.append(learned)
-                    self.watches.setdefault(learned[0], []).append(learned)
-                    self.watches.setdefault(learned[1], []).append(learned)
+                    self.watches[learned[0]].append(learned)
+                    self.watches[learned[1]].append(learned)
                     self._enqueue(learned[0], learned)
                 cursor = 0
         # unreachable
@@ -309,9 +340,12 @@ def _solve_once(
     those decisions come earlier in the order, and the clauses plus those
     decisions imply its value.  Hence a variable takes its non-preferred
     value only when no model agreeing on the earlier variables has the
-    preferred one: the first model found is the least one.  A faster
-    existence check (VSIDS, restarts) must still answer SAT with a
-    static-order pass like this one.
+    preferred one: the first model found is the least one.  Learned
+    clauses are implied by the input clauses, so the argument rests on the
+    input clauses and the earlier decisions alone and does not depend on
+    which learned clauses the solver keeps; deleting some of them keeps
+    the least model.  A faster existence check (VSIDS, restarts) must
+    still answer SAT with a static-order pass like this one.
     """
     return _Solver(n_vars, clauses, deadline).solve(decisions, preferred)
 
@@ -397,8 +431,11 @@ def _build_catalog(
     filters: list,
     fresh_count: int,
     order_needed: bool,
+    deadline: Optional[float] = None,
 ) -> list[Term]:
-    """Candidate terms for free domain slots in canonical mode."""
+    """Candidate terms for free domain slots in canonical mode.  Raises
+    SearchBudgetExceeded once `deadline` has passed, checked before each
+    filter combination."""
     taken = {canonical_key(c) for c in constants}
     catalog: list[Term] = []
 
@@ -413,9 +450,8 @@ def _build_catalog(
     if filters:
         if 2 ** len(filters) > CATALOG_CAP:
             raise CapExceeded(f"filter alphabet too large for catalog ({len(filters)} filters)")
-        from itertools import product
-
         for signs in product((True, False), repeat=len(filters)):
+            _check_deadline(deadline)
             combo = FilterCombination(
                 positive_filters=frozenset(f for f, s in zip(filters, signs) if s),
                 negative_filters=frozenset(f for f, s in zip(filters, signs) if not s),
@@ -432,11 +468,17 @@ def _build_catalog(
 
 class _Grounder:
     def __init__(
-        self, sentence: SclSentence, k: int, mode: str, scan: Optional[SclSentence] = None
+        self,
+        sentence: SclSentence,
+        k: int,
+        mode: str,
+        scan: Optional[SclSentence] = None,
+        deadline: Optional[float] = None,
     ):
         self.sentence = sentence
         self.k = k
         self.mode = mode
+        self.deadline = deadline
         self.cnf = _Cnf()
         scan = scan if scan is not None else sentence
         self.relations = sorted(relation_names(scan), key=Term.sort_key)
@@ -493,7 +535,9 @@ class _Grounder:
         if m > self.k:
             raise ValueError("domain too small for the constants")
         fresh = self.k - m
-        self.catalog = _build_catalog(self.constants, self.filters, fresh, self.order_needed)
+        self.catalog = _build_catalog(
+            self.constants, self.filters, fresh, self.order_needed, self.deadline
+        )
         # not enough distinct candidate terms; extend with plain IRIs
         self.catalog += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(self.catalog))]
         for s in range(m, self.k):
@@ -792,6 +836,7 @@ class _Grounder:
 
     def _assert_sentence(self) -> None:
         for part in conjuncts(self.sentence):
+            _check_deadline(self.deadline)
             self.cnf.add([self.sentence_lit(part)])
 
     # ---- symmetry ----------------------------------------------------------------
@@ -936,15 +981,16 @@ def _least_model(
     (default: `sentence`) supplies the signature: relations, constants,
     filters and shape definitions.  The decoded structure carries no
     shape assignment.  Raises SearchBudgetExceeded once `budget` seconds
-    have passed, checked before grounding each size, before solving it
-    and during propagation.
+    have passed, checked before grounding each size, once per filter
+    combination of the catalog and per conjunct while grounding it, before
+    solving it and during propagation.
     """
     deadline = time.monotonic() + budget if budget else None
     scan = scan if scan is not None else sentence
     lower = max(1, len(node_constants(scan))) if mode == CANONICAL else 1
     for k in range(lower, max_domain + 1):
         _check_deadline(deadline)
-        grounder = _Grounder(sentence, k, mode, scan)
+        grounder = _Grounder(sentence, k, mode, scan, deadline)
         if refuted:
             grounder.cnf.add([-grounder.sentence_lit(part) for part in refuted])
         _check_deadline(deadline)

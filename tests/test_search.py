@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from shaclsat import namespaces as ns
@@ -152,6 +154,16 @@ def test_star_infinite_chain_demand_unsat():
     assert bounded_sat(phi, max_domain=3).outcome == "UnsatUpTo"
 
 
+FILTERS8_TTL = (
+    ":s a sh:NodeShape ; sh:targetNode :alice ;\n"
+    "  sh:property [ sh:path :name ; sh:minCount 1 ; sh:datatype xsd:string ;\n"
+    '                sh:minLength 2 ; sh:maxLength 5 ; sh:pattern "^a" ] ;\n'
+    "  sh:property [ sh:path :age ; sh:minCount 1 ; sh:datatype xsd:integer ;\n"
+    "                sh:minInclusive 18 ; sh:maxInclusive 99 ] ;\n"
+    "  sh:property [ sh:path :friend ; sh:minCount 2 ; sh:nodeKind sh:IRI ] .\n"
+)
+
+
 def test_budget_abort():
     from corpus import doc_ttl
     from shaclsat.gadgets import gadget_infinity
@@ -162,16 +174,57 @@ def test_budget_abort():
     assert verdict.outcome == "Aborted"
     # grounding (the filter catalog) is the cost here, and each solve stays
     # under the 4,096 propagations between the solver's own clock checks
-    filters8 = parse_document(doc_ttl(
-        ":s a sh:NodeShape ; sh:targetNode :alice ;\n"
-        "  sh:property [ sh:path :name ; sh:minCount 1 ; sh:datatype xsd:string ;\n"
-        '                sh:minLength 2 ; sh:maxLength 5 ; sh:pattern "^a" ] ;\n'
-        "  sh:property [ sh:path :age ; sh:minCount 1 ; sh:datatype xsd:integer ;\n"
-        "                sh:minInclusive 18 ; sh:maxInclusive 99 ] ;\n"
-        "  sh:property [ sh:path :friend ; sh:minCount 2 ; sh:nodeKind sh:IRI ] .\n"
-    ))
+    filters8 = parse_document(doc_ttl(FILTERS8_TTL))
     verdict = bounded_sat(translate(filters8), max_domain=5, budget=1e-3)
     assert verdict.outcome == "Aborted"
+
+
+def _expire_after_pre_grounding_check(monkeypatch):
+    """Replace the search's clock: `_least_model` reads it once to set the
+    deadline and once before grounding the first size; every later reading
+    is past the deadline."""
+    from types import SimpleNamespace
+
+    import shaclsat.search as search
+
+    clock = itertools.chain([0.0, 0.0], itertools.repeat(1e9))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_catalog_checks_the_budget_per_filter_combination(monkeypatch):
+    from corpus import doc_ttl
+    import shaclsat.search as search
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    sentence = translate(parse_document(doc_ttl(FILTERS8_TTL)))
+    combos = _count_calls(monkeypatch, search, "gamma_with_witnesses")
+    _expire_after_pre_grounding_check(monkeypatch)
+    verdict = bounded_sat(sentence, max_domain=5, budget=0.3)
+    assert verdict.outcome == "Aborted"
+    assert combos == []
+
+
+def test_grounding_checks_the_budget_per_conjunct(monkeypatch):
+    from shaclsat.gadgets import gadget_infinity
+
+    parts = _count_calls(monkeypatch, _Grounder, "sentence_lit")
+    _expire_after_pre_grounding_check(monkeypatch)
+    verdict = bounded_sat(gadget_infinity("O"), max_domain=6, budget=0.3, mode=UNINTERPRETED)
+    assert verdict.outcome == "Aborted"
+    assert parts == []
 
 
 def test_verdict_json_shapes():

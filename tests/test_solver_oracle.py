@@ -4,18 +4,19 @@ import itertools
 import random
 
 from corpus import random_formula
+from shaclsat.gadgets import gadget_infinity
 from shaclsat.scl import AtConst, ForClass, SclSentence, sentence_conj
-from shaclsat.search import UNINTERPRETED, _solve_once, bounded_sat
+from shaclsat.search import UNINTERPRETED, _Grounder, _Solver, _solve_once, bounded_sat
 from shaclsat.structures import Evaluator, FiniteStructure
 from shaclsat.terms import iri
 
 EX = "http://corpus.example/"
 
 
-def _random_cnf(rng: random.Random, n_vars: int, n_clauses: int):
+def _random_cnf(rng: random.Random, n_vars: int, n_clauses: int, max_width: int = 3):
     clauses = []
     for _ in range(n_clauses):
-        width = rng.randint(1, 3)
+        width = rng.randint(1, max_width)
         clause = []
         for _ in range(width):
             var = rng.randint(1, n_vars)
@@ -24,24 +25,26 @@ def _random_cnf(rng: random.Random, n_vars: int, n_clauses: int):
     return clauses
 
 
-def _brute_force_models(n_vars: int, clauses) -> list[tuple[int, ...]]:
-    models = []
-    for bits in itertools.product((False, True), repeat=n_vars):
-        ok = True
-        for clause in clauses:
-            if not any((bits[abs(l) - 1]) == (l > 0) for l in clause):
-                ok = False
-                break
-        if ok:
-            models.append(bits)
-    return models
+def _brute_force_models(n_vars: int, clauses) -> list[tuple[bool, ...]]:
+    # bit v - 1 of an assignment is variable v; a clause holds when a
+    # positive literal's bit is set or a negative literal's bit is clear
+    masks = [
+        (sum(1 << (l - 1) for l in set(clause) if l > 0),
+         sum(1 << (-l - 1) for l in set(clause) if l < 0))
+        for clause in clauses
+    ]
+    return [
+        tuple(bool(bits >> v & 1) for v in range(n_vars))
+        for bits in range(1 << n_vars)
+        if all(bits & pos or ~bits & neg for pos, neg in masks)
+    ]
 
 
-def _random_tseitin_cnf(rng: random.Random, n_vars: int, n_clauses: int):
+def _random_tseitin_cnf(rng: random.Random, n_vars: int, n_clauses: int, max_width: int = 3):
     """Random clauses over variables 1..n_vars, plus a few auxiliaries
     a <-> l1 & l2 numbered from n_vars + 1, as the grounder defines them;
     later clauses sometimes use them.  Returns (total variables, clauses)."""
-    clauses = _random_cnf(rng, n_vars, n_clauses)
+    clauses = _random_cnf(rng, n_vars, n_clauses, max_width)
     total = n_vars
     for _ in range(rng.randint(0, 3)):
         l1, l2 = (rng.choice((1, -1)) * rng.randint(1, total) for _ in range(2))
@@ -53,11 +56,10 @@ def _random_tseitin_cnf(rng: random.Random, n_vars: int, n_clauses: int):
     return total, clauses
 
 
-def test_solver_agrees_with_truth_table_and_returns_lex_least():
-    rng = random.Random(31337)
-    for trial in range(1500):
-        n = rng.randint(2, 9)
-        total, clauses = _random_tseitin_cnf(rng, n, rng.randint(1, 30))
+def _check_against_truth_table(rng: random.Random, trials: int, max_vars: int, max_width: int):
+    for trial in range(trials):
+        n = rng.randint(2, max_vars)
+        total, clauses = _random_tseitin_cnf(rng, n, rng.randint(1, 30), max_width)
         # a shuffled static order over the non-auxiliary variables only
         decisions = rng.sample(range(1, n + 1), n)
         preferred = {v: rng.random() < 0.5 for v in decisions}
@@ -77,6 +79,43 @@ def test_solver_agrees_with_truth_table_and_returns_lex_least():
 
         best = min(reference, key=key)
         assert key(bits) == key(best), (clauses, decisions, preferred, bits, best)
+
+
+def test_solver_agrees_with_truth_table_and_returns_lex_least():
+    _check_against_truth_table(random.Random(31337), 1500, 9, 3)
+    # wide clauses exercise the search for a new watch in clause[2:]
+    _check_against_truth_table(random.Random(4242), 1000, 9, 6)
+
+
+class _CountingSolver(_Solver):
+    conflicts = 0
+
+    def _analyze(self, conflict):
+        self.conflicts += 1
+        return super()._analyze(conflict)
+
+
+# (propagations, conflicts) per domain size 1..4, measured at commit
+# 3188835.  Changes that keep the search (same decisions, watch order and
+# learned clauses) keep these values; a change that alters the search,
+# such as deleting learned clauses, re-pins them and says why.
+GADGET_SEARCH = {
+    "C": [(9, 0), (98, 2), (751, 12), (4571, 60)],
+    "STD": [(10, 0), (93, 3), (851, 12), (4617, 47)],
+    "O": [(10, 0), (228, 4), (2334, 32), (13507, 116)],
+    "EOprime": [(10, 0), (171, 2), (1527, 20), (9347, 87)],
+}
+
+
+def test_gadget_refutations_keep_their_search():
+    for kind, expected in GADGET_SEARCH.items():
+        got = []
+        for k in range(1, len(expected) + 1):
+            grounder = _Grounder(gadget_infinity(kind), k, UNINTERPRETED)
+            solver = _CountingSolver(grounder.cnf.n_vars, grounder.cnf.clauses, None)
+            assert solver.solve(grounder.decision_vars, grounder.preferred) is None
+            got.append((solver.propagations, solver.conflicts))
+        assert got == expected, kind
 
 
 def _enumerate_structures(relations, constants, size):
