@@ -35,10 +35,13 @@ class ContainmentVerdict:
         return out
 
 
-def _rename_clashing_shapes(doc: sh.ShaclDocument, taken: set[Term]) -> sh.ShaclDocument:
+def _rename_clashing_shapes(
+    doc: sh.ShaclDocument, taken: set[Term]
+) -> tuple[sh.ShaclDocument, dict[Term, Term]]:
+    """`doc` with every shape name in `taken` renamed, and the renaming."""
     clashes = {s.name for s in doc.shapes} & taken
     if not clashes:
-        return doc
+        return doc, {}
     mapping: dict[Term, Term] = {}
     for name in clashes:
         fresh = Term(name.kind, name.lexical + "--m2")
@@ -69,7 +72,7 @@ def _rename_clashing_shapes(doc: sh.ShaclDocument, taken: set[Term]) -> sh.Shacl
         )
         for s in doc.shapes
     )
-    return sh.ShaclDocument(shapes, doc.vocabulary_context)
+    return sh.ShaclDocument(shapes, doc.vocabulary_context), mapping
 
 
 def check_containment(
@@ -85,7 +88,7 @@ def check_containment(
     conjunct of doc2's translation to fail; a found structure is stripped
     to a graph and confirmed against both documents directly.
     """
-    doc2 = _rename_clashing_shapes(doc2, {s.name for s in doc1.shapes})
+    doc2, _ = _rename_clashing_shapes(doc2, {s.name for s in doc1.shapes})
     # closed-world relation sets must span both documents when comparing them
     vocab = doc1.relation_names() | doc2.relation_names()
     doc1 = sh.ShaclDocument(doc1.shapes, frozenset(vocab))
@@ -178,10 +181,8 @@ def reduce_constraint_containment(
 ) -> list[sh.ShaclDocument]:
     """Candidate documents that are satisfiable exactly when the first
     constraint is not contained in the second."""
-    doc2 = _rename_clashing_shapes(doc2, {s.name for s in doc1.shapes})
-    renamed2 = name2
-    if not any(s.name == name2 for s in doc2.shapes):
-        renamed2 = Term(name2.kind, name2.lexical + "--m2")
+    doc2, renaming = _rename_clashing_shapes(doc2, {s.name for s in doc1.shapes})
+    renamed2 = renaming.get(name2, name2)
     constants = sorted(
         _constraint_constants(doc1, name1) | _constraint_constants(doc2, renamed2),
         key=Term.sort_key,

@@ -100,16 +100,21 @@ def eliminate_sequence(formula: SclFormula) -> RewriteResult:
 def eliminate_zero_or_one(formula: SclFormula) -> RewriteResult:
     defects: list[RewriteDefect] = []
 
+    def exists(path: PathExpr, body: SclFormula) -> SclFormula:
+        """(count>= 1 path body) over a body that is already rewritten."""
+        if isinstance(path, Opt):
+            return disj([body, exists(path.inner, body)])
+        return CountExists(1, path, body)
+
     def go(f: SclFormula) -> SclFormula:
         if isinstance(f, CountExists):
             body = go(f.body)
+            if f.threshold == 1:
+                return exists(f.path, body)
             if isinstance(f.path, Opt):
-                if f.threshold == 1:
-                    return disj([body, go(CountExists(1, f.path.inner, body))])
                 defects.append(
                     _defect("Z", "zero-or-one under a counting quantifier is not eliminable", f)
                 )
-                return CountExists(f.threshold, f.path, body)
             return CountExists(f.threshold, f.path, body)
         if isinstance(f, (Disjoint, Equals, OrderCmp)) and isinstance(f.path, Opt):
             defects.append(
@@ -129,17 +134,18 @@ def eliminate_zero_or_one(formula: SclFormula) -> RewriteResult:
 def eliminate_alternative(formula: SclFormula) -> RewriteResult:
     defects: list[RewriteDefect] = []
 
+    def exists(path: PathExpr, body: SclFormula) -> SclFormula:
+        """(count>= 1 path body) over a body that is already rewritten."""
+        if isinstance(path, Alt):
+            return disj([exists(path.left, body), exists(path.right, body)])
+        return CountExists(1, path, body)
+
     def go(f: SclFormula) -> SclFormula:
         if isinstance(f, CountExists):
             body = go(f.body)
+            if f.threshold == 1:
+                return exists(f.path, body)
             if isinstance(f.path, Alt):
-                if f.threshold == 1:
-                    return disj(
-                        [
-                            go(CountExists(1, f.path.left, body)),
-                            go(CountExists(1, f.path.right, body)),
-                        ]
-                    )
                 defects.append(
                     _defect("A", "alternative under a counting quantifier is not eliminable", f)
                 )

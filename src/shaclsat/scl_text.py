@@ -7,7 +7,7 @@ and print(parse(text)) == text for canonical text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Union
 
 from .scl import (
@@ -176,309 +176,189 @@ def print_scl(node: Union[SclSentence, SclFormula]) -> str:
 
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
+# One alternative per token kind.  `\w` is exactly `str.isalnum()` or "_",
+# and `\d` exactly the digits `int()` reads.  A character no other
+# alternative starts with is matched by `bad`, which `_tokenize` reports.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]+|;[^\n]*
+    |(?P<lparen>\()|(?P<rparen>\))
+    |<(?P<iri>[^>]*)>
+    |_:(?P<blank>[\w-]*)
+    |(?P<literal>"(?P<lexical>(?:[^"\\]|\\["\\nrt])*)"
+        (?:\^\^<(?P<datatype>[^>]*)>|@(?P<language>(?:[^\W_]|-)*))?)
+    |(?P<int>\d+)
+    |(?P<symbol>[\w\->=]+)
+    |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_STRING_BODY = re.compile(r'"(?:[^"\\]|\\["\\nrt])*')
+_ESCAPE = re.compile(r"\\(.)")
 
-@dataclass
-class _Tok:
-    kind: str  # lparen rparen term int symbol string eof
-    value: object
-    pos: int
 
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, offset) triples, ending with an "eof" token.  The whole
+    text is read before parsing, so a lexical error anywhere is reported
+    ahead of a grammar error."""
+    toks: list[tuple[str, object, int]] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # whitespace or comment
             continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
-            toks.append(_Tok("lparen", "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            toks.append(_Tok("rparen", ")", i))
-            i += 1
-            continue
-        if ch == "<":
-            end = text.find(">", i)
-            if end < 0:
-                raise SclSyntaxError("unterminated IRI", i)
-            toks.append(_Tok("term", iri(text[i + 1 : end]), i))
-            i = end + 1
-            continue
-        if ch == "_" and i + 1 < n and text[i + 1] == ":":
-            j = i + 2
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            if j == i + 2:
-                raise SclSyntaxError("empty blank label", i)
-            toks.append(_Tok("term", blank(text[i + 2 : j]), i))
-            i = j
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            out = []
-            while True:
-                if i >= n:
-                    raise SclSyntaxError("unterminated string", start)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _UNESCAPES:
-                        raise SclSyntaxError("invalid escape", i)
-                    out.append(_UNESCAPES[text[i + 1]])
-                    i += 2
-                else:
-                    out.append(c)
-                    i += 1
-            lex = "".join(out)
-            if text.startswith("^^<", i):
-                end = text.find(">", i + 3)
-                if end < 0:
-                    raise SclSyntaxError("unterminated datatype IRI", i)
-                toks.append(_Tok("term", literal(lex, text[i + 3 : end]), start))
-                i = end + 1
-            elif i < n and text[i] == "@":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "-"):
-                    j += 1
-                toks.append(_Tok("term", literal(lex, language=text[i + 1 : j]), start))
-                i = j
-            else:
-                toks.append(_Tok("term", literal(lex), start))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j]), i))
-            i = j
-            continue
-        j = i
-        while j < n and (text[j].isalnum() or text[j] in "->=_"):
-            j += 1
-        if j == i:
-            raise SclSyntaxError(f"unexpected character {ch!r}", i)
-        toks.append(_Tok("symbol", text[i:j], i))
-        i = j
-    toks.append(_Tok("eof", None, n))
+        pos = m.start()
+        if kind == "symbol":
+            toks.append((kind, m["symbol"], pos))
+        elif kind == "iri":
+            toks.append(("term", iri(m["iri"]), pos))
+        elif kind in ("lparen", "rparen"):
+            toks.append((kind, None, pos))
+        elif kind == "int":
+            toks.append((kind, int(m["int"]), pos))
+        elif kind == "blank":
+            if not m["blank"]:
+                raise SclSyntaxError("empty blank label", pos)
+            toks.append(("term", blank(m["blank"]), pos))
+        elif kind == "literal":
+            if m["datatype"] is m["language"] is None and text.startswith("^^<", m.end()):
+                raise SclSyntaxError("unterminated datatype IRI", m.end())
+            lexical = _ESCAPE.sub(lambda e: _UNESCAPES[e[1]], m["lexical"])
+            toks.append(("term", literal(lexical, m["datatype"], m["language"]), pos))
+        elif m["bad"] == "<":
+            raise SclSyntaxError("unterminated IRI", pos)
+        elif m["bad"] == '"':
+            end = _STRING_BODY.match(text, pos).end()
+            if end == len(text):
+                raise SclSyntaxError("unterminated string", pos)
+            raise SclSyntaxError("invalid escape", end)
+        else:
+            raise SclSyntaxError(f"unexpected character {m['bad']!r}", pos)
+    toks.append(("eof", None, len(text)))
     return toks
 
 
-class _SclParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
+# Every form, keyed by (category, head), and every filter, keyed by name:
+# its constructor and the kinds of its arguments.  An argument kind is a
+# category (a parenthesised form), "filter", "term", "int", or a tuple of
+# the symbols allowed there.
+_CATEGORIES = ("sentence", "formula", "path")
+_FORMS = {
+    ("sentence", "top"): (TopSentence, ()),
+    ("sentence", "and"): (SAnd, ("sentence", "sentence")),
+    ("sentence", "at"): (AtConst, ("term", "formula")),
+    ("sentence", "for-class"): (ForClass, ("term", "formula")),
+    ("sentence", "for-subjects"): (
+        lambda rel, body: ForSubjectsOf(rel, False, body),
+        ("term", "formula"),
+    ),
+    ("sentence", "for-objects"): (
+        lambda rel, body: ForSubjectsOf(rel, True, body),
+        ("term", "formula"),
+    ),
+    ("sentence", "def-shape"): (ShapeDef, ("term", "formula")),
+    ("sentence", "at-most"): (AtMostGlobal, ("int", "formula")),
+    ("formula", "top"): (Top, ()),
+    ("formula", "eq"): (EqConst, ("term",)),
+    ("formula", "filter"): (Filter, ("filter",)),
+    ("formula", "hasshape"): (HasShape, ("term",)),
+    ("formula", "not"): (Not, ("formula",)),
+    ("formula", "and"): (And, ("formula", "formula")),
+    ("formula", "count>="): (
+        lambda n, path, body: CountExists(n, path, body) if n else Top(),
+        ("int", "path", "formula"),
+    ),
+    ("formula", "disjoint"): (Disjoint, ("path", "term")),
+    ("formula", "equals"): (Equals, ("path", "term")),
+    ("formula", "order"): (
+        lambda path, rel, op, direction: OrderCmp(path, rel, op == "lt", direction == "inv"),
+        ("path", "term", ("lt", "le"), ("fwd", "inv")),
+    ),
+    ("path", "rel"): (Rel, ("term",)),
+    ("path", "inv"): (lambda name: Rel(name, True), ("term",)),
+    ("path", "seq"): (Seq, ("path", "path")),
+    ("path", "opt"): (Opt, ("path",)),
+    ("path", "alt"): (Alt, ("path", "path")),
+    ("path", "star"): (Star, ("path",)),
+}
+_FILTERS = {
+    "is-iri": (IsIri, ()),
+    "is-literal": (IsLiteral, ()),
+    "is-blank": (IsBlank, ()),
+    "datatype": (lambda t: HasDatatype(t.lexical), ("term",)),
+    "lang": (lambda t: HasLanguage(t.lexical), ("term",)),
+    "min-length": (MinLength, ("int",)),
+    "max-length": (MaxLength, ("int",)),
+    "pattern": (lambda t: Matches(t.lexical), ("term",)),
+    "min-value": (lambda bound, s: MinValue(bound, s == "strict"), ("term", ("strict", "incl"))),
+    "max-value": (lambda bound, s: MaxValue(bound, s == "strict"), ("term", ("strict", "incl"))),
+}
 
-    def _peek(self) -> _Tok:
-        return self.toks[self.i]
 
-    def _next(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+def _parse(text: str, category: str):
+    """Read one `category` value spanning all of `text`.
 
-    def _expect(self, kind: str) -> _Tok:
-        tok = self._next()
-        if tok.kind != kind:
-            raise SclSyntaxError(f"expected {kind}, got {tok.kind}", tok.pos)
-        return tok
-
-    def _head(self) -> str:
-        self._expect("lparen")
-        tok = self._expect("symbol")
-        return str(tok.value)
-
-    def _term(self) -> Term:
-        tok = self._expect("term")
-        return tok.value  # type: ignore[return-value]
-
-    def _int(self) -> int:
-        tok = self._expect("int")
-        return int(tok.value)  # type: ignore[arg-type]
-
-    def _close(self) -> None:
-        self._expect("rparen")
-
-    # grammar ---------------------------------------------------------
-
-    def sentence(self) -> SclSentence:
-        pos = self._peek().pos
-        head = self._head()
-        if head == "top":
-            self._close()
-            return TopSentence()
-        if head == "and":
-            left = self.sentence()
-            right = self.sentence()
-            self._close()
-            return SAnd(left, right)
-        if head == "at":
-            constant = self._term()
-            body = self.formula()
-            self._close()
-            return AtConst(constant, body)
-        if head == "for-class":
-            cls = self._term()
-            body = self.formula()
-            self._close()
-            return ForClass(cls, body)
-        if head in ("for-subjects", "for-objects"):
-            rel = self._term()
-            body = self.formula()
-            self._close()
-            return ForSubjectsOf(rel, head == "for-objects", body)
-        if head == "def-shape":
-            name = self._term()
-            body = self.formula()
-            self._close()
-            return ShapeDef(name, body)
-        if head == "at-most":
-            bound = self._int()
-            body = self.formula()
-            self._close()
-            return AtMostGlobal(bound, body)
-        raise SclSyntaxError(f"unknown sentence form {head!r}", pos)
-
-    def formula(self) -> SclFormula:
-        pos = self._peek().pos
-        head = self._head()
-        if head == "top":
-            self._close()
-            return Top()
-        if head == "eq":
-            constant = self._term()
-            self._close()
-            return EqConst(constant)
-        if head == "filter":
-            name = self._filter()
-            self._close()
-            return Filter(name)
-        if head == "hasshape":
-            shape = self._term()
-            self._close()
-            return HasShape(shape)
-        if head == "not":
-            body = self.formula()
-            self._close()
-            return Not(body)
-        if head == "and":
-            left = self.formula()
-            right = self.formula()
-            self._close()
-            return And(left, right)
-        if head == "count>=":
-            n = self._int()
-            path = self.path()
-            body = self.formula()
-            self._close()
-            if n == 0:
-                return Top()
-            return CountExists(n, path, body)
-        if head == "disjoint":
-            path = self.path()
-            rel = self._term()
-            self._close()
-            return Disjoint(path, rel)
-        if head == "equals":
-            path = self.path()
-            rel = self._term()
-            self._close()
-            return Equals(path, rel)
-        if head == "order":
-            path = self.path()
-            rel = self._term()
-            op = self._symbol(("lt", "le"))
-            direction = self._symbol(("fwd", "inv"))
-            self._close()
-            return OrderCmp(path, rel, op == "lt", direction == "inv")
-        raise SclSyntaxError(f"unknown formula form {head!r}", pos)
-
-    def _symbol(self, allowed: tuple[str, ...]) -> str:
-        tok = self._expect("symbol")
-        if tok.value not in allowed:
-            raise SclSyntaxError(f"expected one of {allowed}, got {tok.value!r}", tok.pos)
-        return str(tok.value)
-
-    def _filter(self) -> FilterName:
-        tok = self._expect("symbol")
-        name = str(tok.value)
-        if name == "is-iri":
-            return IsIri()
-        if name == "is-literal":
-            return IsLiteral()
-        if name == "is-blank":
-            return IsBlank()
-        if name == "datatype":
-            return HasDatatype(self._term().lexical)
-        if name == "lang":
-            return HasLanguage(self._term().lexical)
-        if name == "min-length":
-            return MinLength(self._int())
-        if name == "max-length":
-            return MaxLength(self._int())
-        if name == "pattern":
-            return Matches(self._term().lexical)
-        if name in ("min-value", "max-value"):
-            bound = self._term()
-            strict = self._symbol(("strict", "incl")) == "strict"
-            return MinValue(bound, strict) if name == "min-value" else MaxValue(bound, strict)
-        raise SclSyntaxError(f"unknown filter {name!r}", tok.pos)
-
-    def path(self) -> PathExpr:
-        pos = self._peek().pos
-        head = self._head()
-        if head == "rel":
-            name = self._term()
-            self._close()
-            return Rel(name, False)
-        if head == "inv":
-            name = self._term()
-            self._close()
-            return Rel(name, True)
-        if head == "seq":
-            left = self.path()
-            right = self.path()
-            self._close()
-            return Seq(left, right)
-        if head == "opt":
-            inner = self.path()
-            self._close()
-            return Opt(inner)
-        if head == "alt":
-            left = self.path()
-            right = self.path()
-            self._close()
-            return Alt(left, right)
-        if head == "star":
-            inner = self.path()
-            self._close()
-            return Star(inner)
-        raise SclSyntaxError(f"unknown path form {head!r}", pos)
+    Each open form is a frame (constructor, argument kinds, arguments read,
+    whether a ")" ends it) on an explicit stack, so depth costs no
+    recursion.  A filter's arguments follow its name inside "(filter ...)",
+    so its frame takes no ")" of its own.
+    """
+    toks = _tokenize(text)
+    i = 0
+    stack: list[tuple] = []
+    build, kinds, args, closes = None, (category,), [], False
+    while True:
+        if len(args) == len(kinds):
+            if build is None:
+                break
+            if closes:
+                kind, _, pos = toks[i]
+                i += 1
+                if kind != "rparen":
+                    raise SclSyntaxError(f"expected rparen, got {kind}", pos)
+            node = build(*args)
+            build, kinds, args, closes = stack.pop()
+            args.append(node)
+            continue
+        want = kinds[len(args)]
+        kind, value, pos = toks[i]
+        i += 1
+        if want in _CATEGORIES:
+            if kind != "lparen":
+                raise SclSyntaxError(f"expected lparen, got {kind}", pos)
+            kind, value, head_pos = toks[i]
+            i += 1
+            if kind != "symbol":
+                raise SclSyntaxError(f"expected symbol, got {kind}", head_pos)
+            form = _FORMS.get((want, value))
+            if form is None:
+                raise SclSyntaxError(f"unknown {want} form {value!r}", pos)
+            stack.append((build, kinds, args, closes))
+            (build, kinds), args, closes = form, [], True
+        elif want == "filter":
+            if kind != "symbol":
+                raise SclSyntaxError(f"expected symbol, got {kind}", pos)
+            form = _FILTERS.get(value)
+            if form is None:
+                raise SclSyntaxError(f"unknown filter {value!r}", pos)
+            stack.append((build, kinds, args, closes))
+            (build, kinds), args, closes = form, [], False
+        elif isinstance(want, tuple):
+            if kind != "symbol":
+                raise SclSyntaxError(f"expected symbol, got {kind}", pos)
+            if value not in want:
+                raise SclSyntaxError(f"expected one of {want}, got {value!r}", pos)
+            args.append(value)
+        elif kind == want:
+            args.append(value)
+        else:
+            raise SclSyntaxError(f"expected {want}, got {kind}", pos)
+    kind, _, pos = toks[i]
+    if kind != "eof":
+        raise SclSyntaxError(f"trailing input after {category}", pos)
+    return args[0]
 
 
 def parse_scl(text: str) -> SclSentence:
-    parser = _SclParser(text)
-    sentence = parser.sentence()
-    tok = parser._peek()
-    if tok.kind != "eof":
-        raise SclSyntaxError("trailing input after sentence", tok.pos)
-    return sentence
+    return _parse(text, "sentence")
 
 
 def parse_scl_formula(text: str) -> SclFormula:
-    parser = _SclParser(text)
-    formula = parser.formula()
-    tok = parser._peek()
-    if tok.kind != "eof":
-        raise SclSyntaxError("trailing input after formula", tok.pos)
-    return formula
+    return _parse(text, "formula")

@@ -406,6 +406,11 @@ class _Cnf:
         self.add([v, -a, -b])
         return v
 
+    def at_least(self, lits: list[int], n: int) -> int:
+        """A literal that holds when at least n of `lits` do: one conjunction
+        per n-subset, in `combinations` order."""
+        return self.aux_or([self.aux_and(list(subset)) for subset in combinations(lits, n)])
+
     def at_most(self, lits: list[int], bound: int) -> None:
         if bound >= len(lits):
             return
@@ -752,10 +757,7 @@ class _Grounder:
             hits = [
                 cnf.aux_and([mat[x][j], self.formula_lit(f.body, j)]) for j in range(self.k)
             ]
-            options = [
-                cnf.aux_and(list(subset)) for subset in combinations(hits, f.threshold)
-            ]
-            return cnf.aux_or(options)
+            return cnf.at_least(hits, f.threshold)
         if isinstance(f, Disjoint):
             mat = self.path_matrix(f.path)
             rel = self._rel_matrix(f.relation, False)
@@ -828,10 +830,7 @@ class _Grounder:
             return cnf.aux_and(checks)
         if isinstance(part, AtMostGlobal):
             hits = [self.formula_lit(part.body, i) for i in range(self.k)]
-            violations = [
-                cnf.aux_and(list(subset)) for subset in combinations(hits, part.bound + 1)
-            ]
-            return -cnf.aux_or(violations)
+            return -cnf.at_least(hits, part.bound + 1)
         raise TypeError(f"unknown sentence {part!r}")
 
     def _assert_sentence(self) -> None:

@@ -211,7 +211,7 @@ def parse_integer_lexical(lexical: str, datatype: str) -> Optional[int]:
     if text[0] in "+-":
         sign = -1 if text[0] == "-" else 1
         text = text[1:]
-    if not text.isdigit():
+    if not text.isdecimal():
         return None
     value = sign * int(text)
     lo, hi = XSD_INTEGER_RANGES[datatype]

@@ -157,9 +157,24 @@ def test_parse_error_exit_65(tmp_path, capsys):
     assert dispatch(["validate", str(bad), str(bad)]) == 65
     capsys.readouterr()
     bad_scl = tmp_path / "bad.scl"
-    bad_scl.write_text("(nonsense")
-    assert dispatch(["classify", str(bad_scl), "--lang", "scl"]) == 65
-    capsys.readouterr()
+    for text in ("(nonsense", "(at <http://e/c> (count>= \u00b2 (rel <http://e/r>) (top)))"):
+        bad_scl.write_text(text)
+        assert dispatch(["classify", str(bad_scl), "--lang", "scl"]) == 65
+        capsys.readouterr()
+
+
+def test_non_decimal_digit_integer_is_a_violation_on_both_routes(tmp_path, capsys):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        ":s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:datatype xsd:integer ."
+    ))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(':a :p "\u00b2"^^xsd:integer .'))
+    for route in ([], ["--direct"]):
+        assert dispatch(["validate", *route, str(graph), str(shapes)]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            {"focusNode": "<http://corpus.example/a>", "shape": "<http://corpus.example/s>"}
+        ]
 
 
 def test_text_output_mode(files, capsys):
@@ -276,6 +291,16 @@ def test_back_translate_names_the_ill_formed_defect(tmp_path, capsys):
     assert captured.err == (
         "error: sentence is not well formed: missing shape definition <http://e/t>\n"
     )
+
+
+def test_deep_not_chain_classifies_and_axiomatizes(tmp_path, capsys):
+    depth = 10_000
+    scl = tmp_path / "deep.scl"
+    scl.write_text("(at <http://e/c> " + "(not " * depth + "(top)" + ")" * depth + ")")
+    assert dispatch(["classify", str(scl)]) == 0
+    assert json.loads(capsys.readouterr().out)["rawFeatures"] == []
+    assert dispatch(["axiomatize", str(scl)]) == 0
+    assert capsys.readouterr().out.count("(not ") == depth
 
 
 def _node_chain(length: int, closed: bool) -> str:

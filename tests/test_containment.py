@@ -6,7 +6,7 @@ from shaclsat.containment import (
 )
 from shaclsat.direct_validation import validate_direct
 from shaclsat.search import bounded_sat
-from shaclsat.shapes import parse_document
+from shaclsat.shapes import NOT, Constraint, parse_document
 from shaclsat.terms import iri
 from shaclsat.translate import translate
 
@@ -121,6 +121,23 @@ def test_reduce_constraint_containment_in_subsets():
     )
     candidates = reduce_constraint_containment(d2, iri(EX + "s"), d1, iri(EX + "s"))
     assert any(bounded_sat(translate(d), max_domain=3).is_sat for d in candidates)
+
+
+def test_reduce_constraint_containment_reads_the_renamed_shape():
+    # doc1 already holds the first fresh name for doc2's clashing :s
+    d1 = _doc(":s a sh:NodeShape ; sh:class :A .\n:s--m2 a sh:NodeShape ; sh:class :Z .")
+    d2 = _doc(":s a sh:NodeShape ; sh:class :B .")
+    candidates = reduce_constraint_containment(d1, iri(EX + "s"), d2, iri(EX + "s"))
+    probe = candidates[0].shape(iri("urn:shaclsat:probe:shape"))
+    assert probe.constraints[1] == Constraint(NOT, (iri(EX + "s--m2x"),))
+    renamed = candidates[0].shape(iri(EX + "s--m2x"))
+    assert renamed.constraints == d2.shape(iri(EX + "s")).constraints
+    # :A is contained in :A, which the probe sees only through doc2's shape
+    d2 = _doc(":s a sh:NodeShape ; sh:class :A .")
+    candidates = reduce_constraint_containment(d1, iri(EX + "s"), d2, iri(EX + "s"))
+    assert all(
+        bounded_sat(translate(d), max_domain=3).outcome == "UnsatUpTo" for d in candidates
+    )
 
 
 def test_containment_with_order_constraints():

@@ -33,6 +33,7 @@ from shaclsat.scl import (
     features_of,
     nodes,
 )
+from shaclsat.scl_text import print_scl
 from shaclsat.structures import Evaluator
 from shaclsat.terms import iri
 
@@ -101,6 +102,13 @@ def test_zero_or_one_refused_under_counting():
     assert result.defects and result.defects[0].rule == "Z"
 
 
+def test_defect_under_an_eliminated_zero_or_one_is_reported_once():
+    inner = CountExists(2, Opt(Rel(Q)), Top())
+    result = rewrite_sentence(AtConst(C, exists(Opt(Rel(P)), inner)), "Z")
+    assert result.sentence == AtConst(C, disj([inner, exists(Rel(P), inner)]))
+    assert [d.at for d in result.defects] == [print_scl(inner)]
+
+
 # ---- [A] ------------------------------------------------------------------
 
 
@@ -131,6 +139,15 @@ def test_alternative_refused_under_equality_and_counting():
     f = CountExists(2, Alt(Rel(P), Rel(Q)), Top())
     result = eliminate_alternative(f)
     assert result.formula == f and result.defects
+
+
+def test_defect_under_an_eliminated_alternative_is_reported_once():
+    inner = CountExists(2, Alt(Rel(P), Rel(Q)), Top())
+    result = rewrite_sentence(AtConst(C, exists(Alt(Rel(P), Rel(Q)), inner)), "A")
+    assert result.sentence == AtConst(
+        C, disj([exists(Rel(P), inner), exists(Rel(Q), inner)])
+    )
+    assert [d.at for d in result.defects] == [print_scl(inner)]
 
 
 # ---- random-pair semantic preservation (the heavy check lives in acceptance)

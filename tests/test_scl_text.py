@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -82,11 +83,54 @@ def test_order_and_extended_sentences():
     assert print_scl(parse_scl(text)) == text
 
 
+# (parser, text, message, offset); the superscript two is a digit that int()
+# does not read, so it is a symbol, not an int
+MALFORMED = [
+    (parse_scl, "(at <http://e/c (top))", "unterminated IRI", 4),
+    (parse_scl, '(at <http://e/c> (eq "abc))', "unterminated string", 21),
+    (parse_scl, '(at <http://e/c> (eq "5"^^<http://e/dt))', "unterminated datatype IRI", 24),
+    (parse_scl, '(at <http://e/c> (eq "a\\qb"))', "invalid escape", 23),
+    (parse_scl, "(at _: (top))", "empty blank label", 4),
+    (parse_scl, "(at <http://e/c> (top)) ^", "unexpected character '^'", 24),
+    (parse_scl, "(wat)", "unknown sentence form 'wat'", 0),
+    (parse_scl, "(count>= x (rel <a>) (top))", "unknown sentence form 'count>='", 0),
+    (parse_scl, "(at <http://e/c> (wat))", "unknown formula form 'wat'", 17),
+    (parse_scl, "(at <http://e/c> (count>= 1 (wat <http://e/r>) (top)))",
+     "unknown path form 'wat'", 28),
+    (parse_scl, "(at <http://e/c> (filter is-uri))", "unknown filter 'is-uri'", 25),
+    (parse_scl_formula, "(order (rel <http://e/r>) <http://e/q> lt sideways)",
+     "expected one of ('fwd', 'inv'), got 'sideways'", 42),
+    (parse_scl_formula, '(filter min-value "1" open)',
+     "expected one of ('strict', 'incl'), got 'open'", 22),
+    (parse_scl, "(top) junk", "trailing input after sentence", 6),
+    (parse_scl_formula, "(top) junk", "trailing input after formula", 6),
+    (parse_scl, "(and (top)", "expected lparen, got eof", 10),
+    (parse_scl, "(at <http://e/c> (top) (top))", "expected rparen, got lparen", 23),
+    (parse_scl, "(at <http://e/c> (count>= x (rel <http://e/r>) (top)))",
+     "expected int, got symbol", 26),
+    (parse_scl, "(at (top))", "expected term, got lparen", 4),
+    (parse_scl, "top", "expected lparen, got symbol", 0),
+    (parse_scl, "()", "expected symbol, got rparen", 1),
+    (parse_scl, "(at <http://e/c> (count>= \u00b2 (rel <http://e/r>) (top)))",
+     "expected int, got symbol", 26),
+]
+
+
 def test_syntax_errors_carry_positions():
-    for bad in ["(and (top)", "(wat)", "(count>= x (rel <a>) (top))", "(top) junk"]:
+    for parse, text, message, offset in MALFORMED:
         with pytest.raises(SclSyntaxError) as err:
-            parse_scl(bad)
-        assert err.value.position >= 0
+            parse(text)
+        assert (str(err.value), err.value.position) == (f"{message} (offset {offset})", offset)
+
+
+def test_deep_forms_parse_without_recursion():
+    depth = 10_000
+    chain = "(at <http://e/c> " + "(not " * depth + "(top)" + ")" * depth + ")"
+    path = "(seq (rel <http://e/r>) " * (depth - 1) + "(rel <http://e/r>)" + ")" * (depth - 1)
+    steps = "(at <http://e/c> (count>= 1 " + path + " (top)))"
+    assert sys.getrecursionlimit() < depth
+    for text in (chain, steps):
+        assert print_scl(parse_scl(text)) == text
 
 
 def _random_sentence(rng: random.Random) -> SclSentence:

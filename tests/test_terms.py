@@ -78,6 +78,13 @@ def test_malformed_literals_are_incomparable():
     assert compare_terms(literal("300", "http://www.w3.org/2001/XMLSchema#byte"), integer(1)) is INC
 
 
+def test_integer_lexical_reads_only_decimal_digits():
+    superscript = literal("\u00b2", XSD_INTEGER)  # a digit that int() does not read
+    assert malformed_literal(superscript)
+    assert compare_terms(superscript, integer(2)) is INC
+    assert compare_terms(literal("\u0663", XSD_INTEGER), integer(3)) is EQ  # Arabic-Indic 3
+
+
 def test_strict_mode_rejects_literal_subjects():
     t = Triple(string("x"), iri("http://e/p"), iri("http://e/o"))
     with pytest.raises(StrictModeError):
