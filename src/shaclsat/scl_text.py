@@ -176,9 +176,9 @@ def print_scl(node: Union[SclSentence, SclFormula]) -> str:
 
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
-# One alternative per token kind.  `\w` is exactly `str.isalnum()` or "_",
-# and `\d` exactly the digits `int()` reads.  A character no other
-# alternative starts with is matched by `bad`, which `_tokenize` reports.
+# One alternative per token kind.  `\w` is exactly `str.isalnum()` or "_";
+# integers are ASCII digits.  A character no other alternative starts with
+# is matched by `bad`, which `_tokenize` reports.
 _TOKEN = re.compile(
     r"""[ \t\r\n]+|;[^\n]*
     |(?P<lparen>\()|(?P<rparen>\))
@@ -186,7 +186,7 @@ _TOKEN = re.compile(
     |_:(?P<blank>[\w-]*)
     |(?P<literal>"(?P<lexical>(?:[^"\\]|\\["\\nrt])*)"
         (?:\^\^<(?P<datatype>[^>]*)>|@(?P<language>(?:[^\W_]|-)*))?)
-    |(?P<int>\d+)
+    |(?P<int>[0-9]+)
     |(?P<symbol>[\w\->=]+)
     |(?P<bad>.)""",
     re.VERBOSE | re.DOTALL,
@@ -212,7 +212,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif kind in ("lparen", "rparen"):
             toks.append((kind, None, pos))
         elif kind == "int":
-            toks.append((kind, int(m["int"]), pos))
+            try:
+                toks.append((kind, int(m["int"]), pos))
+            except ValueError:  # more digits than int() reads from a string
+                raise SclSyntaxError("integer too long", pos) from None
         elif kind == "blank":
             if not m["blank"]:
                 raise SclSyntaxError("empty blank label", pos)

@@ -981,8 +981,8 @@ def _least_model(
     filters and shape definitions.  The decoded structure carries no
     shape assignment.  Raises SearchBudgetExceeded once `budget` seconds
     have passed, checked before grounding each size, once per filter
-    combination of the catalog and per conjunct while grounding it, before
-    solving it and during propagation.
+    combination of the catalog and per conjunct and refuted part while
+    grounding it, before solving it and during propagation.
     """
     deadline = time.monotonic() + budget if budget else None
     scan = scan if scan is not None else sentence
@@ -991,7 +991,11 @@ def _least_model(
         _check_deadline(deadline)
         grounder = _Grounder(sentence, k, mode, scan, deadline)
         if refuted:
-            grounder.cnf.add([-grounder.sentence_lit(part) for part in refuted])
+            fails = []
+            for part in refuted:
+                _check_deadline(deadline)
+                fails.append(-grounder.sentence_lit(part))
+            grounder.cnf.add(fails)
         _check_deadline(deadline)
         assignment = _solve_once(
             grounder.cnf.n_vars,

@@ -10,9 +10,10 @@ types; IRIs and blank nodes are never comparable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -203,17 +204,20 @@ DATETIME = "dateTime"
 NumericValue = Union[Fraction, float]  # float only for +/-inf
 
 
+# XSD lexical forms, ASCII digits only.  A decimal keeps an optional
+# exponent, which `str(float)` writes for very large or small values.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMERAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def parse_integer_lexical(lexical: str, datatype: str) -> Optional[int]:
     text = lexical.strip()
-    if not text:
+    if not _INTEGER.fullmatch(text):
         return None
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:]
-    if not text.isdecimal():
-        return None
-    value = sign * int(text)
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() reads from a string
+        value = int(Decimal(text))
     lo, hi = XSD_INTEGER_RANGES[datatype]
     if lo is not None and value < lo:
         return None
@@ -230,11 +234,10 @@ def _parse_float_lexical(lexical: str) -> Optional[NumericValue]:
         return -math.inf
     if text == "NaN":
         return None  # NaN is incomparable; treat as no value
-    try:
-        value = float(text)
-    except ValueError:
+    if not _NUMERAL.fullmatch(text):
         return None
-    if math.isnan(value) or math.isinf(value):
+    value = float(text)
+    if math.isinf(value):
         return None
     return Fraction(value)
 
@@ -266,13 +269,8 @@ def term_value(term: Term) -> Optional[tuple[str, object]]:
         value = parse_integer_lexical(term.lexical, dt)
         return None if value is None else (NUMERIC, Fraction(value))
     if dt == XSD_DECIMAL:
-        try:
-            dec = Decimal(term.lexical.strip())
-        except InvalidOperation:
-            return None
-        if not dec.is_finite():
-            return None
-        return (NUMERIC, Fraction(dec))
+        text = term.lexical.strip()
+        return (NUMERIC, Fraction(Decimal(text))) if _NUMERAL.fullmatch(text) else None
     if dt in (XSD_DOUBLE, XSD_FLOAT):
         value = _parse_float_lexical(term.lexical)
         return None if value is None else (NUMERIC, value)

@@ -3,13 +3,22 @@
 Supported syntax: @prefix / PREFIX directives, the `a` keyword,
 predicate and object lists, collections `( ... )`, blank node property
 lists `[ ... ]`, and numeric / string / boolean literals with `^^` and
-`@` tags.  Collections are expanded into rdf:first/rdf:rest/rdf:nil
-chains and blank node labels are renamed to be graph-unique.
+`@` tags.  Numerals are ASCII, as Turtle's INTEGER is `[0-9]+`.
+Collections are expanded into rdf:first/rdf:rest/rdf:nil chains and
+blank node labels are renamed to be graph-unique.
+
+One compiled pattern scans the whole text into (kind, value, offset)
+tokens before parsing, so a lexical error anywhere is reported ahead of a
+grammar error; a `ParseError` works out its line and column from the
+offset only when it is raised.  The parser keeps each open `[ ... ]` and
+`( ... )` as a frame on an explicit stack, so nesting costs no recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import Optional
+
 from .namespaces import (
     RDF_FIRST,
     RDF_NIL,
@@ -40,229 +49,121 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: object
-    line: int
-    column: int
+def _error(text: str, message: str, pos: int) -> ParseError:
+    """A ParseError at offset `pos` of `text`; columns count characters from 1."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
-
-_PUNCT = {".": "dot", ";": "semi", ",": "comma", "(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket"}
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "'": "'", "\\": "\\", "b": "\b", "f": "\f"}
 
+_KEYWORDS = {"a", "true", "false", "PREFIX", "BASE"}
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+# One alternative per token kind, tried in order; the kind is the group
+# that closes last.  `\w` is exactly `str.isalnum()` or "_".  An IRI or
+# string matches up to its first fault, and its closing delimiter is
+# optional, so a body that ends the match is the fault's place.  A `\u` or
+# `\U` escape takes the next four or eight characters, whatever they are.
+# A "." stays in a name or blank label, and an exponent's "e" in a number,
+# only before a character that continues it or, for names and numbers, at
+# the end of the text; so a statement's closing dot is its own token.
+# Numbers are ASCII.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]+|\#[^\n]*
+    |(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)|(?P<carets>\^\^)
+    |(?P<lparen>\()|(?P<rparen>\))|(?P<lbracket>\[)|(?P<rbracket>\])
+    |<(?P<iriref>(?:[^>\\ \t\r\n]|\\u.{4}|\\U.{8})*)>?
+    |"{3}(?P<long2>(?:[^"\\]|"(?!"")|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)(?:"{3})?
+    |'{3}(?P<long1>(?:[^'\\]|'(?!'')|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)(?:'{3})?
+    |"(?P<short2>(?:[^"\\\n]|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)"?
+    |'(?P<short1>(?:[^'\\\n]|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)'?
+    |@(?P<at>(?:[^\W\d_]|-)*)
+    |_:(?P<blank>(?:[\w-]|\.(?=[^\W_]))*)
+    |(?P<number>(?:[0-9]|[+-](?=[0-9.]))[0-9]*
+        (?P<frac>\.[0-9]+)?(?P<exp>[eE](?=[0-9+-]|\Z)[+-]?[0-9]*)?)
+    |(?P<name>(?:[\w\-:%\uffff]|\.(?=[\w\-:%]|\Z))+)
+    |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_QUOTED = {"iriref": "iriref", "long2": "string", "long1": "string", "short2": "string", "short1": "string"}
+_UNESCAPE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)", re.DOTALL)
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
+def _unescape(body: str, text: str, pos: int) -> str:
+    """`body` with its escapes replaced; a bad `\\u` or `\\U` is a fault of
+    the token at `pos`."""
 
-    def _advance(self, n: int = 1) -> str:
-        chunk = self.text[self.pos : self.pos + n]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return chunk
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            self._skip_ws()
-            if self.pos >= len(self.text):
-                out.append(_Token("eof", None, self.line, self.col))
-                return out
-            out.append(self._token())
-
-    def _token(self) -> _Token:
-        line, col = self.line, self.col
-        ch = self._peek()
-        if ch in _PUNCT:
-            # distinguish "." terminating a statement from a decimal point:
-            # punctuation "." is only consumed when not inside a number,
-            # which the number scanner below already guarantees.
-            self._advance()
-            return _Token(_PUNCT[ch], ch, line, col)
-        if ch == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return _Token("carets", "^^", line, col)
-        if ch == "<":
-            return self._iriref(line, col)
-        if ch in "\"'":
-            return self._string(line, col)
-        if ch == "@":
-            return self._at_keyword(line, col)
-        if ch == "_" and self._peek(1) == ":":
-            return self._blank_label(line, col)
-        if ch.isdigit() or (ch in "+-" and (self._peek(1).isdigit() or self._peek(1) == ".")) or (
-            ch == "." and self._peek(1).isdigit()
-        ):
-            return self._number(line, col)
-        return self._name(line, col)
-
-    def _iriref(self, line: int, col: int) -> _Token:
-        self._advance()  # <
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError("unterminated IRI", line, col)
-            ch = self._advance()
-            if ch == ">":
-                return _Token("iriref", "".join(out), line, col)
-            if ch in " \t\r\n":
-                raise ParseError("whitespace inside IRI", line, col)
-            if ch == "\\":
-                out.append(self._unicode_escape(line, col))
-            else:
-                out.append(ch)
-
-    def _unicode_escape(self, line: int, col: int) -> str:
-        kind = self._advance()
-        if kind == "u":
-            digits = self._advance(4)
-        elif kind == "U":
-            digits = self._advance(8)
-        else:
-            raise ParseError(f"invalid IRI escape \\{kind}", line, col)
+    def one(m: re.Match) -> str:
+        escape = m[1]
+        if escape[0] not in "uU":
+            return _ESCAPES[escape]
         try:
-            return chr(int(digits, 16))
+            return chr(int(escape[1:], 16))
         except ValueError:
-            raise ParseError("invalid unicode escape", line, col)
+            raise _error(text, "invalid unicode escape", pos) from None
 
-    def _string(self, line: int, col: int) -> _Token:
-        quote = self._advance()
-        long = False
-        if self._peek() == quote and self._peek(1) == quote:
-            self._advance(2)
-            long = True
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError("unterminated string", line, col)
-            ch = self._advance()
-            if ch == quote:
-                if not long:
-                    return _Token("string", "".join(out), line, col)
-                if self._peek() == quote and self._peek(1) == quote:
-                    self._advance(2)
-                    return _Token("string", "".join(out), line, col)
-                out.append(ch)
-                continue
-            if ch == "\n" and not long:
-                raise ParseError("newline in string", line, col)
-            if ch == "\\":
-                esc = self._peek()
-                if esc in _ESCAPES:
-                    self._advance()
-                    out.append(_ESCAPES[esc])
-                elif esc in "uU":
-                    out.append(self._unicode_escape(line, col))
-                else:
-                    raise ParseError(f"invalid string escape \\{esc}", line, col)
+    return _UNESCAPE.sub(one, body) if "\\" in body else body
+
+
+def _quoted_error(text: str, m: re.Match) -> ParseError:
+    """The first fault of the IRI or string `m`, whose body stops before a
+    closing delimiter: a bad escape in the body, or what stopped it."""
+    pos, end = m.start(), m.end()
+    what = "IRI" if m.lastgroup == "iriref" else "string"
+    ch, letter = text[end : end + 1], text[end + 1 : end + 2]
+    cut_short = ch == "\\" and letter in ("u", "U")  # by the end of the text
+    # a bad escape before the stop is the first fault, so it raises here
+    _unescape(m[m.lastgroup] + (text[end:] if cut_short else ""), text, pos)
+    if ch == "\\" and not cut_short:
+        escape = "IRI" if what == "IRI" or not letter else "string"
+        return _error(text, f"invalid {escape} escape \\{letter}", pos)
+    if ch and ch in " \t\r\n":
+        return _error(text, "whitespace inside IRI" if what == "IRI" else "newline in string", pos)
+    return _error(text, f"unterminated {what}", pos)
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, offset) triples, ending with an "eof" token."""
+    toks: list[tuple[str, object, int]] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # whitespace or comment
+            continue
+        pos = m.start()
+        value = m[kind]
+        if kind == "name":
+            if value in _KEYWORDS:
+                kind = "keyword"
+            elif ":" in value:
+                kind = "pname"
             else:
-                out.append(ch)
+                raise _error(text, f"expected prefixed name, got {value!r}", pos)
+        elif kind == "number":
+            value = literal(value, XSD_DOUBLE if m["exp"] else XSD_DECIMAL if m["frac"] else XSD_INTEGER)
+        elif kind in _QUOTED:
+            if m.end(kind) == m.end():
+                raise _quoted_error(text, m)
+            kind, value = _QUOTED[kind], _unescape(value, text, pos)
+        elif kind == "at":
+            kind = "at_" + value if value in ("prefix", "base") else "langtag"
+        elif kind == "blank" and not value:
+            raise _error(text, "empty blank node label", pos)
+        elif kind == "bad":
+            raise _error(text, f"unexpected character {value!r}", pos)
+        toks.append((kind, value, pos))
+    toks.append(("eof", None, len(text)))
+    return toks
 
-    def _at_keyword(self, line: int, col: int) -> _Token:
-        self._advance()  # @
-        word = []
-        while self._peek().isalpha() or self._peek() == "-":
-            word.append(self._advance())
-        text = "".join(word)
-        if text == "prefix":
-            return _Token("at_prefix", text, line, col)
-        if text == "base":
-            return _Token("at_base", text, line, col)
-        return _Token("langtag", text, line, col)
 
-    def _blank_label(self, line: int, col: int) -> _Token:
-        self._advance(2)  # _:
-        out = []
-        while self._peek().isalnum() or self._peek() in "_-.":
-            if self._peek() == "." and not self._peek(1).isalnum():
-                break
-            out.append(self._advance())
-        if not out:
-            raise ParseError("empty blank node label", line, col)
-        return _Token("blank", "".join(out), line, col)
-
-    def _number(self, line: int, col: int) -> _Token:
-        out = []
-        if self._peek() in "+-":
-            out.append(self._advance())
-        seen_dot = False
-        seen_exp = False
-        while True:
-            ch = self._peek()
-            if ch.isdigit():
-                out.append(self._advance())
-            elif ch == "." and not seen_dot and not seen_exp and self._peek(1).isdigit():
-                seen_dot = True
-                out.append(self._advance())
-            elif ch in "eE" and not seen_exp and (self._peek(1).isdigit() or self._peek(1) in "+-"):
-                seen_exp = True
-                out.append(self._advance())
-                if self._peek() in "+-":
-                    out.append(self._advance())
-            else:
-                break
-        text = "".join(out)
-        if seen_exp:
-            dt = XSD_DOUBLE
-        elif seen_dot:
-            dt = XSD_DECIMAL
-        else:
-            dt = XSD_INTEGER
-        return _Token("number", literal(text, dt), line, col)
-
-    def _name(self, line: int, col: int) -> _Token:
-        # prefixed name, bare keyword (a, true, false, PREFIX, BASE) or
-        # the prefix part of a @prefix directive.
-        out = []
-        while True:
-            ch = self._peek()
-            if ch and (ch.isalnum() or ch in "_-.:%À-￿"):
-                if ch == "." and not (self._peek(1).isalnum() or self._peek(1) in "_-:%"):
-                    break
-                out.append(self._advance())
-            else:
-                break
-        text = "".join(out)
-        if not text:
-            raise ParseError(f"unexpected character {self._peek()!r}", line, col)
-        if text == "a" or text in ("true", "false") or text in ("PREFIX", "BASE"):
-            return _Token("keyword", text, line, col)
-        if ":" not in text:
-            raise ParseError(f"expected prefixed name, got {text!r}", line, col)
-        return _Token("pname", text, line, col)
+_TYPE = iri(RDF_TYPE)
+_FIRST = iri(RDF_FIRST)
+_REST = iri(RDF_REST)
+_NIL = iri(RDF_NIL)
 
 
 class _Parser:
     def __init__(self, text: str, mode: str):
-        self.tokens = _Lexer(text).tokens()
+        self.text = text
+        self.tokens = _tokenize(text)
         self.index = 0
         self.mode = mode
         self.prefixes: dict[str, str] = {}
@@ -272,172 +173,174 @@ class _Parser:
 
     # token plumbing -------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def _next(self) -> _Token:
+    def _next(self) -> tuple[str, object, int]:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def _expect(self, kind: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, got {tok.kind}", tok.line, tok.column)
-        return tok
+    def _expect(self, kind: str):
+        got, value, pos = self._next()
+        if got != kind:
+            raise _error(self.text, f"expected {kind}, got {got}", pos)
+        return value
 
     def _fresh_blank(self) -> Term:
         term = blank(f"b{self.blank_counter}")
         self.blank_counter += 1
         return term
 
-    def _labeled_blank(self, label: str) -> Term:
-        if label not in self.blank_map:
-            self.blank_map[label] = self._fresh_blank()
-        return self.blank_map[label]
-
-    def _expand_pname(self, text: str, tok: _Token) -> Term:
+    def _expand_pname(self, text: str, pos: int) -> Term:
         prefix, _, local = text.partition(":")
         if prefix not in self.prefixes:
-            raise ParseError(f"undeclared prefix {prefix!r}", tok.line, tok.column)
+            raise _error(self.text, f"undeclared prefix {prefix!r}", pos)
         return iri(self.prefixes[prefix] + local)
 
     # grammar --------------------------------------------------------
 
     def parse(self) -> list[Triple]:
         while True:
-            tok = self._peek()
-            if tok.kind == "eof":
+            kind, value, pos = self.tokens[self.index]
+            if kind == "eof":
                 return self.triples
-            if tok.kind == "at_prefix":
-                self._next()
-                self._prefix_directive(require_dot=True)
-            elif tok.kind == "keyword" and tok.value == "PREFIX":
-                self._next()
-                self._prefix_directive(require_dot=False)
-            elif tok.kind == "at_base" or (tok.kind == "keyword" and tok.value == "BASE"):
-                raise ParseError("base directives are not supported", tok.line, tok.column)
+            if kind == "at_prefix" or (kind == "keyword" and value == "PREFIX"):
+                self.index += 1
+                name, value, pos = self._next()
+                if name != "pname" or not value.endswith(":"):
+                    raise _error(self.text, "expected prefix declaration", pos)
+                self.prefixes[value[:-1]] = self._expect("iriref")
+                if kind == "at_prefix":
+                    self._expect("dot")
+            elif kind == "at_base" or (kind == "keyword" and value == "BASE"):
+                raise _error(self.text, "base directives are not supported", pos)
             else:
                 self._statement()
 
-    def _prefix_directive(self, require_dot: bool) -> None:
-        tok = self._next()
-        if tok.kind != "pname" or not str(tok.value).endswith(":"):
-            raise ParseError("expected prefix declaration", tok.line, tok.column)
-        prefix = str(tok.value)[:-1]
-        target = self._expect("iriref")
-        self.prefixes[prefix] = str(target.value)
-        if require_dot:
-            self._expect("dot")
-
     def _statement(self) -> None:
-        tok = self._peek()
-        subject = self._node(as_subject=True)
-        if tok.kind == "lbracket" and self._peek().kind == "dot":
-            # "[ ... ] ." with no further predicates is a complete statement
-            self._next()
-            return
-        self._predicate_object_list(subject)
-        self._expect("dot")
+        """One statement, from its subject to its dot.
 
-    def _check_subject(self, term: Term, tok: _Token) -> Term:
-        if self.mode == STRICT and term.is_literal:
-            raise ParseError("literal subject not allowed in strict mode", tok.line, tok.column)
-        return term
+        Each open predicate-object list is a frame [phase, subject,
+        predicate] and each open collection a frame ["items", items, None],
+        on an explicit stack whose bottom frame is the statement's own.  The
+        phase names what the frame reads next: "subject" (bottom frame only),
+        "pred", "obj", or what comes "after" an object.  A frame that closes
+        hands its term to the frame below it.
+        """
+        tokens = self.tokens
+        first_kind, _, first_pos = tokens[self.index]
+        stack: list[list] = [["subject", None, None]]
+        while True:
+            frame = stack[-1]
+            phase = frame[0]
+            if phase == "after":
+                kind = tokens[self.index][0]
+                if kind == "comma":
+                    self.index += 1
+                    frame[0] = "obj"
+                    continue
+                if kind == "semi":
+                    while tokens[self.index][0] == "semi":  # trailing ';' permitted
+                        self.index += 1
+                    if tokens[self.index][0] not in ("dot", "rbracket"):
+                        frame[0] = "pred"
+                        continue
+                if len(stack) == 1:
+                    self._expect("dot")
+                    return
+                self._expect("rbracket")
+                stack.pop()
+                term = frame[1]
+            elif phase == "items":
+                kind, _, pos = tokens[self.index]
+                if kind == "eof":
+                    raise _error(self.text, "unterminated collection", pos)
+                if kind != "rparen":
+                    term = self._node(stack)
+                else:
+                    self.index += 1
+                    stack.pop()
+                    term = _NIL
+                    for item in reversed(frame[1]):
+                        cell = self._fresh_blank()
+                        self.triples.append(Triple(cell, _FIRST, item))
+                        self.triples.append(Triple(cell, _REST, term))
+                        term = cell
+            else:
+                if phase == "pred":
+                    frame[0], frame[2] = "obj", self._predicate()
+                term = self._node(stack)
+            if term is None:  # the node opened a frame
+                continue
+            frame = stack[-1]
+            if frame[0] == "items":
+                frame[1].append(term)
+            elif frame[0] == "obj":
+                self.triples.append(Triple(frame[1], frame[2], term))
+                frame[0] = "after"
+            else:  # the statement's subject
+                if self.mode == STRICT and term.is_literal:
+                    raise _error(self.text, "literal subject not allowed in strict mode", first_pos)
+                if first_kind == "lbracket" and tokens[self.index][0] == "dot":
+                    # "[ ... ] ." with no further predicates is a complete statement
+                    self.index += 1
+                    return
+                frame[0], frame[1] = "pred", term
 
-    def _node(self, as_subject: bool = False):
-        tok = self._next()
-        if tok.kind == "iriref":
-            term = iri(str(tok.value))
-        elif tok.kind == "pname":
-            term = self._expand_pname(str(tok.value), tok)
-        elif tok.kind == "blank":
-            term = self._labeled_blank(str(tok.value))
-        elif tok.kind == "lparen":
-            term = self._collection()
-        elif tok.kind == "lbracket":
-            term = self._blank_property_list()
-        elif tok.kind == "string":
-            term = self._literal_tail(str(tok.value))
-        elif tok.kind == "number":
-            term = tok.value
-        elif tok.kind == "keyword" and tok.value in ("true", "false"):
-            term = literal(str(tok.value), XSD_BOOLEAN)
-        elif tok.kind == "keyword" and tok.value == "a":
-            raise ParseError("'a' is only valid in predicate position", tok.line, tok.column)
-        else:
-            raise ParseError(f"unexpected token {tok.kind}", tok.line, tok.column)
-        if as_subject:
-            return self._check_subject(term, tok)
-        return term
+    def _node(self, stack: list[list]) -> Optional[Term]:
+        """The term at the next token, or None when the token opens a
+        `[ ... ]` or `( ... )`, which is then pushed on `stack` as a frame."""
+        kind, value, pos = self._next()
+        if kind == "pname":
+            return self._expand_pname(value, pos)
+        if kind == "iriref":
+            return iri(value)
+        if kind == "number":
+            return value
+        if kind == "string":
+            return self._literal_tail(value)
+        if kind == "blank":
+            if value not in self.blank_map:
+                self.blank_map[value] = self._fresh_blank()
+            return self.blank_map[value]
+        if kind == "lbracket":
+            node = self._fresh_blank()
+            if self.tokens[self.index][0] != "rbracket":
+                stack.append(["pred", node, None])
+                return None
+            self.index += 1
+            return node
+        if kind == "lparen":
+            stack.append(["items", [], None])
+            return None
+        if kind == "keyword" and value in ("true", "false"):
+            return literal(value, XSD_BOOLEAN)
+        if kind == "keyword" and value == "a":
+            raise _error(self.text, "'a' is only valid in predicate position", pos)
+        raise _error(self.text, f"unexpected token {kind}", pos)
 
     def _literal_tail(self, lexical: str) -> Term:
-        nxt = self._peek()
-        if nxt.kind == "carets":
-            self._next()
-            dt_tok = self._next()
-            if dt_tok.kind == "iriref":
-                dt = str(dt_tok.value)
-            elif dt_tok.kind == "pname":
-                dt = self._expand_pname(str(dt_tok.value), dt_tok).lexical
-            else:
-                raise ParseError("expected datatype IRI", dt_tok.line, dt_tok.column)
-            return literal(lexical, dt)
-        if nxt.kind == "langtag":
-            self._next()
-            return literal(lexical, language=str(nxt.value))
+        kind, value, _ = self.tokens[self.index]
+        if kind == "carets":
+            self.index += 1
+            kind, value, pos = self._next()
+            if kind == "iriref":
+                return literal(lexical, value)
+            if kind == "pname":
+                return literal(lexical, self._expand_pname(value, pos).lexical)
+            raise _error(self.text, "expected datatype IRI", pos)
+        if kind == "langtag":
+            self.index += 1
+            return literal(lexical, language=value)
         return literal(lexical)
 
     def _predicate(self) -> Term:
-        tok = self._next()
-        if tok.kind == "keyword" and tok.value == "a":
-            return iri(RDF_TYPE)
-        if tok.kind == "iriref":
-            return iri(str(tok.value))
-        if tok.kind == "pname":
-            return self._expand_pname(str(tok.value), tok)
-        raise ParseError("expected predicate", tok.line, tok.column)
-
-    def _predicate_object_list(self, subject: Term) -> None:
-        while True:
-            predicate = self._predicate()
-            while True:
-                obj = self._node()
-                self.triples.append(Triple(subject, predicate, obj))
-                if self._peek().kind == "comma":
-                    self._next()
-                    continue
-                break
-            if self._peek().kind == "semi":
-                while self._peek().kind == "semi":  # trailing ';' permitted
-                    self._next()
-                if self._peek().kind in ("dot", "rbracket"):
-                    return
-                continue
-            return
-
-    def _collection(self) -> Term:
-        items = []
-        while self._peek().kind != "rparen":
-            if self._peek().kind == "eof":
-                tok = self._peek()
-                raise ParseError("unterminated collection", tok.line, tok.column)
-            items.append(self._node())
-        self._next()  # )
-        head: Term = iri(RDF_NIL)
-        for item in reversed(items):
-            cell = self._fresh_blank()
-            self.triples.append(Triple(cell, iri(RDF_FIRST), item))
-            self.triples.append(Triple(cell, iri(RDF_REST), head))
-            head = cell
-        return head
-
-    def _blank_property_list(self) -> Term:
-        node = self._fresh_blank()
-        if self._peek().kind != "rbracket":
-            self._predicate_object_list(node)
-        self._expect("rbracket")
-        return node
+        kind, value, pos = self._next()
+        if kind == "pname":
+            return self._expand_pname(value, pos)
+        if kind == "keyword" and value == "a":
+            return _TYPE
+        if kind == "iriref":
+            return iri(value)
+        raise _error(self.text, "expected predicate", pos)
 
 
 def parse_turtle(text: str, mode: str = GENERALIZED) -> TripleGraph:

@@ -357,3 +357,55 @@ def test_long_path_list_gives_one_report_on_both_routes(tmp_path, capsys):
         "conforms": False,
         "violations": [{"focusNode": "<http://corpus.example/a>", "shape": "<http://corpus.example/most>"}],
     }
+
+
+@pytest.mark.parametrize("numeral", ["²", "٣"])
+def test_non_ascii_numeral_in_turtle_exits_65_on_both_routes(tmp_path, capsys, numeral):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(FIG1_SHAPES)
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(f"@prefix : <http://corpus.example/> .\n:a :p {numeral} .\n", encoding="utf-8")
+    for route in ([], ["--direct"]):
+        assert dispatch(["validate", *route, str(graph), str(shapes)]) == 65
+        assert "expected prefixed name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("opener, closer, code", [("[ :p ", " ]", 1), ("( ", " )", 0)])
+def test_deeply_nested_data_gets_a_verdict_on_both_routes(tmp_path, capsys, opener, closer, code):
+    # every subject of :p must have blank :p values; the innermost [ :p :o ]
+    # does not, and a collection's head is the only :p value of :s
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        ":s a sh:PropertyShape ; sh:targetSubjectsOf :p ; sh:path :p ; sh:nodeKind sh:BlankNode ."
+    ))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(":a :p " + opener * 2000 + ":o" + closer * 2000 + " ."))
+    reports = []
+    for route in ([], ["--direct"]):
+        assert dispatch(["validate", *route, str(graph), str(shapes)]) == code
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert len(reports[0]["violations"]) == code
+
+
+def test_integer_of_5000_digits_answers_on_both_routes(tmp_path, capsys):
+    big = "1" * 5000
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        ":s a sh:PropertyShape ; sh:targetNode :a , :b ; sh:path :p ;\n"
+        "  sh:datatype xsd:integer ; sh:minInclusive 5 ."
+    ))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(f':a :p {big} .\n:b :p "-{big}"^^xsd:integer .'))
+    for route in ([], ["--direct"]):
+        assert dispatch(["validate", *route, str(graph), str(shapes)]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            {"focusNode": "<http://corpus.example/b>", "shape": "<http://corpus.example/s>"}
+        ]
+
+
+def test_scl_integer_of_5000_digits_exits_65(tmp_path, capsys):
+    scl = tmp_path / "big.scl"
+    scl.write_text(f"(at <http://e/c> (count>= {'1' * 5000} (rel <http://e/r>) (top)))")
+    assert dispatch(["classify", str(scl)]) == 65
+    assert "integer too long" in capsys.readouterr().err

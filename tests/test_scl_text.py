@@ -83,8 +83,9 @@ def test_order_and_extended_sentences():
     assert print_scl(parse_scl(text)) == text
 
 
-# (parser, text, message, offset); the superscript two is a digit that int()
-# does not read, so it is a symbol, not an int
+# (parser, text, message, offset); an int is ASCII digits, so the
+# superscript two and the Arabic-Indic three are symbols, and one of 5,000
+# digits is more than int() reads from a string
 MALFORMED = [
     (parse_scl, "(at <http://e/c (top))", "unterminated IRI", 4),
     (parse_scl, '(at <http://e/c> (eq "abc))', "unterminated string", 21),
@@ -113,6 +114,10 @@ MALFORMED = [
     (parse_scl, "()", "expected symbol, got rparen", 1),
     (parse_scl, "(at <http://e/c> (count>= \u00b2 (rel <http://e/r>) (top)))",
      "expected int, got symbol", 26),
+    (parse_scl, "(at <http://e/c> (count>= \u0663 (rel <http://e/r>) (top)))",
+     "expected int, got symbol", 26),
+    (parse_scl, "(at <http://e/c> (count>= " + "1" * 5000 + " (rel <http://e/r>) (top)))",
+     "integer too long", 26),
 ]
 
 

@@ -227,6 +227,44 @@ def test_grounding_checks_the_budget_per_conjunct(monkeypatch):
     assert parts == []
 
 
+def test_containment_checks_the_budget_per_refuted_part(monkeypatch):
+    """The clock stands still while the first size's grounder is built and
+    is past the deadline from then on, so no refuted part of the second
+    document may be grounded."""
+    from types import SimpleNamespace
+
+    from corpus import doc_ttl
+    import shaclsat.search as search
+    from shaclsat.containment import check_containment
+    from shaclsat.shapes import parse_document
+
+    built = []
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: 1e9 if built else 0.0))
+    real_init, real_lit = _Grounder.__init__, _Grounder.sentence_lit
+
+    def init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    late = []
+
+    def sentence_lit(self, part):
+        if built:
+            late.append(part)
+        return real_lit(self, part)
+
+    monkeypatch.setattr(_Grounder, "__init__", init)
+    monkeypatch.setattr(_Grounder, "sentence_lit", sentence_lit)
+    doc1 = parse_document(doc_ttl(":s a sh:PropertyShape ; sh:targetClass :A ; sh:path :r ; sh:minCount 1 ."))
+    doc2 = parse_document(doc_ttl(
+        ":t a sh:PropertyShape ; sh:targetClass :A ; sh:path :r ; sh:minCount 2 .\n"
+        ":u a sh:NodeShape ; sh:targetNode :b ; sh:class :B ."
+    ))
+    verdict = check_containment(doc1, doc2, max_domain=3, budget=0.3)
+    assert verdict.outcome == "Aborted"
+    assert len(built) == 1 and late == []
+
+
 def test_verdict_json_shapes():
     v = bounded_sat(TopSentence(), max_domain=2)
     data = v.to_json()

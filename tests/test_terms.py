@@ -1,8 +1,13 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from shaclsat.namespaces import XSD_BOOLEAN, XSD_DATETIME, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from shaclsat.terms import (
+    BOOLEAN,
+    NUMERIC,
     ComparisonVerdict,
     Term,
     Triple,
@@ -16,6 +21,7 @@ from shaclsat.terms import (
     literal,
     malformed_literal,
     string,
+    term_value,
 )
 
 LT, EQ, GT, INC = (
@@ -78,11 +84,52 @@ def test_malformed_literals_are_incomparable():
     assert compare_terms(literal("300", "http://www.w3.org/2001/XMLSchema#byte"), integer(1)) is INC
 
 
-def test_integer_lexical_reads_only_decimal_digits():
-    superscript = literal("\u00b2", XSD_INTEGER)  # a digit that int() does not read
-    assert malformed_literal(superscript)
-    assert compare_terms(superscript, integer(2)) is INC
-    assert compare_terms(literal("\u0663", XSD_INTEGER), integer(3)) is EQ  # Arabic-Indic 3
+_BYTE = "http://www.w3.org/2001/XMLSchema#byte"
+_ONES = (10**5000 - 1) // 9  # 5,000 ones: more digits than int() reads from a string
+
+# (lexical form, datatype, term_value); None marks a malformed literal
+LEXICAL_FORMS = [
+    ("5", XSD_INTEGER, (NUMERIC, Fraction(5))),
+    (" +5 ", XSD_INTEGER, (NUMERIC, Fraction(5))),
+    ("-007", XSD_INTEGER, (NUMERIC, Fraction(-7))),
+    ("1" * 5000, XSD_INTEGER, (NUMERIC, Fraction(_ONES))),
+    ("-" + "1" * 5000, XSD_INTEGER, (NUMERIC, Fraction(-_ONES))),
+    ("", XSD_INTEGER, None),
+    ("+", XSD_INTEGER, None),
+    ("1_000", XSD_INTEGER, None),
+    ("\u0663", XSD_INTEGER, None),  # Arabic-Indic three, which int() reads
+    ("\u00b2", XSD_INTEGER, None),  # superscript two, which int() does not
+    ("1.0", XSD_INTEGER, None),
+    ("127", _BYTE, (NUMERIC, Fraction(127))),
+    ("128", _BYTE, None),
+    ("2.5", XSD_DECIMAL, (NUMERIC, Fraction(5, 2))),
+    ("-.5", XSD_DECIMAL, (NUMERIC, Fraction(-1, 2))),
+    ("1.", XSD_DECIMAL, (NUMERIC, Fraction(1))),
+    ("1e2", XSD_DECIMAL, (NUMERIC, Fraction(100))),  # as str(float) writes it
+    ("1_000.5", XSD_DECIMAL, None),
+    ("\u0663.5", XSD_DECIMAL, None),
+    ("Infinity", XSD_DECIMAL, None),
+    ("NaN", XSD_DECIMAL, None),
+    ("1e3", XSD_DOUBLE, (NUMERIC, Fraction(1000))),
+    ("-2.5E-1", XSD_DOUBLE, (NUMERIC, Fraction(-1, 4))),
+    ("INF", XSD_DOUBLE, (NUMERIC, math.inf)),
+    ("-INF", XSD_DOUBLE, (NUMERIC, -math.inf)),
+    ("inf", XSD_DOUBLE, None),
+    ("NaN", XSD_DOUBLE, None),
+    ("1e999", XSD_DOUBLE, None),
+    ("1_0", XSD_DOUBLE, None),
+    ("\u0663", XSD_DOUBLE, None),
+    ("true", XSD_BOOLEAN, (BOOLEAN, True)),
+    ("0", XSD_BOOLEAN, (BOOLEAN, False)),
+    ("2", XSD_BOOLEAN, None),
+]
+
+
+def test_numeric_lexical_forms():
+    for lexical, datatype, value in LEXICAL_FORMS:
+        term = literal(lexical, datatype)
+        assert term_value(term) == value, lexical[:20]
+        assert malformed_literal(term) is (value is None), lexical[:20]
 
 
 def test_strict_mode_rejects_literal_subjects():

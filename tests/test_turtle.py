@@ -136,3 +136,67 @@ def test_generalized_accepts_superset_of_strict():
     strict_triples = parse_turtle(text, STRICT).triples
     general_triples = parse_turtle(text, GENERALIZED).triples
     assert strict_triples == general_triples
+
+
+_P = "@prefix : <http://e/> .\n"
+
+# Every error the parser raises, with the line and column it names: the
+# start of the offending token, counting columns from 1 in characters.
+ERROR_POSITIONS = [
+    (_P + ":s :p <http://e/o", GENERALIZED, ("unterminated IRI", 2, 7)),
+    (_P + ":s :p <http://e/ o> .", GENERALIZED, ("whitespace inside IRI", 2, 7)),
+    (_P + "\t:s :p :o .\n\t:t\t:p\t<a b> .", GENERALIZED, ("whitespace inside IRI", 3, 8)),
+    (_P + ":s :p <http://e/\\x41> .", GENERALIZED, ("invalid IRI escape \\x", 2, 7)),
+    (_P + ":s :p <http://e/\\u00G1> .", GENERALIZED, ("invalid unicode escape", 2, 7)),
+    (_P + ':s :p "a\\u12" .', GENERALIZED, ("invalid unicode escape", 2, 7)),
+    (_P + ':s :p "abc', GENERALIZED, ("unterminated string", 2, 7)),
+    (_P + ':s :p """abc" .', GENERALIZED, ("unterminated string", 2, 7)),
+    (_P + ':s :p "ab\nc" .', GENERALIZED, ("newline in string", 2, 7)),
+    (_P + ':s :p "a\\qb" .', GENERALIZED, ("invalid string escape \\q", 2, 7)),
+    (_P + ":s :p _: .", GENERALIZED, ("empty blank node label", 2, 7)),
+    (_P + ":s :p :o ; ! .", GENERALIZED, ("unexpected character '!'", 2, 12)),
+    (_P + ":s :p foo .", GENERALIZED, ("expected prefixed name, got 'foo'", 2, 7)),
+    (_P + ":s :p ex:o .", GENERALIZED, ("undeclared prefix 'ex'", 2, 7)),
+    (_P + "@base <http://e/> .", GENERALIZED, ("base directives are not supported", 2, 1)),
+    ("BASE <http://e/>\n", GENERALIZED, ("base directives are not supported", 1, 1)),
+    (_P + ":s :p ( :a :b", GENERALIZED, ("unterminated collection", 2, 14)),
+    (_P + '\n  "x" :p :o .', STRICT, ("literal subject not allowed in strict mode", 3, 3)),
+    (_P + ":s 5 :o .", GENERALIZED, ("expected predicate", 2, 4)),
+    (_P + ":s :p :o ..", GENERALIZED, ("unexpected token dot", 2, 11)),
+    ("@prefix <http://e/> .", GENERALIZED, ("expected prefix declaration", 1, 9)),
+    (_P + ':s :p "x"^^5 .', GENERALIZED, ("expected datatype IRI", 2, 12)),
+    (_P + "a :p :o .", GENERALIZED, ("'a' is only valid in predicate position", 2, 1)),
+    (_P + ":s :p ; .", GENERALIZED, ("unexpected token semi", 2, 7)),
+    (_P + ":s :p [ :q :o .", GENERALIZED, ("expected rbracket, got dot", 2, 15)),
+]
+
+
+@pytest.mark.parametrize("text, mode, expected", ERROR_POSITIONS)
+def test_parse_errors_name_message_line_and_column(text, mode, expected):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(text, mode)
+    assert (err.value.message, err.value.line, err.value.column) == expected
+
+
+@pytest.mark.parametrize("numeral", ["²", "٣", "1٣", "-٣", "1.٣"])
+def test_numerals_are_ascii(numeral):
+    # Turtle's INTEGER is [0-9]+: other decimal digits start no number
+    with pytest.raises(ParseError):
+        parse_turtle(f"@prefix : <http://e/> .\n:a :p {numeral} .")
+
+
+def test_nesting_depth_costs_no_recursion():
+    n = 3000
+    nested = parse_turtle(_P + ":s :p " + "[ :p " * n + ":o" + " ]" * n + " .")
+    assert len(nested) == n + 1
+    assert len({t.subject for t in nested.triples}) == n + 1
+    lists = parse_turtle(_P + ":s :p " + "( " * n + ":o" + " )" * n + " .")
+    assert len(lists) == 2 * n + 1
+    subject = parse_turtle(_P + "[ :p " * n + ":o" + " ]" * n + " .")
+    assert len(subject) == n
+
+
+def test_blank_label_at_end_of_text_is_an_error_not_a_hang():
+    with pytest.raises(ParseError) as err:
+        parse_turtle("<http://e/s> <http://e/p> _:b")
+    assert (err.value.message, err.value.line, err.value.column) == ("expected dot, got eof", 1, 30)
