@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import namespaces as ns
 from .filter_semantics import term_satisfies
@@ -142,11 +143,100 @@ def canonical_key(term: Term) -> tuple:
     if term.is_literal:
         value = term_value(term)
         if value is not None:
-            return ("lit", effective_datatype(term), value[0], str(value[1]))
+            return ("lit", effective_datatype(term), value[0], _value_text(value[1]))
         if term.language:
             return ("lang", term.language.lower(), term.lexical)
         return ("lit", effective_datatype(term), None, term.lexical)
     return (term.kind, term.lexical)
+
+
+def _value_text(value) -> str:
+    """`str(value)`, also for a fraction whose terms pass the interpreter's
+    limit on integer digits."""
+    if isinstance(value, Fraction):
+        text = _decimal_form(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_decimal_form(value.denominator)}"
+    return str(value)
+
+
+def _decimal_form(value: int) -> str:
+    """The canonical decimal form of an integer.  `str(int)` refuses
+    integers past the interpreter's digit limit; a `Decimal` with exponent
+    0 prints the same digits at any length."""
+    return str(Decimal(value))
+
+
+# A combination's literal families: each family's enumerated terms and its
+# sampler, which draws up to n more candidates.
+_Families = list[tuple[list[Term], Callable[[int], list[Term]]]]
+
+
+class TermTable:
+    """The want-independent work of `gamma_with_witnesses`, done once per
+    term and once per combination: each term's filter signature and
+    canonical key, and each combination's cardinality and literal families.
+
+    Bit i of a term's signature is set when the i-th filter of `filters`
+    holds at the term, so a combination over those filters is one mask
+    compare away.  The table only grows; build one for one search or one
+    axiomatization and drop it when that call returns.
+    """
+
+    def __init__(self, filters: Iterable[FilterName]):
+        self.bit = {f: 1 << i for i, f in enumerate(filters)}
+        self._terms: dict[Term, tuple[int, tuple, Term]] = {}
+        self._masks: dict[FilterCombination, tuple[int, int]] = {}
+        self._families: dict[FilterCombination, tuple[Cardinality, _Families]] = {}
+
+    def entry(self, term: Term) -> tuple[int, tuple, Term]:
+        """The term's signature, its canonical key, and the table's own
+        copy of it, so that a term enumerated for many combinations is
+        kept once."""
+        entry = self._terms.get(term)
+        if entry is None:
+            signature = 0
+            for f, bit in self.bit.items():
+                if term_satisfies(f, term):
+                    signature |= bit
+            entry = self._terms[term] = (signature, canonical_key(term), term)
+        return entry
+
+    def signature(self, term: Term) -> int:
+        return self.entry(term)[0]
+
+    def key(self, term: Term) -> tuple:
+        return self.entry(term)[1]
+
+    def masks(self, combo: FilterCombination) -> tuple[int, int]:
+        """(required, mask): a signature masked by `mask` is `required`
+        exactly when every positive filter of `combo` holds at the term
+        and no negative one does."""
+        masks = self._masks.get(combo)
+        if masks is None:
+            positive = negative = 0
+            for f in combo.positive_filters:
+                positive |= self.bit[f]
+            for f in combo.negative_filters:
+                negative |= self.bit[f]
+            # a filter both required and excluded holds at no term
+            masks = self._masks[combo] = (-1 if positive & negative else positive, positive | negative)
+        return masks
+
+    def satisfies(self, combo: FilterCombination, term: Term) -> bool:
+        """`term_satisfies_combination`, reading the filters off the signature."""
+        for c in combo.positive_eq:
+            if term != c:
+                return False
+        if term in combo.negative_eq:
+            return False
+        required, mask = self.masks(combo)
+        return self.signature(term) & mask == required
+
+    def families(self, combo: FilterCombination) -> tuple[Cardinality, _Families]:
+        entry = self._families.get(combo)
+        if entry is None:
+            entry = self._families[combo] = _witness_families(combo, self)
+        return entry
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +406,7 @@ def _family_bounds(sv: _Solved, ctype: str) -> Optional[_Bounds]:
 
 
 def _canonical_integer_term(value: int, datatype: str) -> Term:
-    return literal(str(value), datatype)
+    return literal(_decimal_form(value), datatype)
 
 
 def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[int], Optional[int]]]:
@@ -346,7 +436,7 @@ def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[in
 def _integer_length_count(lo: int, hi: int, len_lo: int, len_hi: Optional[int]) -> int:
     """Integers in [lo, hi] whose canonical decimal form has an allowed length."""
     total = 0
-    max_digits = max(len(str(abs(lo))), len(str(abs(hi)))) + 1
+    max_digits = max(len(_decimal_form(abs(lo))), len(_decimal_form(abs(hi)))) + 1
     top = max_digits if len_hi is None else min(len_hi, max_digits)
     for length in range(max(1, len_lo), top + 1):
         # non-negative with `length` digits (no sign)
@@ -402,7 +492,11 @@ def _known_numeric_datatypes() -> list[str]:
 
 
 def _count_family(
-    combo: FilterCombination, sv: _Solved, datatype: Optional[str], language: Optional[str]
+    combo: FilterCombination,
+    sv: _Solved,
+    datatype: Optional[str],
+    language: Optional[str],
+    table: TermTable,
 ) -> tuple[Cardinality, list[Term]]:
     """Count canonical literal elements of one family; also return exact
     witnesses when the family is small enough to enumerate."""
@@ -422,8 +516,8 @@ def _count_family(
         seen = set()
         kept = []
         for term in candidates:
-            if term_satisfies_combination(combo, term):
-                key = canonical_key(term)
+            if table.satisfies(combo, term):
+                _, key, term = table.entry(term)
                 if key not in seen:
                     seen.add(key)
                     kept.append(term)
@@ -453,7 +547,7 @@ def _count_family(
         count = hi - lo + 1
         if sv.len_lo > 0 or sv.len_hi is not None:
             count = _integer_length_count(lo, hi, sv.len_lo, sv.len_hi)
-        count -= _excluded_in_family(combo, datatype)
+        count -= _excluded_in_family(combo, datatype, table)
         return _finite(max(count, 0)), []
 
     if datatype in _DENSE_NUMERIC or datatype == ns.XSD_DATETIME:
@@ -497,7 +591,7 @@ def _point_term(bounds: _Bounds, datatype: str) -> Optional[Term]:
         return literal(value.isoformat(), datatype)
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return literal(str(value.numerator), datatype)
+            return literal(_decimal_form(value.numerator), datatype)
         return literal(str(value.numerator / value.denominator), datatype)
     return None
 
@@ -514,65 +608,81 @@ def _nul_interval_terms(bounds: _Bounds) -> Optional[list[Term]]:
     return [literal(lo + "\x00" * j) for j in range(pad + 1)]
 
 
-def _excluded_in_family(combo: FilterCombination, datatype: str) -> int:
+def _excluded_in_family(combo: FilterCombination, datatype: str, table: TermTable) -> int:
+    """Excluded constants of the family that pass the combination's filters."""
+    required, mask = table.masks(combo)
     keys = set()
     for c in combo.negative_eq:
-        if c.is_literal and effective_datatype(c) == datatype and term_satisfies_combination(
-            FilterCombination(
-                positive_filters=combo.positive_filters,
-                negative_filters=combo.negative_filters,
-            ),
-            c,
-        ):
-            keys.add(canonical_key(c))
+        if c.is_literal and effective_datatype(c) == datatype:
+            signature, key, _ = table.entry(c)
+            if signature & mask == required:
+                keys.add(key)
     return len(keys)
 
 
-def gamma(combo: FilterCombination) -> Cardinality:
-    count, _ = gamma_with_witnesses(combo, 0)
+def gamma(combo: FilterCombination, table: Optional[TermTable] = None) -> Cardinality:
+    count, _ = gamma_with_witnesses(combo, 0, table)
     return count
 
 
-def gamma_with_witnesses(combo: FilterCombination, want: int) -> tuple[Cardinality, list[Term]]:
+def gamma_with_witnesses(
+    combo: FilterCombination, want: int, table: Optional[TermTable] = None
+) -> tuple[Cardinality, list[Term]]:
     """Cardinality plus up to `want` witness terms (distinct canonical
-    elements, also distinct from every constant mentioned in the combo)."""
+    elements, also distinct from every constant mentioned in the combo).
+    `table` must know every filter of `combo`; without one, a table for
+    this call alone is built."""
     if combo.is_contradictory():
         return Cardinality(0), []
+    if table is None:
+        filters = combo.positive_filters | combo.negative_filters
+        table = TermTable(sorted(filters, key=FilterName.sort_key))
     if combo.positive_eq:
         if len(combo.positive_eq) > 1:
             return Cardinality(0), []
         c = next(iter(combo.positive_eq))
-        if term_satisfies_combination(combo, c):
+        if table.satisfies(combo, c):
             return Cardinality(1), [c]
         return Cardinality(0), []
 
+    count, families = table.families(combo)
+    witnesses: list[Term] = []
+    if not want:
+        return count, witnesses
+    # an excluded constant's key is used from the start, so of the
+    # combination only its filters are left to check
+    used_keys = {table.key(c) for c in combo.negative_eq}
+    required, mask = table.masks(combo)
+    for terms, sampler in families:
+        pool = terms + sampler(want * 3 + 8) if len(witnesses) < want else terms
+        for term in pool:
+            if len(witnesses) >= want:
+                break
+            signature, key, _ = table.entry(term)
+            if key not in used_keys and signature & mask == required:
+                used_keys.add(key)
+                witnesses.append(term)
+    return count, witnesses
+
+
+def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardinality, _Families]:
+    """The cardinality of a combination without a positive equality, and
+    the families its witnesses are drawn from, in order."""
     sv = _solve(combo)
     if sv.impossible or not sv.kinds:
         return Cardinality(0), []
 
     total = 0
     infinite = False
-    witnesses: list[Term] = []
-    used_keys = {canonical_key(c) for c in combo.negative_eq}
+    families: _Families = []
 
-    def note(card: Cardinality, terms: list[Term], sampler=None) -> None:
+    def note(card: Cardinality, terms: list[Term], sampler: Callable[[int], list[Term]]) -> None:
         nonlocal total, infinite
         if card.is_infinite:
             infinite = True
         else:
             total += card.value
-        pool = list(terms)
-        if sampler is not None and len(witnesses) < want:
-            pool += sampler(want * 3 + 8)
-        for term in pool:
-            if len(witnesses) >= want:
-                break
-            key = canonical_key(term)
-            if key in used_keys:
-                continue
-            if term_satisfies_combination(combo, term):
-                used_keys.add(key)
-                witnesses.append(term)
+        families.append((terms, sampler))
 
     if "blank" in sv.kinds:
         has_positive_nonkind = any(
@@ -602,7 +712,7 @@ def gamma_with_witnesses(combo: FilterCombination, want: int) -> tuple[Cardinali
 
     if "literal" in sv.kinds:
         if sv.language is not None:
-            card, terms = _count_family(combo, sv, None, sv.language)
+            card, terms = _count_family(combo, sv, None, sv.language, table)
             note(
                 card,
                 terms,
@@ -612,23 +722,23 @@ def gamma_with_witnesses(combo: FilterCombination, want: int) -> tuple[Cardinali
                 ],
             )
         elif sv.datatype is not None:
-            card, terms = _count_family(combo, sv, sv.datatype, None)
+            card, terms = _count_family(combo, sv, sv.datatype, None, table)
             note(card, terms, _family_sampler(sv, sv.datatype))
         else:
             # no pinned datatype or tag
             if sv.bounds.lo is not None or sv.bounds.hi is not None:
                 ctype = sv.bounds.ctype
-                families: list[str] = []
+                datatypes: list[str] = []
                 if ctype == NUMERIC:
-                    families = _known_numeric_datatypes()
+                    datatypes = _known_numeric_datatypes()
                 elif ctype == BOOLEAN:
-                    families = [ns.XSD_BOOLEAN]
+                    datatypes = [ns.XSD_BOOLEAN]
                 elif ctype == DATETIME:
-                    families = [ns.XSD_DATETIME]
+                    datatypes = [ns.XSD_DATETIME]
                 elif ctype == STRING:
-                    families = [ns.XSD_STRING]
-                for datatype in families:
-                    card, terms = _count_family(combo, sv, datatype, None)
+                    datatypes = [ns.XSD_STRING]
+                for datatype in datatypes:
+                    card, terms = _count_family(combo, sv, datatype, None, table)
                     note(card, terms, _family_sampler(sv, datatype))
             else:
 
@@ -648,8 +758,8 @@ def gamma_with_witnesses(combo: FilterCombination, want: int) -> tuple[Cardinali
                 note(INFINITE, [], mixed_literals)
 
     if infinite:
-        return INFINITE, witnesses
-    return _finite(max(total, 0)), witnesses
+        return INFINITE, families
+    return _finite(max(total, 0)), families
 
 
 _SAMPLE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -822,6 +932,7 @@ def axiomatize(sentence: SclSentence, cap: int = 4096) -> SclSentence:
     """Conjoin the upper-bound counting sentences that force uninterpreted
     filters to respect the canonical cardinalities."""
     filters, constants = filter_alphabet(sentence)
+    table = TermTable(filters)
     parts: list[SclSentence] = [sentence]
     for a, b in incompatible_pairs(filters, constants):
         pair = conj(
@@ -832,7 +943,7 @@ def axiomatize(sentence: SclSentence, cap: int = 4096) -> SclSentence:
         )
         parts.append(AtMostGlobal(0, pair))
     for combo in collect_combinations(sentence, cap):
-        card = gamma(combo)
+        card = gamma(combo, table)
         if card.is_infinite:
             continue
         parts.append(AtMostGlobal(card.value, combo.formula()))

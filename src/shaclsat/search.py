@@ -26,8 +26,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from . import namespaces as ns
-from .filter_semantics import term_satisfies
-from .filters import CapExceeded, FilterCombination, canonical_key, gamma_with_witnesses
+from .filters import CapExceeded, FilterCombination, TermTable, gamma_with_witnesses
 from .scl import (
     Alt,
     And,
@@ -38,6 +37,7 @@ from .scl import (
     EqConst,
     Equals,
     Filter,
+    FilterName,
     ForClass,
     ForSubjectsOf,
     HasShape,
@@ -431,30 +431,37 @@ def _order_witnesses(count: int) -> list[Term]:
     return out
 
 
+def _sorted_filters(scan: SclSentence) -> list[FilterName]:
+    return sorted(formula_filters(scan), key=FilterName.sort_key)
+
+
 def _build_catalog(
     constants: list[Term],
     filters: list,
     fresh_count: int,
     order_needed: bool,
+    table: TermTable,
     deadline: Optional[float] = None,
 ) -> list[Term]:
-    """Candidate terms for free domain slots in canonical mode.  Raises
-    SearchBudgetExceeded once `deadline` has passed, checked before each
-    filter combination."""
-    taken = {canonical_key(c) for c in constants}
+    """Candidate terms for free domain slots in canonical mode.  `table`
+    (over `filters`) carries signatures and combinations from one size to
+    the next.  Raises SearchBudgetExceeded once `deadline` has passed,
+    checked before each filter combination; with no free slot there are no
+    witnesses to draw, so no combination is visited."""
+    taken = {table.key(c) for c in constants}
     catalog: list[Term] = []
 
     def push(term: Term) -> None:
-        key = canonical_key(term)
+        key = table.key(term)
         if key not in taken:
             taken.add(key)
             catalog.append(term)
 
     for i in range(fresh_count):
         push(iri(f"{ns.GEN_NS}elem:{i}"))
-    if filters:
-        if 2 ** len(filters) > CATALOG_CAP:
-            raise CapExceeded(f"filter alphabet too large for catalog ({len(filters)} filters)")
+    if 2 ** len(filters) > CATALOG_CAP:
+        raise CapExceeded(f"filter alphabet too large for catalog ({len(filters)} filters)")
+    if filters and fresh_count:
         for signs in product((True, False), repeat=len(filters)):
             _check_deadline(deadline)
             combo = FilterCombination(
@@ -462,7 +469,7 @@ def _build_catalog(
                 negative_filters=frozenset(f for f, s in zip(filters, signs) if not s),
                 negative_eq=frozenset(constants),
             )
-            _, witnesses = gamma_with_witnesses(combo, fresh_count)
+            _, witnesses = gamma_with_witnesses(combo, fresh_count, table)
             for term in witnesses:
                 push(term)
     if order_needed:
@@ -479,6 +486,7 @@ class _Grounder:
         mode: str,
         scan: Optional[SclSentence] = None,
         deadline: Optional[float] = None,
+        table: Optional[TermTable] = None,
     ):
         self.sentence = sentence
         self.k = k
@@ -488,7 +496,7 @@ class _Grounder:
         scan = scan if scan is not None else sentence
         self.relations = sorted(relation_names(scan), key=Term.sort_key)
         self.constants = sorted(node_constants(scan), key=Term.sort_key)
-        self.filters = sorted(formula_filters(scan), key=lambda f: f.sort_key())
+        self.filters = _sorted_filters(scan)
         seen_defs: dict[Term, ShapeDef] = {}
         for d in shape_definitions(scan):
             seen_defs.setdefault(d.name, d)
@@ -513,6 +521,8 @@ class _Grounder:
         self._sigma_cache: dict[tuple[int, int, bool], int] = {}
 
         if mode == CANONICAL:
+            # signatures over the filters of `scan`, shared by the catalog and the filter atoms
+            self.table = table if table is not None else TermTable(self.filters)
             self._setup_canonical()
         else:
             self._setup_uninterpreted()
@@ -541,7 +551,7 @@ class _Grounder:
             raise ValueError("domain too small for the constants")
         fresh = self.k - m
         self.catalog = _build_catalog(
-            self.constants, self.filters, fresh, self.order_needed, self.deadline
+            self.constants, self.filters, fresh, self.order_needed, self.table, self.deadline
         )
         # not enough distinct candidate terms; extend with plain IRIs
         self.catalog += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(self.catalog))]
@@ -644,8 +654,9 @@ class _Grounder:
         if key not in self.filt:
             if self.mode == UNINTERPRETED:
                 raise KeyError(f"filter {name} not set up")
+            bit, signature = self.table.bit[name], self.table.signature
             self.filt[key] = self.cnf.aux_or(
-                [lit for lit, term in self._choices(i) if term_satisfies(name, term)]
+                [lit for lit, term in self._choices(i) if signature(term) & bit]
             )
         return self.filt[key]
 
@@ -978,7 +989,8 @@ def _least_model(
 
     A non-empty `refuted` also requires some of its parts to fail.  `scan`
     (default: `sentence`) supplies the signature: relations, constants,
-    filters and shape definitions.  The decoded structure carries no
+    filters and shape definitions.  In canonical mode every size reads one
+    term table, dropped on return.  The decoded structure carries no
     shape assignment.  Raises SearchBudgetExceeded once `budget` seconds
     have passed, checked before grounding each size, once per filter
     combination of the catalog and per conjunct and refuted part while
@@ -987,9 +999,10 @@ def _least_model(
     deadline = time.monotonic() + budget if budget else None
     scan = scan if scan is not None else sentence
     lower = max(1, len(node_constants(scan))) if mode == CANONICAL else 1
+    table = TermTable(_sorted_filters(scan)) if mode == CANONICAL else None
     for k in range(lower, max_domain + 1):
         _check_deadline(deadline)
-        grounder = _Grounder(sentence, k, mode, scan, deadline)
+        grounder = _Grounder(sentence, k, mode, scan, deadline, table)
         if refuted:
             fails = []
             for part in refuted:

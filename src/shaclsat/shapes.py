@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import namespaces as ns
-from .terms import Term, Triple, TripleGraph, iri
+from .terms import Term, Triple, TripleGraph, iri, parse_integer_lexical
 from .turtle import parse_turtle
 
 
@@ -405,10 +405,12 @@ def _parse_path(index: _GraphIndex, node: Term) -> ShaclPath:
 
 
 def _as_int(term: Term, what: str) -> int:
-    try:
-        return int(term.lexical)
-    except (TypeError, ValueError):
+    """The integer a count or length literal writes in ASCII digits, as
+    the integer datatypes are read everywhere else."""
+    value = parse_integer_lexical(term.lexical, ns.XSD_INTEGER)
+    if value is None:
         raise ShaclModelError(f"{what} expects an integer, got {term}")
+    return value
 
 
 def _is_true(term: Term) -> bool:

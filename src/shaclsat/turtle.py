@@ -64,8 +64,9 @@ _KEYWORDS = {"a", "true", "false", "PREFIX", "BASE"}
 # optional, so a body that ends the match is the fault's place.  A `\u` or
 # `\U` escape takes the next four or eight characters, whatever they are.
 # A "." stays in a name or blank label, and an exponent's "e" in a number,
-# only before a character that continues it or, for names and numbers, at
-# the end of the text; so a statement's closing dot is its own token.
+# only before a character that continues it or, for an exponent, at the end
+# of the text; so a statement's closing dot is its own token, also as the
+# last character of the text (a local name cannot end in ".").
 # Numbers are ASCII.
 _TOKEN = re.compile(
     r"""[ \t\r\n]+|\#[^\n]*
@@ -80,7 +81,7 @@ _TOKEN = re.compile(
     |_:(?P<blank>(?:[\w-]|\.(?=[^\W_]))*)
     |(?P<number>(?:[0-9]|[+-](?=[0-9.]))[0-9]*
         (?P<frac>\.[0-9]+)?(?P<exp>[eE](?=[0-9+-]|\Z)[+-]?[0-9]*)?)
-    |(?P<name>(?:[\w\-:%\uffff]|\.(?=[\w\-:%]|\Z))+)
+    |(?P<name>(?:[\w\-:%\uffff]|\.(?=[\w\-:%]))+)
     |(?P<bad>.)""",
     re.VERBOSE | re.DOTALL,
 )

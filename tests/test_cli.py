@@ -404,6 +404,32 @@ def test_integer_of_5000_digits_answers_on_both_routes(tmp_path, capsys):
         ]
 
 
+@pytest.mark.parametrize("bounds", [
+    "sh:minInclusive {big}",
+    "sh:datatype xsd:integer ; sh:minInclusive {big} ; sh:maxInclusive {big}",
+])
+def test_sat_with_a_5000_digit_bound_answers(tmp_path, capsys, bounds):
+    big = "1" * 5000
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        ":s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:minCount 1 ;\n"
+        f"  {bounds.format(big=big)} ."
+    ))
+    assert dispatch(["sat", str(shapes)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["model"]["domain"] == [
+        "<http://corpus.example/a>", f'"{big}"^^<http://www.w3.org/2001/XMLSchema#integer>'
+    ]
+
+
+@pytest.mark.parametrize("count", ['"٣"^^xsd:integer', '"1_0"'])
+def test_count_in_other_than_ascii_digits_exits_65(tmp_path, capsys, count):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(f":s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:minCount {count} ."))
+    assert dispatch(["sat", str(shapes)]) == 65
+    assert "min_count expects an integer" in capsys.readouterr().err
+
+
 def test_scl_integer_of_5000_digits_exits_65(tmp_path, capsys):
     scl = tmp_path / "big.scl"
     scl.write_text(f"(at <http://e/c> (count>= {'1' * 5000} (rel <http://e/r>) (top)))")

@@ -1,9 +1,17 @@
+import hashlib
 import itertools
+from itertools import product
 
 import pytest
 
 from shaclsat import namespaces as ns
-from shaclsat.filters import axiomatize
+from shaclsat.filters import (
+    CapExceeded,
+    FilterCombination,
+    axiomatize,
+    canonical_key,
+    gamma_with_witnesses,
+)
 from shaclsat.scl import (
     And,
     AtConst,
@@ -24,10 +32,19 @@ from shaclsat.scl import (
     Star,
     Top,
     TopSentence,
+    node_constants,
     sentence_conj,
 )
-from shaclsat.search import UNINTERPRETED, _Grounder, bounded_sat
-from shaclsat.terms import iri
+from shaclsat.search import (
+    CANONICAL,
+    CATALOG_CAP,
+    UNINTERPRETED,
+    _check_deadline,
+    _Grounder,
+    _order_witnesses,
+    bounded_sat,
+)
+from shaclsat.terms import iri, n3
 
 EX = "http://e/"
 C = iri(EX + "c")
@@ -162,6 +179,21 @@ FILTERS8_TTL = (
     "                sh:minInclusive 18 ; sh:maxInclusive 99 ] ;\n"
     "  sh:property [ sh:path :friend ; sh:minCount 2 ; sh:nodeKind sh:IRI ] .\n"
 )
+FILTERS7_TTL = FILTERS8_TTL.replace(' ; sh:pattern "^a"', "")
+
+
+def _sentences(*bodies):
+    from corpus import corpus_documents, doc_ttl
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    texts = [text for _, text in corpus_documents()] + [doc_ttl(body) for body in bodies]
+    return [translate(parse_document(text)) for text in texts]
+
+
+def _sizes(sentence, mode):
+    """Sizes up to 5, from the least that holds the constants in canonical mode."""
+    return range(max(1, len(node_constants(sentence))) if mode == CANONICAL else 1, 6)
 
 
 def test_budget_abort():
@@ -204,6 +236,11 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_catalog_checks_the_budget_per_filter_combination(monkeypatch):
+    """The clock stands still through size 1, whose one slot holds the
+    constant, and until three combinations of size 2's catalog are drawn;
+    from then on it is past the deadline, so no fourth may be drawn."""
+    from types import SimpleNamespace
+
     from corpus import doc_ttl
     import shaclsat.search as search
     from shaclsat.shapes import parse_document
@@ -211,10 +248,11 @@ def test_catalog_checks_the_budget_per_filter_combination(monkeypatch):
 
     sentence = translate(parse_document(doc_ttl(FILTERS8_TTL)))
     combos = _count_calls(monkeypatch, search, "gamma_with_witnesses")
-    _expire_after_pre_grounding_check(monkeypatch)
+    clock = lambda: 1e9 if len(combos) >= 3 else 0.0
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=clock))
     verdict = bounded_sat(sentence, max_domain=5, budget=0.3)
     assert verdict.outcome == "Aborted"
-    assert combos == []
+    assert [want for _, want, _ in combos] == [1, 1, 1]
 
 
 def test_grounding_checks_the_budget_per_conjunct(monkeypatch):
@@ -322,3 +360,115 @@ def test_order_atom_between_two_constants(q_value, outcome):
         # :alice, 5 and 7 are constants, so the order atom compares two fixed slots
         assert len(v.model.domain) == 3
         assert validate_direct(v.model.to_graph(), doc).conforms
+
+
+def _parent_build_catalog(
+    constants: list,
+    filters: list,
+    fresh_count: int,
+    order_needed: bool,
+    deadline=None,
+) -> list:
+    """The catalog builder as it was before the term table: every size
+    solves every combination again and tests every term from scratch."""
+    taken = {canonical_key(c) for c in constants}
+    catalog: list = []
+
+    def push(term) -> None:
+        key = canonical_key(term)
+        if key not in taken:
+            taken.add(key)
+            catalog.append(term)
+
+    for i in range(fresh_count):
+        push(iri(f"{ns.GEN_NS}elem:{i}"))
+    if filters:
+        if 2 ** len(filters) > CATALOG_CAP:
+            raise CapExceeded(f"filter alphabet too large for catalog ({len(filters)} filters)")
+        for signs in product((True, False), repeat=len(filters)):
+            _check_deadline(deadline)
+            combo = FilterCombination(
+                positive_filters=frozenset(f for f, s in zip(filters, signs) if s),
+                negative_filters=frozenset(f for f, s in zip(filters, signs) if not s),
+                negative_eq=frozenset(constants),
+            )
+            _, witnesses = gamma_with_witnesses(combo, fresh_count)
+            for term in witnesses:
+                push(term)
+    if order_needed:
+        for term in _order_witnesses(fresh_count):
+            push(term)
+    return catalog
+
+
+# sha1 of the 254 catalogs below, measured before the term table (b5d388d)
+CATALOG_DIGEST = "b732fe8555499a96b4adbf24972ea7542bb1e26b"
+
+
+def test_catalog_from_one_term_table_matches_the_rebuilt_catalog():
+    """Sizes 1 to 5 share one term table, as in a search; each size's
+    catalog is the one rebuilt from scratch, in the same order, and the
+    one built before the table."""
+    digest = hashlib.sha1()
+    for sentence in _sentences(FILTERS8_TTL, FILTERS7_TTL):
+        table = None
+        for k in _sizes(sentence, CANONICAL):
+            grounder = _Grounder(sentence, k, CANONICAL, table=table)
+            table = grounder.table
+            fresh = k - len(grounder.constants)
+            expected = _parent_build_catalog(
+                grounder.constants, grounder.filters, fresh, grounder.order_needed
+            )
+            expected += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(expected))]
+            assert grounder.catalog == expected, (k, sentence)
+            digest.update(repr([n3(t) for t in grounder.catalog]).encode())
+    assert digest.hexdigest() == CATALOG_DIGEST
+
+
+def test_search_tests_each_filter_at_each_term_once(monkeypatch):
+    """Within the search (catalog and grounding; the re-evaluation of the
+    model afterwards is an independent check), no (filter, term) pair is
+    tested twice."""
+    import shaclsat
+    import shaclsat.filter_semantics as semantics
+    import shaclsat.search as search
+
+    [sentence] = _sentences(FILTERS8_TTL)[-1:]
+    calls = []
+    searching = []
+    real = semantics.term_satisfies
+
+    def counted(name, term):
+        if searching:
+            calls.append((name, term))
+        return real(name, term)
+
+    for module in [m for m in vars(shaclsat).values() if getattr(m, "term_satisfies", None) is real]:
+        monkeypatch.setattr(module, "term_satisfies", counted)
+    real_least = search._least_model
+
+    def least_model(*args, **kwargs):
+        searching.append(True)
+        try:
+            return real_least(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(search, "_least_model", least_model)
+    assert bounded_sat(sentence, max_domain=5).is_sat
+    assert calls and len(calls) == len(set(calls))
+
+
+# sha1 of the 529 CNFs below, measured before the term table (b5d388d)
+CNF_DIGEST = "d6dc8ccb1379e7a48cd16a122ee21b6b13ee7603"
+
+
+def test_cnf_of_corpus_and_filter_documents_is_pinned():
+    digest = hashlib.sha1()
+    for sentence in _sentences(FILTERS8_TTL, FILTERS7_TTL):
+        for mode in (CANONICAL, UNINTERPRETED):
+            for k in _sizes(sentence, mode):
+                g = _Grounder(sentence, k, mode)
+                state = (k, mode, g.cnf.n_vars, g.cnf.clauses, g.decision_vars, sorted(g.preferred.items()))
+                digest.update(repr(state).encode())
+    assert digest.hexdigest() == CNF_DIGEST

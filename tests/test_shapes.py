@@ -53,6 +53,18 @@ def test_undefined_reference_materializes_empty_shape():
     assert ghost.constraints == () and ghost.targets == ()
 
 
+@pytest.mark.parametrize("count", ['"٣"^^xsd:integer', '"３"', '"1_0"', '"+"', '"3.0"', ":three"])
+def test_counts_are_ascii_integers(count):
+    # read as the integer datatypes are, so a count Python's int() would accept is still malformed
+    with pytest.raises(ShaclModelError, match="expects an integer"):
+        parse_document(doc_ttl(f":s a sh:PropertyShape ; sh:path :r ; sh:minCount {count} ."))
+
+
+def test_counts_read_signs_and_zero_padding():
+    doc = parse_document(doc_ttl(':s a sh:PropertyShape ; sh:path :r ; sh:minCount "+007" ; sh:maxLength " 4 " .'))
+    assert {c.kind: c.args for c in doc.shapes[0].constraints} == {"min_count": (7,), "max_length": (4,)}
+
+
 def test_multiple_paths_rejected():
     with pytest.raises(ShaclModelError):
         parse_document(doc_ttl(":s a sh:PropertyShape ; sh:path :r ; sh:path :q ."))

@@ -200,3 +200,14 @@ def test_blank_label_at_end_of_text_is_an_error_not_a_hang():
     with pytest.raises(ParseError) as err:
         parse_turtle("<http://e/s> <http://e/p> _:b")
     assert (err.value.message, err.value.line, err.value.column) == ("expected dot, got eof", 1, 30)
+
+
+@pytest.mark.parametrize("name", [":b", "ex:b", "_:b"])
+def test_final_dot_after_a_name_closes_the_statement(name):
+    # a local name cannot end in ".", so the last dot of the text is the statement's
+    text = _P + "@prefix ex: <http://e/> .\n:a :p " + name + "."
+    [triple] = parse_turtle(text).triples
+    assert triple.subject == iri("http://e/a")
+    assert parse_turtle(text + "\n") == parse_turtle(text)
+    [inner] = parse_turtle(_P + ":a :p :b.c .").triples
+    assert inner.object == iri("http://e/b.c")
