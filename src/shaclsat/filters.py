@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional
@@ -53,6 +53,7 @@ from .terms import (
     Term,
     blank,
     boolean,
+    decimal_form,
     effective_datatype,
     iri,
     literal,
@@ -154,21 +155,14 @@ def _value_text(value) -> str:
     """`str(value)`, also for a fraction whose terms pass the interpreter's
     limit on integer digits."""
     if isinstance(value, Fraction):
-        text = _decimal_form(value.numerator)
-        return text if value.denominator == 1 else f"{text}/{_decimal_form(value.denominator)}"
+        text = decimal_form(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{decimal_form(value.denominator)}"
     return str(value)
 
 
-def _decimal_form(value: int) -> str:
-    """The canonical decimal form of an integer.  `str(int)` refuses
-    integers past the interpreter's digit limit; a `Decimal` with exponent
-    0 prints the same digits at any length."""
-    return str(Decimal(value))
-
-
-# A combination's literal families: each family's enumerated terms and its
-# sampler, which draws up to n more candidates.
-_Families = list[tuple[list[Term], Callable[[int], list[Term]]]]
+# A literal family: its cardinality, its enumerated terms, and a sampler
+# that draws up to n more candidates (None when the terms are all of them).
+_Family = tuple[Cardinality, list[Term], Optional[Callable[[int], list[Term]]]]
 
 
 class TermTable:
@@ -186,7 +180,7 @@ class TermTable:
         self.bit = {f: 1 << i for i, f in enumerate(filters)}
         self._terms: dict[Term, tuple[int, tuple, Term]] = {}
         self._masks: dict[FilterCombination, tuple[int, int]] = {}
-        self._families: dict[FilterCombination, tuple[Cardinality, _Families]] = {}
+        self._families: dict[FilterCombination, tuple[Cardinality, list[_Family]]] = {}
 
     def entry(self, term: Term) -> tuple[int, tuple, Term]:
         """The term's signature, its canonical key, and the table's own
@@ -232,7 +226,7 @@ class TermTable:
         required, mask = self.masks(combo)
         return self.signature(term) & mask == required
 
-    def families(self, combo: FilterCombination) -> tuple[Cardinality, _Families]:
+    def families(self, combo: FilterCombination) -> tuple[Cardinality, list[_Family]]:
         entry = self._families.get(combo)
         if entry is None:
             entry = self._families[combo] = _witness_families(combo, self)
@@ -406,7 +400,7 @@ def _family_bounds(sv: _Solved, ctype: str) -> Optional[_Bounds]:
 
 
 def _canonical_integer_term(value: int, datatype: str) -> Term:
-    return literal(_decimal_form(value), datatype)
+    return literal(decimal_form(value), datatype)
 
 
 def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[int], Optional[int]]]:
@@ -436,7 +430,7 @@ def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[in
 def _integer_length_count(lo: int, hi: int, len_lo: int, len_hi: Optional[int]) -> int:
     """Integers in [lo, hi] whose canonical decimal form has an allowed length."""
     total = 0
-    max_digits = max(len(_decimal_form(abs(lo))), len(_decimal_form(abs(hi)))) + 1
+    max_digits = max(len(decimal_form(abs(lo))), len(decimal_form(abs(hi)))) + 1
     top = max_digits if len_hi is None else min(len_hi, max_digits)
     for length in range(max(1, len_lo), top + 1):
         # non-negative with `length` digits (no sign)
@@ -484,35 +478,48 @@ def _dense_interval(bounds: _Bounds) -> str:
     return "open"
 
 
-_DENSE_NUMERIC = (ns.XSD_DECIMAL, ns.XSD_DOUBLE, ns.XSD_FLOAT)
+# The datatypes whose values a bound of each comparison type reaches, in the
+# order their families are drawn when a combination pins no datatype.
+_ORDERED_DATATYPES = {
+    NUMERIC: sorted(ns.XSD_INTEGER_RANGES) + [ns.XSD_DECIMAL, ns.XSD_DOUBLE, ns.XSD_FLOAT],
+    BOOLEAN: [ns.XSD_BOOLEAN],
+    DATETIME: [ns.XSD_DATETIME],
+    STRING: [ns.XSD_STRING],
+}
+_COMPARISON_TYPE = {dt: ctype for ctype, dts in _ORDERED_DATATYPES.items() for dt in dts}
+
+_EMPTY: _Family = (Cardinality(0), [], None)
 
 
-def _known_numeric_datatypes() -> list[str]:
-    return sorted(ns.XSD_INTEGER_RANGES) + list(_DENSE_NUMERIC)
-
-
-def _count_family(
-    combo: FilterCombination,
-    sv: _Solved,
-    datatype: Optional[str],
-    language: Optional[str],
-    table: TermTable,
-) -> tuple[Cardinality, list[Term]]:
-    """Count canonical literal elements of one family; also return exact
-    witnesses when the family is small enough to enumerate."""
-    if language is not None:
-        if language in sv.neg_languages:
-            return Cardinality(0), []
-        if sv.bounds.lo is not None or sv.bounds.hi is not None:
-            return Cardinality(0), []  # language-tagged strings have no order value
-        return _string_space(sv.len_lo, sv.len_hi), []
-
-    if datatype is None:
-        return INFINITE, []
+def _datatype_family(
+    combo: FilterCombination, sv: _Solved, datatype: str, table: TermTable
+) -> _Family:
+    """The canonical literals of one datatype that satisfy the combination.
+    A family small enough to enumerate lists every one of them and needs no
+    sampler; the bounds are solved once, for the count and the sampler."""
     if datatype in sv.neg_datatypes:
-        return Cardinality(0), []
+        return _EMPTY
+    ctype = _COMPARISON_TYPE.get(datatype)
+    if ctype is None:
+        # rdf:langString or an unknown datatype: no order values
+        if sv.bounds.ctype is not None:
+            return _EMPTY
+        if datatype != ns.RDF_LANGSTRING:
+            return INFINITE, [], lambda n: [literal(f"v{i}", datatype) for i in range(n)]
+        if sv.language is None:  # a family per tag
+            return INFINITE, [], lambda n: _tagged_strings(sv, n)
+        return (
+            _string_space(sv.len_lo, sv.len_hi),
+            [],
+            lambda n: [
+                literal(s, language=sv.language) for s in _strings_within(sv.len_lo, sv.len_hi, n)
+            ],
+        )
+    bounds = _family_bounds(sv, ctype)
+    if bounds is None:
+        return _EMPTY
 
-    def enumerate_terms(candidates: list[Term]) -> tuple[Cardinality, list[Term]]:
+    def enumerated(candidates: Iterable[Term]) -> _Family:
         seen = set()
         kept = []
         for term in candidates:
@@ -521,68 +528,62 @@ def _count_family(
                 if key not in seen:
                     seen.add(key)
                     kept.append(term)
-        return Cardinality(len(kept)), kept
+        return Cardinality(len(kept)), kept, None
 
     if datatype == ns.XSD_BOOLEAN:
-        return enumerate_terms([boolean(False), boolean(True)])
+        return enumerated([boolean(False), boolean(True)])
 
     if datatype in ns.XSD_INTEGER_RANGES:
-        bounds = _family_bounds(sv, NUMERIC)
-        if bounds is None:
-            return Cardinality(0), []
         rng = _integer_range(bounds, datatype)
         if rng is None:
-            return Cardinality(0), []
-        lo, hi = rng
-        if lo is None or hi is None:
+            return _EMPTY
+        lo, hi = rng  # the sampler's range, open ends included
+
+        def sample(n: int) -> list[Term]:
+            start = lo if lo is not None else (min(hi, 0) - n if hi is not None else 0)
+            stop = start + n if hi is None else min(start + n, hi + 1)
+            return [_canonical_integer_term(v, datatype) for v in range(start, stop)]
+
+        first, last = rng
+        if first is None or last is None:
             if sv.len_hi is None:
-                return INFINITE, []
+                return INFINITE, [], sample
             # bounded canonical length makes the set finite
             limit = 10**sv.len_hi
-            lo = -limit if lo is None else lo
-            hi = limit if hi is None else hi
-        if hi - lo + 1 <= _ENUM_LIMIT:
-            terms = [_canonical_integer_term(v, datatype) for v in range(lo, hi + 1)]
-            return enumerate_terms(terms)
-        count = hi - lo + 1
+            first = -limit if first is None else first
+            last = limit if last is None else last
+        if last - first + 1 <= _ENUM_LIMIT:
+            return enumerated(_canonical_integer_term(v, datatype) for v in range(first, last + 1))
+        count = last - first + 1
         if sv.len_lo > 0 or sv.len_hi is not None:
-            count = _integer_length_count(lo, hi, sv.len_lo, sv.len_hi)
+            count = _integer_length_count(first, last, sv.len_lo, sv.len_hi)
         count -= _excluded_in_family(combo, datatype, table)
-        return _finite(max(count, 0)), []
+        return _finite(max(count, 0)), [], sample
 
-    if datatype in _DENSE_NUMERIC or datatype == ns.XSD_DATETIME:
-        ctype = NUMERIC if datatype in _DENSE_NUMERIC else DATETIME
-        bounds = _family_bounds(sv, ctype)
-        if bounds is None:
-            return Cardinality(0), []
-        shape = _dense_interval(bounds)
-        if shape == "empty":
-            return Cardinality(0), []
-        if shape == "point":
-            point = _point_term(bounds, datatype)
-            if point is None:
-                return Cardinality(0), []
-            return enumerate_terms([point])
-        return INFINITE, []
-
-    if datatype == ns.XSD_STRING:
-        bounds = _family_bounds(sv, STRING)
-        if bounds is None:
-            return Cardinality(0), []
+    if ctype == STRING:
         nul_family = _nul_interval_terms(bounds)
         if nul_family is not None:
-            return enumerate_terms(nul_family)
+            return enumerated(nul_family)
         if bounds.lo is not None and bounds.hi is not None and bounds.lo[1] > bounds.hi[1]:
-            return Cardinality(0), []
-        return _string_space(sv.len_lo, sv.len_hi), []
+            return _EMPTY
+        return (
+            _string_space(sv.len_lo, sv.len_hi),
+            [],
+            lambda n: [literal(s) for s in _strings_within(sv.len_lo, sv.len_hi, n)],
+        )
 
-    if datatype == ns.RDF_LANGSTRING:
-        return Cardinality(0), []  # needs a tag; counted in the language families
-
-    # unknown datatype: unconstrained lexical space, no order values
-    if sv.bounds.lo is not None or sv.bounds.hi is not None:
-        return Cardinality(0), []
-    return INFINITE, []
+    # decimal, double, float and dateTime: dense orders
+    shape = _dense_interval(bounds)
+    if shape == "empty":
+        return _EMPTY
+    if shape == "point":
+        point = _point_term(bounds, datatype)
+        return _EMPTY if point is None else enumerated([point])
+    if ctype == DATETIME:
+        return INFINITE, [], lambda n: [
+            literal(f"2020-01-{day:02d}T00:00:00", datatype) for day in range(1, n + 1)
+        ]
+    return INFINITE, [], lambda n: _dense_sample(bounds, datatype, n)
 
 
 def _point_term(bounds: _Bounds, datatype: str) -> Optional[Term]:
@@ -591,9 +592,35 @@ def _point_term(bounds: _Bounds, datatype: str) -> Optional[Term]:
         return literal(value.isoformat(), datatype)
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return literal(_decimal_form(value.numerator), datatype)
-        return literal(str(value.numerator / value.denominator), datatype)
+            return literal(decimal_form(value.numerator), datatype)
+        return literal(_numeral(value), datatype)
     return None
+
+
+def _dense_sample(bounds: _Bounds, datatype: str, n: int) -> list[Term]:
+    """n evenly spaced values inside a dense interval; an open end is taken
+    n + 1 past the other end, or at 0."""
+    lo = bounds.lo[1] if bounds.lo is not None else Fraction(0)
+    hi = bounds.hi[1] if bounds.hi is not None else lo + n + 1
+    if lo == math.inf or hi == -math.inf:
+        return []
+    lo = Fraction(0) if lo == -math.inf else Fraction(lo)
+    hi = lo + n + 1 if hi == math.inf else Fraction(hi)
+    if hi < lo:
+        return []
+    step = (hi - lo) / (n + 1)
+    return [literal(_numeral(lo + step * i), datatype) for i in range(1, n + 1)]
+
+
+def _numeral(value: Fraction) -> str:
+    """`str(float(value))`; past the float range, the quotient in decimal
+    to 17 digits after the integer part."""
+    try:
+        return str(float(value))
+    except OverflowError:
+        with localcontext() as context:
+            context.prec = len(decimal_form(abs(value.numerator) // value.denominator)) + 17
+            return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
 def _nul_interval_terms(bounds: _Bounds) -> Optional[list[Term]]:
@@ -653,8 +680,8 @@ def gamma_with_witnesses(
     # combination only its filters are left to check
     used_keys = {table.key(c) for c in combo.negative_eq}
     required, mask = table.masks(combo)
-    for terms, sampler in families:
-        pool = terms + sampler(want * 3 + 8) if len(witnesses) < want else terms
+    for _, terms, sampler in families:
+        pool = terms + sampler(want * 3 + 8) if sampler and len(witnesses) < want else terms
         for term in pool:
             if len(witnesses) >= want:
                 break
@@ -665,36 +692,20 @@ def gamma_with_witnesses(
     return count, witnesses
 
 
-def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardinality, _Families]:
+def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardinality, list[_Family]]:
     """The cardinality of a combination without a positive equality, and
     the families its witnesses are drawn from, in order."""
     sv = _solve(combo)
     if sv.impossible or not sv.kinds:
         return Cardinality(0), []
 
-    total = 0
-    infinite = False
-    families: _Families = []
-
-    def note(card: Cardinality, terms: list[Term], sampler: Callable[[int], list[Term]]) -> None:
-        nonlocal total, infinite
-        if card.is_infinite:
-            infinite = True
-        else:
-            total += card.value
-        families.append((terms, sampler))
-
+    # a positive filter other than a node kind rules out blank nodes, and
+    # one about values rules out IRIs
+    families: list[_Family] = []
     if "blank" in sv.kinds:
-        has_positive_nonkind = any(
-            not isinstance(f, (IsIri, IsLiteral, IsBlank)) for f in combo.positive_filters
-        )
-        if not has_positive_nonkind:
-            note(INFINITE, [], lambda n: [blank(f"w{i}") for i in range(n)])
+        families.append((INFINITE, [], lambda n: [blank(f"w{i}") for i in range(n)]))
 
-    if "iri" in sv.kinds and sv.datatype is None and sv.language is None and (
-        sv.bounds.lo is None and sv.bounds.hi is None
-    ):
-        space = _string_space(sv.len_lo, sv.len_hi)
+    if "iri" in sv.kinds:
 
         def iri_sampler(n: int) -> list[Term]:
             base = ns.GEN_NS + "fresh:"
@@ -708,58 +719,24 @@ def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardi
                 out.append(iri(name))
             return out
 
-        note(space, [], iri_sampler)
+        families.append((_string_space(sv.len_lo, sv.len_hi), [], iri_sampler))
 
     if "literal" in sv.kinds:
         if sv.language is not None:
-            card, terms = _count_family(combo, sv, None, sv.language, table)
-            note(
-                card,
-                terms,
-                lambda n: [
-                    literal(s, language=sv.language)
-                    for s in _strings_within(sv.len_lo, sv.len_hi, n)
-                ],
-            )
+            datatypes = [ns.RDF_LANGSTRING]
         elif sv.datatype is not None:
-            card, terms = _count_family(combo, sv, sv.datatype, None, table)
-            note(card, terms, _family_sampler(sv, sv.datatype))
-        else:
-            # no pinned datatype or tag
-            if sv.bounds.lo is not None or sv.bounds.hi is not None:
-                ctype = sv.bounds.ctype
-                datatypes: list[str] = []
-                if ctype == NUMERIC:
-                    datatypes = _known_numeric_datatypes()
-                elif ctype == BOOLEAN:
-                    datatypes = [ns.XSD_BOOLEAN]
-                elif ctype == DATETIME:
-                    datatypes = [ns.XSD_DATETIME]
-                elif ctype == STRING:
-                    datatypes = [ns.XSD_STRING]
-                for datatype in datatypes:
-                    card, terms = _count_family(combo, sv, datatype, None, table)
-                    note(card, terms, _family_sampler(sv, datatype))
-            else:
+            datatypes = [sv.datatype]
+        elif sv.bounds.ctype is not None:
+            datatypes = _ORDERED_DATATYPES[sv.bounds.ctype]
+        else:  # no pinned datatype, tag or bound
+            datatypes = []
+            families.append((INFINITE, [], lambda n: _mixed_literals(sv, n)))
+        families += [_datatype_family(combo, sv, datatype, table) for datatype in datatypes]
 
-                def mixed_literals(n: int) -> list[Term]:
-                    plain = [literal(s) for s in _strings_within(sv.len_lo, sv.len_hi, n)]
-                    tagged = [
-                        literal(s, language=f"x-t{i}")
-                        for i, s in enumerate(_strings_within(sv.len_lo, sv.len_hi, 1) * n)
-                    ]
-                    numbers = [
-                        literal(str(i), ns.XSD_INTEGER)
-                        for i in range(n)
-                        if sv.len_lo <= len(str(i)) and (sv.len_hi is None or len(str(i)) <= sv.len_hi)
-                    ]
-                    return plain + tagged + numbers
-
-                note(INFINITE, [], mixed_literals)
-
-    if infinite:
+    counts = [card.value for card, _, _ in families]
+    if None in counts:
         return INFINITE, families
-    return _finite(max(total, 0)), families
+    return _finite(sum(counts)), families
 
 
 _SAMPLE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -793,56 +770,23 @@ def _strings_within(len_lo: int, len_hi: Optional[int], n: int) -> list[str]:
     return out
 
 
-def _family_sampler(sv: _Solved, datatype: str):
-    if datatype in ns.XSD_INTEGER_RANGES:
+def _tagged_strings(sv: _Solved, n: int) -> list[Term]:
+    """n language-tagged literals, one lexical form under n fresh tags."""
+    return [
+        literal(s, language=f"x-t{i}")
+        for i, s in enumerate(_strings_within(sv.len_lo, sv.len_hi, 1) * n)
+    ]
 
-        def sample(n: int) -> list[Term]:
-            bounds = _family_bounds(sv, NUMERIC)
-            if bounds is None:
-                return []
-            rng = _integer_range(bounds, datatype)
-            if rng is None:
-                return []
-            lo, hi = rng
-            start = lo if lo is not None else (min(hi, 0) - n if hi is not None else 0)
-            out = []
-            v = start
-            while len(out) < n and (hi is None or v <= hi):
-                out.append(_canonical_integer_term(v, datatype))
-                v += 1
-            return out
 
-        return sample
-    if datatype in _DENSE_NUMERIC:
-
-        def sample_dense(n: int) -> list[Term]:
-            bounds = _family_bounds(sv, NUMERIC)
-            if bounds is None:
-                return []
-            lo = bounds.lo[1] if bounds.lo is not None else Fraction(0)
-            hi = bounds.hi[1] if bounds.hi is not None else lo + n + 1
-            if lo == math.inf or hi == -math.inf:
-                return []
-            lo = Fraction(0) if lo == -math.inf else Fraction(lo)
-            hi = lo + n + 1 if hi == math.inf else Fraction(hi)
-            if hi < lo:
-                return []
-            out = []
-            for i in range(1, n + 1):
-                value = lo + (hi - lo) * Fraction(i, n + 1)
-                out.append(literal(str(float(value)), datatype))
-            return out
-
-        return sample_dense
-    if datatype == ns.XSD_STRING:
-        return lambda n: [literal(s) for s in _strings_within(sv.len_lo, sv.len_hi, n)]
-    if datatype == ns.XSD_DATETIME:
-        return lambda n: [
-            literal(f"2020-01-{day:02d}T00:00:00", ns.XSD_DATETIME) for day in range(1, n + 1)
-        ]
-    if datatype == ns.XSD_BOOLEAN:
-        return lambda n: [boolean(False), boolean(True)]
-    return lambda n: [literal(f"v{i}", datatype) for i in range(n)]
+def _mixed_literals(sv: _Solved, n: int) -> list[Term]:
+    """Literals of several datatypes, for a combination that pins none."""
+    plain = [literal(s) for s in _strings_within(sv.len_lo, sv.len_hi, n)]
+    numbers = [
+        literal(str(i), ns.XSD_INTEGER)
+        for i in range(n)
+        if sv.len_lo <= len(str(i)) and (sv.len_hi is None or len(str(i)) <= sv.len_hi)
+    ]
+    return plain + _tagged_strings(sv, n) + numbers
 
 
 # --------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .scl import (
     Top,
     TopSentence,
 )
-from .terms import Term, blank, iri, literal
+from .terms import blank, decimal_form, iri, literal, n3, string
 
 
 class SclSyntaxError(ValueError):
@@ -61,25 +61,6 @@ class SclSyntaxError(ValueError):
 # Printing
 # --------------------------------------------------------------------------
 
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _quote(text: str) -> str:
-    return '"' + "".join(_STRING_ESCAPES.get(ch, ch) for ch in text) + '"'
-
-
-def _term(term: Term) -> str:
-    if term.is_iri:
-        return f"<{term.lexical}>"
-    if term.is_blank:
-        return f"_:{term.lexical}"
-    body = _quote(term.lexical)
-    if term.language:
-        return f"{body}@{term.language}"
-    if term.datatype:
-        return f"{body}^^<{term.datatype}>"
-    return body
-
 
 def _filter(name: FilterName) -> str:
     if isinstance(name, IsIri):
@@ -91,17 +72,17 @@ def _filter(name: FilterName) -> str:
     if isinstance(name, HasDatatype):
         return f"datatype <{name.datatype}>"
     if isinstance(name, HasLanguage):
-        return f"lang {_quote(name.tag)}"
+        return f"lang {n3(string(name.tag))}"
     if isinstance(name, MinLength):
-        return f"min-length {name.bound}"
+        return f"min-length {decimal_form(name.bound)}"
     if isinstance(name, MaxLength):
-        return f"max-length {name.bound}"
+        return f"max-length {decimal_form(name.bound)}"
     if isinstance(name, Matches):
-        return f"pattern {_quote(name.pattern)}"
+        return f"pattern {n3(string(name.pattern))}"
     if isinstance(name, MinValue):
-        return f"min-value {_term(name.bound)} {'strict' if name.strict else 'incl'}"
+        return f"min-value {n3(name.bound)} {'strict' if name.strict else 'incl'}"
     if isinstance(name, MaxValue):
-        return f"max-value {_term(name.bound)} {'strict' if name.strict else 'incl'}"
+        return f"max-value {n3(name.bound)} {'strict' if name.strict else 'incl'}"
     raise TypeError(f"unknown filter {name!r}")
 
 
@@ -112,7 +93,7 @@ def _pieces(node: Union[SclSentence, SclFormula, PathExpr]) -> list:
     if isinstance(node, (And, SAnd)):
         return ["(and ", node.left, " ", node.right, ")"]
     if isinstance(node, Rel):
-        return [f"(inv {_term(node.name)})" if node.inverted else f"(rel {_term(node.name)})"]
+        return [f"(inv {n3(node.name)})" if node.inverted else f"(rel {n3(node.name)})"]
     if isinstance(node, Seq):
         return ["(seq ", node.left, " ", node.right, ")"]
     if isinstance(node, Opt):
@@ -122,34 +103,34 @@ def _pieces(node: Union[SclSentence, SclFormula, PathExpr]) -> list:
     if isinstance(node, Star):
         return ["(star ", node.inner, ")"]
     if isinstance(node, EqConst):
-        return [f"(eq {_term(node.constant)})"]
+        return [f"(eq {n3(node.constant)})"]
     if isinstance(node, Filter):
         return [f"(filter {_filter(node.name)})"]
     if isinstance(node, HasShape):
-        return [f"(hasshape {_term(node.shape)})"]
+        return [f"(hasshape {n3(node.shape)})"]
     if isinstance(node, Not):
         return ["(not ", node.body, ")"]
     if isinstance(node, CountExists):
-        return [f"(count>= {node.threshold} ", node.path, " ", node.body, ")"]
+        return [f"(count>= {decimal_form(node.threshold)} ", node.path, " ", node.body, ")"]
     if isinstance(node, Disjoint):
-        return ["(disjoint ", node.path, f" {_term(node.relation)})"]
+        return ["(disjoint ", node.path, f" {n3(node.relation)})"]
     if isinstance(node, Equals):
-        return ["(equals ", node.path, f" {_term(node.relation)})"]
+        return ["(equals ", node.path, f" {n3(node.relation)})"]
     if isinstance(node, OrderCmp):
         op = "lt" if node.strict else "le"
         direction = "inv" if node.inverted else "fwd"
-        return ["(order ", node.path, f" {_term(node.relation)} {op} {direction})"]
+        return ["(order ", node.path, f" {n3(node.relation)} {op} {direction})"]
     if isinstance(node, AtConst):
-        return [f"(at {_term(node.constant)} ", node.body, ")"]
+        return [f"(at {n3(node.constant)} ", node.body, ")"]
     if isinstance(node, ForClass):
-        return [f"(for-class {_term(node.cls)} ", node.body, ")"]
+        return [f"(for-class {n3(node.cls)} ", node.body, ")"]
     if isinstance(node, ForSubjectsOf):
         head = "for-objects" if node.inverted else "for-subjects"
-        return [f"({head} {_term(node.relation)} ", node.body, ")"]
+        return [f"({head} {n3(node.relation)} ", node.body, ")"]
     if isinstance(node, ShapeDef):
-        return [f"(def-shape {_term(node.name)} ", node.body, ")"]
+        return [f"(def-shape {n3(node.name)} ", node.body, ")"]
     if isinstance(node, AtMostGlobal):
-        return [f"(at-most {node.bound} ", node.body, ")"]
+        return [f"(at-most {decimal_form(node.bound)} ", node.body, ")"]
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -289,7 +270,8 @@ _FILTERS = {
     "lang": (lambda t: HasLanguage(t.lexical), ("term",)),
     "min-length": (MinLength, ("int",)),
     "max-length": (MaxLength, ("int",)),
-    "pattern": (lambda t: Matches(t.lexical), ("term",)),
+    # a pattern that does not compile is a syntax error
+    "pattern": (lambda t: Matches(re.compile(t.lexical).pattern), ("term",)),
     "min-value": (lambda bound, s: MinValue(bound, s == "strict"), ("term", ("strict", "incl"))),
     "max-value": (lambda bound, s: MaxValue(bound, s == "strict"), ("term", ("strict", "incl"))),
 }
@@ -316,7 +298,11 @@ def _parse(text: str, category: str):
                 i += 1
                 if kind != "rparen":
                     raise SclSyntaxError(f"expected rparen, got {kind}", pos)
-            node = build(*args)
+            try:
+                node = build(*args)
+            except re.error as err:  # the last token read is the pattern
+                pos = toks[i - 1][2]
+                raise SclSyntaxError(f"invalid pattern {err.pattern!r}: {err.msg}", pos) from None
             build, kinds, args, closes = stack.pop()
             args.append(node)
             continue

@@ -3,6 +3,7 @@ extracted from RDF graphs."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -492,6 +493,12 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
         elif kind in (MIN_LENGTH, MAX_LENGTH, MIN_COUNT, MAX_COUNT):
             constraints.append(Constraint(kind, (_as_int(obj, kind),)))
         elif kind == PATTERN:
+            try:
+                re.compile(obj.lexical)
+            except re.error as err:
+                raise ShaclModelError(
+                    f"shape {name} has invalid sh:pattern {obj.lexical!r}: {err.msg}"
+                ) from None
             constraints.append(Constraint(PATTERN, (obj.lexical,)))
         elif kind == UNIQUE_LANG:
             if _is_true(obj):

@@ -26,6 +26,7 @@ from .namespaces import (
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_FLOAT,
+    XSD_INTEGER,
     XSD_INTEGER_RANGES,
     XSD_STRING,
 )
@@ -88,9 +89,14 @@ def boolean(value: bool) -> Term:
 
 
 def integer(value: int) -> Term:
-    from .namespaces import XSD_INTEGER
+    return literal(decimal_form(value), XSD_INTEGER)
 
-    return literal(str(value), XSD_INTEGER)
+
+def decimal_form(value: int) -> str:
+    """The canonical decimal form of an integer.  `str(int)` refuses
+    integers past the interpreter's digit limit; a `Decimal` with exponent
+    0 prints the same digits at any length."""
+    return str(Decimal(value))
 
 
 def string(value: str) -> Term:

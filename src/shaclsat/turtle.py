@@ -38,6 +38,7 @@ from .terms import (
     blank,
     iri,
     literal,
+    n3,
 )
 
 
@@ -370,12 +371,6 @@ def serialize_turtle(graph: TripleGraph) -> str:
     rendered = {Triple(canon(t.subject), t.predicate, canon(t.object)) for t in graph.triples}
     lines = []
     for t in sorted(rendered, key=Triple.sort_key):
-        pred = "a" if t.predicate.lexical == RDF_TYPE else _render(t.predicate)
-        lines.append(f"{_render(t.subject)} {pred} {_render(t.object)} .")
+        pred = "a" if t.predicate.lexical == RDF_TYPE else n3(t.predicate)
+        lines.append(f"{n3(t.subject)} {pred} {n3(t.object)} .")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _render(term: Term) -> str:
-    from .terms import n3
-
-    return n3(term)

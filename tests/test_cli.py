@@ -435,3 +435,62 @@ def test_scl_integer_of_5000_digits_exits_65(tmp_path, capsys):
     scl.write_text(f"(at <http://e/c> (count>= {'1' * 5000} (rel <http://e/r>) (top)))")
     assert dispatch(["classify", str(scl)]) == 65
     assert "integer too long" in capsys.readouterr().err
+
+
+def test_lang_string_datatype_is_satisfiable_on_both_searches(tmp_path, capsys):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        ":s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:minCount 1 ;\n"
+        "  sh:datatype <http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> ."
+    ))
+    assert dispatch(["sat", str(shapes)]) == 0
+    assert json.loads(capsys.readouterr().out)["model"]["domain"] == [
+        "<http://corpus.example/a>", '"s0"@x-t0'
+    ]
+    assert dispatch(["sat", "--axiomatize", str(shapes)]) == 0
+    capsys.readouterr()
+
+
+_BIG = "1" * 5000
+
+
+@pytest.mark.parametrize("bounds, code, value", [
+    (f"sh:datatype xsd:decimal ; sh:minInclusive {_BIG}", 0,
+     f'"{_BIG[:-1]}2"^^<http://www.w3.org/2001/XMLSchema#decimal>'),
+    (f"sh:datatype xsd:decimal ; sh:minInclusive {_BIG}.5 ; sh:maxInclusive {_BIG}.5", 0,
+     f'"{_BIG}.5"^^<http://www.w3.org/2001/XMLSchema#decimal>'),
+    # no double lies past the float range
+    (f"sh:datatype xsd:double ; sh:minInclusive {_BIG}", 1, None),
+], ids=["decimal", "decimal-point", "double"])
+def test_sat_with_a_dense_bound_past_the_float_range_answers(tmp_path, capsys, bounds, code, value):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        f":s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:minCount 1 ; {bounds} ."
+    ))
+    assert dispatch(["sat", str(shapes)]) == code
+    out = json.loads(capsys.readouterr().out)
+    if value is not None:
+        assert out["model"]["domain"] == ["<http://corpus.example/a>", value]
+
+
+def test_count_of_5000_digits_translates_and_answers(tmp_path, capsys):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(f":s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:minCount {_BIG} ."))
+    assert dispatch(["translate", str(shapes)]) == 0
+    assert f"(count>= {_BIG} (rel <http://corpus.example/p>)" in capsys.readouterr().out
+    for args in (["sat"], ["sat", "--axiomatize"]):
+        assert dispatch([*args, str(shapes)]) == 1
+        assert json.loads(capsys.readouterr().out)["outcome"] == "UnsatUpTo"
+
+
+def test_invalid_pattern_exits_65_on_every_route(tmp_path, capsys):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(':s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:pattern "(" .'))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(':a :p "x" .'))
+    scl = tmp_path / "pattern.scl"
+    scl.write_text('(at <http://e/a> (filter pattern "("))')
+    for args in (["sat", shapes], ["validate", graph, shapes], ["validate", "--direct", graph, shapes],
+                 ["sat", scl]):
+        assert dispatch([str(a) for a in args]) == 65
+        assert "pattern '(': missing )" in capsys.readouterr().err

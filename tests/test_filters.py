@@ -359,3 +359,42 @@ def _family_pin() -> str:
 
 def test_every_literal_family_keeps_its_count_and_witnesses():
     assert _family_pin() == FAMILY_DIGEST
+
+
+
+# ---- rdf:langString and values past the float range ---------------------------
+
+
+def test_lang_string_family_is_the_tagged_literals():
+    c = combo(pos=[HasDatatype(ns.RDF_LANGSTRING)])
+    card, witnesses = gamma_with_witnesses(c, 3)
+    assert card.is_infinite and len(witnesses) == 3
+    for w in witnesses:
+        assert w.language and term_satisfies_combination(c, w)
+    c = combo(pos=[HasDatatype(ns.RDF_LANGSTRING), MaxLength(1)], neg=[HasLanguage("x-t0")])
+    card, witnesses = gamma_with_witnesses(c, 2)
+    assert card.is_infinite and [w.language for w in witnesses] == ["x-t1", "x-t2"]
+    assert gamma(combo(pos=[HasDatatype(ns.RDF_LANGSTRING), MinValue(integer(0), False)])) == Cardinality(0)
+
+
+def test_language_family_respects_an_excluded_lang_string_datatype():
+    c = combo(pos=[HasLanguage("en")], neg=[HasDatatype(ns.RDF_LANGSTRING)])
+    assert gamma_with_witnesses(c, 3) == (Cardinality(0), [])
+    c = combo(pos=[HasLanguage("en")], neg=[HasDatatype(ns.XSD_STRING)])
+    assert gamma(c).is_infinite
+
+
+_HUGE = "1" * 5000
+
+
+def test_dense_values_past_the_float_range_are_written_exactly():
+    point = literal(_HUGE + ".5", ns.XSD_DECIMAL)
+    c = combo(pos=[HasDatatype(ns.XSD_DECIMAL), MinValue(point, False), MaxValue(point, False)])
+    assert gamma_with_witnesses(c, 2) == (Cardinality(1), [point])
+    c = combo(pos=[HasDatatype(ns.XSD_DECIMAL), MinValue(literal(_HUGE, ns.XSD_INTEGER), True)])
+    card, witnesses = gamma_with_witnesses(c, 2)
+    assert card.is_infinite
+    assert [w.lexical for w in witnesses] == [_HUGE[:-1] + "2", _HUGE[:-1] + "3"]
+    # no double lies past the float range
+    c = combo(pos=[HasDatatype(ns.XSD_DOUBLE), MinValue(literal(_HUGE, ns.XSD_INTEGER), True)])
+    assert gamma_with_witnesses(c, 2)[1] == []

@@ -118,6 +118,8 @@ MALFORMED = [
      "expected int, got symbol", 26),
     (parse_scl, "(at <http://e/c> (count>= " + "1" * 5000 + " (rel <http://e/r>) (top)))",
      "integer too long", 26),
+    (parse_scl, '(at <http://e/c> (filter pattern "a("))',
+     "invalid pattern 'a(': missing ), unterminated subpattern", 33),
 ]
 
 

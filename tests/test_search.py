@@ -40,6 +40,7 @@ from shaclsat.search import (
     CATALOG_CAP,
     UNINTERPRETED,
     _check_deadline,
+    _Cnf,
     _Grounder,
     _order_witnesses,
     bounded_sat,
@@ -472,3 +473,12 @@ def test_cnf_of_corpus_and_filter_documents_is_pinned():
                 state = (k, mode, g.cnf.n_vars, g.cnf.clauses, g.decision_vars, sorted(g.preferred.items()))
                 digest.update(repr(state).encode())
     assert digest.hexdigest() == CNF_DIGEST
+
+
+def test_at_least_more_than_there_are_is_false_without_new_clauses():
+    cnf = _Cnf()
+    lits = [cnf.new_var() for _ in range(3)]
+    clauses = list(cnf.clauses)
+    assert cnf.at_least(lits, 4) == cnf.false_lit
+    assert cnf.at_least(lits, 10**5000) == cnf.false_lit
+    assert cnf.clauses == clauses

@@ -65,6 +65,11 @@ def test_counts_read_signs_and_zero_padding():
     assert {c.kind: c.args for c in doc.shapes[0].constraints} == {"min_count": (7,), "max_length": (4,)}
 
 
+def test_invalid_pattern_rejected_and_named():
+    with pytest.raises(ShaclModelError, match=r"invalid sh:pattern '\(': missing \)"):
+        parse_document(doc_ttl(':s a sh:PropertyShape ; sh:path :r ; sh:pattern "(" .'))
+
+
 def test_multiple_paths_rejected():
     with pytest.raises(ShaclModelError):
         parse_document(doc_ttl(":s a sh:PropertyShape ; sh:path :r ; sh:path :q ."))
