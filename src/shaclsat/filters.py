@@ -244,33 +244,20 @@ class _Bounds:
     hi: Optional[tuple] = None
     impossible: bool = False
 
-    def add_lo(self, ctype: str, value, strict: bool) -> None:
-        if self.lo is not None and self.lo[0] != ctype:
+    def add(self, side: str, ctype: str, value, strict: bool) -> None:
+        """Tighten the lower ("lo") or upper ("hi") bound; bounds of two
+        comparison types hold at no value."""
+        if self.ctype not in (None, ctype):
             self.impossible = True
             return
-        if self.hi is not None and self.hi[0] != ctype:
-            self.impossible = True
+        current = getattr(self, side)
+        if current is None:
+            setattr(self, side, (ctype, value, strict))
             return
-        if self.lo is None:
-            self.lo = (ctype, value, strict)
-            return
-        _, old, old_strict = self.lo
-        if value > old or (value == old and strict and not old_strict):
-            self.lo = (ctype, value, strict)
-
-    def add_hi(self, ctype: str, value, strict: bool) -> None:
-        if self.hi is not None and self.hi[0] != ctype:
-            self.impossible = True
-            return
-        if self.lo is not None and self.lo[0] != ctype:
-            self.impossible = True
-            return
-        if self.hi is None:
-            self.hi = (ctype, value, strict)
-            return
-        _, old, old_strict = self.hi
-        if value < old or (value == old and strict and not old_strict):
-            self.hi = (ctype, value, strict)
+        _, old, old_strict = current
+        tighter = value > old if side == "lo" else value < old
+        if tighter or (value == old and strict and not old_strict):
+            setattr(self, side, (ctype, value, strict))
 
     @property
     def ctype(self) -> Optional[str]:
@@ -319,20 +306,13 @@ def _solve(combo: FilterCombination) -> _Solved:
             if sv.language is not None and sv.language != tag:
                 sv.impossible = True
             sv.language = tag
-        elif isinstance(f, MinValue):
+        elif isinstance(f, (MinValue, MaxValue)):
             kinds &= {"literal"}
             value = term_value(f.bound)
             if value is None:
                 sv.impossible = True
             else:
-                sv.bounds.add_lo(value[0], value[1], f.strict)
-        elif isinstance(f, MaxValue):
-            kinds &= {"literal"}
-            value = term_value(f.bound)
-            if value is None:
-                sv.impossible = True
-            else:
-                sv.bounds.add_hi(value[0], value[1], f.strict)
+                sv.bounds.add("lo" if isinstance(f, MinValue) else "hi", *value, f.strict)
         elif isinstance(f, MinLength):
             kinds -= {"blank"}
             sv.len_lo = max(sv.len_lo, f.bound)
@@ -378,24 +358,15 @@ def _solve(combo: FilterCombination) -> _Solved:
 
 def _family_bounds(sv: _Solved, ctype: str) -> Optional[_Bounds]:
     """Positive bounds plus flipped negative bounds, for one comparison type."""
-    merged = _Bounds()
-    if sv.bounds.lo is not None:
-        if sv.bounds.lo[0] != ctype:
-            return None
-        merged.add_lo(ctype, sv.bounds.lo[1], sv.bounds.lo[2])
-    if sv.bounds.hi is not None:
-        if sv.bounds.hi[0] != ctype:
-            return None
-        merged.add_hi(ctype, sv.bounds.hi[1], sv.bounds.hi[2])
+    if sv.bounds.ctype not in (None, ctype):
+        return None
+    merged = _Bounds(sv.bounds.lo, sv.bounds.hi)
     for f in sv.neg_value_filters:
         value = term_value(f.bound)
         if value is None or value[0] != ctype:
             continue  # vacuously satisfied by this family
-        if isinstance(f, MinValue):
-            # not(x > b) -> x <= b ; not(x >= b) -> x < b
-            merged.add_hi(ctype, value[1], not f.strict)
-        else:
-            merged.add_lo(ctype, value[1], not f.strict)
+        # not(x > b) -> x <= b ; not(x >= b) -> x < b, and the mirror images
+        merged.add("hi" if isinstance(f, MinValue) else "lo", ctype, value[1], not f.strict)
     return None if merged.impossible else merged
 
 
@@ -598,8 +569,8 @@ def _point_term(bounds: _Bounds, datatype: str) -> Optional[Term]:
 
 
 def _dense_sample(bounds: _Bounds, datatype: str, n: int) -> list[Term]:
-    """n evenly spaced values inside a dense interval; an open end is taken
-    n + 1 past the other end, or at 0."""
+    """n evenly spaced values inside a dense interval, whose open lower end
+    is taken at 0 and open upper end n + 1 above the lower one."""
     lo = bounds.lo[1] if bounds.lo is not None else Fraction(0)
     hi = bounds.hi[1] if bounds.hi is not None else lo + n + 1
     if lo == math.inf or hi == -math.inf:
