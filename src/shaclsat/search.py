@@ -409,7 +409,9 @@ class _Cnf:
     def at_least(self, lits: list[int], n: int) -> int:
         """A literal that holds when at least n of `lits` do: one conjunction
         per n-subset, in `combinations` order."""
-        if n > len(lits):  # no subset; `combinations` takes no n past sys.maxsize
+        if n > len(lits):
+            # no n-subset; `combinations` would still allocate n indices,
+            # and takes no n past sys.maxsize
             return self.false_lit
         return self.aux_or([self.aux_and(list(subset)) for subset in combinations(lits, n)])
 

@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 
 from shaclsat import namespaces as ns
@@ -34,7 +37,7 @@ from shaclsat.scl import (
     Top,
     conjuncts,
 )
-from shaclsat.terms import blank, boolean, integer, iri, literal, string
+from shaclsat.terms import blank, boolean, integer, iri, literal, n3, string
 
 XSD = ns.XSD_NS
 
@@ -338,11 +341,6 @@ FAMILY_DIGEST = "66bee2942d4055a58bec50252e3a2e03b5f6369c"
 
 
 def _family_pin() -> str:
-    import hashlib
-    from itertools import product
-
-    from shaclsat.terms import n3
-
     digest = hashlib.sha1()
     for filters, constant in _FAMILY_ALPHABETS:
         for signs in product((True, False), repeat=len(filters)):
