@@ -14,6 +14,7 @@ covered by dedicated zero conjuncts instead of being enumerated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -370,10 +371,6 @@ def _family_bounds(sv: _Solved, ctype: str) -> Optional[_Bounds]:
     return None if merged.impossible else merged
 
 
-def _canonical_integer_term(value: int, datatype: str) -> Term:
-    return literal(decimal_form(value), datatype)
-
-
 def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[int], Optional[int]]]:
     lo, hi = ns.XSD_INTEGER_RANGES[datatype]
     if bounds.lo is not None:
@@ -513,7 +510,7 @@ def _datatype_family(
         def sample(n: int) -> list[Term]:
             start = lo if lo is not None else (min(hi, 0) - n if hi is not None else 0)
             stop = start + n if hi is None else min(start + n, hi + 1)
-            return [_canonical_integer_term(v, datatype) for v in range(start, stop)]
+            return [literal(decimal_form(v), datatype) for v in range(start, stop)]
 
         first, last = rng
         if first is None or last is None:
@@ -524,7 +521,7 @@ def _datatype_family(
             first = -limit if first is None else first
             last = limit if last is None else last
         if last - first + 1 <= _ENUM_LIMIT:
-            return enumerated(_canonical_integer_term(v, datatype) for v in range(first, last + 1))
+            return enumerated(literal(decimal_form(v), datatype) for v in range(first, last + 1))
         count = last - first + 1
         if sv.len_lo > 0 or sv.len_hi is not None:
             count = _integer_length_count(first, last, sv.len_lo, sv.len_hi)
@@ -544,12 +541,17 @@ def _datatype_family(
         )
 
     # decimal, double, float and dateTime: dense orders
+    if ctype == NUMERIC:
+        bounds = _finite_part(bounds, datatype)
+        if bounds is None:  # no finite value left; a double or float may be INF or -INF
+            if datatype == ns.XSD_DECIMAL:
+                return _EMPTY
+            return enumerated([literal("-INF", datatype), literal("INF", datatype)])
     shape = _dense_interval(bounds)
     if shape == "empty":
         return _EMPTY
     if shape == "point":
-        point = _point_term(bounds, datatype)
-        return _EMPTY if point is None else enumerated([point])
+        return enumerated([_point_term(bounds, datatype)])
     if ctype == DATETIME:
         return INFINITE, [], lambda n: [
             literal(f"2020-01-{day:02d}T00:00:00", datatype) for day in range(1, n + 1)
@@ -557,15 +559,37 @@ def _datatype_family(
     return INFINITE, [], lambda n: _dense_sample(bounds, datatype, n)
 
 
-def _point_term(bounds: _Bounds, datatype: str) -> Optional[Term]:
+# The largest finite double; `float` reads a numeral past it as infinity.
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _finite_part(bounds: _Bounds, datatype: str) -> Optional[_Bounds]:
+    """The numeric bounds the finite values of the datatype meet, with an
+    end that all of them meet dropped; None when none of them does: an
+    INF lower or -INF upper bound, or, for a double or float, an end past
+    the float range on the inside."""
+    floats = datatype in (ns.XSD_DOUBLE, ns.XSD_FLOAT)
+    finite = _Bounds()
+    for side, sign in (("lo", 1), ("hi", -1)):
+        end = getattr(bounds, side)
+        if end is None:
+            continue
+        _, value, strict = end
+        value *= sign  # an upper end, mirrored into a lower one
+        if value == math.inf or floats and (value > _FLOAT_MAX or value == _FLOAT_MAX and strict):
+            return None
+        if value != -math.inf and not (floats and value < -_FLOAT_MAX):
+            setattr(finite, side, end)
+    return finite
+
+
+def _point_term(bounds: _Bounds, datatype: str) -> Term:
     value = bounds.lo[1]
     if datatype == ns.XSD_DATETIME:
         return literal(value.isoformat(), datatype)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return literal(decimal_form(value.numerator), datatype)
-        return literal(_numeral(value), datatype)
-    return None
+    if value.denominator == 1:
+        return literal(decimal_form(value.numerator), datatype)
+    return literal(_numeral(value), datatype)
 
 
 def _dense_sample(bounds: _Bounds, datatype: str, n: int) -> list[Term]:
@@ -573,10 +597,6 @@ def _dense_sample(bounds: _Bounds, datatype: str, n: int) -> list[Term]:
     is taken at 0 and open upper end n + 1 above the lower one."""
     lo = bounds.lo[1] if bounds.lo is not None else Fraction(0)
     hi = bounds.hi[1] if bounds.hi is not None else lo + n + 1
-    if lo == math.inf or hi == -math.inf:
-        return []
-    lo = Fraction(0) if lo == -math.inf else Fraction(lo)
-    hi = lo + n + 1 if hi == math.inf else Fraction(hi)
     if hi < lo:
         return []
     step = (hi - lo) / (n + 1)

@@ -336,8 +336,10 @@ _FAMILY_ALPHABETS = [
 ]
 
 # sha1 over (count, witness texts) of every sign combination above,
-# measured before the families were described once (a460eaf)
-FAMILY_DIGEST = "66bee2942d4055a58bec50252e3a2e03b5f6369c"
+# measured before the families were described once (a460eaf), then again
+# once INF and -INF became the double and float values past the float
+# range (the three alphabets with an INF bound changed)
+FAMILY_DIGEST = "e2b8c583a676292706357af204e1227f1d1eb9c4"
 
 
 def _family_pin() -> str:
@@ -393,6 +395,23 @@ def test_dense_values_past_the_float_range_are_written_exactly():
     card, witnesses = gamma_with_witnesses(c, 2)
     assert card.is_infinite
     assert [w.lexical for w in witnesses] == [_HUGE[:-1] + "2", _HUGE[:-1] + "3"]
-    # no double lies past the float range
-    c = combo(pos=[HasDatatype(ns.XSD_DOUBLE), MinValue(literal(_HUGE, ns.XSD_INTEGER), True)])
-    assert gamma_with_witnesses(c, 2)[1] == []
+
+
+def test_past_the_float_range_a_double_is_inf():
+    huge = literal(_HUGE, ns.XSD_INTEGER)
+    c = combo(pos=[HasDatatype(ns.XSD_DOUBLE), MinValue(huge, True)])
+    assert gamma_with_witnesses(c, 2) == (Cardinality(1), [literal("INF", ns.XSD_DOUBLE)])
+    c = combo(pos=[HasDatatype(ns.XSD_FLOAT), MaxValue(literal("-" + _HUGE, ns.XSD_INTEGER), False)])
+    assert gamma_with_witnesses(c, 2) == (Cardinality(1), [literal("-INF", ns.XSD_FLOAT)])
+    c = combo(pos=[HasDatatype(ns.XSD_DOUBLE), MinValue(huge, False), MaxValue(huge, False)])
+    assert gamma(c) == Cardinality(0)
+    # an INF bound: INF meets it inclusively, and no decimal meets it
+    inf = literal("INF", ns.XSD_DOUBLE)
+    c = combo(pos=[MinValue(inf, False)])
+    assert gamma_with_witnesses(c, 3) == (Cardinality(2), [inf, literal("INF", ns.XSD_FLOAT)])
+    assert gamma(combo(pos=[HasDatatype(ns.XSD_DOUBLE), MinValue(inf, True)])) == Cardinality(0)
+    assert gamma(combo(pos=[HasDatatype(ns.XSD_DECIMAL), MinValue(inf, False)])) == Cardinality(0)
+    # a -INF lower bound leaves every decimal
+    c = combo(pos=[HasDatatype(ns.XSD_DECIMAL), MinValue(literal("-INF", ns.XSD_DOUBLE), False)])
+    card, witnesses = gamma_with_witnesses(c, 2)
+    assert card.is_infinite and len(witnesses) == 2
