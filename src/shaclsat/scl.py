@@ -11,9 +11,10 @@ equal nodes are one object, so ``==`` is identity and hashing is O(1).
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
-from typing import Container, Iterator, Union
+from typing import Container, Iterator, Optional, Union
 
 from .namespaces import RDF_TYPE
 from .terms import Term, iri, n3
@@ -74,6 +75,15 @@ class MaxLength(FilterName):
 @dataclass(frozen=True)
 class Matches(FilterName):
     pattern: str
+
+
+def pattern_error(pattern: str) -> Optional[str]:
+    """Why `pattern` does not compile as a regular expression, or None."""
+    try:
+        re.compile(pattern)
+    except re.error as err:
+        return err.msg
+    return None
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .scl import (
     Star,
     Top,
     TopSentence,
+    pattern_error,
 )
 from .terms import blank, decimal_form, iri, literal, n3, string
 
@@ -270,8 +271,7 @@ _FILTERS = {
     "lang": (lambda t: HasLanguage(t.lexical), ("term",)),
     "min-length": (MinLength, ("int",)),
     "max-length": (MaxLength, ("int",)),
-    # a pattern that does not compile is a syntax error
-    "pattern": (lambda t: Matches(re.compile(t.lexical).pattern), ("term",)),
+    "pattern": (lambda t: Matches(t.lexical), ("term",)),
     "min-value": (lambda bound, s: MinValue(bound, s == "strict"), ("term", ("strict", "incl"))),
     "max-value": (lambda bound, s: MaxValue(bound, s == "strict"), ("term", ("strict", "incl"))),
 }
@@ -298,11 +298,10 @@ def _parse(text: str, category: str):
                 i += 1
                 if kind != "rparen":
                     raise SclSyntaxError(f"expected rparen, got {kind}", pos)
-            try:
-                node = build(*args)
-            except re.error as err:  # the last token read is the pattern
-                pos = toks[i - 1][2]
-                raise SclSyntaxError(f"invalid pattern {err.pattern!r}: {err.msg}", pos) from None
+            node = build(*args)
+            if isinstance(node, Matches) and (error := pattern_error(node.pattern)) is not None:
+                # a pattern that does not compile is a syntax error
+                raise SclSyntaxError(f"invalid pattern {node.pattern!r}: {error}", toks[i - 1][2])
             build, kinds, args, closes = stack.pop()
             args.append(node)
             continue

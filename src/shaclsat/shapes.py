@@ -3,11 +3,11 @@ extracted from RDF graphs."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import namespaces as ns
+from .scl import pattern_error
 from .terms import Term, Triple, TripleGraph, iri, parse_integer_lexical
 from .turtle import parse_turtle
 
@@ -493,12 +493,9 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
         elif kind in (MIN_LENGTH, MAX_LENGTH, MIN_COUNT, MAX_COUNT):
             constraints.append(Constraint(kind, (_as_int(obj, kind),)))
         elif kind == PATTERN:
-            try:
-                re.compile(obj.lexical)
-            except re.error as err:
-                raise ShaclModelError(
-                    f"shape {name} has invalid sh:pattern {obj.lexical!r}: {err.msg}"
-                ) from None
+            error = pattern_error(obj.lexical)
+            if error is not None:
+                raise ShaclModelError(f"shape {name} has invalid sh:pattern {obj.lexical!r}: {error}")
             constraints.append(Constraint(PATTERN, (obj.lexical,)))
         elif kind == UNIQUE_LANG:
             if _is_true(obj):
