@@ -465,7 +465,16 @@ _BIG = "1" * 5000
     (f"sh:datatype xsd:double ; sh:maxExclusive -{_BIG}", 0,
      '"-INF"^^<http://www.w3.org/2001/XMLSchema#double>'),
     (f"sh:datatype xsd:double ; sh:minInclusive {_BIG} ; sh:maxInclusive {_BIG}", 1, None),
-], ids=["decimal", "decimal-point", "double", "double-below", "double-point"])
+    # INF meets an inclusive INF bound; no decimal meets an INF lower bound,
+    # and every decimal meets a -INF one
+    ('sh:datatype xsd:double ; sh:minInclusive "INF"^^xsd:double', 0,
+     '"INF"^^<http://www.w3.org/2001/XMLSchema#double>'),
+    ('sh:datatype xsd:double ; sh:minExclusive "INF"^^xsd:double', 1, None),
+    ('sh:datatype xsd:decimal ; sh:minInclusive "-INF"^^xsd:double', 0,
+     '"1.0"^^<http://www.w3.org/2001/XMLSchema#decimal>'),
+    ('sh:datatype xsd:decimal ; sh:minInclusive "INF"^^xsd:double', 1, None),
+], ids=["decimal", "decimal-point", "double", "double-below", "double-point",
+        "double-inf", "double-past-inf", "decimal-above-minus-inf", "decimal-inf"])
 def test_sat_with_a_dense_bound_past_the_float_range_answers(tmp_path, capsys, bounds, code, value):
     shapes = tmp_path / "shapes.ttl"
     shapes.write_text(doc_ttl(
