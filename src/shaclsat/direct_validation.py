@@ -1,13 +1,16 @@
-"""Direct recursive conformance checking over the SHACL AST.
+"""Direct conformance checking over the SHACL AST.
 
-This evaluator works straight on shapes, targets and paths with a
-reachability fixpoint for repeated paths.  It shares nothing with the
+This evaluator works straight on shapes, targets and paths.  A repeated
+path is closed once per validation: the strongly connected components of
+its inner path's successor relation are found in one Tarjan pass, and the
+members of a component share one closure.  It shares nothing with the
 logic translation pipeline, so the two can be checked against each other.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Set
 from dataclasses import dataclass
 
 from . import namespaces as ns
@@ -43,6 +46,12 @@ class _Graph:
             self.backward.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
             self.nodes.add(t.subject)
             self.nodes.add(t.object)
+        # per inner path of a repeated or general inverse path, filled on
+        # first use: each node's values, each node's reflexive-transitive
+        # closure, and the inverse relation over the graph's nodes
+        self.steps: dict[sh.ShaclPath, dict[Term, Set[Term]]] = {}
+        self.closures: dict[sh.ShaclPath, dict[Term, frozenset[Term]]] = {}
+        self.inverses: dict[sh.ShaclPath, dict[Term, set[Term]]] = {}
 
     def succ(self, predicate: Term, node: Term) -> set[Term]:
         return self.forward.get(predicate, {}).get(node, set())
@@ -50,8 +59,97 @@ class _Graph:
     def pred(self, predicate: Term, node: Term) -> set[Term]:
         return self.backward.get(predicate, {}).get(node, set())
 
+    def _step(self, inner: sh.ShaclPath):
+        """node -> the values of `inner` from that node alone, each
+        evaluated once per validation."""
+        memo = self.steps.setdefault(inner, {})
 
-def _path_values(g: _Graph, path: sh.ShaclPath, start: set[Term]) -> set[Term]:
+        def step(node: Term) -> Set[Term]:
+            values = memo.get(node)
+            if values is None:
+                values = memo[node] = _path_values(self, inner, {node})
+            return values
+
+        return step
+
+    def closure(self, inner: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
+        """The nodes that zero or more `inner` steps reach from start: a
+        one-node start gets the closure it shares with its component."""
+        closed = self.closures.setdefault(inner, {})
+        for node in start:
+            if node not in closed:
+                self._close(inner, node, closed)
+        if len(start) == 1:
+            return closed[next(iter(start))]
+        out: set[Term] = set()
+        for node in start:
+            out |= closed[node]
+        return out
+
+    def _close(self, inner: sh.ShaclPath, root: Term, closed: dict[Term, frozenset[Term]]) -> None:
+        """Tarjan's pass from root over the nodes no earlier pass closed.
+        A component is complete when it leaves the stack; its members then
+        share one frozenset: themselves and the closures of the components
+        they step into, which are complete already (Nuutila's propagation
+        over the condensation)."""
+        step = self._step(inner)
+        index = {root: 0}
+        low = {root: 0}
+        stack = [root]
+        work = [(root, iter(step(root)))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt in closed:
+                    continue
+                if nxt not in index:  # a tree edge: descend
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    work.append((nxt, iter(step(nxt))))
+                    break
+                low[node] = min(low[node], index[nxt])  # nxt is on the stack
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] != index[node]:
+                    continue
+                members = []
+                while not members or members[-1] != node:
+                    members.append(stack.pop())
+                reach = set(members)
+                for member in members:
+                    for nxt in step(member):
+                        if nxt not in reach:
+                            reach |= closed[nxt]
+                shared = frozenset(reach)
+                for member in members:
+                    closed[member] = shared
+
+    def inverse(self, inner: sh.ShaclPath, start: Set[Term]) -> set[Term]:
+        """The nodes from which `inner` reaches some node of start."""
+        step = self._step(inner)
+        back = self.inverses.get(inner)
+        if back is None:
+            back = self.inverses[inner] = {}
+            for x in self.nodes:
+                for y in step(x):
+                    back.setdefault(y, set()).add(x)
+        out: set[Term] = set()
+        for y in start:
+            out |= back.get(y, set())
+        # a start node outside the graph has no edges, so no graph node
+        # reaches it and only its own values can lead back into start
+        for x in start:
+            if x not in self.nodes and start & step(x):
+                out.add(x)
+        return out
+
+
+def _path_values(g: _Graph, path: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
+    """The values of path from start; callers never mutate the result,
+    which may be shared."""
     if isinstance(path, sh.PredicatePath):
         out: set[Term] = set()
         for node in start:
@@ -63,12 +161,7 @@ def _path_values(g: _Graph, path: sh.ShaclPath, start: set[Term]) -> set[Term]:
             for node in start:
                 out |= g.pred(path.inner.predicate, node)
             return out
-        # general inverse: evaluate the inner path backwards
-        return {
-            x
-            for x in g.nodes | start
-            if start & _path_values(g, path.inner, {x})
-        }
+        return g.inverse(path.inner, start)
     if isinstance(path, sh.SequencePath):
         current = start
         for part in path.parts:
@@ -82,38 +175,58 @@ def _path_values(g: _Graph, path: sh.ShaclPath, start: set[Term]) -> set[Term]:
     if isinstance(path, sh.ZeroOrOnePath):
         return start | _path_values(g, path.inner, start)
     if isinstance(path, sh.ZeroOrMorePath):
-        reached = set(start)
-        frontier = set(start)
-        while frontier:
-            step = _path_values(g, path.inner, frontier)
-            frontier = step - reached
-            reached |= step
-        return reached
+        return g.closure(path.inner, start)
     if isinstance(path, sh.OneOrMorePath):
-        first = _path_values(g, path.inner, start)
-        return _path_values(g, sh.ZeroOrMorePath(path.inner), first)
+        return g.closure(path.inner, _path_values(g, path.inner, start))
     raise TypeError(f"unknown path {path!r}")
 
 
+# components whose reading at a node is conformance to other shapes
+_REFERENCE_KINDS = frozenset((sh.NOT, sh.AND, sh.OR, sh.XONE, sh.NODE, sh.PROPERTY))
+# property shape components that read the value set as a whole
+_VALUE_SET_KINDS = frozenset((
+    sh.HAS_VALUE, sh.UNIQUE_LANG, sh.MIN_COUNT, sh.MAX_COUNT, sh.EQUALS, sh.DISJOINT,
+    sh.LESS_THAN, sh.LESS_THAN_OR_EQUALS, sh.CLOSED,
+))
+
+
 class _Validator:
+    """Conformance of (shape, node) pairs, each decided once.
+
+    A shape reference is never a Python call: `conforms` keeps an explicit
+    stack of frames, one generator per pair being decided, which yields the
+    (shape name, node) pairs it needs and returns its verdict, so a chain
+    of `sh:node` references is as deep as the stack list, not the
+    interpreter's.
+    """
+
     def __init__(self, graph: TripleGraph, doc: sh.ShaclDocument):
         self.g = _Graph(graph)
         self.doc = doc
         self.language_set = doc.language_set()
         self.memo: dict[tuple[Term, Term], bool] = {}
-
-    # shape conformance ------------------------------------------------
+        # a value-type component over a shared closure, decided once
+        self.value_memo: dict[tuple[sh.Constraint, frozenset[Term]], bool] = {}
 
     def conforms(self, shape: sh.Shape, node: Term) -> bool:
         key = (shape.name, node)
-        if key in self.memo:
-            return self.memo[key]
-        values = (
-            _path_values(self.g, shape.path, {node}) if shape.is_property_shape else None
-        )
-        result = all(self._constraint(shape, c, node, values) for c in shape.constraints)
-        self.memo[key] = result
-        return result
+        memo = self.memo
+        if key in memo:
+            return memo[key]
+        frames = [(key, self._frame(shape, node))]
+        answer = None
+        while frames:
+            key, frame = frames[-1]
+            try:
+                need = frame.send(answer)
+            except StopIteration as done:
+                frames.pop()
+                answer = memo[key] = done.value
+                continue
+            answer = memo.get(need)
+            if answer is None:
+                frames.append((need, self._frame(self._ref(need[0]), need[1])))
+        return answer
 
     def _ref(self, name: Term) -> sh.Shape:
         try:
@@ -121,10 +234,86 @@ class _Validator:
         except KeyError:
             return sh.Shape(name=name)
 
-    def _constraint(self, shape, c: sh.Constraint, node: Term, values) -> bool:
-        if shape.is_property_shape:
-            return self._property_constraint(shape, c, node, values)
-        return self._node_constraint(c, node)
+    def _frame(self, shape: sh.Shape, node: Term):
+        """Whether node conforms to shape, as a frame of `conforms`."""
+        if not shape.is_property_shape:
+            for c in shape.constraints:
+                if c.kind in _REFERENCE_KINDS:
+                    ok = yield from self._reference(c, node)
+                else:
+                    ok = self._node_constraint(c, node)
+                if not ok:
+                    return False
+            return True
+        values = _path_values(self.g, shape.path, {node})
+        for c in shape.constraints:
+            if c.kind in _VALUE_SET_KINDS:
+                ok = self._property_constraint(shape, c, node, values)
+            elif c.kind == sh.QUALIFIED:
+                ok = yield from self._qualified(c, values)
+            else:  # value-type components apply to every value node
+                ok = yield from self._every_value(c, values)
+            if not ok:
+                return False
+        return True
+
+    # shape references ---------------------------------------------------
+
+    def _reference(self, c: sh.Constraint, node: Term):
+        kind = c.kind
+        if kind == sh.NOT:
+            return not (yield (c.args[0], node))
+        if kind == sh.AND:
+            for s in c.args:
+                if not (yield (s, node)):
+                    return False
+            return True
+        if kind == sh.OR:
+            for s in c.args:
+                if (yield (s, node)):
+                    return True
+            return False
+        if kind == sh.XONE:
+            met = 0
+            for s in c.args:
+                met += (yield (s, node))
+            return met == 1
+        return (yield (c.args[0], node))  # sh:node, sh:property
+
+    def _qualified(self, c: sh.Constraint, values: Set[Term]):
+        ref, min_count, max_count, siblings = c.args
+        matching = 0
+        for v in values:
+            if (yield (ref, v)):
+                for s in siblings:
+                    if (yield (s, v)):
+                        break
+                else:
+                    matching += 1
+        if min_count is not None and matching < min_count:
+            return False
+        if max_count is not None and matching > max_count:
+            return False
+        return True
+
+    def _every_value(self, c: sh.Constraint, values: Set[Term]):
+        shared = isinstance(values, frozenset)
+        if shared:
+            key = (c, values)
+            known = self.value_memo.get(key)
+            if known is not None:
+                return known
+        ok = True
+        if c.kind in _REFERENCE_KINDS:
+            for v in values:
+                if not (yield from self._reference(c, v)):
+                    ok = False
+                    break
+        else:
+            ok = all(self._node_constraint(c, v) for v in values)
+        if shared:
+            self.value_memo[key] = ok
+        return ok
 
     # node shape components ---------------------------------------------
 
@@ -165,22 +354,12 @@ class _Validator:
             return node.is_literal and node.language is not None and any(
                 node.language.lower() == tag.lower() for tag in c.args
             )
-        if kind == sh.NOT:
-            return not self.conforms(self._ref(c.args[0]), node)
-        if kind == sh.AND:
-            return all(self.conforms(self._ref(s), node) for s in c.args)
-        if kind == sh.OR:
-            return any(self.conforms(self._ref(s), node) for s in c.args)
-        if kind == sh.XONE:
-            return sum(1 for s in c.args if self.conforms(self._ref(s), node)) == 1
-        if kind in (sh.NODE, sh.PROPERTY):
-            return self.conforms(self._ref(c.args[0]), node)
         # components without a node-shape reading never constrain
         return True
 
     # property shape components -----------------------------------------
 
-    def _property_constraint(self, shape, c: sh.Constraint, node: Term, values: set[Term]) -> bool:
+    def _property_constraint(self, shape, c: sh.Constraint, node: Term, values: Set[Term]) -> bool:
         kind = c.kind
         if kind == sh.HAS_VALUE:
             return c.args[0] in values
@@ -211,26 +390,11 @@ class _Validator:
                     if compare_terms(v, w) not in allowed:
                         return False
             return True
-        if kind == sh.QUALIFIED:
-            ref, min_count, max_count, siblings = c.args
-            matching = [
-                v
-                for v in values
-                if self.conforms(self._ref(ref), v)
-                and not any(self.conforms(self._ref(s), v) for s in siblings)
-            ]
-            if min_count is not None and len(matching) < min_count:
+        # sh:closed
+        for relation in self.doc.closed_theta(shape):
+            if self.g.succ(relation, node):
                 return False
-            if max_count is not None and len(matching) > max_count:
-                return False
-            return True
-        if kind == sh.CLOSED:
-            for relation in self.doc.closed_theta(shape):
-                if self.g.succ(relation, node):
-                    return False
-            return True
-        # value-type components apply to every value node
-        return all(self._node_constraint(c, v) for v in values)
+        return True
 
 
 def target_extension(g: _Graph, target: sh.Target) -> set[Term]:

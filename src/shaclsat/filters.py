@@ -593,10 +593,15 @@ def _point_term(bounds: _Bounds, datatype: str) -> Term:
 
 
 def _dense_sample(bounds: _Bounds, datatype: str, n: int) -> list[Term]:
-    """n evenly spaced values inside a dense interval, whose open lower end
-    is taken at 0 and open upper end n + 1 above the lower one."""
-    lo = bounds.lo[1] if bounds.lo is not None else Fraction(0)
-    hi = bounds.hi[1] if bounds.hi is not None else lo + n + 1
+    """n evenly spaced values inside a dense interval.  An open lower end
+    is taken at 0 when the upper end lies above 0, and n + 1 below the
+    upper end otherwise; an open upper end n + 1 above the lower one."""
+    lo = bounds.lo[1] if bounds.lo is not None else None
+    hi = bounds.hi[1] if bounds.hi is not None else None
+    if lo is None:
+        lo = Fraction(0) if hi is None or hi > 0 else hi - (n + 1)
+    if hi is None:
+        hi = lo + n + 1
     if hi < lo:
         return []
     step = (hi - lo) / (n + 1)

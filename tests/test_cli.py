@@ -322,10 +322,11 @@ def test_long_node_chain_translates_and_validates(tmp_path, capsys):
     graph.write_text(doc_ttl(":a a :C ."))
     assert dispatch(["translate", str(shapes)]) == 0
     assert "Traceback" not in capsys.readouterr().err
-    assert dispatch(["validate", str(graph), str(shapes)]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out) == {"conforms": True, "violations": []}
-    assert "Traceback" not in captured.err
+    for extra in ([], ["--direct"]):
+        assert dispatch(["validate", *extra, str(graph), str(shapes)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"conforms": True, "violations": []}
+        assert "Traceback" not in captured.err
 
 
 def test_long_node_cycle_names_the_recursive_reference(tmp_path, capsys):
@@ -487,6 +488,22 @@ def test_sat_with_a_dense_bound_past_the_float_range_answers(tmp_path, capsys, b
     # the axiomatized search names its elements, so only its verdict is compared
     assert dispatch(["sat", "--axiomatize", str(shapes)]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("facets", [
+    "sh:minCount 1 ; sh:datatype xsd:decimal ; sh:maxInclusive -5",
+    "sh:minCount 1 ; sh:datatype xsd:decimal ; sh:maxExclusive 0",
+    "sh:minCount 2 ; sh:datatype xsd:decimal ; sh:maxInclusive 0",
+    "sh:minCount 1 ; sh:datatype xsd:double ; sh:maxExclusive -2.5",
+], ids=["below-minus-5", "below-0", "two-up-to-0", "double-below"])
+def test_dense_family_with_only_an_upper_bound_at_or_below_0_is_sat_on_both_searches(
+    tmp_path, capsys, facets
+):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(f":s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; {facets} ."))
+    for args in (["sat"], ["sat", "--axiomatize"]):
+        assert dispatch([*args, str(shapes)]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "Sat"
 
 
 def test_count_of_5000_digits_translates_and_answers(tmp_path, capsys):

@@ -168,3 +168,151 @@ def test_both_routes_agree_on_violation_sets():
             direct = validate_direct(graph, doc)
             logical = validate(graph, doc)
             assert direct.violations == logical.violations, name
+
+
+# ---- repeated paths on cyclic graphs ---------------------------------------------
+
+TURTLE_PREFIXES = "@prefix : <http://corpus.example/> .\n"
+
+
+def _cyclic_turtle(seed: int, n: int = 300) -> str:
+    """n nodes: :p rings of 1 to 12 nodes (a ring of one is a self-loop),
+    tails running into the rings or into earlier tails, :q chords, a few
+    literal :p values, and untouched typed nodes that nothing reaches."""
+    rng = random.Random(seed)
+    ids = [f":n{i}" for i in range(n)]
+    rng.shuffle(ids)
+    isolated, ring_nodes, tails = ids[: n // 10], ids[n // 10 : n // 2], ids[n // 2 :]
+    triples = []
+    i = 0
+    while i < len(ring_nodes):
+        ring = ring_nodes[i : i + rng.randint(1, 12)]
+        triples += [(a, ":p", b) for a, b in zip(ring, ring[1:] + ring[:1])]
+        i += len(ring)
+    for k, tail in enumerate(tails):
+        triples.append((tail, ":p", rng.choice(ring_nodes + tails[:k])))
+    triples += [(rng.choice(ids), ":q", rng.choice(ids)) for _ in range(n // 3)]
+    triples += [(tail, ":p", f'"v{tail[2:]}"') for tail in rng.sample(tails, n // 30)]
+    triples += [(x, "a", ":A") for x in rng.sample(ids, n // 3)]
+    triples += [(x, "a", ":B") for x in rng.sample(ids, n // 10) + isolated]
+    return TURTLE_PREFIXES + "".join(f"{s} {p} {o} .\n" for s, p, o in triples)
+
+
+# (path, minCount, maxCount): each repetition over a predicate, a star, a
+# sequence, an alternative and a general inverse
+_CYCLIC_PATHS = [
+    ("[ sh:zeroOrMorePath :p ]", 2, 15),
+    ("[ sh:oneOrMorePath :p ]", 2, 15),
+    ("[ sh:zeroOrOnePath [ sh:zeroOrMorePath :p ] ]", 2, 15),
+    ("[ sh:zeroOrMorePath ( :p :q ) ]", 1, 2),
+    ("[ sh:oneOrMorePath ( :q :p ) ]", 1, 12),
+    ("[ sh:zeroOrMorePath [ sh:alternativePath ( :p :q ) ] ]", 3, 30),
+    ("[ sh:oneOrMorePath [ sh:alternativePath ( :q [ sh:inversePath :p ] ) ] ]", 1, 8),
+    ("[ sh:inversePath [ sh:zeroOrMorePath :p ] ]", 2, 10),
+    ("[ sh:zeroOrOnePath [ sh:inversePath [ sh:oneOrMorePath :p ] ] ]", 2, 10),
+    ("[ sh:oneOrMorePath [ sh:inversePath [ sh:zeroOrMorePath :q ] ] ]", 1, 3),
+    ("( :q [ sh:zeroOrMorePath :p ] )", 1, 15),
+]
+_CYCLIC_TARGETS = [
+    "sh:targetClass :A",
+    "sh:targetClass :B ; sh:targetSubjectsOf :q",
+    "sh:targetObjectsOf :q ; sh:targetNode :n0 , :absent",
+]
+
+
+def _cyclic_shapes() -> str:
+    lines = []
+    for i, (path, least, most) in enumerate(_CYCLIC_PATHS):
+        for j, targets in enumerate(_CYCLIC_TARGETS):
+            lines.append(
+                f":s{i}_{j} a sh:PropertyShape ; {targets} ; sh:path {path} ; "
+                f"sh:nodeKind sh:IRI ; sh:minCount {least} ; sh:maxCount {most} ."
+            )
+    return doc_ttl("\n".join(lines))
+
+
+def test_both_routes_agree_on_repeated_paths_over_cyclic_graphs():
+    from shaclsat.validation import validate
+
+    from shaclsat.direct_validation import _Graph, target_extension
+
+    doc = parse_document(_cyclic_shapes())
+    for seed in (1, 2, 3):
+        graph = parse_turtle(_cyclic_turtle(seed))
+        direct = validate_direct(graph, doc)
+        assert direct.violations == validate(graph, doc).violations, seed
+        # every shape has focus nodes that conform and focus nodes that do not
+        g = _Graph(graph)
+        for shape in doc.shapes:
+            focus = set().union(*(target_extension(g, t) for t in shape.targets))
+            violating = {node for node, name in direct.violations if name == shape.name}
+            assert 0 < len(violating) < len(focus), (seed, shape.name)
+
+
+def test_general_inverse_paths_agree_with_logic_route():
+    from shaclsat.validation import validate
+
+    doc = parse_document(doc_ttl(
+        ":star a sh:PropertyShape ; sh:targetNode :a , :d , :z ; "
+        "sh:path [ sh:inversePath [ sh:zeroOrMorePath :p ] ] ; sh:minCount 2 .\n"
+        ":seq a sh:PropertyShape ; sh:targetNode :d , :e ; "
+        "sh:path [ sh:inversePath ( :p :q ) ] ; sh:minCount 1 .\n"
+        ":alt a sh:PropertyShape ; sh:targetNode :b , :e ; "
+        "sh:path [ sh:inversePath [ sh:alternativePath ( :p :q ) ] ] ; sh:maxCount 1 .\n"
+        ":opt a sh:PropertyShape ; sh:targetNode :z ; "
+        "sh:path [ sh:inversePath [ sh:zeroOrOnePath :p ] ] ; sh:hasValue :z ."
+    ))
+    # :a and :b form a :p cycle that :c runs into; :d :q :e; :z is not in the graph
+    graph = parse_turtle(TURTLE_PREFIXES + ":a :p :b . :b :p :a . :c :p :a ; :q :d . :b :q :e . :d :q :e .")
+    direct = validate_direct(graph, doc)
+    assert direct.violations == validate(graph, doc).violations
+    # ^(p*) from :d is {:d} and from :z {:z}; p/q leads only from :a to :e;
+    # :e has two (p|q)-predecessors
+    assert [(n.lexical[len(EX):], s.lexical[len(EX):]) for n, s in direct.violations] == [
+        ("d", "seq"), ("d", "star"), ("e", "alt"), ("z", "star"),
+    ]
+
+
+def _person_turtle(n: int) -> str:
+    """n persons on :knows rings of about 1.25*sqrt(n) persons, and one in
+    ten a tail pointing into a ring."""
+    rng = random.Random(n)
+    people = list(range(n))
+    rng.shuffle(people)
+    tails, ringed = people[: n // 10], people[n // 10 :]
+    length = round(1.25 * len(people) ** 0.5)
+    lines = []
+    for start in range(0, len(ringed), length):
+        ring = ringed[start : start + length]
+        lines += [f":p{a} :knows :p{b} ." for a, b in zip(ring, ring[1:] + ring[:1])]
+    lines += [f":p{t} :knows :p{rng.choice(ringed)} ." for t in tails]
+    lines += [f":p{p} a :Person ." for p in people]
+    return TURTLE_PREFIXES + "\n".join(lines)
+
+
+def test_star_successors_are_evaluated_linearly_often(monkeypatch):
+    from shaclsat import direct_validation
+    from shaclsat.shapes import PredicatePath
+
+    doc = parse_document(doc_ttl(
+        ":PersonShape a sh:NodeShape ; sh:targetClass :Person ; "
+        "sh:property [ sh:path [ sh:zeroOrMorePath :knows ] ; sh:nodeKind sh:IRI ] ."
+    ))
+    knows = PredicatePath(iri(EX + "knows"))
+    original = direct_validation._path_values
+    calls = 0
+
+    def counting(g, path, start):
+        nonlocal calls
+        calls += path == knows
+        return original(g, path, start)
+
+    monkeypatch.setattr(direct_validation, "_path_values", counting)
+    counts = []
+    for n in (250, 1000):
+        calls = 0
+        assert validate_direct(parse_turtle(_person_turtle(n)), doc).conforms
+        counts.append(calls)
+    # one evaluation per node: a BFS per focus node grows about 8x here
+    assert counts[0] >= 250
+    assert counts[1] <= 4 * counts[0] + 50, counts
