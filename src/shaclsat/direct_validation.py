@@ -1,10 +1,11 @@
 """Direct conformance checking over the SHACL AST.
 
 This evaluator works straight on shapes, targets and paths.  A repeated
-path is closed once per validation: the strongly connected components of
-its inner path's successor relation are found in one Tarjan pass, and the
-members of a component share one closure.  It shares nothing with the
-logic translation pipeline, so the two can be checked against each other.
+path is condensed once per validation: the strongly connected components
+of its inner path's successor relation are found in one Tarjan pass, and a
+value-type component over the repeated path is decided once per strongly
+connected component.  It shares nothing with the logic translation
+pipeline, so the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -36,22 +37,98 @@ class ValidationReport:
         }
 
 
+class _Closure:
+    """The strongly connected components of one path's successor relation,
+    over the nodes met so far, as the condensation DAG.
+
+    An iterative Tarjan pass (SIAM J. Comput. 1972) runs from each start
+    node not met before and evaluates each node's successors once.  A
+    component finishes after every component it steps into, so ids are a
+    reverse topological order.  Only the DAG is stored, which is linear in
+    the relation: a node's reflexive-transitive closure is the members of
+    the components reachable from its own, gathered when it is asked for.
+    """
+
+    def __init__(self):
+        self.component: dict[Term, int] = {}
+        self.members: list[tuple[Term, ...]] = []
+        self.below: list[tuple[int, ...]] = []  # the components one step leads into
+        # per value-type constraint: whether every node a component reaches meets it
+        self.verdicts: dict[sh.Constraint, dict[int, bool]] = {}
+
+    def values(self, tops: list[int]) -> set[Term]:
+        """The members of the components reachable from tops."""
+        seen = set(tops)
+        todo = list(seen)
+        out: set[Term] = set()
+        while todo:
+            cid = todo.pop()
+            out.update(self.members[cid])
+            for below in self.below[cid]:
+                if below not in seen:
+                    seen.add(below)
+                    todo.append(below)
+        return out
+
+    def visit(self, root: Term, step) -> None:
+        """Tarjan's pass from root over the nodes no earlier pass met."""
+        # the nodes this pass meets are numbered in discovery order, so the
+        # bookkeeping is lists indexed by number rather than dicts of terms
+        component = self.component
+        number = {root: 0}
+        nodes = [root]
+        successors = [step(root)]
+        low = [0]
+        stack = [0]
+        work = [(0, iter(successors[0]))]
+        while work:
+            i, pending = work[-1]
+            for nxt in pending:
+                if nxt in component:
+                    continue
+                j = number.get(nxt)
+                if j is None:  # a tree edge: descend
+                    j = number[nxt] = len(nodes)
+                    nodes.append(nxt)
+                    successors.append(step(nxt))
+                    low.append(j)
+                    stack.append(j)
+                    work.append((j, iter(successors[j])))
+                    break
+                if j < low[i]:  # nxt is on the stack
+                    low[i] = j
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[i] < low[parent]:
+                        low[parent] = low[i]
+                if low[i] != i:
+                    continue
+                cid = len(self.members)
+                members = []
+                j = -1
+                while j != i:
+                    j = stack.pop()
+                    members.append(j)
+                    component[nodes[j]] = cid
+                below = {component[nxt] for j in members for nxt in successors[j]}
+                below.discard(cid)
+                self.members.append(tuple(nodes[j] for j in members))
+                self.below.append(tuple(below))
+                for j in members:
+                    successors[j] = None
+
+
 class _Graph:
     def __init__(self, graph: TripleGraph):
         self.forward: dict[Term, dict[Term, set[Term]]] = {}
         self.backward: dict[Term, dict[Term, set[Term]]] = {}
-        self.nodes: set[Term] = set()
         for t in graph.triples:
             self.forward.setdefault(t.predicate, {}).setdefault(t.subject, set()).add(t.object)
             self.backward.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
-            self.nodes.add(t.subject)
-            self.nodes.add(t.object)
-        # per inner path of a repeated or general inverse path, filled on
-        # first use: each node's values, each node's reflexive-transitive
-        # closure, and the inverse relation over the graph's nodes
-        self.steps: dict[sh.ShaclPath, dict[Term, Set[Term]]] = {}
-        self.closures: dict[sh.ShaclPath, dict[Term, frozenset[Term]]] = {}
-        self.inverses: dict[sh.ShaclPath, dict[Term, set[Term]]] = {}
+        # per inner path of a repeated path, filled on first use
+        self.closures: dict[sh.ShaclPath, _Closure] = {}
 
     def succ(self, predicate: Term, node: Term) -> set[Term]:
         return self.forward.get(predicate, {}).get(node, set())
@@ -59,97 +136,44 @@ class _Graph:
     def pred(self, predicate: Term, node: Term) -> set[Term]:
         return self.backward.get(predicate, {}).get(node, set())
 
-    def _step(self, inner: sh.ShaclPath):
-        """node -> the values of `inner` from that node alone, each
-        evaluated once per validation."""
-        memo = self.steps.setdefault(inner, {})
-
-        def step(node: Term) -> Set[Term]:
-            values = memo.get(node)
-            if values is None:
-                values = memo[node] = _path_values(self, inner, {node})
-            return values
-
-        return step
-
-    def closure(self, inner: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
-        """The nodes that zero or more `inner` steps reach from start: a
-        one-node start gets the closure it shares with its component."""
-        closed = self.closures.setdefault(inner, {})
-        for node in start:
-            if node not in closed:
-                self._close(inner, node, closed)
-        if len(start) == 1:
-            return closed[next(iter(start))]
-        out: set[Term] = set()
-        for node in start:
-            out |= closed[node]
-        return out
-
-    def _close(self, inner: sh.ShaclPath, root: Term, closed: dict[Term, frozenset[Term]]) -> None:
-        """Tarjan's pass from root over the nodes no earlier pass closed.
-        A component is complete when it leaves the stack; its members then
-        share one frozenset: themselves and the closures of the components
-        they step into, which are complete already (Nuutila's propagation
-        over the condensation)."""
-        step = self._step(inner)
-        index = {root: 0}
-        low = {root: 0}
-        stack = [root]
-        work = [(root, iter(step(root)))]
-        while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if nxt in closed:
-                    continue
-                if nxt not in index:  # a tree edge: descend
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    work.append((nxt, iter(step(nxt))))
-                    break
-                low[node] = min(low[node], index[nxt])  # nxt is on the stack
+    def closure(self, inner: sh.ShaclPath, start: Set[Term]) -> tuple[_Closure, list[int]]:
+        """The condensation of inner's successor relation, kept for the
+        validation, and the component of each start node."""
+        closure = self.closures.get(inner)
+        if closure is None:
+            closure = self.closures[inner] = _Closure()
+        component = closure.component
+        if any(node not in component for node in start):
+            # the step is not stored, so a closure holds no reference back
+            # to the graph
+            if isinstance(inner, sh.PredicatePath):
+                predicate = inner.predicate
+                step = lambda node: self.succ(predicate, node)
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] != index[node]:
-                    continue
-                members = []
-                while not members or members[-1] != node:
-                    members.append(stack.pop())
-                reach = set(members)
-                for member in members:
-                    for nxt in step(member):
-                        if nxt not in reach:
-                            reach |= closed[nxt]
-                shared = frozenset(reach)
-                for member in members:
-                    closed[member] = shared
+                step = lambda node: _path_values(self, inner, {node})
+            for node in start:
+                if node not in component:
+                    closure.visit(node, step)
+        return closure, [component[node] for node in start]
 
-    def inverse(self, inner: sh.ShaclPath, start: Set[Term]) -> set[Term]:
-        """The nodes from which `inner` reaches some node of start."""
-        step = self._step(inner)
-        back = self.inverses.get(inner)
-        if back is None:
-            back = self.inverses[inner] = {}
-            for x in self.nodes:
-                for y in step(x):
-                    back.setdefault(y, set()).add(x)
-        out: set[Term] = set()
-        for y in start:
-            out |= back.get(y, set())
-        # a start node outside the graph has no edges, so no graph node
-        # reaches it and only its own values can lead back into start
-        for x in start:
-            if x not in self.nodes and start & step(x):
-                out.add(x)
-        return out
+
+def _inverse(path: sh.ShaclPath) -> sh.ShaclPath:
+    """The path whose pairs are path's pairs reversed."""
+    if isinstance(path, sh.PredicatePath):
+        return sh.InversePath(path)
+    if isinstance(path, sh.InversePath):
+        return path.inner
+    if isinstance(path, sh.SequencePath):
+        return sh.SequencePath(tuple(_inverse(part) for part in reversed(path.parts)))
+    if isinstance(path, sh.AlternativePath):
+        return sh.AlternativePath(tuple(_inverse(part) for part in path.parts))
+    if isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath, sh.ZeroOrOnePath)):
+        return type(path)(_inverse(path.inner))
+    raise TypeError(f"unknown path {path!r}")
 
 
 def _path_values(g: _Graph, path: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
-    """The values of path from start; callers never mutate the result,
-    which may be shared."""
+    """The values of path from start; callers never mutate the result."""
     if isinstance(path, sh.PredicatePath):
         out: set[Term] = set()
         for node in start:
@@ -161,7 +185,7 @@ def _path_values(g: _Graph, path: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
             for node in start:
                 out |= g.pred(path.inner.predicate, node)
             return out
-        return g.inverse(path.inner, start)
+        return _path_values(g, _inverse(path.inner), start)
     if isinstance(path, sh.SequencePath):
         current = start
         for part in path.parts:
@@ -175,9 +199,11 @@ def _path_values(g: _Graph, path: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
     if isinstance(path, sh.ZeroOrOnePath):
         return start | _path_values(g, path.inner, start)
     if isinstance(path, sh.ZeroOrMorePath):
-        return g.closure(path.inner, start)
+        closure, tops = g.closure(path.inner, start)
+        return closure.values(tops)
     if isinstance(path, sh.OneOrMorePath):
-        return g.closure(path.inner, _path_values(g, path.inner, start))
+        closure, tops = g.closure(path.inner, _path_values(g, path.inner, start))
+        return closure.values(tops)
     raise TypeError(f"unknown path {path!r}")
 
 
@@ -205,8 +231,6 @@ class _Validator:
         self.doc = doc
         self.language_set = doc.language_set()
         self.memo: dict[tuple[Term, Term], bool] = {}
-        # a value-type component over a shared closure, decided once
-        self.value_memo: dict[tuple[sh.Constraint, frozenset[Term]], bool] = {}
 
     def conforms(self, shape: sh.Shape, node: Term) -> bool:
         key = (shape.name, node)
@@ -245,14 +269,28 @@ class _Validator:
                 if not ok:
                     return False
             return True
-        values = _path_values(self.g, shape.path, {node})
+        path = shape.path
+        if isinstance(path, sh.InversePath) and not isinstance(path.inner, sh.PredicatePath):
+            path = _inverse(path.inner)  # so ^(p*) is read as the repeated path (^p)*
+        closure = None
+        if isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath)):
+            roots = {node}
+            if isinstance(path, sh.OneOrMorePath):
+                roots = _path_values(self.g, path.inner, roots)
+            closure, tops = self.g.closure(path.inner, roots)
+        values = None  # gathered only when a constraint reads the value set
         for c in shape.constraints:
-            if c.kind in _VALUE_SET_KINDS:
-                ok = self._property_constraint(shape, c, node, values)
-            elif c.kind == sh.QUALIFIED:
-                ok = yield from self._qualified(c, values)
-            else:  # value-type components apply to every value node
-                ok = yield from self._every_value(c, values)
+            if closure is not None and c.kind not in _VALUE_SET_KINDS and c.kind != sh.QUALIFIED:
+                ok = yield from self._every_reached_value(c, closure, tops)
+            else:
+                if values is None:
+                    values = _path_values(self.g, path, {node})
+                if c.kind in _VALUE_SET_KINDS:
+                    ok = self._property_constraint(shape, c, node, values)
+                elif c.kind == sh.QUALIFIED:
+                    ok = yield from self._qualified(c, values)
+                else:  # value-type components apply to every value node
+                    ok = yield from self._every_value(c, values)
             if not ok:
                 return False
         return True
@@ -297,23 +335,37 @@ class _Validator:
         return True
 
     def _every_value(self, c: sh.Constraint, values: Set[Term]):
-        shared = isinstance(values, frozenset)
-        if shared:
-            key = (c, values)
-            known = self.value_memo.get(key)
-            if known is not None:
-                return known
-        ok = True
         if c.kind in _REFERENCE_KINDS:
             for v in values:
                 if not (yield from self._reference(c, v)):
-                    ok = False
-                    break
-        else:
-            ok = all(self._node_constraint(c, v) for v in values)
-        if shared:
-            self.value_memo[key] = ok
-        return ok
+                    return False
+            return True
+        return all(self._node_constraint(c, v) for v in values)
+
+    def _every_reached_value(self, c: sh.Constraint, closure: _Closure, tops: list[int]):
+        """Whether every member of the components reachable from tops meets
+        the value-type component c, decided once per component: its
+        verdict is its members' and its successors'."""
+        known = closure.verdicts.setdefault(c, {})
+        for top in tops:
+            todo = [top]
+            while todo:
+                cid = todo[-1]
+                if cid in known:
+                    todo.pop()
+                    continue
+                later = [below for below in closure.below[cid] if below not in known]
+                if later:
+                    todo += later
+                    continue
+                todo.pop()
+                ok = all(known[below] for below in closure.below[cid])
+                if ok:
+                    ok = yield from self._every_value(c, closure.members[cid])
+                known[cid] = ok
+            if not known[top]:
+                return False
+        return True
 
     # node shape components ---------------------------------------------
 

@@ -7,6 +7,7 @@ from shaclsat.terms import Triple, TripleGraph, iri
 from shaclsat.turtle import parse_turtle
 
 EX = "http://corpus.example/"
+RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 
 FIG1_DOC = doc_ttl(
     ":studentShape a sh:NodeShape ; sh:targetClass :Student ; sh:not :disjFacultyShape .\n"
@@ -290,29 +291,66 @@ def _person_turtle(n: int) -> str:
     return TURTLE_PREFIXES + "\n".join(lines)
 
 
-def test_star_successors_are_evaluated_linearly_often(monkeypatch):
+def test_star_successors_and_value_checks_grow_linearly(monkeypatch):
     from shaclsat import direct_validation
-    from shaclsat.shapes import PredicatePath
 
     doc = parse_document(doc_ttl(
         ":PersonShape a sh:NodeShape ; sh:targetClass :Person ; "
-        "sh:property [ sh:path [ sh:zeroOrMorePath :knows ] ; sh:nodeKind sh:IRI ] ."
+        "sh:property [ sh:path [ sh:zeroOrMorePath :knows ] ; sh:nodeKind sh:IRI ] ; "
+        "sh:property [ sh:path [ sh:inversePath [ sh:zeroOrMorePath :knows ] ] ; sh:nodeKind sh:IRI ] ."
     ))
-    knows = PredicatePath(iri(EX + "knows"))
-    original = direct_validation._path_values
-    calls = 0
+    knows = iri(EX + "knows")
+    succ = direct_validation._Graph.succ
+    check = direct_validation._Validator._node_constraint
+    steps = checks = 0
 
-    def counting(g, path, start):
-        nonlocal calls
-        calls += path == knows
-        return original(g, path, start)
+    def counting_succ(g, predicate, node):
+        nonlocal steps
+        steps += predicate == knows
+        return succ(g, predicate, node)
 
-    monkeypatch.setattr(direct_validation, "_path_values", counting)
+    def counting_check(validator, c, node):
+        nonlocal checks
+        checks += 1
+        return check(validator, c, node)
+
+    monkeypatch.setattr(direct_validation._Graph, "succ", counting_succ)
+    monkeypatch.setattr(direct_validation._Validator, "_node_constraint", counting_check)
     counts = []
     for n in (250, 1000):
-        calls = 0
+        steps = checks = 0
         assert validate_direct(parse_turtle(_person_turtle(n)), doc).conforms
-        counts.append(calls)
-    # one evaluation per node: a BFS per focus node grows about 8x here
-    assert counts[0] >= 250
-    assert counts[1] <= 4 * counts[0] + 50, counts
+        counts.append((steps, checks))
+    # each node's successors are read once, and each node is checked once
+    # per direction (tails included); a BFS per focus node grows about 8x
+    assert counts == [(250, 500), (1000, 2000)]
+
+
+def _chain_validator(n: int, doc):
+    from shaclsat.direct_validation import _Validator
+
+    lines = [f":c{i} :r :c{i + 1} ." for i in range(n - 1)]
+    items = " ".join(str(i) for i in range(n))
+    lines.append(f":head :items ( {items} ) .")
+    return _Validator(parse_turtle(TURTLE_PREFIXES + "\n".join(lines)), doc)
+
+
+def test_long_acyclic_paths_keep_the_condensation_linear():
+    n = 20_000
+    doc = parse_document(doc_ttl(
+        f":chain a sh:PropertyShape ; sh:targetNode :c0 ; sh:path [ sh:zeroOrMorePath :r ] ; "
+        f"sh:nodeKind sh:IRI ; sh:minCount {n} .\n"
+        f":list a sh:PropertyShape ; sh:targetNode :head ; "
+        f"sh:path ( :items [ sh:zeroOrMorePath <{RDF}rest> ] <{RDF}first> ) ; "
+        f"sh:datatype xsd:integer ; sh:minCount {n} ; sh:maxCount {n} ."
+    ))
+    validator = _chain_validator(n, doc)
+    for name, focus in (("chain", "c0"), ("list", "head")):
+        assert validator.conforms(doc.shape(iri(EX + name)), iri(EX + focus)), name
+    # every node is a component of its own, stored once, with one edge to
+    # the next: no node's closure is kept
+    closures = validator.g.closures
+    assert len(closures) == 2
+    for closure in closures.values():
+        assert sum(map(len, closure.members)) <= n + 1
+        assert sum(map(len, closure.below)) <= n
