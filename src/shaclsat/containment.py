@@ -48,27 +48,11 @@ def _rename_clashing_shapes(
         while fresh in taken:
             fresh = Term(fresh.kind, fresh.lexical + "x")
         mapping[name] = fresh
-
-    def rename_term(t: Term) -> Term:
-        return mapping.get(t, t)
-
-    def rename_constraint(c: sh.Constraint) -> sh.Constraint:
-        if c.kind in (sh.NOT, sh.NODE, sh.PROPERTY):
-            return sh.Constraint(c.kind, (rename_term(c.args[0]),))
-        if c.kind in (sh.AND, sh.OR, sh.XONE):
-            return sh.Constraint(c.kind, tuple(rename_term(t) for t in c.args))
-        if c.kind == sh.QUALIFIED:
-            ref, lo, hi, siblings = c.args
-            return sh.Constraint(
-                c.kind, (rename_term(ref), lo, hi, tuple(rename_term(s) for s in siblings))
-            )
-        return c
-
     shapes = tuple(
         replace(
             s,
-            name=rename_term(s.name),
-            constraints=tuple(rename_constraint(c) for c in s.constraints),
+            name=mapping.get(s.name, s.name),
+            constraints=tuple(c.renamed(mapping) for c in s.constraints),
         )
         for s in doc.shapes
     )

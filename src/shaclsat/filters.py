@@ -396,30 +396,21 @@ def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[in
 
 
 def _integer_length_count(lo: int, hi: int, len_lo: int, len_hi: Optional[int]) -> int:
-    """Integers in [lo, hi] whose canonical decimal form has an allowed length."""
-    total = 0
-    max_digits = max(len(decimal_form(abs(lo))), len(decimal_form(abs(hi)))) + 1
-    top = max_digits if len_hi is None else min(len_hi, max_digits)
-    for length in range(max(1, len_lo), top + 1):
-        # non-negative with `length` digits (no sign)
-        if length == 1:
-            seg_lo, seg_hi = 0, 9
-        else:
-            seg_lo, seg_hi = 10 ** (length - 1), 10**length - 1
-        a, b = max(lo, seg_lo), min(hi, seg_hi)
-        if a <= b:
-            total += b - a + 1
-        # negative: "-" plus (length - 1) digits
-        digits = length - 1
-        if digits >= 1:
-            if digits == 1:
-                seg_lo, seg_hi = -9, -1
-            else:
-                seg_lo, seg_hi = -(10**digits - 1), -(10 ** (digits - 1))
-            a, b = max(lo, seg_lo), min(hi, seg_hi)
-            if a <= b:
-                total += b - a + 1
-    return total
+    """Integers in [lo, hi] whose canonical decimal form has an allowed length.
+
+    Those whose form has at most L characters are one interval,
+    [1 - 10^(L-1), 10^L - 1], so the count is two interval intersections."""
+    # no integer in [lo, hi] has more characters than this: digits plus a sign
+    widest = max(abs(lo), abs(hi)).bit_length() * 31 // 100 + 2
+
+    def at_most(length: int) -> int:
+        length = min(length, widest)
+        if length < 1:
+            return 0
+        return max(min(hi, 10**length - 1) - max(lo, 1 - 10 ** (length - 1)) + 1, 0)
+
+    top = at_most(widest if len_hi is None else len_hi)
+    return max(top - at_most(len_lo - 1), 0)
 
 
 def _string_space(len_lo: int, len_hi: Optional[int]) -> Cardinality:

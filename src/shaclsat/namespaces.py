@@ -1,7 +1,6 @@
 """Namespace IRIs for the vocabularies this package understands."""
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 SH_NS = "http://www.w3.org/ns/shacl#"
 

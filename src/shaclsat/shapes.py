@@ -183,6 +183,20 @@ class Constraint:
             return (self.args[0],) + tuple(self.args[3])
         return ()
 
+    def renamed(self, mapping: dict[Term, Term]) -> Constraint:
+        """This constraint with each shape reference renamed by `mapping`."""
+        def rename(name: Term) -> Term:
+            return mapping.get(name, name)
+
+        if self.kind in _SHAPE_REF_KINDS:
+            return Constraint(self.kind, (rename(self.args[0]),))
+        if self.kind in _SHAPE_LIST_KINDS:
+            return Constraint(self.kind, tuple(rename(n) for n in self.args))
+        if self.kind == QUALIFIED:
+            ref, lo, hi, siblings = self.args
+            return Constraint(self.kind, (rename(ref), lo, hi, tuple(rename(n) for n in siblings)))
+        return self
+
 
 # --------------------------------------------------------------------------
 # Shapes and documents
@@ -306,12 +320,12 @@ def _find_reference_cycle(shapes) -> Optional[list[Term]]:
 # Extraction from RDF
 # --------------------------------------------------------------------------
 
-_TARGET_PARAMS = (
-    ns.SH_TARGET_NODE,
-    ns.SH_TARGET_CLASS,
-    ns.SH_TARGET_SUBJECTS_OF,
-    ns.SH_TARGET_OBJECTS_OF,
-)
+_TARGET_PARAMS = {
+    ns.SH_TARGET_NODE: NodeTarget,
+    ns.SH_TARGET_CLASS: ClassTarget,
+    ns.SH_TARGET_SUBJECTS_OF: SubjectsOfTarget,
+    ns.SH_TARGET_OBJECTS_OF: ObjectsOfTarget,
+}
 
 _CONSTRAINT_PARAMS = {
     ns.SH_HAS_VALUE: HAS_VALUE,
@@ -459,16 +473,10 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
         raise ShaclModelError(f"property shape {name} has no sh:path value")
     path = _parse_path(index, path_values[0]) if path_values else None
 
-    targets: list[Target] = []
-    for node in index.objects(name, ns.SH_TARGET_NODE):
-        targets.append(NodeTarget(node))
-    for node in index.objects(name, ns.SH_TARGET_CLASS):
-        targets.append(ClassTarget(node))
-    for node in index.objects(name, ns.SH_TARGET_SUBJECTS_OF):
-        targets.append(SubjectsOfTarget(node))
-    for node in index.objects(name, ns.SH_TARGET_OBJECTS_OF):
-        targets.append(ObjectsOfTarget(node))
-    targets.sort(key=_target_key)
+    targets = sorted(
+        (ctor(node) for param, ctor in _TARGET_PARAMS.items() for node in index.objects(name, param)),
+        key=_target_key,
+    )
 
     qualified_min = index.one(name, ns.SH_QUALIFIED_MIN_COUNT)
     qualified_max = index.one(name, ns.SH_QUALIFIED_MAX_COUNT)
@@ -481,11 +489,7 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
         if kind is None:
             continue
         obj = t.object
-        if kind in (HAS_VALUE, CLASS, MIN_EXCLUSIVE, MIN_INCLUSIVE, MAX_EXCLUSIVE, MAX_INCLUSIVE):
-            constraints.append(Constraint(kind, (obj,)))
-        elif kind in (DATATYPE, NODE_KIND, EQUALS, DISJOINT, LESS_THAN, LESS_THAN_OR_EQUALS):
-            constraints.append(Constraint(kind, (obj,)))
-        elif kind == IN:
+        if kind == IN:
             constraints.append(Constraint(IN, tuple(index.collection(obj))))
         elif kind == LANGUAGE_IN:
             tags = tuple(v.lexical for v in index.collection(obj))
@@ -500,9 +504,7 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
         elif kind == UNIQUE_LANG:
             if _is_true(obj):
                 constraints.append(Constraint(UNIQUE_LANG))
-        elif kind in (NOT, NODE, PROPERTY):
-            constraints.append(Constraint(kind, (obj,)))
-        elif kind in (AND, OR, XONE):
+        elif kind in _SHAPE_LIST_KINDS:
             constraints.append(Constraint(kind, tuple(index.collection(obj))))
         elif kind == QUALIFIED:
             siblings: tuple[Term, ...] = ()
@@ -523,6 +525,8 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
             if _is_true(obj):
                 ignored_list = tuple(index.collection(ignored)) if ignored is not None else ()
                 constraints.append(Constraint(CLOSED, ignored_list))
+        else:  # the object itself is the one argument
+            constraints.append(Constraint(kind, (obj,)))
     return Shape(
         name=name,
         is_property_shape=path is not None,
@@ -555,113 +559,6 @@ def parse_document(text: str) -> ShaclDocument:
 
 
 # --------------------------------------------------------------------------
-# Serialization back to RDF
-# --------------------------------------------------------------------------
-
-
-class _DocWriter:
-    def __init__(self) -> None:
-        self.triples: set[Triple] = set()
-        self.counter = 0
-
-    def add(self, s: Term, p: str, o: Term) -> None:
-        self.triples.add(Triple(s, iri(p), o))
-
-    def fresh(self) -> Term:
-        from .terms import blank
-
-        self.counter += 1
-        return blank(f"w{self.counter}")
-
-    def collection(self, items: list[Term]) -> Term:
-        head = iri(ns.RDF_NIL)
-        for item in reversed(items):
-            cell = self.fresh()
-            self.add(cell, ns.RDF_FIRST, item)
-            self.add(cell, ns.RDF_REST, head)
-            head = cell
-        return head
-
-    def path(self, p: ShaclPath) -> Term:
-        if isinstance(p, PredicatePath):
-            return p.predicate
-        node = self.fresh()
-        if isinstance(p, InversePath):
-            self.add(node, ns.SH_INVERSE_PATH, self.path(p.inner))
-        elif isinstance(p, SequencePath):
-            return self.collection([self.path(part) for part in p.parts])
-        elif isinstance(p, AlternativePath):
-            self.add(node, ns.SH_ALTERNATIVE_PATH, self.collection([self.path(x) for x in p.parts]))
-        elif isinstance(p, ZeroOrMorePath):
-            self.add(node, ns.SH_ZERO_OR_MORE_PATH, self.path(p.inner))
-        elif isinstance(p, OneOrMorePath):
-            self.add(node, ns.SH_ONE_OR_MORE_PATH, self.path(p.inner))
-        elif isinstance(p, ZeroOrOnePath):
-            self.add(node, ns.SH_ZERO_OR_ONE_PATH, self.path(p.inner))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown path {p!r}")
-        return node
-
-
-_CONSTRAINT_PREDICATES = {kind: pred for pred, kind in _CONSTRAINT_PARAMS.items()}
-
-
-def document_to_graph(doc: ShaclDocument) -> TripleGraph:
-    """Write the shape definitions back out as RDF triples."""
-    from .terms import boolean, integer
-
-    w = _DocWriter()
-    for shape in doc.shapes:
-        kind = ns.SH_PROPERTY_SHAPE if shape.is_property_shape else ns.SH_NODE_SHAPE
-        w.add(shape.name, ns.RDF_TYPE, iri(kind))
-        if shape.path is not None:
-            w.add(shape.name, ns.SH_PATH, w.path(shape.path))
-        for target in shape.targets:
-            if isinstance(target, NodeTarget):
-                w.add(shape.name, ns.SH_TARGET_NODE, target.node)
-            elif isinstance(target, ClassTarget):
-                w.add(shape.name, ns.SH_TARGET_CLASS, target.cls)
-            elif isinstance(target, SubjectsOfTarget):
-                w.add(shape.name, ns.SH_TARGET_SUBJECTS_OF, target.relation)
-            else:
-                w.add(shape.name, ns.SH_TARGET_OBJECTS_OF, target.relation)
-        for c in shape.constraints:
-            pred = _CONSTRAINT_PREDICATES[c.kind]
-            if c.kind in (MIN_LENGTH, MAX_LENGTH, MIN_COUNT, MAX_COUNT):
-                w.add(shape.name, pred, integer(c.args[0]))
-            elif c.kind == PATTERN:
-                from .terms import string
-
-                w.add(shape.name, pred, string(c.args[0]))
-            elif c.kind == UNIQUE_LANG:
-                w.add(shape.name, pred, boolean(True))
-            elif c.kind == IN:
-                w.add(shape.name, pred, w.collection(list(c.args)))
-            elif c.kind == LANGUAGE_IN:
-                from .terms import string
-
-                w.add(shape.name, pred, w.collection([string(t) for t in c.args]))
-            elif c.kind in (AND, OR, XONE):
-                w.add(shape.name, pred, w.collection(list(c.args)))
-            elif c.kind == QUALIFIED:
-                ref, lo, hi, siblings = c.args
-                w.add(shape.name, pred, ref)
-                if lo is not None:
-                    w.add(shape.name, ns.SH_QUALIFIED_MIN_COUNT, integer(lo))
-                if hi is not None:
-                    w.add(shape.name, ns.SH_QUALIFIED_MAX_COUNT, integer(hi))
-                if siblings:
-                    w.add(shape.name, ns.SH_QUALIFIED_DISJOINT, boolean(True))
-            elif c.kind == CLOSED:
-                w.add(shape.name, pred, boolean(True))
-                if c.args:
-                    w.add(shape.name, ns.SH_IGNORED_PROPERTIES, w.collection(list(c.args)))
-            else:
-                w.add(shape.name, pred, c.args[0])
-    return TripleGraph(frozenset(w.triples))
-
-
-# --------------------------------------------------------------------------
 # Target splitting
 # --------------------------------------------------------------------------
 
@@ -683,30 +580,16 @@ def split_targets_with_origin(
     taken = {s.name for s in doc.shapes}
     origin: dict[Term, Term] = {}
     out: list[Shape] = []
-
-    def emit(shape: Shape, original: Term) -> None:
-        origin[shape.name] = original
-        out.append(shape)
-
     for shape in doc.shapes:
-        if shape.name in referenced:
-            if shape.targets:
-                emit(replace(shape, targets=()), shape.name)
-                for i, target in enumerate(shape.targets):
-                    name = _fresh_name(shape.name, i, taken)
-                    taken.add(name)
-                    emit(replace(shape, name=name, targets=(target,)), shape.name)
-            else:
-                emit(shape, shape.name)
-        else:
-            if len(shape.targets) <= 1:
-                emit(shape, shape.name)
-            else:
-                emit(replace(shape, targets=(shape.targets[0],)), shape.name)
-                for i, target in enumerate(shape.targets[1:], start=1):
-                    name = _fresh_name(shape.name, i, taken)
-                    taken.add(name)
-                    emit(replace(shape, name=name, targets=(target,)), shape.name)
+        # a referenced shape keeps no target, any other keeps its first
+        keep = 0 if shape.name in referenced else 1
+        origin[shape.name] = shape.name
+        out.append(replace(shape, targets=shape.targets[:keep]))
+        for i, target in enumerate(shape.targets[keep:], start=keep):
+            name = _fresh_name(shape.name, i, taken)
+            taken.add(name)
+            origin[name] = shape.name
+            out.append(replace(shape, name=name, targets=(target,)))
     return ShaclDocument(tuple(out), doc.vocabulary_context), origin
 
 

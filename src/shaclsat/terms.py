@@ -180,15 +180,6 @@ class TripleGraph:
             yield t.subject
             yield t.object
 
-    def predicates(self) -> set[Term]:
-        return {t.predicate for t in self.triples}
-
-    def objects(self, subject: Term, predicate: Term) -> list[Term]:
-        return sorted(
-            (t.object for t in self.triples if t.subject == subject and t.predicate == predicate),
-            key=Term.sort_key,
-        )
-
 
 def graph(triples, mode: str = GENERALIZED) -> TripleGraph:
     return TripleGraph(frozenset(triples), mode)

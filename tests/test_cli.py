@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,24 @@ def test_sat_budget_abort_exit_two(tmp_path, capsys):
     code = dispatch(["sat", str(hard), "--max-domain", "6", "--budget", "0.01"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out["outcome"] == "Aborted"
+
+
+def test_sat_long_integer_catalog_answers_within_budget(tmp_path, capsys):
+    # canonical forms up to 20,000 characters: the family count is two
+    # interval intersections, not one step per length
+    doc = tmp_path / "long.ttl"
+    doc.write_text(
+        doc_ttl(
+            ":s a sh:NodeShape ; sh:targetNode :a ; sh:property :p .\n"
+            ":p a sh:PropertyShape ; sh:path :r ; sh:minCount 1 ; "
+            "sh:datatype xsd:integer ; sh:maxLength 20000 ."
+        )
+    )
+    start = time.perf_counter()
+    code = dispatch(["sat", str(doc), "--budget", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(capsys.readouterr().out)["outcome"] == "Sat"
+    assert elapsed < 2.0
 
 
 def test_contains_exit_codes(tmp_path, capsys):

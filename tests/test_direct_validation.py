@@ -1,4 +1,7 @@
+import ast
 import random
+import sys
+from pathlib import Path
 
 from corpus import doc_ttl, graphs_for
 from shaclsat.direct_validation import validate_direct
@@ -354,3 +357,38 @@ def test_long_acyclic_paths_keep_the_condensation_linear():
     for closure in closures.values():
         assert sum(map(len, closure.members)) <= n + 1
         assert sum(map(len, closure.below)) <= n
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shaclsat"
+
+
+def _imports(module: str) -> tuple[dict[str, set[str]], set[str]]:
+    """The package modules a module imports from, each with the names it
+    takes, and the top-level names of its other imports."""
+    package: dict[str, set[str]] = {}
+    other: set[str] = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:  # from . import namespaces as ns
+                for alias in node.names:
+                    package.setdefault(alias.name, set())
+            else:
+                package.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            other.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            other.update(a.name.split(".")[0] for a in node.names)
+    return package, other
+
+
+def test_direct_route_shares_nothing_with_the_logic_pipeline():
+    # the differential tests compare two routes, which means something only
+    # while the direct one reaches no code of the translation into logic
+    package, other = _imports("direct_validation")
+    assert set(package) <= {"namespaces", "shapes", "filter_semantics", "terms"}
+    assert other <= sys.stdlib_module_names
+    # the AST it reads takes one pattern check from the logic side, no more
+    package, other = _imports("shapes")
+    assert set(package) <= {"namespaces", "scl", "terms", "turtle"}
+    assert package.get("scl", set()) <= {"pattern_error"}
+    assert other <= sys.stdlib_module_names

@@ -1,10 +1,12 @@
 import hashlib
+import random
 from itertools import product
 
 import pytest
 
 from shaclsat import namespaces as ns
 from shaclsat.filters import (
+    _integer_length_count,
     ALPHABET_SIZE,
     CapExceeded,
     Cardinality,
@@ -415,3 +417,20 @@ def test_past_the_float_range_a_double_is_inf():
     c = combo(pos=[HasDatatype(ns.XSD_DECIMAL), MinValue(literal("-INF", ns.XSD_DOUBLE), False)])
     card, witnesses = gamma_with_witnesses(c, 2)
     assert card.is_infinite and len(witnesses) == 2
+
+
+def test_integer_length_count_matches_enumeration():
+    rng = random.Random(5)
+    for _ in range(2000):
+        lo = rng.randint(-12_000, 12_000)
+        hi = lo + rng.randint(0, 2_000)
+        len_lo = rng.randint(0, 7)
+        len_hi = rng.choice([None, rng.randint(0, 7)])
+        expected = sum(
+            1
+            for v in range(lo, hi + 1)
+            if len_lo <= len(str(v)) and (len_hi is None or len(str(v)) <= len_hi)
+        )
+        assert _integer_length_count(lo, hi, len_lo, len_hi) == expected, (lo, hi, len_lo, len_hi)
+    # a length bound far past the range's widest form builds no power of it
+    assert _integer_length_count(-5, 20, 2, 10**12) == 16  # -5 … -1 and 10 … 20

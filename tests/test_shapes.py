@@ -7,6 +7,7 @@ from shaclsat.shapes import (
     ClassTarget,
     Constraint,
     InversePath,
+    NodeTarget,
     PredicatePath,
     RecursiveShapeError,
     SequencePath,
@@ -15,6 +16,7 @@ from shaclsat.shapes import (
     ShaclModelError,
     parse_document,
     split_targets,
+    split_targets_with_origin,
 )
 from shaclsat.terms import iri
 from shaclsat.turtle import parse_turtle
@@ -144,6 +146,43 @@ def test_split_referenced_shape_gets_target_free_copy():
     assert len([s for s in out.shapes if s.name.lexical.startswith(EX + "t--")]) == 2
 
 
+def test_split_copy_names_and_origin():
+    doc = parse_document(
+        doc_ttl(
+            ":s a sh:NodeShape ; sh:node :t .\n"
+            ":t a sh:NodeShape ; sh:targetNode :n ; sh:targetClass :B .\n"
+            ":u a sh:NodeShape ; sh:targetNode :n1 , :n2 ; sh:targetClass :A .\n"
+            ":v a sh:NodeShape ; sh:targetNode :n ; sh:targetClass :B .\n"
+            "<http://corpus.example/v--t1> a sh:NodeShape ; sh:nodeKind sh:IRI ."
+        )
+    )
+    out, origin = split_targets_with_origin(doc)
+    assert [(s.name.lexical[len(EX):], s.targets) for s in out.shapes] == [
+        ("s", ()),
+        ("t", ()),
+        ("t--t0", (NodeTarget(iri(EX + "n")),)),
+        ("t--t1", (ClassTarget(iri(EX + "B")),)),
+        ("u", (NodeTarget(iri(EX + "n1")),)),
+        ("u--t1", (NodeTarget(iri(EX + "n2")),)),
+        ("u--t2", (ClassTarget(iri(EX + "A")),)),
+        ("v", (NodeTarget(iri(EX + "n")),)),
+        ("v--t1-1", (ClassTarget(iri(EX + "B")),)),
+        ("v--t1", ()),
+    ]
+    assert {k.lexical[len(EX):]: v.lexical[len(EX):] for k, v in origin.items()} == {
+        "s": "s",
+        "t": "t",
+        "t--t0": "t",
+        "t--t1": "t",
+        "u": "u",
+        "u--t1": "u",
+        "u--t2": "u",
+        "v": "v",
+        "v--t1-1": "v",
+        "v--t1": "v--t1",
+    }
+
+
 def test_split_is_idempotent():
     for _, text in corpus_documents():
         doc = parse_document(text)
@@ -164,15 +203,3 @@ def test_duplicate_shape_names_rejected():
     shape = Shape(name=iri(EX + "s"))
     with pytest.raises(ShaclModelError):
         ShaclDocument((shape, shape))
-
-
-def test_document_serialization_round_trip_identity():
-    from shaclsat.shapes import document_to_graph, extract_document
-    from shaclsat.turtle import parse_turtle, serialize_turtle
-
-    for name, text in corpus_documents():
-        doc = parse_document(text)
-        assert extract_document(document_to_graph(doc)) == doc, name
-        # and through an actual text round trip
-        reread = extract_document(parse_turtle(serialize_turtle(document_to_graph(doc))))
-        assert len(reread.shapes) == len(doc.shapes)
