@@ -52,8 +52,6 @@ def _load_graph(path: str, mode: str):
 
 
 def _load_sentence(path: str, lang: str, mode: str) -> SclSentence:
-    if lang == "auto":
-        lang = "scl" if path.endswith(".scl") else "ttl"
     if lang == "scl":
         return parse_scl(_read(path))
     return translate(extract_document(_load_graph(path, mode)))
@@ -175,6 +173,8 @@ def _report(args, data: dict) -> None:
 
 def _run(args) -> int:
     mode = args.rdf_mode
+    if getattr(args, "lang", None) == "auto":  # classify and sat
+        args.lang = "scl" if args.file.endswith(".scl") else "ttl"
     if args.command == "translate":
         doc = extract_document(_load_graph(args.shapes, mode))
         print(print_scl(translate(doc)))
@@ -198,13 +198,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sat":
-        lang = args.lang
-        if lang == "auto":
-            lang = "scl" if args.file.endswith(".scl") else "ttl"
-        sentence = _load_sentence(args.file, lang, mode)
+        sentence = _load_sentence(args.file, args.lang, mode)
         model_mode = args.model_mode
         if model_mode == "auto":
-            model_mode = UNINTERPRETED if lang == "scl" else CANONICAL
+            model_mode = UNINTERPRETED if args.lang == "scl" else CANONICAL
         if args.axiomatize:
             if has_pattern_filters(sentence):
                 print("note: pattern filters are not axiomatized (pattern-incomplete)",

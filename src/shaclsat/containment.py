@@ -11,7 +11,7 @@ from . import shapes as sh
 from .direct_validation import validate_direct
 from .scl import ShapeDef, conjuncts, sentence_conj
 from .search import CANONICAL, ModelConfirmationError, SearchBudgetExceeded, _least_model
-from .terms import GENERALIZED, Term, TripleGraph, iri
+from .terms import Term, TripleGraph, iri
 from .translate import extract_definitions, translate
 
 
@@ -95,7 +95,7 @@ def check_containment(
         return ContainmentVerdict("Aborted", reason="budget exhausted")
     if structure is None:
         return ContainmentVerdict("NoCounterexampleUpTo", bound=max_domain)
-    graph = structure.to_graph(GENERALIZED)
+    graph = structure.to_graph()
     r1 = validate_direct(graph, doc1)
     r2 = validate_direct(graph, doc2)
     if not r1.conforms or r2.conforms:
@@ -109,18 +109,16 @@ def check_containment(
 
 
 def _constraint_constants(doc: sh.ShaclDocument, name: Term) -> set[Term]:
-    """Constants mentioned by a shape's constraints, following references."""
+    """Constants mentioned by a shape's constraints, following references
+    from an explicit stack (the caller sorts the result)."""
     out: set[Term] = set()
-    seen: set[Term] = set()
-
-    def visit(shape_name: Term) -> None:
-        if shape_name in seen:
-            return
-        seen.add(shape_name)
+    seen = {name}
+    pending = [name]
+    while pending:
         try:
-            shape = doc.shape(shape_name)
+            shape = doc.shape(pending.pop())
         except KeyError:
-            return
+            continue
         for c in shape.constraints:
             if c.kind in (sh.HAS_VALUE, sh.CLASS, sh.MIN_EXCLUSIVE, sh.MIN_INCLUSIVE,
                           sh.MAX_EXCLUSIVE, sh.MAX_INCLUSIVE):
@@ -128,9 +126,9 @@ def _constraint_constants(doc: sh.ShaclDocument, name: Term) -> set[Term]:
             elif c.kind == sh.IN:
                 out.update(c.args)
             for ref in c.shape_refs():
-                visit(ref)
-
-    visit(name)
+                if ref not in seen:
+                    seen.add(ref)
+                    pending.append(ref)
     return out
 
 

@@ -6,7 +6,6 @@ exponential blow-up."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from . import namespaces as ns
 from .scl import (
@@ -14,9 +13,8 @@ from .scl import (
     And,
     CountExists,
     Disjoint,
-    Equals,
+    FormulaValues,
     HasShape,
-    Not,
     Opt,
     OrderCmp,
     PathExpr,
@@ -27,6 +25,8 @@ from .scl import (
     Top,
     conjuncts,
     disj,
+    fold,
+    operands,
     sentence_conj,
     A,
     D,
@@ -35,6 +35,7 @@ from .scl import (
     Z,
     FeatureSet,
 )
+from .scl_text import print_scl
 from .terms import Term, iri
 
 
@@ -51,25 +52,37 @@ class RewriteResult:
     defects: tuple[RewriteDefect, ...] = ()
 
 
-def _map_formula(f: SclFormula, fn: Callable[[SclFormula], SclFormula]) -> SclFormula:
-    """Rebuild one level, applying fn to child formulas."""
-    if isinstance(f, Not):
-        return Not(fn(f.body))
-    if isinstance(f, And):
-        return And(fn(f.left), fn(f.right))
-    if isinstance(f, CountExists):
-        return CountExists(f.threshold, f.path, fn(f.body))
-    return f
+def _rebuild(f: SclFormula, done: dict) -> SclFormula:
+    """`f` with each child formula replaced by its value in `done`; `f`
+    itself when no child changes."""
+    fields = tuple(f.__dict__.values())
+    mapped = tuple([done[v] if isinstance(v, SclFormula) else v for v in fields])
+    return f if mapped == fields else type(f)(*mapped)
 
 
-def _defect(rule: str, reason: str, node: SclFormula) -> RewriteDefect:
-    from .scl_text import print_scl
-
-    return RewriteDefect(rule, reason, print_scl(node))
+def _over_alternatives(path: PathExpr, leaf, join) -> SclFormula:
+    """`leaf` of each member of the alternative tree at `path`, joined
+    pairwise in the tree's own shape.  The tree is read in postfix order
+    from an explicit stack (None marks a join), so its size costs no
+    recursion."""
+    values: list[SclFormula] = []
+    stack: list = [path]
+    while stack:
+        p = stack.pop()
+        if p is None:
+            right = values.pop()
+            values.append(join(values.pop(), right))
+        elif isinstance(p, Alt):
+            stack += (None, p.right, p.left)
+        else:
+            values.append(leaf(p))
+    return values.pop()
 
 
 # --------------------------------------------------------------------------
-# [S] sequence elimination
+# The passes.  Each is a `fold` step: it sees a formula once its child
+# formulas are rewritten (read from `done`), so a subformula shared in one
+# body is rewritten, and reports its defect, once.
 # --------------------------------------------------------------------------
 
 
@@ -78,93 +91,63 @@ def eliminate_sequence(formula: SclFormula) -> RewriteResult:
     quantifications.  Sequences under counting, disjointness, equality and
     order atoms stay put; no equivalence covers them."""
 
-    def go(f: SclFormula) -> SclFormula:
-        if isinstance(f, CountExists) and f.threshold == 1:
-            body = go(f.body)
-            return _split(f.path, body)
-        return _map_formula(f, go)
+    def step(f: SclFormula, done: dict) -> SclFormula:
+        if isinstance(f, CountExists) and f.threshold == 1 and isinstance(f.path, Seq):
+            body = done[f.body]
+            for part in reversed(operands(f.path, Seq)):
+                body = CountExists(1, part, body)
+            return body
+        return _rebuild(f, done)
 
-    def _split(path: PathExpr, body: SclFormula) -> SclFormula:
-        if isinstance(path, Seq):
-            return _split(path.left, _split(path.right, body))
-        return CountExists(1, path, body)
-
-    return RewriteResult(go(formula))
-
-
-# --------------------------------------------------------------------------
-# [Z] zero-or-one elimination
-# --------------------------------------------------------------------------
+    return RewriteResult(fold(formula, step, FormulaValues()))
 
 
 def eliminate_zero_or_one(formula: SclFormula) -> RewriteResult:
     defects: list[RewriteDefect] = []
 
-    def exists(path: PathExpr, body: SclFormula) -> SclFormula:
-        """(count>= 1 path body) over a body that is already rewritten."""
-        if isinstance(path, Opt):
-            return disj([body, exists(path.inner, body)])
-        return CountExists(1, path, body)
-
-    def go(f: SclFormula) -> SclFormula:
+    def step(f: SclFormula, done: dict) -> SclFormula:
+        if not isinstance(getattr(f, "path", None), Opt):
+            return _rebuild(f, done)
+        if isinstance(f, CountExists) and f.threshold == 1:
+            # (count>= 1 (opt p) b) is b or (count>= 1 p b)
+            body, path, options = done[f.body], f.path, 0
+            while isinstance(path, Opt):
+                path, options = path.inner, options + 1
+            out = CountExists(1, path, body)
+            for _ in range(options):
+                out = disj([body, out])
+            return out
         if isinstance(f, CountExists):
-            body = go(f.body)
-            if f.threshold == 1:
-                return exists(f.path, body)
-            if isinstance(f.path, Opt):
-                defects.append(
-                    _defect("Z", "zero-or-one under a counting quantifier is not eliminable", f)
-                )
-            return CountExists(f.threshold, f.path, body)
-        if isinstance(f, (Disjoint, Equals, OrderCmp)) and isinstance(f.path, Opt):
-            defects.append(
-                _defect("Z", "zero-or-one under this construct is not eliminable", f)
-            )
-            return f
-        return _map_formula(f, go)
+            reason = "zero-or-one under a counting quantifier is not eliminable"
+        else:
+            reason = "zero-or-one under this construct is not eliminable"
+        defects.append(RewriteDefect("Z", reason, print_scl(f)))
+        return _rebuild(f, done)
 
-    return RewriteResult(go(formula), tuple(defects))
-
-
-# --------------------------------------------------------------------------
-# [A] alternative elimination
-# --------------------------------------------------------------------------
+    return RewriteResult(fold(formula, step, FormulaValues()), tuple(defects))
 
 
 def eliminate_alternative(formula: SclFormula) -> RewriteResult:
     defects: list[RewriteDefect] = []
 
-    def exists(path: PathExpr, body: SclFormula) -> SclFormula:
-        """(count>= 1 path body) over a body that is already rewritten."""
-        if isinstance(path, Alt):
-            return disj([exists(path.left, body), exists(path.right, body)])
-        return CountExists(1, path, body)
-
-    def go(f: SclFormula) -> SclFormula:
+    def step(f: SclFormula, done: dict) -> SclFormula:
+        if not isinstance(getattr(f, "path", None), Alt):
+            return _rebuild(f, done)
+        if isinstance(f, CountExists) and f.threshold == 1:
+            body = done[f.body]
+            return _over_alternatives(
+                f.path, lambda p: CountExists(1, p, body), lambda a, b: disj([a, b])
+            )
+        if isinstance(f, (Disjoint, OrderCmp)):
+            return _over_alternatives(f.path, lambda p: replace(f, path=p), And)
         if isinstance(f, CountExists):
-            body = go(f.body)
-            if f.threshold == 1:
-                return exists(f.path, body)
-            if isinstance(f.path, Alt):
-                defects.append(
-                    _defect("A", "alternative under a counting quantifier is not eliminable", f)
-                )
-            return CountExists(f.threshold, f.path, body)
-        if isinstance(f, Disjoint) and isinstance(f.path, Alt):
-            return And(
-                go(Disjoint(f.path.left, f.relation)), go(Disjoint(f.path.right, f.relation))
-            )
-        if isinstance(f, OrderCmp) and isinstance(f.path, Alt):
-            return And(
-                go(replace(f, path=f.path.left)),
-                go(replace(f, path=f.path.right)),
-            )
-        if isinstance(f, Equals) and isinstance(f.path, Alt):
-            defects.append(_defect("A", "alternative under equality is not eliminable", f))
-            return f
-        return _map_formula(f, go)
+            reason = "alternative under a counting quantifier is not eliminable"
+        else:
+            reason = "alternative under equality is not eliminable"
+        defects.append(RewriteDefect("A", reason, print_scl(f)))
+        return _rebuild(f, done)
 
-    return RewriteResult(go(formula), tuple(defects))
+    return RewriteResult(fold(formula, step, FormulaValues()), tuple(defects))
 
 
 # --------------------------------------------------------------------------
@@ -217,25 +200,18 @@ def name_subformulas(sentence: SclSentence) -> SclSentence:
     new_defs: list[ShapeDef] = []
     names: dict[SclFormula, Term] = {}
 
-    def name_for(body: SclFormula) -> Term:
+    def step(f: SclFormula, done: dict) -> SclFormula:
+        if not isinstance(f, CountExists) or isinstance(done[f.body], (HasShape, Top)):
+            return _rebuild(f, done)
+        body = done[f.body]
         if body not in names:
-            fresh = iri(f"{ns.GEN_NS}def:n{len(names)}")
-            names[body] = fresh
-            new_defs.append(ShapeDef(fresh, body))
-        return names[body]
+            names[body] = iri(f"{ns.GEN_NS}def:n{len(names)}")
+            new_defs.append(ShapeDef(names[body], body))
+        return CountExists(f.threshold, f.path, HasShape(names[body]))
 
-    def go(f: SclFormula) -> SclFormula:
-        if isinstance(f, CountExists):
-            body = go(f.body)
-            if isinstance(body, (HasShape, Top)):
-                return CountExists(f.threshold, f.path, body)
-            return CountExists(f.threshold, f.path, HasShape(name_for(body)))
-        return _map_formula(f, go)
-
-    out = []
-    for part in conjuncts(sentence):
-        out.append(replace(part, body=go(part.body)))
-    return sentence_conj(out + list(new_defs))
+    done = FormulaValues()
+    out = [replace(part, body=fold(part.body, step, done)) for part in conjuncts(sentence)]
+    return sentence_conj(out + new_defs)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Container, Iterator, Optional, Union
+from typing import Callable, Container, Iterator, Optional, Union
 
 from .namespaces import RDF_TYPE
 from .terms import Term, iri, n3
@@ -353,15 +353,24 @@ def sentence_conj(parts: list[SclSentence]) -> SclSentence:
     return out
 
 
-def conjuncts(sentence: SclSentence) -> Iterator[SclSentence]:
-    """Flatten a sentence conjunction, left to right."""
-    stack = [sentence]
+def operands(node: _Node, kind: type) -> list[_Node]:
+    """The maximal subtrees of `node` that are not a `kind` (`SAnd`, `Seq`
+    or `Alt`), left to right; `[node]` when `node` is not one.  The tree is
+    unrolled on an explicit stack, so a long spine costs no recursion."""
+    out: list[_Node] = []
+    stack = [node]
     while stack:
         part = stack.pop()
-        if isinstance(part, SAnd):
+        if isinstance(part, kind):
             stack += (part.right, part.left)
-        elif not isinstance(part, TopSentence):
-            yield part
+        else:
+            out.append(part)
+    return out
+
+
+def conjuncts(sentence: SclSentence) -> list[SclSentence]:
+    """Flatten a sentence conjunction, left to right."""
+    return [p for p in operands(sentence, SAnd) if not isinstance(p, TopSentence)]
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +381,7 @@ def conjuncts(sentence: SclSentence) -> Iterator[SclSentence]:
 def children(node: _Node) -> tuple[_Node, ...]:
     """The sub-nodes of a node, in field order (a node's instance dict holds
     exactly its fields)."""
-    return tuple(v for v in node.__dict__.values() if isinstance(v, _Node))
+    return tuple([v for v in node.__dict__.values() if isinstance(v, _Node)])
 
 
 def nodes(root: _Node, skip: Container[_Node] = ()) -> Iterator[_Node]:
@@ -392,6 +401,25 @@ def nodes(root: _Node, skip: Container[_Node] = ()) -> Iterator[_Node]:
         else:
             stack.pop()
             yield node
+
+
+def fold(root: _Node, step: Callable[[_Node, dict], object], done: dict):
+    """The value of `root` in a children-first pass: `step(node, done)` is
+    stored in `done` for each node under `root` not in `done` yet, in `nodes`
+    order, so a step reads its children's values from `done`.  A distinct
+    node takes one step however often it occurs; depth costs no recursion."""
+    if root not in done:
+        for node in nodes(root, done):
+            done[node] = step(node, done)
+    return done[root]
+
+
+class FormulaValues(dict):
+    """A `fold` memo for formula passes: every path counts as done, so the
+    walk never enters one."""
+
+    def __contains__(self, node: object) -> bool:
+        return isinstance(node, PathExpr) or dict.__contains__(self, node)
 
 
 # --------------------------------------------------------------------------
@@ -541,11 +569,11 @@ def ast_size(node: _Node) -> int:
     """Number of AST nodes (sentences, formulas and paths), a shared subtree
     counted at each occurrence; a sentence counts its conjuncts, not the
     conjunctions joining them."""
-    size: dict[_Node, int] = {}
-    for n in nodes(node):
+    def size(n: _Node, done: dict) -> int:
         own = 0 if isinstance(n, (SAnd, TopSentence)) else 1
-        size[n] = own + sum(size[c] for c in children(n))
-    return max(size[node], 1)
+        return own + sum(done[c] for c in children(n))
+
+    return max(fold(node, size, {}), 1)
 
 
 def node_constants(node: Union[SclSentence, SclFormula]) -> set[Term]:

@@ -55,6 +55,7 @@ from .scl import (
     Top,
     check_well_formed,
     conjuncts,
+    fold,
     formula_filters,
     node_constants,
     nodes,
@@ -718,16 +719,18 @@ class _Grounder:
         ]
 
     def path_matrix(self, path: PathExpr) -> list[list[int]]:
-        if path in self._path_mat:
-            return self._path_mat[path]
+        return fold(path, self._matrix, self._path_mat)
+
+    def _matrix(self, path: PathExpr, done: dict) -> list[list[int]]:
+        """The matrix of `path` from its subpaths' matrices in `done`."""
         if isinstance(path, Rel):
-            mat = self._rel_matrix(path.name, path.inverted)
-        elif isinstance(path, Seq):
-            mat = self._compose(self.path_matrix(path.left), self.path_matrix(path.right))
-        elif isinstance(path, Alt):
-            mat = self._union(self.path_matrix(path.left), self.path_matrix(path.right))
-        elif isinstance(path, (Opt, Star)):
-            inner = self.path_matrix(path.inner)
+            return self._rel_matrix(path.name, path.inverted)
+        if isinstance(path, Seq):
+            return self._compose(done[path.left], done[path.right])
+        if isinstance(path, Alt):
+            return self._union(done[path.left], done[path.right])
+        if isinstance(path, (Opt, Star)):
+            inner = done[path.inner]
             mat = [
                 [self.cnf.true_lit if i == j else inner[i][j] for j in range(self.k)]
                 for i in range(self.k)
@@ -736,10 +739,8 @@ class _Grounder:
             while isinstance(path, Star) and steps < self.k - 1:
                 mat = self._compose(mat, mat)
                 steps *= 2
-        else:  # pragma: no cover
-            raise TypeError(f"unknown path {path!r}")
-        self._path_mat[path] = mat
-        return mat
+            return mat
+        raise TypeError(f"unknown path {path!r}")  # pragma: no cover
 
     # ---- formulas -----------------------------------------------------------
 

@@ -40,9 +40,11 @@ from .scl import (
     Alt,
     IllFormedSentence,
     MissingDefinition,
+    FormulaValues,
     conjuncts,
     definition_order,
-    nodes,
+    fold,
+    operands,
 )
 from .terms import (
     ComparisonVerdict,
@@ -95,12 +97,12 @@ class FiniteStructure:
             },
         }
 
-    def to_graph(self, mode: str = "generalized") -> TripleGraph:
-        """Drop hasShape and read the relations back as triples."""
+    def to_graph(self) -> TripleGraph:
+        """Drop hasShape and read the relations back as a generalized graph."""
         triples = [
             Triple(s, name, o) for name, pairs in self.relations.items() for s, o in pairs
         ]
-        return TripleGraph(frozenset(triples), mode)
+        return TripleGraph(frozenset(triples))
 
 
 def canonical_structure(graph: TripleGraph) -> FiniteStructure:
@@ -134,9 +136,10 @@ class Evaluator:
     existentials are preimages of their body's extension through the path;
     a star is a backward fixpoint and never builds its closure.  Counting
     thresholds above 1 and the disjoint/equals/order atoms read per-node
-    successor sets.  Every subformula's extension except a shape atom's is
-    computed once and cached by its (interned) AST node, so equal
-    subformulas share one entry.
+    successor sets.  Extensions and successor sets are `fold` values, so
+    each is computed once per (interned) AST node, children first, and
+    equal subformulas share one entry.  A shape atom inside a formula takes
+    the assignment current when the fold reaches it (see `assign`).
     """
 
     def __init__(self, structure: FiniteStructure):
@@ -152,7 +155,7 @@ class Evaluator:
             name: frozenset(xs) for name, xs in members.items()
         }
         self._successors: dict[PathExpr, dict[int, frozenset[int]]] = {}
-        self._extensions: dict[SclFormula, frozenset[int]] = {}
+        self._extensions: dict[SclFormula, frozenset[int]] = FormulaValues()
         self._order_position: Optional[dict[Term, tuple[int, int]]] = None
         if structure.order_blocks is not None:
             self._order_position = {}
@@ -164,19 +167,11 @@ class Evaluator:
 
     def successors(self, path: PathExpr) -> dict[int, frozenset[int]]:
         """Path successors per node; nodes without successors are absent.
+        Uncached subpaths are folded children first."""
+        return fold(path, self._compute_successors, self._successors)
 
-        Uncached subpaths are computed children first, so nesting depth
-        costs no recursion.
-        """
-        out = self._successors.get(path)
-        if out is None:
-            for p in nodes(path, self._successors):
-                self._successors[p] = self._compute_successors(p)
-            out = self._successors[path]
-        return out
-
-    def _compute_successors(self, path: PathExpr) -> dict[int, frozenset[int]]:
-        """The successors of `path` from its subpaths' successors."""
+    def _compute_successors(self, path: PathExpr, done: dict) -> dict[int, frozenset[int]]:
+        """The successors of `path` from its subpaths' successors in `done`."""
         grouped: dict[int, set[int]] = {}
         if isinstance(path, Rel):
             for a, b in self.s.relations.get(path.name, ()):
@@ -184,20 +179,20 @@ class Evaluator:
                     a, b = b, a
                 grouped.setdefault(self.index[a], set()).add(self.index[b])
         elif isinstance(path, Seq):
-            right = self.successors(path.right)
-            for i, mids in self.successors(path.left).items():
+            right = done[path.right]
+            for i, mids in done[path.left].items():
                 reached = set().union(*(right.get(m, ()) for m in mids))
                 if reached:
                     grouped[i] = reached
         elif isinstance(path, Alt):
-            left, right = self.successors(path.left), self.successors(path.right)
+            left, right = done[path.left], done[path.right]
             grouped = {i: {*left.get(i, ()), *right.get(i, ())} for i in left.keys() | right.keys()}
         elif isinstance(path, Opt):
-            inner = self.successors(path.inner)
+            inner = done[path.inner]
             grouped = {i: {i, *inner.get(i, ())} for i in range(self.n)}
         elif isinstance(path, Star):
             # forward BFS from each node: each node enters a frontier once
-            inner = self.successors(path.inner)
+            inner = done[path.inner]
             for start in range(self.n):
                 reached, frontier = {start}, {start}
                 while frontier:
@@ -212,7 +207,8 @@ class Evaluator:
         """Nodes with at least one path successor in `targets`.
 
         A sequence is unfolded from an explicit stack, rightmost step
-        first, so a long `sh:path` list costs no recursion.
+        first, and an alternative's members are looped over, so a long
+        `sh:path` list or `sh:alternativePath` costs no recursion.
         """
         steps = [path]
         while steps:
@@ -226,7 +222,9 @@ class Evaluator:
                     out.update(pred.get(j, ()))
                 targets = frozenset(out)
             elif isinstance(step, Alt):
-                targets = self.preimage(step.left, targets) | self.preimage(step.right, targets)
+                targets = frozenset().union(
+                    *(self.preimage(member, targets) for member in operands(step, Alt))
+                )
             elif isinstance(step, Opt):
                 targets = targets | self.preimage(step.inner, targets)
             elif isinstance(step, Star):
@@ -286,34 +284,30 @@ class Evaluator:
     def extension(self, f: SclFormula) -> frozenset[int]:
         """Domain indices where `f` holds.
 
-        Uncached subformulas are computed children first, so nesting depth
-        costs no recursion; a shape atom reads the current assignment.
+        Uncached subformulas are folded children first; a shape atom reads
+        the current assignment.
         """
         if isinstance(f, HasShape):
             return self._shapes.get(f.shape, frozenset())
-        out = self._extensions.get(f)
-        if out is None:
-            for g in nodes(f, self._extensions):
-                if isinstance(g, SclFormula) and not isinstance(g, HasShape):
-                    self._extensions[g] = self._compute(g)
-            out = self._extensions[f]
-        return out
+        return fold(f, self._compute, self._extensions)
 
-    def _compute(self, f: SclFormula) -> frozenset[int]:
-        """The extension of `f` from its subformulas' extensions."""
+    def _compute(self, f: SclFormula, done: dict) -> frozenset[int]:
+        """The extension of `f` from its subformulas' extensions in `done`."""
         if isinstance(f, Not):
-            return self.everything - self.extension(f.body)
+            return self.everything - done[f.body]
         if isinstance(f, And):
-            return self.extension(f.left) & self.extension(f.right)
+            return done[f.left] & done[f.right]
         if isinstance(f, Top):
             return self.everything
+        if isinstance(f, HasShape):
+            return self._shapes.get(f.shape, frozenset())
         if isinstance(f, EqConst):
             target = self.index.get(self.s.denote(f.constant))
             return frozenset() if target is None else frozenset((target,))
         if isinstance(f, Filter):
             return frozenset(x for x in range(self.n) if self.filter_truth(f.name, x))
         if isinstance(f, CountExists):
-            body = self.extension(f.body)
+            body = done[f.body]
             if f.threshold == 1:
                 return self.preimage(f.path, body)
             return frozenset(
@@ -348,10 +342,7 @@ class Evaluator:
     # sentences ---------------------------------------------------------------
 
     def sentence(self, s: SclSentence) -> bool:
-        return all(self._conjunct(part) for part in conjuncts(s))
-
-    def _conjunct(self, part: SclSentence) -> bool:
-        return not self.counterexamples(part)
+        return not any(self.counterexamples(part) for part in conjuncts(s))
 
     def counterexamples(self, part: SclSentence) -> list[int]:
         """Domain elements witnessing the failure of one sentence conjunct."""

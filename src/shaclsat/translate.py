@@ -10,6 +10,7 @@ graph whose extracted document validates exactly the same graphs.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Optional
 
 from . import namespaces as ns
@@ -25,6 +26,7 @@ from .scl import (
     Equals,
     Filter,
     ForClass,
+    FormulaValues,
     ForSubjectsOf,
     HasDatatype,
     HasLanguage,
@@ -54,10 +56,11 @@ from .scl import (
     conjuncts,
     disj,
     exists,
+    fold,
     forall_path,
     sentence_conj,
 )
-from .scl_text import print_scl
+from .scl_text import _pieces
 from .terms import Term, Triple, TripleGraph, integer, iri
 
 
@@ -294,10 +297,15 @@ def _hash_name(prefix: str, text: str) -> Term:
 class _MuState:
     def __init__(self) -> None:
         self.triples: set[Triple] = set()
-        self.shape_names: dict[str, Term] = {}
+        self.texts: dict = {}  # node -> canonical print
 
     def add(self, subject: Term, predicate: str, obj: Term) -> None:
         self.triples.add(Triple(subject, iri(predicate), obj))
+
+    def text(self, node) -> str:
+        """The canonical print of `node`, each distinct node printed once
+        from its children's prints."""
+        return fold(node, _print_step, self.texts)
 
     def blank_node(self, context: str) -> Term:
         from .terms import blank
@@ -315,31 +323,29 @@ class _MuState:
         return head
 
 
+def _print_step(node, texts: dict) -> str:
+    return "".join(p if isinstance(p, str) else texts[p] for p in _pieces(node))
+
+
 def _mu_path(state: _MuState, path: PathExpr) -> Term:
     if isinstance(path, Rel) and not path.inverted:
         return path.name
-    key = print_scl(exists(path, Top()))
+    key = state.text(exists(path))
     node = state.blank_node(f"path|{key}")
     if isinstance(path, Rel):
         state.add(node, ns.SH_INVERSE_PATH, path.name)
-    elif isinstance(path, Seq):
-        parts = []
-        cursor: PathExpr = path
-        while isinstance(cursor, Seq):
-            parts.append(cursor.left)
-            cursor = cursor.right
-        parts.append(cursor)
-        items = [_mu_path(state, p) for p in parts]
-        return state.collection(items, key)
-    elif isinstance(path, Alt):
+    elif isinstance(path, (Seq, Alt)):
+        # one list along the right spine; a left operand of the same kind nests
         members = []
-        cursor = path
-        while isinstance(cursor, Alt):
+        cursor: PathExpr = path
+        while isinstance(cursor, type(path)):
             members.append(cursor.left)
             cursor = cursor.right
         members.append(cursor)
-        items = [_mu_path(state, p) for p in members]
-        state.add(node, ns.SH_ALTERNATIVE_PATH, state.collection(items, key))
+        head = state.collection([_mu_path(state, p) for p in members], key)
+        if isinstance(path, Seq):
+            return head
+        state.add(node, ns.SH_ALTERNATIVE_PATH, head)
     elif isinstance(path, Star):
         state.add(node, ns.SH_ZERO_OR_MORE_PATH, _mu_path(state, path.inner))
     elif isinstance(path, Opt):
@@ -381,20 +387,11 @@ def _mu_filter(state: _MuState, name, subject: Term) -> None:
         raise TypeError(f"unknown filter {name!r}")
 
 
-def _property_block(state: _MuState, formula: SclFormula, path: PathExpr) -> Term:
-    """A fresh property shape node carrying the given path."""
-    node = _hash_name("pshape", print_scl(formula))
-    state.add(node, ns.RDF_TYPE, iri(ns.SH_PROPERTY_SHAPE))
-    state.add(node, ns.SH_PATH, _mu_path(state, path))
-    return node
-
-
-def _mu_formula(state: _MuState, formula: SclFormula) -> Term:
-    key = print_scl(formula)
-    if key in state.shape_names:
-        return state.shape_names[key]
+def _mu_step(state: _MuState, formula: SclFormula, names: dict) -> Term:
+    """The node shape of `formula`, its child formulas' shapes read from
+    `names`; a `fold` step, so each distinct subformula is emitted once."""
+    key = state.text(formula)
     name = _hash_name("shape", key)
-    state.shape_names[key] = name
     state.add(name, ns.RDF_TYPE, iri(ns.SH_NODE_SHAPE))
     if isinstance(formula, Top):
         pass
@@ -405,33 +402,43 @@ def _mu_formula(state: _MuState, formula: SclFormula) -> Term:
     elif isinstance(formula, HasShape):
         state.add(name, ns.SH_NODE, formula.shape)
     elif isinstance(formula, Not):
-        state.add(name, ns.SH_NOT, _mu_formula(state, formula.body))
+        state.add(name, ns.SH_NOT, names[formula.body])
     elif isinstance(formula, And):
-        members = [_mu_formula(state, formula.left), _mu_formula(state, formula.right)]
+        members = [names[formula.left], names[formula.right]]
         state.add(name, ns.SH_AND, state.collection(members, key))
-    elif isinstance(formula, CountExists):
-        prop = _property_block(state, formula, formula.path)
-        state.add(prop, ns.SH_QUALIFIED_VALUE_SHAPE, _mu_formula(state, formula.body))
-        state.add(prop, ns.SH_QUALIFIED_MIN_COUNT, integer(formula.threshold))
-        state.add(name, ns.SH_PROPERTY, prop)
-    elif isinstance(formula, Equals):
-        prop = _property_block(state, formula, formula.path)
-        state.add(prop, ns.SH_EQUALS, formula.relation)
-        state.add(name, ns.SH_PROPERTY, prop)
-    elif isinstance(formula, Disjoint):
-        prop = _property_block(state, formula, formula.path)
-        state.add(prop, ns.SH_DISJOINT, formula.relation)
-        state.add(name, ns.SH_PROPERTY, prop)
-    elif isinstance(formula, OrderCmp):
-        if formula.inverted:
+    elif isinstance(formula, (CountExists, Equals, Disjoint, OrderCmp)):
+        if isinstance(formula, OrderCmp) and formula.inverted:
             raise NotShaclExpressible("inverted order comparisons have no shape form")
-        pred = ns.SH_LESS_THAN if formula.strict else ns.SH_LESS_THAN_OR_EQUALS
-        prop = _property_block(state, formula, formula.path)
-        state.add(prop, pred, formula.relation)
+        # a property shape carrying the path
+        prop = _hash_name("pshape", key)
+        state.add(prop, ns.RDF_TYPE, iri(ns.SH_PROPERTY_SHAPE))
+        state.add(prop, ns.SH_PATH, _mu_path(state, formula.path))
         state.add(name, ns.SH_PROPERTY, prop)
+        if isinstance(formula, CountExists):
+            state.add(prop, ns.SH_QUALIFIED_VALUE_SHAPE, names[formula.body])
+            state.add(prop, ns.SH_QUALIFIED_MIN_COUNT, integer(formula.threshold))
+        elif isinstance(formula, Equals):
+            state.add(prop, ns.SH_EQUALS, formula.relation)
+        elif isinstance(formula, Disjoint):
+            state.add(prop, ns.SH_DISJOINT, formula.relation)
+        else:
+            pred = ns.SH_LESS_THAN if formula.strict else ns.SH_LESS_THAN_OR_EQUALS
+            state.add(prop, pred, formula.relation)
     else:
         raise NotShaclExpressible(f"no shape form for {type(formula).__name__}")
     return name
+
+
+def _target(part: SclSentence) -> tuple[str, Term]:
+    """The target predicate and object of a targeted conjunct."""
+    if isinstance(part, AtConst):
+        return ns.SH_TARGET_NODE, part.constant
+    if isinstance(part, ForClass):
+        return ns.SH_TARGET_CLASS, part.cls
+    if isinstance(part, ForSubjectsOf):
+        pred = ns.SH_TARGET_OBJECTS_OF if part.inverted else ns.SH_TARGET_SUBJECTS_OF
+        return pred, part.relation
+    raise TypeError(f"unknown sentence {part!r}")  # pragma: no cover - exhaustive
 
 
 def back_translate_graph(sentence: SclSentence) -> TripleGraph:
@@ -442,37 +449,21 @@ def back_translate_graph(sentence: SclSentence) -> TripleGraph:
     if defects:
         raise IllFormedSentence(defects)
     state = _MuState()
-    parts = list(conjuncts(sentence))
+    parts = conjuncts(sentence)
     if not parts:
         state.add(_hash_name("shape", "(top)"), ns.RDF_TYPE, iri(ns.SH_NODE_SHAPE))
+    step, names = partial(_mu_step, state), FormulaValues()  # formula -> its node shape
     for part in parts:
-        if isinstance(part, AtConst):
-            inner = _mu_formula(state, part.body)
-            holder = _hash_name("target", print_scl(part))
-            state.add(holder, ns.RDF_TYPE, iri(ns.SH_NODE_SHAPE))
-            state.add(holder, ns.SH_TARGET_NODE, part.constant)
-            state.add(holder, ns.SH_NODE, inner)
-        elif isinstance(part, ForClass):
-            inner = _mu_formula(state, part.body)
-            holder = _hash_name("target", print_scl(part))
-            state.add(holder, ns.RDF_TYPE, iri(ns.SH_NODE_SHAPE))
-            state.add(holder, ns.SH_TARGET_CLASS, part.cls)
-            state.add(holder, ns.SH_NODE, inner)
-        elif isinstance(part, ForSubjectsOf):
-            inner = _mu_formula(state, part.body)
-            holder = _hash_name("target", print_scl(part))
-            state.add(holder, ns.RDF_TYPE, iri(ns.SH_NODE_SHAPE))
-            pred = ns.SH_TARGET_OBJECTS_OF if part.inverted else ns.SH_TARGET_SUBJECTS_OF
-            state.add(holder, pred, part.relation)
-            state.add(holder, ns.SH_NODE, inner)
-        elif isinstance(part, ShapeDef):
-            inner = _mu_formula(state, part.body)
-            state.add(part.name, ns.RDF_TYPE, iri(ns.SH_NODE_SHAPE))
-            state.add(part.name, ns.SH_NODE, inner)
-        elif isinstance(part, AtMostGlobal):
+        if isinstance(part, AtMostGlobal):
             raise NotShaclExpressible("global counting bounds have no shape form")
-        else:  # pragma: no cover - exhaustive
-            raise TypeError(f"unknown sentence {part!r}")
+        inner = fold(part.body, step, names)
+        if isinstance(part, ShapeDef):
+            holder = part.name
+        else:
+            holder = _hash_name("target", state.text(part))
+            state.add(holder, *_target(part))
+        state.add(holder, ns.RDF_TYPE, iri(ns.SH_NODE_SHAPE))
+        state.add(holder, ns.SH_NODE, inner)
     return TripleGraph(frozenset(state.triples))
 
 

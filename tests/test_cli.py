@@ -546,3 +546,69 @@ def test_invalid_pattern_exits_65_on_every_route(tmp_path, capsys):
                  ["sat", scl]):
         assert dispatch([str(a) for a in args]) == 65
         assert "pattern '(': missing )" in capsys.readouterr().err
+
+
+def _deep_sentence(depth: int) -> str:
+    """`depth` nested levels cycling through not, and, an existential over
+    a sequence and a counting quantifier, around an existential over an
+    optional path and one over an alternative."""
+    p, q, c = "(rel <http://e/p>)", "(rel <http://e/q>)", "(eq <http://e/c>)"
+    text = f"(and (count>= 1 (opt {p}) {c}) (count>= 1 (alt {p} {q}) {c}))"
+    levels = (
+        "(not {})", "(and {} " + c + ")", f"(count>= 1 (seq {p} {q}) {{}})", f"(count>= 2 {p} {{}})"
+    )
+    for i in range(depth):
+        text = levels[i % 4].format(text)
+    return f"(at <http://e/c> {text})"
+
+
+@pytest.mark.parametrize("flags, gone", [
+    (["--eliminate", "S"], "(seq "),
+    (["--eliminate", "Z"], "(opt "),
+    (["--eliminate", "A"], "(alt "),
+    (["--eliminate", "SZA"], "(seq "),
+    (["--name-subformulas"], None),
+])
+def test_deep_formula_rewrites(tmp_path, capsys, flags, gone):
+    scl = tmp_path / "deep.scl"
+    scl.write_text(_deep_sentence(700))
+    assert dispatch(["rewrite", *flags, str(scl)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if gone is None:
+        assert captured.out.count("(def-shape ") == 351
+    else:
+        assert gone not in captured.out
+
+
+def test_deep_formula_back_translates(tmp_path, capsys):
+    scl = tmp_path / "deep.scl"
+    scl.write_text(_deep_sentence(1000))
+    assert dispatch(["back-translate", str(scl)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    shapes = tmp_path / "deep.ttl"
+    shapes.write_text(captured.out)
+    assert dispatch(["translate", str(shapes)]) == 0
+    # 1,004 distinct subformulas and 502 property shapes
+    assert capsys.readouterr().out.count("(def-shape ") == 1506
+
+
+@pytest.mark.parametrize("path", [
+    "(" + " ".join([":p"] * 1500) + ")",
+    "[ sh:alternativePath (" + " ".join(f":p{i}" for i in range(1500)) + ") ]",
+])
+def test_long_path_list_and_alternative_sat_and_rewrite(tmp_path, capsys, path):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        f":s a sh:PropertyShape ; sh:targetNode :a ; sh:path {path} ; sh:minCount 1 ."
+    ))
+    assert dispatch(["sat", "--max-domain", "2", str(shapes)]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "Sat"
+    assert dispatch(["translate", str(shapes)]) == 0
+    scl = tmp_path / "long.scl"
+    scl.write_text(capsys.readouterr().out)
+    assert dispatch(["rewrite", "--eliminate", "SZA", str(scl)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "(seq " not in captured.out and "(alt " not in captured.out

@@ -83,6 +83,20 @@ def test_reduce_constraint_sat_candidate_counts():
     assert len(reduce_constraint_sat(doc, iri(EX + "s"))) == 3
 
 
+def test_reduce_constraint_sat_follows_a_long_node_chain():
+    # :s0 -> :s1 -> ... -> :s1500 by sh:node; every 50th shape names a constant
+    body = [
+        f":s{i} a sh:NodeShape ; sh:node :s{i + 1}"
+        + (f" ; sh:hasValue :c{i}" if i % 50 == 0 else "")
+        + " ."
+        for i in range(1500)
+    ]
+    doc = _doc("\n".join(body) + "\n:s1500 a sh:NodeShape ; sh:class :C .")
+    docs = reduce_constraint_sat(doc, iri(EX + "s0"))
+    assert len(docs) == 30 + 2  # 30 sh:hasValue constants, :C, a fresh node
+    assert docs[0].shape(iri(EX + "s0")).targets[0].node == iri(EX + "C")
+
+
 def test_reduce_constraint_sat_decides_satisfiability():
     # satisfiable constraint: some candidate is satisfiable
     doc = _doc(":s a sh:NodeShape ; sh:hasValue :alice .")

@@ -1,6 +1,16 @@
+import hashlib
 import random
+from collections import Counter
 
-from corpus import random_formula, random_structure
+from corpus import corpus_documents, random_formula, random_structure
+from shaclsat import rewrite
+from shaclsat.gadgets import (
+    DOMINO_VARIANTS,
+    INFINITY_KINDS,
+    TilingSystem,
+    gadget_domino,
+    gadget_infinity,
+)
 from shaclsat.rewrite import (
     eliminate_alternative,
     eliminate_sequence,
@@ -17,7 +27,10 @@ from shaclsat.scl import (
     Disjoint,
     EqConst,
     Equals,
+    ForClass,
+    ForSubjectsOf,
     HasShape,
+    IllFormedSentence,
     Not,
     Opt,
     OrderCmp,
@@ -32,10 +45,14 @@ from shaclsat.scl import (
     exists,
     features_of,
     nodes,
+    sentence_conj,
 )
 from shaclsat.scl_text import print_scl
+from shaclsat.shapes import extract_document
 from shaclsat.structures import Evaluator
 from shaclsat.terms import iri
+from shaclsat.translate import NotShaclExpressible, back_translate_graph, translate
+from shaclsat.turtle import parse_turtle, serialize_turtle
 
 EX = "http://corpus.example/"
 P = iri(EX + "p2")
@@ -236,3 +253,80 @@ def test_normalize_fragment_table():
     assert normalize_fragment(frozenset({"A", "D", "O"})) == frozenset({"D", "O"})
     assert normalize_fragment(frozenset({"S", "E"})) == frozenset({"S", "E"})
     assert normalize_fragment(frozenset({"S", "A", "D"})) == frozenset({"S", "A", "D"})
+
+
+# ---- shared subformulas and pinned outputs ----------------------------------
+
+
+def test_repeated_defect_in_one_body_is_reported_once():
+    refused = CountExists(2, Opt(Rel(R)), Top())
+    result = rewrite_sentence(AtConst(C, And(refused, Not(refused))), "Z")
+    assert [d.at for d in result.defects] == [print_scl(refused)]
+
+
+def test_doubly_shared_formula_takes_one_step_per_distinct_node(monkeypatch):
+    f = EqConst(C)
+    for _ in range(40):  # 2**40 occurrences, 121 distinct formulas
+        f = And(exists(Opt(Rel(R)), f), f)
+    steps: Counter = Counter()
+    real_fold = rewrite.fold
+
+    def counting_fold(root, step, done):
+        def counted(node, done):
+            steps[node] += 1
+            return step(node, done)
+
+        return real_fold(root, counted, done)
+
+    monkeypatch.setattr(rewrite, "fold", counting_fold)
+    formulas = [n for n in nodes(f) if isinstance(n, SclFormula)]
+    for rewriter in (eliminate_sequence, eliminate_zero_or_one, eliminate_alternative):
+        steps.clear()
+        out = rewriter(f).formula
+        assert set(steps) == set(formulas) and max(steps.values()) == 1
+        assert len(list(nodes(out))) < 10 * len(formulas)
+
+
+def _pinned_sentences() -> list:
+    sentences = [
+        translate(extract_document(parse_turtle(text))) for _, text in corpus_documents()
+    ]
+    sentences += [gadget_infinity(kind) for kind in INFINITY_KINDS]
+    one = TilingSystem(("t",), frozenset({("t", "t")}), frozenset({("t", "t")}))
+    two = TilingSystem(
+        ("a", "b"), frozenset({("a", "b"), ("b", "a")}), frozenset({("a", "b"), ("b", "a")})
+    )
+    sentences += [gadget_domino(v, system) for system in (one, two) for v in DOMINO_VARIANTS]
+    rng = random.Random(2020)
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            body = random_formula(rng, rng.randint(1, 6))
+            wrap = rng.choice((AtConst, ForClass, ForSubjectsOf))
+            if wrap is ForSubjectsOf:
+                parts.append(ForSubjectsOf(R, rng.random() < 0.5, body))
+            else:
+                parts.append(wrap(C, body))
+        sentences.append(sentence_conj(parts))
+    return sentences
+
+
+# sha1 of the outputs below for the 367 sentences above (53 corpus translations, 4
+# infinity and 10 domino gadgets, 300 random), measured before the passes were folds
+REWRITE_DIGEST = "40c9887664faed7778404bba3337c57ad4a7411d"
+
+
+def test_rewrites_naming_and_back_translation_are_pinned():
+    digest = hashlib.sha1()
+    for sentence in _pinned_sentences():
+        for passes in ("S", "Z", "A", "SZA"):
+            result = rewrite_sentence(sentence, passes)
+            digest.update(print_scl(result.sentence).encode())
+            digest.update(repr(result.defects).encode())
+        digest.update(print_scl(name_subformulas(sentence)).encode())
+        try:
+            text = serialize_turtle(back_translate_graph(sentence))
+        except (NotShaclExpressible, IllFormedSentence) as err:
+            text = f"{type(err).__name__}: {err}"
+        digest.update(text.encode())
+    assert digest.hexdigest() == REWRITE_DIGEST
