@@ -179,21 +179,19 @@ class TermTable:
 
     def __init__(self, filters: Iterable[FilterName]):
         self.bit = {f: 1 << i for i, f in enumerate(filters)}
-        self._terms: dict[Term, tuple[int, tuple, Term]] = {}
+        self._terms: dict[Term, tuple[int, tuple]] = {}
         self._masks: dict[FilterCombination, tuple[int, int]] = {}
         self._families: dict[FilterCombination, tuple[Cardinality, list[_Family]]] = {}
 
-    def entry(self, term: Term) -> tuple[int, tuple, Term]:
-        """The term's signature, its canonical key, and the table's own
-        copy of it, so that a term enumerated for many combinations is
-        kept once."""
+    def entry(self, term: Term) -> tuple[int, tuple]:
+        """The term's signature and its canonical key."""
         entry = self._terms.get(term)
         if entry is None:
             signature = 0
             for f, bit in self.bit.items():
                 if term_satisfies(f, term):
                     signature |= bit
-            entry = self._terms[term] = (signature, canonical_key(term), term)
+            entry = self._terms[term] = (signature, canonical_key(term))
         return entry
 
     def signature(self, term: Term) -> int:
@@ -483,7 +481,7 @@ def _datatype_family(
         kept = []
         for term in candidates:
             if table.satisfies(combo, term):
-                _, key, term = table.entry(term)
+                _, key = table.entry(term)
                 if key not in seen:
                     seen.add(key)
                     kept.append(term)
@@ -628,7 +626,7 @@ def _excluded_in_family(combo: FilterCombination, datatype: str, table: TermTabl
     keys = set()
     for c in combo.negative_eq:
         if c.is_literal and effective_datatype(c) == datatype:
-            signature, key, _ = table.entry(c)
+            signature, key = table.entry(c)
             if signature & mask == required:
                 keys.add(key)
     return len(keys)
@@ -672,7 +670,7 @@ def gamma_with_witnesses(
         for term in pool:
             if len(witnesses) >= want:
                 break
-            signature, key, _ = table.entry(term)
+            signature, key = table.entry(term)
             if key not in used_keys and signature & mask == required:
                 used_keys.add(key)
                 witnesses.append(term)

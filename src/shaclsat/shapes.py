@@ -365,9 +365,12 @@ _REF_LIST_PARAMS = (ns.SH_AND, ns.SH_OR, ns.SH_XONE)
 class _GraphIndex:
     def __init__(self, graph: TripleGraph):
         self.by_subject: dict[Term, list[Triple]] = {}
-        self.graph = graph
+        self.parents: dict[Term, list[Term]] = {}  # the shapes naming each in sh:property
+        prop = iri(ns.SH_PROPERTY)
         for t in graph.sorted_triples():
             self.by_subject.setdefault(t.subject, []).append(t)
+            if t.predicate == prop:
+                self.parents.setdefault(t.object, []).append(t.subject)
 
     def objects(self, subject: Term, predicate: str) -> list[Term]:
         pred = iri(predicate)
@@ -539,12 +542,8 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
 def _sibling_shapes(index: _GraphIndex, shape_name: Term, qvs: Term) -> tuple[Term, ...]:
     """Qualified value shapes declared by sibling property shapes."""
     siblings: set[Term] = set()
-    prop = iri(ns.SH_PROPERTY)
     qvs_pred = iri(ns.SH_QUALIFIED_VALUE_SHAPE)
-    parents = [
-        t.subject for t in index.graph.triples if t.predicate == prop and t.object == shape_name
-    ]
-    for parent in parents:
+    for parent in index.parents.get(shape_name, ()):
         for other in index.objects(parent, ns.SH_PROPERTY):
             if other == shape_name:
                 continue

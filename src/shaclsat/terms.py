@@ -1,16 +1,18 @@
 """Generalized RDF terms, triples and graphs, plus interpreted order comparisons.
 
-Terms are immutable values; two terms are equal exactly when kind, lexical
-form, datatype and language tag all coincide.  Order comparisons follow the
-SPARQL operator mapping: values are totally ordered inside each comparison
-type (numeric, string/plain, boolean, dateTime) and incomparable across
-types; IRIs and blank nodes are never comparable.
+Terms are immutable and interned: equal terms are one object, so terms
+hash and compare by identity, and two terms are equal exactly when kind,
+lexical form, datatype and language tag all coincide.  Order comparisons
+follow the SPARQL operator mapping: values are totally ordered inside each
+comparison type (numeric, string/plain, boolean, dateTime) and incomparable
+across types; IRIs and blank nodes are never comparable.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
@@ -38,8 +40,28 @@ BLANK = "blank"
 _KIND_RANK = {IRI: 0, LITERAL: 1, BLANK: 2}
 
 
-@dataclass(frozen=True)
-class Term:
+class _Interned(type):
+    """Metaclass of `Term`: a call returns the canonical term.
+
+    The weak table is looked up by the field values before anything is
+    built, so only a term not alive yet is constructed and checked; a term
+    that nothing else references leaves the table.  The lookup and the fill
+    take no lock, so terms must be built from one thread at a time, as the
+    program does.
+    """
+
+    _canonical: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __call__(cls, kind, lexical, datatype=None, language=None):
+        key = (kind, lexical, datatype, language)
+        term = _Interned._canonical.get(key)
+        if term is None:
+            term = _Interned._canonical[key] = super().__call__(kind, lexical, datatype, language)
+        return term
+
+
+@dataclass(frozen=True, eq=False)
+class Term(metaclass=_Interned):
     kind: str
     lexical: str
     datatype: Optional[str] = None
@@ -67,6 +89,10 @@ class Term:
 
     def sort_key(self) -> tuple:
         return (_KIND_RANK[self.kind], self.lexical, self.datatype or "", self.language or "")
+
+    def __reduce__(self):
+        # a copied or unpickled term is rebuilt through the table
+        return Term, (self.kind, self.lexical, self.datatype, self.language)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Term({n3(self)})"

@@ -8,10 +8,14 @@ Collections are expanded into rdf:first/rdf:rest/rdf:nil chains and
 blank node labels are renamed to be graph-unique.
 
 One compiled pattern scans the whole text into (kind, value, offset)
-tokens before parsing, so a lexical error anywhere is reported ahead of a
+tokens before parsing, one match per token with the whitespace and
+comments before it, so a lexical error anywhere is reported ahead of a
 grammar error; a `ParseError` works out its line and column from the
 offset only when it is raised.  The parser keeps each open `[ ... ]` and
 `( ... )` as a frame on an explicit stack, so nesting costs no recursion.
+It expands each distinct prefixed name once per parse, and once more after
+each prefix declaration, which may redeclare a prefix; terms are interned,
+so every occurrence of an IRI is the same object.
 """
 
 from __future__ import annotations
@@ -59,19 +63,20 @@ _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "'": "'", "\\": "\\", "b"
 
 _KEYWORDS = {"a", "true", "false", "PREFIX", "BASE"}
 
-# One alternative per token kind, tried in order; the kind is the group
-# that closes last.  `\w` is exactly `str.isalnum()` or "_".  An IRI or
-# string matches up to its first fault, and its closing delimiter is
-# optional, so a body that ends the match is the fault's place.  A `\u` or
-# `\U` escape takes the next four or eight characters, whatever they are.
-# A "." stays in a name or blank label, and an exponent's "e" in a number,
-# only before a character that continues it or, for an exponent, at the end
-# of the text; so a statement's closing dot is its own token, also as the
-# last character of the text (a local name cannot end in ".").
-# Numbers are ASCII.
+# Whitespace and comments, then one alternative per token kind, tried in
+# order, or the end of the text; the kind is the group that closes last,
+# and the token starts where group 1, the skipped text, ends.  `\w` is
+# exactly `str.isalnum()` or "_".  An IRI or string matches up to its first
+# fault, and its closing delimiter is optional, so a body that ends the
+# match is the fault's place.  A `\u` or `\U` escape takes the next four
+# or eight characters, whatever they are.  A "." stays in a name or blank
+# label, and an exponent's "e" in a number, only before a character that
+# continues it or, for an exponent, at the end of the text; so a
+# statement's closing dot is its own token, also as the last character of
+# the text (a local name cannot end in ".").  Numbers are ASCII.
 _TOKEN = re.compile(
-    r"""[ \t\r\n]+|\#[^\n]*
-    |(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)|(?P<carets>\^\^)
+    r"""((?:[ \t\r\n]+|\#[^\n]*)*)
+    (?:(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)|(?P<carets>\^\^)
     |(?P<lparen>\()|(?P<rparen>\))|(?P<lbracket>\[)|(?P<rbracket>\])
     |<(?P<iriref>(?:[^>\\ \t\r\n]|\\u.{4}|\\U.{8})*)>?
     |"{3}(?P<long2>(?:[^"\\]|"(?!"")|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)(?:"{3})?
@@ -83,7 +88,7 @@ _TOKEN = re.compile(
     |(?P<number>(?:[0-9]|[+-](?=[0-9.]))[0-9]*
         (?P<frac>\.[0-9]+)?(?P<exp>[eE](?=[0-9+-]|\Z)[+-]?[0-9]*)?)
     |(?P<name>(?:[\w\-:%\uffff]|\.(?=[\w\-:%]))+)
-    |(?P<bad>.)""",
+    |(?P<bad>.)|\Z)""",
     re.VERBOSE | re.DOTALL,
 )
 _QUOTED = {"iriref": "iriref", "long2": "string", "long1": "string", "short2": "string", "short1": "string"}
@@ -106,10 +111,11 @@ def _unescape(body: str, text: str, pos: int) -> str:
     return _UNESCAPE.sub(one, body) if "\\" in body else body
 
 
-def _quoted_error(text: str, m: re.Match) -> ParseError:
-    """The first fault of the IRI or string `m`, whose body stops before a
-    closing delimiter: a bad escape in the body, or what stopped it."""
-    pos, end = m.start(), m.end()
+def _quoted_error(text: str, m: re.Match, pos: int) -> ParseError:
+    """The first fault of the IRI or string `m`, which starts at `pos` and
+    whose body stops before a closing delimiter: a bad escape in the body,
+    or what stopped it."""
+    end = m.end()
     what = "IRI" if m.lastgroup == "iriref" else "string"
     ch, letter = text[end : end + 1], text[end + 1 : end + 2]
     cut_short = ch == "\\" and letter in ("u", "U")  # by the end of the text
@@ -128,9 +134,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     toks: list[tuple[str, object, int]] = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind is None:  # whitespace or comment
-            continue
-        pos = m.start()
+        if kind is None:  # the end of the text
+            break
+        pos = m.end(1)
         value = m[kind]
         if kind == "name":
             if value in _KEYWORDS:
@@ -143,7 +149,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             value = literal(value, XSD_DOUBLE if m["exp"] else XSD_DECIMAL if m["frac"] else XSD_INTEGER)
         elif kind in _QUOTED:
             if m.end(kind) == m.end():
-                raise _quoted_error(text, m)
+                raise _quoted_error(text, m, pos)
             kind, value = _QUOTED[kind], _unescape(value, text, pos)
         elif kind == "at":
             kind = "at_" + value if value in ("prefix", "base") else "langtag"
@@ -169,6 +175,7 @@ class _Parser:
         self.index = 0
         self.mode = mode
         self.prefixes: dict[str, str] = {}
+        self.names: dict[str, Term] = {}  # expanded prefixed names
         self.blank_map: dict[str, Term] = {}
         self.blank_counter = 0
         self.triples: list[Triple] = []
@@ -192,10 +199,13 @@ class _Parser:
         return term
 
     def _expand_pname(self, text: str, pos: int) -> Term:
-        prefix, _, local = text.partition(":")
-        if prefix not in self.prefixes:
-            raise _error(self.text, f"undeclared prefix {prefix!r}", pos)
-        return iri(self.prefixes[prefix] + local)
+        term = self.names.get(text)
+        if term is None:
+            prefix, _, local = text.partition(":")
+            if prefix not in self.prefixes:
+                raise _error(self.text, f"undeclared prefix {prefix!r}", pos)
+            term = self.names[text] = iri(self.prefixes[prefix] + local)
+        return term
 
     # grammar --------------------------------------------------------
 
@@ -210,6 +220,7 @@ class _Parser:
                 if name != "pname" or not value.endswith(":"):
                     raise _error(self.text, "expected prefix declaration", pos)
                 self.prefixes[value[:-1]] = self._expect("iriref")
+                self.names.clear()
                 if kind == "at_prefix":
                     self._expect("dot")
             elif kind == "at_base" or (kind == "keyword" and value == "BASE"):

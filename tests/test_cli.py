@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from corpus import doc_ttl
+from corpus import corpus_documents, doc_ttl, graphs_for
 from shaclsat.cli import dispatch
+from shaclsat.terms import TripleGraph
+from shaclsat.turtle import serialize_turtle
 
 FIG1_SHAPES = doc_ttl(
     ":studentShape a sh:NodeShape ; sh:targetClass :Student ; sh:not :disjFacultyShape .\n"
@@ -612,3 +618,54 @@ def test_long_path_list_and_alternative_sat_and_rewrite(tmp_path, capsys, path):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "(seq " not in captured.out and "(alt " not in captured.out
+
+
+# Runs the CLI commands read from stdin in one process, after building and
+# keeping argv[1] unrelated terms, and prints (exit code, stdout, stderr)
+# per command as JSON.
+_RUN_SHIFTED = """
+import contextlib, io, json, sys
+from shaclsat.terms import iri
+kept = [iri(f"http://shift.example/{i}") for i in range(int(sys.argv[1]))]
+from shaclsat.cli import dispatch
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_outputs_do_not_depend_on_where_terms_live(tmp_path):
+    """Terms hash by identity, so set and dict orders follow their
+    addresses; every output must not.  Two fresh interpreters, one with
+    thousands of terms allocated first, give byte-identical results."""
+    names = ("fig1", "path_zero_or_more", "prop_qualified_disjoint", "prop_less_than",
+             "prop_unique_lang", "node_or", "node_in", "prop_closed")
+    docs = dict(corpus_documents())
+    data = tmp_path / "data.ttl"
+    triples = frozenset().union(*(g.triples for g in graphs_for(11, 8, 12)))
+    data.write_text(serialize_turtle(TripleGraph(triples)))
+    commands = []
+    for name, other in zip(names, names[1:] + names[:1]):
+        (tmp_path / f"{name}.ttl").write_text(docs[name])
+        path, other_path = str(tmp_path / f"{name}.ttl"), str(tmp_path / f"{other}.ttl")
+        commands += [
+            ["validate", str(data), path],
+            ["validate", "--direct", str(data), path],
+            ["sat", "--max-domain", "3", "--budget", "1000", path],
+            ["contains", "--max-domain", "3", "--budget", "1000", path, other_path],
+        ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    runs = [
+        subprocess.run([sys.executable, "-c", _RUN_SHIFTED, shift], input=json.dumps(commands),
+                       capture_output=True, text=True, env=env, check=True).stdout
+        for shift in ("0", "3000")
+    ]
+    assert runs[0] == runs[1]
+    codes = [code for code, _, _ in json.loads(runs[0])]
+    assert 0 in codes[0::4] + codes[1::4] and 1 in codes[0::4] + codes[1::4]
+    assert codes[0::4] == codes[1::4]

@@ -14,11 +14,12 @@ from shaclsat.shapes import (
     Shape,
     ShaclDocument,
     ShaclModelError,
+    extract_document,
     parse_document,
     split_targets,
     split_targets_with_origin,
 )
-from shaclsat.terms import iri
+from shaclsat.terms import Term, TripleGraph, iri
 from shaclsat.turtle import parse_turtle
 
 EX = "http://corpus.example/"
@@ -119,6 +120,36 @@ def test_qualified_constraint_carries_counts_and_siblings():
     ref, lo, hi, siblings = qualified.args
     assert (ref, lo, hi) == (iri(EX + "t"), 1, 2)
     assert siblings == (iri(EX + "u"),)
+
+
+class _CountedTriples(frozenset):
+    """A triple set that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_sibling_shapes_do_not_rescan_the_graph():
+    """Extraction passes over the triples as often for 20 disjoint
+    qualified shapes as for 2: a shape's parents come from an index."""
+    passes = []
+    for n in (2, 20):
+        body = f":parent a sh:NodeShape ; {' ; '.join(f'sh:property :s{i}' for i in range(n))} .\n"
+        body += "".join(
+            f":s{i} sh:path :r ; sh:qualifiedValueShape :t{i} ; sh:qualifiedMinCount 1 ; "
+            "sh:qualifiedValueShapesDisjoint true .\n"
+            for i in range(n)
+        )
+        graph = TripleGraph(_CountedTriples(parse_turtle(doc_ttl(body)).triples))
+        doc = extract_document(graph)
+        passes.append(graph.triples.passes)
+        (qualified,) = [c for c in doc.shape(iri(EX + "s0")).constraints if c.kind == "qualified"]
+        others = sorted((iri(EX + f"t{i}") for i in range(1, n)), key=Term.sort_key)
+        assert qualified.args[3] == tuple(others)
+    assert passes[0] == passes[1]
 
 
 def test_split_multi_target_shape():

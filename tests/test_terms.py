@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import gc
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,6 +27,7 @@ from shaclsat.terms import (
     string,
     term_value,
 )
+from shaclsat.terms import _Interned
 
 LT, EQ, GT, INC = (
     ComparisonVerdict.LT,
@@ -37,6 +42,41 @@ def test_term_equality_is_full_field_equality():
     assert integer(5) != literal("05", XSD_INTEGER)
     assert string("a") != literal("a", language="en")
     assert iri("http://e/a") != blank("a")
+
+
+def test_equal_terms_are_one_object():
+    a = "http://e/a"
+    assert iri(a) is iri(a) is Term("iri", a) is Term(kind="iri", lexical=a)
+    assert literal("5", XSD_INTEGER) is integer(5) is Term("literal", "5", XSD_INTEGER)
+    assert literal("5", XSD_INTEGER) is Term(lexical="5", kind="literal", datatype=XSD_INTEGER)
+    assert literal("hi", language="en") is Term("literal", "hi", None, "en")
+    assert literal("hi", language="en") is not literal("hi", language="fr")
+    assert blank("b0") is blank("b0") is Term("blank", "b0")
+    for term in (iri(a), integer(5), literal("hi", language="en"), string("x"), blank("b0")):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert dataclasses.replace(term) is term
+    assert dataclasses.replace(iri(a), lexical="http://e/b") is iri("http://e/b")
+    assert Term.__eq__ is object.__eq__ and Term.__hash__ is object.__hash__
+
+
+def test_an_invalid_term_leaves_no_entry():
+    with pytest.raises(ValueError):
+        Term("iri", "http://e/never", datatype=XSD_INTEGER)
+    assert ("iri", "http://e/never", XSD_INTEGER, None) not in _Interned._canonical
+    with pytest.raises(ValueError):
+        Term("thing", "http://e/never")
+    assert ("thing", "http://e/never", None, None) not in _Interned._canonical
+
+
+def test_the_term_table_is_weak():
+    key = ("literal", "only here", None, "en")
+    term = literal("only here", language="en")
+    assert _Interned._canonical[key] is term
+    del term
+    gc.collect()
+    assert key not in _Interned._canonical
 
 
 def test_term_shape_invariants():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from corpus import corpus_documents, graphs_for
+from perfbench.workloads import namespace, person_graph, person_turtle, triple_count
 from shaclsat.namespaces import RDF_FIRST, RDF_NIL, RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
-from shaclsat.terms import GENERALIZED, STRICT, Triple, blank, iri, literal
+from shaclsat.terms import GENERALIZED, STRICT, Term, Triple, blank, iri, literal
 from shaclsat.turtle import ParseError, parse_turtle, serialize_turtle
 
 EX = "http://ex.org/"
@@ -82,6 +85,30 @@ def test_syntax_error_carries_position():
 def test_undeclared_prefix_rejected():
     with pytest.raises(ParseError):
         parse_turtle(":s :p :o .")
+
+
+def test_a_redeclared_prefix_expands_under_its_new_namespace():
+    g = parse_turtle(
+        "@prefix : <http://a.example/> .\n:s :p :o .\n"
+        "PREFIX : <http://b.example/>\n:s :p :o , :q .\n"
+    )
+    assert {(t.subject.lexical, t.predicate.lexical, t.object.lexical) for t in g.triples} == {
+        ("http://a.example/s", "http://a.example/p", "http://a.example/o"),
+        ("http://b.example/s", "http://b.example/p", "http://b.example/o"),
+        ("http://b.example/s", "http://b.example/p", "http://b.example/q"),
+    }
+
+
+def test_parsing_builds_each_distinct_term_at_most_once(monkeypatch):
+    persons = person_graph(1000, random.Random(5))
+    text = person_turtle(persons, namespace(5))
+    built = []
+    check = Term.__post_init__
+    monkeypatch.setattr(Term, "__post_init__", lambda term: built.append(term) or check(term))
+    g = parse_turtle(text)
+    distinct = {x for t in g.triples for x in (t.subject, t.predicate, t.object)}
+    assert len(g.triples) == triple_count(persons)
+    assert len(built) <= len(distinct)
 
 
 def test_base_unsupported():
