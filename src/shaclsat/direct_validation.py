@@ -47,8 +47,6 @@ class _Closure:
     reverse topological order.  Only the DAG is stored, which is linear in
     the relation: a node's reflexive-transitive closure is the members of
     the components reachable from its own, gathered when it is asked for.
-    A one-member component lists the component of each of its successors,
-    so it may list one twice; a larger one lists each once.
     """
 
     def __init__(self):
@@ -108,26 +106,18 @@ class _Closure:
                 if low[i] != i:
                     continue
                 cid = len(self.members)
-                if stack[-1] == i:  # one member: only a self-loop stays inside
-                    stack.pop()
-                    node = nodes[i]
-                    component[node] = cid
-                    self.members.append((node,))
-                    below = [component[nxt] for nxt in successors[i] if nxt is not node]
-                    successors[i] = None
-                else:
-                    members = []
-                    j = -1
-                    while j != i:
-                        j = stack.pop()
-                        members.append(j)
-                        component[nodes[j]] = cid
-                    below = {component[nxt] for j in members for nxt in successors[j]}
-                    below.discard(cid)
-                    self.members.append(tuple(nodes[j] for j in members))
-                    for j in members:
-                        successors[j] = None
+                members = []
+                j = -1
+                while j != i:
+                    j = stack.pop()
+                    members.append(j)
+                    component[nodes[j]] = cid
+                below = {component[nxt] for j in members for nxt in successors[j]}
+                below.discard(cid)
+                self.members.append(tuple(nodes[j] for j in members))
                 self.below.append(tuple(below))
+                for j in members:
+                    successors[j] = None
 
 
 class _Graph:

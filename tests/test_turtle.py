@@ -3,7 +3,6 @@ import random
 import pytest
 
 from corpus import corpus_documents, graphs_for
-from perfbench.workloads import namespace, person_graph, person_turtle, triple_count
 from shaclsat.namespaces import RDF_FIRST, RDF_NIL, RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
 from shaclsat.terms import GENERALIZED, STRICT, Term, Triple, blank, iri, literal
 from shaclsat.turtle import ParseError, parse_turtle, serialize_turtle
@@ -100,14 +99,18 @@ def test_a_redeclared_prefix_expands_under_its_new_namespace():
 
 
 def test_parsing_builds_each_distinct_term_at_most_once(monkeypatch):
-    persons = person_graph(1000, random.Random(5))
-    text = person_turtle(persons, namespace(5))
+    rng = random.Random(5)
+    lines = ["@prefix : <http://ex.org/> .", "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> ."]
+    for i in range(1000):
+        friends = ", ".join(f":p{j}" for j in rng.sample(range(1000), 3))
+        lines.append(f':p{i} a :Person ; :name "n{i % 50}"@en ; :age {rng.randrange(90)} ;'
+                     f' :active "{rng.choice(["true", "false"])}"^^xsd:boolean ; :knows {friends} .')
     built = []
     check = Term.__post_init__
     monkeypatch.setattr(Term, "__post_init__", lambda term: built.append(term) or check(term))
-    g = parse_turtle(text)
+    g = parse_turtle("\n".join(lines))
     distinct = {x for t in g.triples for x in (t.subject, t.predicate, t.object)}
-    assert len(g.triples) == triple_count(persons)
+    assert len(g.triples) == 1000 * 7
     assert len(built) <= len(distinct)
 
 
