@@ -4,8 +4,10 @@ This evaluator works straight on shapes, targets and paths.  A repeated
 path is condensed once per validation: the strongly connected components
 of its inner path's successor relation are found in one Tarjan pass, and a
 value-type component over the repeated path is decided once per strongly
-connected component.  It shares nothing with the logic translation
-pipeline, so the two can be checked against each other.
+connected component; when counts are the only components that read the
+value set, a count walks the condensation only until its bound is
+decided.  It shares nothing with the logic translation pipeline, so the
+two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -56,19 +58,35 @@ class _Closure:
         # per value-type constraint: whether every node a component reaches meets it
         self.verdicts: dict[sh.Constraint, dict[int, bool]] = {}
 
-    def values(self, tops: list[int]) -> set[Term]:
-        """The members of the components reachable from tops."""
+    def reached(self, tops: list[int]):
+        """The member tuples of the components reachable from tops, each
+        once."""
         seen = set(tops)
         todo = list(seen)
-        out: set[Term] = set()
         while todo:
             cid = todo.pop()
-            out.update(self.members[cid])
+            yield self.members[cid]
             for below in self.below[cid]:
                 if below not in seen:
                     seen.add(below)
                     todo.append(below)
+
+    def values(self, tops: list[int]) -> set[Term]:
+        """The members of the components reachable from tops."""
+        out: set[Term] = set()
+        for members in self.reached(tops):
+            out.update(members)
         return out
+
+    def count(self, tops: list[int], limit: int) -> int:
+        """How many members the components reachable from tops have, or
+        limit if that is fewer; the walk stops once it reaches limit."""
+        n = 0
+        for members in self.reached(tops):
+            n += len(members)
+            if n >= limit:
+                return limit
+        return n
 
     def visit(self, root: Term, step) -> None:
         """Tarjan's pass from root over the nodes no earlier pass met."""
@@ -124,9 +142,9 @@ class _Graph:
     def __init__(self, graph: TripleGraph):
         self.forward: dict[Term, dict[Term, set[Term]]] = {}
         self.backward: dict[Term, dict[Term, set[Term]]] = {}
-        for t in graph.triples:
-            self.forward.setdefault(t.predicate, {}).setdefault(t.subject, set()).add(t.object)
-            self.backward.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
+        for s, p, o in graph.triples:
+            self.forward.setdefault(p, {}).setdefault(s, set()).add(o)
+            self.backward.setdefault(p, {}).setdefault(o, set()).add(s)
         # per inner path of a repeated path, filled on first use
         self.closures: dict[sh.ShaclPath, _Closure] = {}
 
@@ -214,6 +232,7 @@ _VALUE_SET_KINDS = frozenset((
     sh.HAS_VALUE, sh.UNIQUE_LANG, sh.MIN_COUNT, sh.MAX_COUNT, sh.EQUALS, sh.DISJOINT,
     sh.LESS_THAN, sh.LESS_THAN_OR_EQUALS, sh.CLOSED,
 ))
+_COUNT_KINDS = frozenset((sh.MIN_COUNT, sh.MAX_COUNT))
 
 
 class _Validator:
@@ -278,10 +297,23 @@ class _Validator:
             if isinstance(path, sh.OneOrMorePath):
                 roots = _path_values(self.g, path.inner, roots)
             closure, tops = self.g.closure(path.inner, roots)
+            # when only counts read the value set, a count walks the
+            # condensation until its bound is decided
+            only_counts = all(
+                c.kind in _COUNT_KINDS
+                for c in shape.constraints
+                if c.kind in _VALUE_SET_KINDS or c.kind == sh.QUALIFIED
+            )
         values = None  # gathered only when a constraint reads the value set
         for c in shape.constraints:
             if closure is not None and c.kind not in _VALUE_SET_KINDS and c.kind != sh.QUALIFIED:
                 ok = yield from self._every_reached_value(c, closure, tops)
+            elif closure is not None and only_counts:
+                bound = c.args[0]
+                if c.kind == sh.MIN_COUNT:
+                    ok = closure.count(tops, bound) >= bound
+                else:
+                    ok = closure.count(tops, bound + 1) <= bound
             else:
                 if values is None:
                     values = _path_values(self.g, path, {node})

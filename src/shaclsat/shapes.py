@@ -290,12 +290,15 @@ def _find_reference_cycle(shapes) -> Optional[list[Term]]:
     """The first reference cycle a depth-first search meets, visiting names
     and their references in sort order, as [n0, ..., n0]; else None."""
     graph = {s.name: referenced_shape_names([s]) for s in shapes}
+    # each name's place in sort order, so a name is keyed once however
+    # many shapes refer to it
+    rank = {name: i for i, name in enumerate(sorted(graph, key=Term.sort_key))}
     deps = {
-        name: [d for d in sorted(refs, key=Term.sort_key) if d in graph]
+        name: sorted((d for d in refs if d in rank), key=rank.__getitem__)
         for name, refs in graph.items()
     }
     done: set[Term] = set()
-    for root in sorted(graph, key=Term.sort_key):
+    for root in rank:
         if root in done:
             continue
         path = [root]  # the names being visited, outermost first
@@ -366,11 +369,26 @@ class _GraphIndex:
     def __init__(self, graph: TripleGraph):
         self.by_subject: dict[Term, list[Triple]] = {}
         self.parents: dict[Term, list[Term]] = {}  # the shapes naming each in sh:property
+        # per parent shape, filled by qualified_below
+        self.qualified: dict[Term, tuple[tuple[Term, set[Term]], ...]] = {}
         prop = iri(ns.SH_PROPERTY)
         for t in graph.sorted_triples():
             self.by_subject.setdefault(t.subject, []).append(t)
             if t.predicate == prop:
                 self.parents.setdefault(t.object, []).append(t.subject)
+
+    def qualified_below(self, parent: Term) -> tuple[tuple[Term, set[Term]], ...]:
+        """The qualified value shapes of parent's property shapes, sorted,
+        each with the property shapes that declare it; built once per parent."""
+        found = self.qualified.get(parent)
+        if found is None:
+            owners: dict[Term, set[Term]] = {}
+            for shape in self.objects(parent, ns.SH_PROPERTY):
+                for value in self.objects(shape, ns.SH_QUALIFIED_VALUE_SHAPE):
+                    owners.setdefault(value, set()).add(shape)
+            found = tuple(sorted(owners.items(), key=lambda kv: kv[0].sort_key()))
+            self.qualified[parent] = found
+        return found
 
     def objects(self, subject: Term, predicate: str) -> list[Term]:
         pred = iri(predicate)
@@ -540,17 +558,19 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
 
 
 def _sibling_shapes(index: _GraphIndex, shape_name: Term, qvs: Term) -> tuple[Term, ...]:
-    """Qualified value shapes declared by sibling property shapes."""
-    siblings: set[Term] = set()
-    qvs_pred = iri(ns.SH_QUALIFIED_VALUE_SHAPE)
-    for parent in index.parents.get(shape_name, ()):
-        for other in index.objects(parent, ns.SH_PROPERTY):
-            if other == shape_name:
-                continue
-            for t in index.by_subject.get(other, []):
-                if t.predicate == qvs_pred and t.object != qvs:
-                    siblings.add(t.object)
-    return tuple(sorted(siblings, key=Term.sort_key))
+    """Qualified value shapes declared by sibling property shapes, other
+    than qvs: each parent's sorted list without what only this shape
+    declares."""
+    parents = index.parents.get(shape_name, ())
+    siblings = [
+        value
+        for parent in parents
+        for value, owners in index.qualified_below(parent)
+        if value != qvs and owners != {shape_name}
+    ]
+    if len(parents) > 1:
+        siblings = sorted(set(siblings), key=Term.sort_key)
+    return tuple(siblings)
 
 
 def parse_document(text: str) -> ShaclDocument:

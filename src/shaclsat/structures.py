@@ -112,8 +112,8 @@ def canonical_structure(graph: TripleGraph) -> FiniteStructure:
     if not domain:
         domain = [iri(ns.GEN_NS + "inert:0")]
     relations: dict[Term, set[tuple[Term, Term]]] = {}
-    for t in graph.triples:
-        relations.setdefault(t.predicate, set()).add((t.subject, t.object))
+    for s, p, o in graph.triples:
+        relations.setdefault(p, set()).add((s, o))
     return FiniteStructure(
         domain=tuple(domain),
         relations={name: frozenset(pairs) for name, pairs in relations.items()},

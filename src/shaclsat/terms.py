@@ -18,6 +18,7 @@ from datetime import datetime
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from .namespaces import (
@@ -159,18 +160,30 @@ def effective_datatype(term: Term) -> Optional[str]:
     return term.datatype or XSD_STRING
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(tuple):
+    """(subject, predicate, object): a tuple, so hashing and comparing a
+    triple, and unpacking it, run in C; the fields are also readable by
+    name."""
 
-    def __post_init__(self) -> None:
-        if not self.predicate.is_iri:
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> Triple:
+        if predicate.kind != IRI:
             raise ValueError("triple predicates must be IRIs")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+
+    def __reduce__(self):
+        return Triple, tuple(self)
 
     def sort_key(self) -> tuple:
-        return (self.subject.sort_key(), self.predicate.sort_key(), self.object.sort_key())
+        return (self[0].sort_key(), self[1].sort_key(), self[2].sort_key())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Triple({n3(self[0])} {n3(self[1])} {n3(self[2])})"
 
 
 STRICT = "strict"
@@ -190,9 +203,9 @@ class TripleGraph:
         if self.mode not in (STRICT, GENERALIZED):
             raise ValueError(f"unknown graph mode: {self.mode!r}")
         if self.mode == STRICT:
-            for t in self.triples:
-                if t.subject.is_literal:
-                    raise StrictModeError(f"literal subject {n3(t.subject)} in strict mode")
+            for s, _, _ in self.triples:
+                if s.kind == LITERAL:
+                    raise StrictModeError(f"literal subject {n3(s)} in strict mode")
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -202,9 +215,9 @@ class TripleGraph:
 
     def nodes(self) -> Iterator[Term]:
         """All terms occurring in subject or object position."""
-        for t in self.triples:
-            yield t.subject
-            yield t.object
+        for s, _, o in self.triples:
+            yield s
+            yield o
 
 
 def graph(triples, mode: str = GENERALIZED) -> TripleGraph:

@@ -7,21 +7,33 @@ lists `[ ... ]`, and numeric / string / boolean literals with `^^` and
 Collections are expanded into rdf:first/rdf:rest/rdf:nil chains and
 blank node labels are renamed to be graph-unique.
 
-One compiled pattern scans the whole text into (kind, value, offset)
-tokens before parsing, one match per token with the whitespace and
-comments before it, so a lexical error anywhere is reported ahead of a
-grammar error; a `ParseError` works out its line and column from the
-offset only when it is raised.  The parser keeps each open `[ ... ]` and
-`( ... )` as a frame on an explicit stack, so nesting costs no recursion.
-It expands each distinct prefixed name once per parse, and once more after
-each prefix declaration, which may redeclare a prefix; terms are interned,
-so every occurrence of an IRI is the same object.
+Each statement is first offered to the statement reader, which takes a
+plain statement -- IRIs and prefixed names, `a`, unsigned integers and
+short strings without escapes, tags or datatypes, in `;` and `,` lists --
+with one match per predicate-object pair, and adds its triples once it
+reaches the statement's dot.  Its patterns are built from the scanner's
+pieces, so it reads the same tokens the scanner would; where the two
+could split a token differently, the reader declines.  Any statement it
+declines, and every directive, goes to the token path from the
+statement's first character.
+
+The token path scans lazily, one match per token with the whitespace and
+comments before it.  Turtle reports a lexical error anywhere ahead of a
+grammar error, so before the token path raises a grammar error
+(`undeclared prefix` included) it scans the rest of the text, and the
+first lexical error there is raised instead; a `ParseError` works out its
+line and column from the offset only when it is raised.  The token path
+keeps each open `[ ... ]` and `( ... )` as a frame on an explicit stack,
+so nesting costs no recursion.  Both paths expand each distinct prefixed
+name once per parse, and once more after each prefix declaration, which
+may redeclare a prefix; terms are interned, so every occurrence of an IRI
+is the same object.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Iterator, Optional
 
 from .namespaces import (
     RDF_FIRST,
@@ -63,34 +75,66 @@ _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "'": "'", "\\": "\\", "b"
 
 _KEYWORDS = {"a", "true", "false", "PREFIX", "BASE"}
 
-# Whitespace and comments, then one alternative per token kind, tried in
-# order, or the end of the text; the kind is the group that closes last,
-# and the token starts where group 1, the skipped text, ends.  `\w` is
-# exactly `str.isalnum()` or "_".  An IRI or string matches up to its first
-# fault, and its closing delimiter is optional, so a body that ends the
-# match is the fault's place.  A `\u` or `\U` escape takes the next four
-# or eight characters, whatever they are.  A "." stays in a name or blank
-# label, and an exponent's "e" in a number, only before a character that
-# continues it or, for an exponent, at the end of the text; so a
+# Pieces of the scanner's and the statement reader's patterns.  _GAP is
+# whitespace and comments; a comment runs to the end of its line, so a gap
+# splits into runs and comments one way only, and a failed match backtracks
+# through it in linear time.  `\w` is exactly `str.isalnum()` or "_".  A
+# "." stays in a name only before a character that continues it, so a
 # statement's closing dot is its own token, also as the last character of
 # the text (a local name cannot end in ".").  Numbers are ASCII.
+_GAP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_NAME_STEP = r"[\w\-:%\uffff]|\.(?=[\w\-:%])"
+_IRI_CHAR = r"[^>\\ \t\r\n]"
+_STRING_CHAR = r'[^"\\\n]'
+_UCHAR = r"\\u.{4}|\\U.{8}"
+_ECHAR = r"""\\[tnr"'\\bf]"""
+_FRACTION = r"\.[0-9]+"
+
+# The scanner: a gap, then one alternative per token kind, tried in order,
+# or the end of the text; the kind is the group that closes last, and the
+# token starts where group 1, the gap, ends.  An IRI or string matches up to
+# its first fault, and its closing delimiter is optional, so a body that
+# ends the match is the fault's place.  A `\u` or `\U` escape takes the
+# next four or eight characters, whatever they are.  An exponent's "e"
+# stays in a number only before a digit, a sign or the end of the text.
 _TOKEN = re.compile(
-    r"""((?:[ \t\r\n]+|\#[^\n]*)*)
+    rf"""({_GAP})
     (?:(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)|(?P<carets>\^\^)
     |(?P<lparen>\()|(?P<rparen>\))|(?P<lbracket>\[)|(?P<rbracket>\])
-    |<(?P<iriref>(?:[^>\\ \t\r\n]|\\u.{4}|\\U.{8})*)>?
-    |"{3}(?P<long2>(?:[^"\\]|"(?!"")|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)(?:"{3})?
-    |'{3}(?P<long1>(?:[^'\\]|'(?!'')|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)(?:'{3})?
-    |"(?P<short2>(?:[^"\\\n]|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)"?
-    |'(?P<short1>(?:[^'\\\n]|\\[tnr"'\\bf]|\\u.{4}|\\U.{8})*)'?
+    |<(?P<iriref>(?:{_IRI_CHAR}|{_UCHAR})*)>?
+    |"{{3}}(?P<long2>(?:[^"\\]|"(?!"")|{_ECHAR}|{_UCHAR})*)(?:"{{3}})?
+    |'{{3}}(?P<long1>(?:[^'\\]|'(?!'')|{_ECHAR}|{_UCHAR})*)(?:'{{3}})?
+    |"(?P<short2>(?:{_STRING_CHAR}|{_ECHAR}|{_UCHAR})*)"?
+    |'(?P<short1>(?:[^'\\\n]|{_ECHAR}|{_UCHAR})*)'?
     |@(?P<at>(?:[^\W\d_]|-)*)
     |_:(?P<blank>(?:[\w-]|\.(?=[^\W_]))*)
     |(?P<number>(?:[0-9]|[+-](?=[0-9.]))[0-9]*
-        (?P<frac>\.[0-9]+)?(?P<exp>[eE](?=[0-9+-]|\Z)[+-]?[0-9]*)?)
-    |(?P<name>(?:[\w\-:%\uffff]|\.(?=[\w\-:%]))+)
+        (?P<frac>{_FRACTION})?(?P<exp>[eE](?=[0-9+-]|\Z)[+-]?[0-9]*)?)
+    |(?P<name>(?:{_NAME_STEP})+)
     |(?P<bad>.)|\Z)""",
     re.VERBOSE | re.DOTALL,
 )
+
+# The statement reader's terms, each the whole token the scanner reads at
+# the same place: an IRI without escapes; a prefixed name, which starts
+# with a letter or ":" (where no other alternative of the scanner starts),
+# has a ":" and runs as far as the scanner's name does; `a`; an unsigned
+# integer that no fraction follows; a short string without escapes.  What
+# follows a term must be a gap and then ",", ";" or ".", so a number with
+# an exponent, a string with a language tag or datatype, and two tokens
+# the scanner would read as one never match.
+_R_IRI = rf"<{_IRI_CHAR}*>"
+_R_PNAME = rf"(?=[^\W\d_]|:)(?=(?:(?!:)(?:{_NAME_STEP}))*:)(?:{_NAME_STEP})+(?!{_NAME_STEP})"
+_R_SUBJECT = rf"({_R_IRI}|{_R_PNAME})"
+_R_PREDICATE = rf"({_R_IRI}|{_R_PNAME}|a(?!{_NAME_STEP}))"
+_R_OBJECT = rf'({_R_IRI}|{_R_PNAME}|"{_STRING_CHAR}*"|[0-9]+(?!{_FRACTION}))'
+_R_END = rf"{_GAP}([,;.])"
+# a statement's subject and first pair; a pair after ";"; an object after
+# ",", whose empty predicate group keeps the predicate before it
+_HEAD = re.compile(_GAP + _R_SUBJECT + _GAP + _R_PREDICATE + _GAP + _R_OBJECT + _R_END)
+_PAIR = re.compile(_GAP + _R_PREDICATE + _GAP + _R_OBJECT + _R_END)
+_NEXT_OBJECT = re.compile(_GAP + "()" + _R_OBJECT + _R_END)
+
 _QUOTED = {"iriref": "iriref", "long2": "string", "long1": "string", "short2": "string", "short1": "string"}
 _UNESCAPE = re.compile(r"\\(u.{0,4}|U.{0,8}|.)", re.DOTALL)
 
@@ -129,10 +173,10 @@ def _quoted_error(text: str, m: re.Match, pos: int) -> ParseError:
     return _error(text, f"unterminated {what}", pos)
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    """(kind, value, offset) triples, ending with an "eof" token."""
-    toks: list[tuple[str, object, int]] = []
-    for m in _TOKEN.finditer(text):
+def _tokens(text: str, start: int) -> Iterator[tuple[str, object, int]]:
+    """(kind, value, offset) tokens from offset `start` on, ending with an
+    "eof" token; a lexical error raises when the scan reaches it."""
+    for m in _TOKEN.finditer(text, start):
         kind = m.lastgroup
         if kind is None:  # the end of the text
             break
@@ -157,9 +201,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             raise _error(text, "empty blank node label", pos)
         elif kind == "bad":
             raise _error(text, f"unexpected character {value!r}", pos)
-        toks.append((kind, value, pos))
-    toks.append(("eof", None, len(text)))
-    return toks
+        yield (kind, value, pos)
+    yield ("eof", None, len(text))
 
 
 _TYPE = iri(RDF_TYPE)
@@ -171,27 +214,119 @@ _NIL = iri(RDF_NIL)
 class _Parser:
     def __init__(self, text: str, mode: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
         self.mode = mode
         self.prefixes: dict[str, str] = {}
-        self.names: dict[str, Term] = {}  # expanded prefixed names
+        # terms by their spelling: prefixed names, and the statement
+        # reader's IRIs, strings, integers and `a`
+        self.names: dict[str, Term] = {}
         self.blank_map: dict[str, Term] = {}
         self.blank_counter = 0
         self.triples: list[Triple] = []
+        # the token path's scan and the token it looks at
+        self.lexer: Iterator[tuple[str, object, int]] = iter(())
+        self.look: tuple[str, object, int] = ("eof", None, 0)
 
-    # token plumbing -------------------------------------------------
+    def parse(self) -> list[Triple]:
+        """Each statement is read by `_read` if it can, else by the token
+        path, which scans from the statement's first character on."""
+        pos = 0
+        while True:
+            end = self._read(pos)
+            if end is not None:
+                pos = end
+                continue
+            self.lexer = _tokens(self.text, pos)
+            self.look = next(self.lexer)
+            kind, value, pos = self.look
+            if kind == "eof":
+                return self.triples
+            if kind == "at_prefix" or (kind == "keyword" and value == "PREFIX"):
+                self._next()
+                name, value, pos = self._next()
+                if name != "pname" or not value.endswith(":"):
+                    raise self._fault("expected prefix declaration", pos)
+                self.prefixes[value[:-1]] = self._expect("iriref")
+                self.names.clear()
+                if kind == "at_prefix":
+                    self._expect("dot")
+            elif kind == "at_base" or (kind == "keyword" and value == "BASE"):
+                raise self._fault("base directives are not supported", pos)
+            else:
+                self._statement()
+            pos = self.look[2]
+
+    # the statement reader -------------------------------------------
+
+    def _read(self, pos: int) -> Optional[int]:
+        """The end of the plain statement at `pos`, whose triples are then
+        added, or None if the statement is not plain.
+
+        A plain statement has an IRI or prefixed name as its subject, and
+        pairs of the terms `_R_PREDICATE` and `_R_OBJECT` match, separated
+        by ";" and "," and ended by "."; it is read with one match per
+        pair, and its triples are added only once its dot is reached.
+        """
+        m = _HEAD.match(self.text, pos)
+        if m is None:
+            return None
+        names = self.names
+        spelled_subject, spelled_predicate, spelled_object, sep = m.groups()
+        subject = names.get(spelled_subject) or self._spelled(spelled_subject)
+        found = []
+        while True:
+            if spelled_predicate:
+                predicate = names.get(spelled_predicate) or self._spelled(spelled_predicate)
+            term = names.get(spelled_object) or self._spelled(spelled_object)
+            if subject is None or predicate is None or term is None:  # an undeclared prefix
+                return None
+            found.append(Triple(subject, predicate, term))
+            if sep == ".":
+                self.triples += found
+                return m.end()
+            m = (_PAIR if sep == ";" else _NEXT_OBJECT).match(self.text, m.end())
+            if m is None:
+                return None
+            spelled_predicate, spelled_object, sep = m.groups()
+
+    def _spelled(self, spelling: str) -> Optional[Term]:
+        """The term a reader's term spells, or None for a prefixed name
+        whose prefix is undeclared."""
+        first = spelling[0]
+        if first == "<":
+            term = iri(spelling[1:-1])
+        elif first == '"':
+            term = literal(spelling[1:-1])
+        elif first in "0123456789":
+            term = literal(spelling, XSD_INTEGER)
+        elif spelling == "a":
+            term = _TYPE
+        elif spelling.partition(":")[0] in self.prefixes:
+            return self._expand_pname(spelling, 0)  # declared, so it raises no error
+        else:
+            return None
+        self.names[spelling] = term
+        return term
+
+    # the token path -------------------------------------------------
 
     def _next(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
+        tok = self.look
+        self.look = next(self.lexer, tok)  # "eof" stays
         return tok
 
     def _expect(self, kind: str):
         got, value, pos = self._next()
         if got != kind:
-            raise _error(self.text, f"expected {kind}, got {got}", pos)
+            raise self._fault(f"expected {kind}, got {got}", pos)
         return value
+
+    def _fault(self, message: str, pos: int) -> ParseError:
+        """A grammar error at `pos`; but a lexical error anywhere comes
+        first, so the rest of the text is scanned, and its first lexical
+        error raises here."""
+        for _ in self.lexer:
+            pass
+        return _error(self.text, message, pos)
 
     def _fresh_blank(self) -> Term:
         term = blank(f"b{self.blank_counter}")
@@ -203,30 +338,9 @@ class _Parser:
         if term is None:
             prefix, _, local = text.partition(":")
             if prefix not in self.prefixes:
-                raise _error(self.text, f"undeclared prefix {prefix!r}", pos)
+                raise self._fault(f"undeclared prefix {prefix!r}", pos)
             term = self.names[text] = iri(self.prefixes[prefix] + local)
         return term
-
-    # grammar --------------------------------------------------------
-
-    def parse(self) -> list[Triple]:
-        while True:
-            kind, value, pos = self.tokens[self.index]
-            if kind == "eof":
-                return self.triples
-            if kind == "at_prefix" or (kind == "keyword" and value == "PREFIX"):
-                self.index += 1
-                name, value, pos = self._next()
-                if name != "pname" or not value.endswith(":"):
-                    raise _error(self.text, "expected prefix declaration", pos)
-                self.prefixes[value[:-1]] = self._expect("iriref")
-                self.names.clear()
-                if kind == "at_prefix":
-                    self._expect("dot")
-            elif kind == "at_base" or (kind == "keyword" and value == "BASE"):
-                raise _error(self.text, "base directives are not supported", pos)
-            else:
-                self._statement()
 
     def _statement(self) -> None:
         """One statement, from its subject to its dot.
@@ -238,22 +352,21 @@ class _Parser:
         "pred", "obj", or what comes "after" an object.  A frame that closes
         hands its term to the frame below it.
         """
-        tokens = self.tokens
-        first_kind, _, first_pos = tokens[self.index]
+        first_kind, _, first_pos = self.look
         stack: list[list] = [["subject", None, None]]
         while True:
             frame = stack[-1]
             phase = frame[0]
             if phase == "after":
-                kind = tokens[self.index][0]
+                kind = self.look[0]
                 if kind == "comma":
-                    self.index += 1
+                    self._next()
                     frame[0] = "obj"
                     continue
                 if kind == "semi":
-                    while tokens[self.index][0] == "semi":  # trailing ';' permitted
-                        self.index += 1
-                    if tokens[self.index][0] not in ("dot", "rbracket"):
+                    while self.look[0] == "semi":  # trailing ';' permitted
+                        self._next()
+                    if self.look[0] not in ("dot", "rbracket"):
                         frame[0] = "pred"
                         continue
                 if len(stack) == 1:
@@ -263,13 +376,13 @@ class _Parser:
                 stack.pop()
                 term = frame[1]
             elif phase == "items":
-                kind, _, pos = tokens[self.index]
+                kind, _, pos = self.look
                 if kind == "eof":
-                    raise _error(self.text, "unterminated collection", pos)
+                    raise self._fault("unterminated collection", pos)
                 if kind != "rparen":
                     term = self._node(stack)
                 else:
-                    self.index += 1
+                    self._next()
                     stack.pop()
                     term = _NIL
                     for item in reversed(frame[1]):
@@ -291,10 +404,10 @@ class _Parser:
                 frame[0] = "after"
             else:  # the statement's subject
                 if self.mode == STRICT and term.is_literal:
-                    raise _error(self.text, "literal subject not allowed in strict mode", first_pos)
-                if first_kind == "lbracket" and tokens[self.index][0] == "dot":
+                    raise self._fault("literal subject not allowed in strict mode", first_pos)
+                if first_kind == "lbracket" and self.look[0] == "dot":
                     # "[ ... ] ." with no further predicates is a complete statement
-                    self.index += 1
+                    self._next()
                     return
                 frame[0], frame[1] = "pred", term
 
@@ -316,10 +429,10 @@ class _Parser:
             return self.blank_map[value]
         if kind == "lbracket":
             node = self._fresh_blank()
-            if self.tokens[self.index][0] != "rbracket":
+            if self.look[0] != "rbracket":
                 stack.append(["pred", node, None])
                 return None
-            self.index += 1
+            self._next()
             return node
         if kind == "lparen":
             stack.append(["items", [], None])
@@ -327,21 +440,21 @@ class _Parser:
         if kind == "keyword" and value in ("true", "false"):
             return literal(value, XSD_BOOLEAN)
         if kind == "keyword" and value == "a":
-            raise _error(self.text, "'a' is only valid in predicate position", pos)
-        raise _error(self.text, f"unexpected token {kind}", pos)
+            raise self._fault("'a' is only valid in predicate position", pos)
+        raise self._fault(f"unexpected token {kind}", pos)
 
     def _literal_tail(self, lexical: str) -> Term:
-        kind, value, _ = self.tokens[self.index]
+        kind, value, _ = self.look
         if kind == "carets":
-            self.index += 1
+            self._next()
             kind, value, pos = self._next()
             if kind == "iriref":
                 return literal(lexical, value)
             if kind == "pname":
                 return literal(lexical, self._expand_pname(value, pos).lexical)
-            raise _error(self.text, "expected datatype IRI", pos)
+            raise self._fault("expected datatype IRI", pos)
         if kind == "langtag":
-            self.index += 1
+            self._next()
             return literal(lexical, language=value)
         return literal(lexical)
 
@@ -353,7 +466,7 @@ class _Parser:
             return _TYPE
         if kind == "iriref":
             return iri(value)
-        raise _error(self.text, "expected predicate", pos)
+        raise self._fault("expected predicate", pos)
 
 
 def parse_turtle(text: str, mode: str = GENERALIZED) -> TripleGraph:

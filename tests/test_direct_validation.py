@@ -359,6 +359,36 @@ def test_long_acyclic_paths_keep_the_condensation_linear():
         assert sum(map(len, closure.below)) <= n
 
 
+def test_counts_over_a_repeated_path_stop_once_decided(monkeypatch):
+    from shaclsat import direct_validation
+
+    n = 3000
+    doc = parse_document(doc_ttl(
+        ":least a sh:PropertyShape ; sh:targetSubjectsOf :r ; "
+        "sh:path [ sh:zeroOrMorePath :r ] ; sh:nodeKind sh:IRI ; sh:minCount 2 .\n"
+        ":most a sh:PropertyShape ; sh:targetSubjectsOf :r ; "
+        "sh:path [ sh:oneOrMorePath :r ] ; sh:maxCount 3 ."
+    ))
+    graph = parse_turtle(TURTLE_PREFIXES + "\n".join(f":c{i} :r :c{i + 1} ." for i in range(n)))
+    reached = direct_validation._Closure.reached
+    gathered = 0
+
+    def counting(closure, tops):
+        nonlocal gathered
+        for members in reached(closure, tops):
+            gathered += len(members)
+            yield members
+
+    monkeypatch.setattr(direct_validation._Closure, "reached", counting)
+    report = validate_direct(graph, doc)
+    # :c(i) reaches n - i nodes past itself; all but the last three reach more than 3
+    assert report.violations == tuple(sorted(
+        ((iri(f"{EX}c{i}"), iri(EX + "most")) for i in range(n - 3)), key=lambda v: v[0].sort_key()
+    ))
+    # each focus walks at most 2 and 4 members: gathering whole closures takes about n * n
+    assert gathered <= (2 + 4) * n
+
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shaclsat"
 
 

@@ -152,6 +152,48 @@ def test_sibling_shapes_do_not_rescan_the_graph():
     assert passes[0] == passes[1]
 
 
+def _disjoint_siblings(n: int) -> str:
+    body = f":parent a sh:NodeShape ; {' ; '.join(f'sh:property :s{i}' for i in range(n))} .\n"
+    return doc_ttl(body + "".join(
+        f":s{i} sh:path :r ; sh:qualifiedValueShape :t{i % (n - 2)} ; sh:qualifiedMinCount 1 ; "
+        "sh:qualifiedValueShapesDisjoint true .\n"
+        for i in range(n)
+    ))
+
+
+def test_sibling_shapes_are_each_parents_sorted_list_without_the_shape(monkeypatch):
+    # :s0 names :t0 and :tx, :s1 names :t1, :s2 names :t0 and hangs under a
+    # second parent too
+    doc = parse_document(doc_ttl(
+        ":p a sh:NodeShape ; sh:property :s0 , :s1 , :s2 .\n:q a sh:NodeShape ; sh:property :s2 , :s3 .\n"
+        ":s0 sh:path :r ; sh:qualifiedValueShape :t0 , :tx ; sh:qualifiedValueShapesDisjoint true .\n"
+        ":s1 sh:path :r ; sh:qualifiedValueShape :t1 ; sh:qualifiedValueShapesDisjoint true .\n"
+        ":s2 sh:path :r ; sh:qualifiedValueShape :t0 ; sh:qualifiedValueShapesDisjoint true .\n"
+        ":s3 sh:path :r ; sh:qualifiedValueShape :t3 ; sh:qualifiedValueShapesDisjoint true .\n"
+    ))
+    siblings = {
+        (shape.name.lexical[len(EX):], c.args[0].lexical[len(EX):]): [t.lexical[len(EX):] for t in c.args[3]]
+        for shape in doc.shapes for c in shape.constraints if c.kind == "qualified"
+    }
+    assert siblings == {
+        ("s0", "t0"): ["t1"], ("s0", "tx"): ["t0", "t1"], ("s1", "t1"): ["t0", "tx"],
+        ("s2", "t0"): ["t1", "t3", "tx"], ("s3", "t3"): ["t0"],
+    }
+    # each parent's list is sorted once, so the sorting grows with the siblings
+    calls = []
+    sort_key = Term.sort_key
+    for n in (100, 400):
+        graph = parse_turtle(_disjoint_siblings(n))
+        counted = [0]
+        monkeypatch.setattr(Term, "sort_key", lambda term: counted.__setitem__(0, counted[0] + 1) or sort_key(term))
+        doc = extract_document(graph)
+        monkeypatch.undo()
+        calls.append(counted[0])
+        (qualified,) = [c for c in doc.shape(iri(EX + "s0")).constraints if c.kind == "qualified"]
+        assert qualified.args[3] == tuple(sorted((iri(EX + f"t{i}") for i in range(1, n - 2)), key=sort_key))
+    assert calls[1] < 5 * calls[0]  # four times the siblings; a sort per shape makes it 16 times
+
+
 def test_split_multi_target_shape():
     doc = parse_document(
         doc_ttl(":s a sh:NodeShape ; sh:targetClass :A ; sh:targetNode :n ; sh:nodeKind sh:IRI .")

@@ -179,6 +179,20 @@ def test_strict_mode_rejects_literal_subjects():
     assert len(TripleGraph(frozenset({t}), "generalized")) == 1
 
 
+def test_a_triple_is_a_tuple_with_named_fields():
+    s, p, o = iri("http://e/s"), iri("http://e/p"), literal("5", XSD_INTEGER)
+    t = Triple(s, p, o)
+    assert (t.subject, t.predicate, t.object) == tuple(t) == (s, p, o)
+    assert hash(t) == hash((s, p, o)) and t == Triple(s, p, o)
+    for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(copied) is Triple and copied == t
+    assert t.sort_key() == (s.sort_key(), p.sort_key(), o.sort_key())
+    with pytest.raises(ValueError, match="triple predicates must be IRIs"):
+        Triple(s, o, p)
+    with pytest.raises(AttributeError):
+        t.subject = o
+
+
 _term_pool = st.sampled_from(
     [
         integer(0),

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import corpus_documents, graphs_for
 from shaclsat.namespaces import RDF_FIRST, RDF_NIL, RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER
 from shaclsat.terms import GENERALIZED, STRICT, Term, Triple, blank, iri, literal
+from shaclsat import turtle
 from shaclsat.turtle import ParseError, parse_turtle, serialize_turtle
 
 EX = "http://ex.org/"
@@ -198,6 +200,10 @@ ERROR_POSITIONS = [
     (_P + "a :p :o .", GENERALIZED, ("'a' is only valid in predicate position", 2, 1)),
     (_P + ":s :p ; .", GENERALIZED, ("unexpected token semi", 2, 7)),
     (_P + ":s :p [ :q :o .", GENERALIZED, ("expected rbracket, got dot", 2, 15)),
+    # a lexical error anywhere comes before a grammar error
+    (_P + ':s :p ; .\n:t :p "abc', GENERALIZED, ("unterminated string", 3, 7)),
+    (_P + ":s :p :o .\n:s :p ex:o .\n:t :p <a b> .", GENERALIZED, ("whitespace inside IRI", 4, 7)),
+    (_P + ':a :p :b .\n:s 5 :o .\n:t :p "x\\q" .', GENERALIZED, ("invalid string escape \\q", 4, 7)),
 ]
 
 
@@ -241,3 +247,130 @@ def test_final_dot_after_a_name_closes_the_statement(name):
     assert parse_turtle(text + "\n") == parse_turtle(text)
     [inner] = parse_turtle(_P + ":a :p :b.c .").triples
     assert inner.object == iri("http://e/b.c")
+
+
+# The statement reader against the token path -------------------------------
+
+_XSD = "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+
+
+def _outcome(text, mode=GENERALIZED):
+    try:
+        return parse_turtle(text, mode)
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+
+
+def _token_path_outcomes(texts):
+    """Each text's outcome with every statement read by the token path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(turtle._Parser, "_read", lambda self, pos: None)
+        return [_outcome(text, mode) for text, mode in texts]
+
+
+def _person_statements(rng, n):
+    lines = []
+    for i in range(n):
+        friends = " , ".join(f":p{j}" for j in rng.sample(range(n), rng.randrange(3)))
+        parts = [":Person"] + ([":knows " + friends] if friends else [])
+        parts.append(f":age {rng.randrange(100)}")
+        if rng.random() < 0.3:
+            parts.append(f':name "n{i}" , "m{i}"')
+        lines.append(f":p{i} a {' ; '.join(parts)} .")
+    return lines
+
+
+# statements at the edge of what the reader takes
+_EDGES = [
+    ":s a5 .", ":s a:b :o .", ":s a :C.", ":s a.", ":s :p :o.", ":s :p :b.c .", ":s :p :b.c.", ":s :p :b..",
+    ":s :p 49.", ":s :p 49.5 .", ":s :p 49.x .", ":s :p 1e3 .", ":s :p 1e .", ":s :p 5E .", ":s :p 0049 .",
+    ":s :p -5 .", ":s :p +5 .", ':s :p "a\\"b" .', ':s :p "x"@en .', ':s :p "x" @en .',
+    ':s :p "x"^^xsd:int .', ':s :p "x" ^^ xsd:int .', ':s :p """l""" .', ':s :p "" .', ':s :p """""" .',
+    ":s :p 'q' .", ':s :p "a#b" .', ":s :p _:x .", "_:x :p :o .", ":s :p zz:o .", "zz:s :p :o .",
+    ":s zz:p :o .", ":s :p :o ; .", ":s :p :o ;; :q :r .", ":s :p :o , .", ":s :p :o :q .",
+    ":s :p :o , :q :r .", "<http://e/s><http://e/p><http://e/o>.", ":s:p:o.", ":s :p <http://e/\\u0041> .",
+    "<http://e/\\u0041> :p :o .", ":s :p <a#b> .", ":s :p :o#c\n.", ":s :p :o .#c", ":s :p true .",
+    ":s :p [] .", ":s :p ( ) .", ":s a :C ; a :D , :E .", ":s :p %41:x .", "-x:s :p :o .", ":s :p :o",
+]
+
+
+def test_reader_and_token_path_agree_on_corpus_serialized_and_person_graphs():
+    texts = [(text, mode) for _, text in corpus_documents() for mode in (GENERALIZED, STRICT)]
+    for end in ("", "\n:x :y :w ."):
+        texts += [(_P + _XSD + ":x :y :z .\n" + edge + end, GENERALIZED) for edge in _EDGES]
+    texts += [(serialize_turtle(g), GENERALIZED) for g in graphs_for(seed=7, count=25)]
+    rng = random.Random(11)
+    for _ in range(20):
+        glue = rng.choice(["\n", " ", "", " # c\n"])
+        texts.append((_P + _XSD + glue.join(_person_statements(rng, 40)), GENERALIZED))
+    assert [_outcome(text, mode) for text, mode in texts] == _token_path_outcomes(texts)
+
+
+# (reader-shaped, near miss) spellings: the near misses go to the token path
+_SUBJECTS = (
+    [":s", ":b.c", "<http://e/s>", "xsd:int"],
+    ["_:x", '"lit"', "[ :p :o ]", "[]", "( :a )", "zz:s", "5"],
+)
+_PREDICATES = ([":p", ":q", "a", "<http://e/p>"], ["zz:p", "a:b", "5", "ab", "a5", "<http://e/\\u0070>"])
+_OBJECTS = (
+    [":o", ":b.c", "<http://e/o>", "49", "0", '"s"', '""', '"a b"'],
+    ["49.", "49.5", "1e", "1e3", "5E-1", "-5", "+5", '"a\\"b"', '"x"@en', '"x"^^xsd:int', '"x" @en',
+     "'q'", '"""l"""', "_:x", "zz:o", "true", "[ :p :o ]", "( :a 7 )", "[]", "a", "\u0663", '"a'],
+)
+_SEPARATORS = ([",", ";"], [";;", ", ,"])
+_ENDS = (["."], ["; .", "", "..", ". .", " ."])
+_GLUE = [" ", "\n", " ", "", "\t", " # note\n", "#c\n"]
+
+
+@st.composite
+def _near_reader_documents(draw):
+    def pick(pools):
+        good, miss = pools
+        return draw(st.sampled_from(good * 8 + miss))
+
+    statements = []
+    for _ in range(draw(st.integers(1, 4))):
+        pieces = [pick(_SUBJECTS), pick(_PREDICATES), pick(_OBJECTS)]
+        for _ in range(draw(st.integers(0, 3))):
+            sep = pick(_SEPARATORS)
+            pieces += [sep, pick(_OBJECTS)] if sep[0] == "," else [sep, pick(_PREDICATES), pick(_OBJECTS)]
+        pieces.append(pick(_ENDS))
+        statements.append("".join(piece + draw(st.sampled_from(_GLUE)) for piece in pieces))
+    statements.append(draw(st.sampled_from(["", "# last"])))
+    return _P + _XSD + "".join(statements), draw(st.sampled_from([GENERALIZED, STRICT]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(_near_reader_documents(), min_size=1, max_size=2))
+def test_reader_and_token_path_agree_next_to_near_misses(texts):
+    assert [_outcome(text, mode) for text, mode in texts] == _token_path_outcomes(texts)
+
+
+def _token_path_statements(text, monkeypatch):
+    """How many statements of `text` the token path reads."""
+    read = []
+    statement = turtle._Parser._statement
+    monkeypatch.setattr(turtle._Parser, "_statement", lambda self: read.append(1) or statement(self))
+    parse_turtle(text)
+    monkeypatch.undo()
+    return len(read)
+
+
+def test_the_reader_takes_plain_statements_and_leaves_brackets_to_the_token_path(monkeypatch):
+    rng = random.Random(3)
+    persons = [_P]
+    for i in range(1000):
+        j, k = rng.sample(range(1000), 2)
+        persons.append(f':p{i} a :Person ; :knows :p{j} , :p{k} ; :age {rng.randrange(90)} ; :name "n{i}" .')
+    assert len(parse_turtle("\n".join(persons))) == 5000
+    assert _token_path_statements("\n".join(persons), monkeypatch) == 0
+    shapes = _P + _XSD + "@prefix sh: <http://www.w3.org/ns/shacl#> .\n" + (
+        ":PersonShape a sh:NodeShape ;\n"
+        "    sh:targetClass :Person ;\n"
+        "    sh:property [ sh:path :knows ; sh:minCount 1 ] ;\n"
+        "    sh:property [ sh:path [ sh:zeroOrMorePath :knows ] ; sh:nodeKind sh:IRI ] .\n"
+        ":AgeShape a sh:PropertyShape ; sh:path :age ; sh:datatype xsd:integer ; sh:maxCount 1 .\n"
+        ":PersonShape sh:property :AgeShape .\n"
+        ":NameShape a sh:NodeShape ; sh:targetObjectsOf :name ; sh:not [ sh:nodeKind sh:IRI ] .\n"
+    )
+    assert _token_path_statements(shapes, monkeypatch) == 2
