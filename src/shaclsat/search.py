@@ -745,14 +745,34 @@ class _Grounder:
     # ---- formulas -----------------------------------------------------------
 
     def formula_lit(self, f: SclFormula, i: int) -> int:
+        """The literal of `f` at slot `i`, grounded once per (formula, slot).
+
+        Each pair is grounded by a `_formula_steps` generator that yields
+        the (subformula, slot) pairs it needs and is sent their literals.
+        The generators wait on an explicit stack, so the clauses come in
+        depth-first order and depth costs no recursion."""
+        memo = self._formula_lit
         key = (f, i)
-        if key in self._formula_lit:
-            return self._formula_lit[key]
-        lit = self._formula_lit_raw(f, i)
-        self._formula_lit[key] = lit
+        if key in memo:
+            return memo[key]
+        stack = [(key, self._formula_steps(f, i))]
+        lit = None
+        while stack:
+            key, steps = stack[-1]
+            try:
+                need = steps.send(lit)
+            except StopIteration as done:
+                stack.pop()
+                lit = memo[key] = done.value
+                continue
+            lit = memo.get(need)
+            if lit is None:
+                stack.append((need, self._formula_steps(*need)))
         return lit
 
-    def _formula_lit_raw(self, f: SclFormula, x: int) -> int:
+    def _formula_steps(self, f: SclFormula, x: int):
+        """Grounds `f` at slot `x`: yields each (subformula, slot) pair whose
+        literal it needs, and returns the literal of `f`."""
         cnf = self.cnf
         if isinstance(f, Top):
             return cnf.true_lit
@@ -765,14 +785,15 @@ class _Grounder:
                 raise KeyError(f"undefined shape name {f.shape}")
             return self.hs[(f.shape, x)]
         if isinstance(f, Not):
-            return -self.formula_lit(f.body, x)
+            return -(yield f.body, x)
         if isinstance(f, And):
-            return cnf.aux_and([self.formula_lit(f.left, x), self.formula_lit(f.right, x)])
+            left = yield f.left, x
+            return cnf.aux_and([left, (yield f.right, x)])
         if isinstance(f, CountExists):
             mat = self.path_matrix(f.path)
-            hits = [
-                cnf.aux_and([mat[x][j], self.formula_lit(f.body, j)]) for j in range(self.k)
-            ]
+            hits = []
+            for j in range(self.k):
+                hits.append(cnf.aux_and([mat[x][j], (yield f.body, j)]))
             return cnf.at_least(hits, f.threshold)
         if isinstance(f, Disjoint):
             mat = self.path_matrix(f.path)

@@ -600,6 +600,27 @@ def test_deep_formula_back_translates(tmp_path, capsys):
     assert capsys.readouterr().out.count("(def-shape ") == 1506
 
 
+def test_deep_formulas_are_grounded_in_both_modes(tmp_path, capsys):
+    """A 300-way `sh:in` (a right-folded disjunction) and the 1,000-deep
+    formula are grounded without recursion in both model modes."""
+    values = " ".join(f":v{i}" for i in range(300))
+    shapes = tmp_path / "in.ttl"
+    shapes.write_text(doc_ttl(f":s a sh:NodeShape ; sh:targetNode :a ; sh:in ({values}) ."))
+    scl = tmp_path / "deep.scl"
+    scl.write_text(_deep_sentence(1000))
+    # canonical mode needs a slot per constant, so 301 constants fit no size
+    expected = {(shapes, "canonical"): (1, "UnsatUpTo"), (shapes, "uninterpreted"): (0, "Sat"),
+                (scl, "canonical"): (0, "Sat"), (scl, "uninterpreted"): (0, "Sat")}
+    for (path, mode), (code, outcome) in expected.items():
+        assert dispatch(["sat", "--model-mode", mode, "--max-domain", "2", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["outcome"] == outcome, (path.name, mode)
+    assert dispatch(["sat", "--model-mode", "uninterpreted", "--max-domain", "2", str(shapes)]) == 0
+    model = json.loads(capsys.readouterr().out)["model"]
+    assert model["domain"] == ["<urn:shaclsat:elem:0>"]
+
+
 @pytest.mark.parametrize("path", [
     "(" + " ".join([":p"] * 1500) + ")",
     "[ sh:alternativePath (" + " ".join(f":p{i}" for i in range(1500)) + ") ]",
