@@ -878,39 +878,66 @@ class _Grounder:
     # ---- symmetry ----------------------------------------------------------------
 
     def _symmetry_leader(self) -> None:
-        """Lexicographic leader constraints for adjacent slot swaps."""
-        for e in range(self.k - 1):
+        """Lexicographic leader constraints (Crawford, Ginsberg, Luks & Roy,
+        KR 1996) for every transposition of two slots: the decision vector,
+        each position compared under its own variable's preferred polarity
+        as `_solve_once` compares models, is no greater than its image under
+        the swap.  Adjacent swaps alone generate the same permutations but
+        prune far less; with the three-clause chain below, the constraints
+        of every transposition cost less than the search they save.
 
-            def sw(i: int) -> int:
-                return e + 1 if i == e else e if i == e + 1 else i
+        `prefix` holds when every earlier compared position equals its
+        image.  A compared position takes one chain variable and three
+        clauses: prefix and bit give other_bit (no greater here), and prefix
+        and equality here give the next chain variable, in the linear form
+        of Aloul, Markov & Sakallah (IEEE TC 2006).  A transposition is an
+        involution, so a position whose partner came earlier in the order
+        holds the partner's two values swapped: it is equal exactly when the
+        partner's position was, and is skipped, as is a variable that is
+        its own image.
 
-            # each decision variable's partner under swapping slots e, e+1
-            image: dict[int, int] = {}
-            for (c, i), v in self.den.items():
-                image[v] = self.den[(c, sw(i))]
-            for (r, i, j), v in self.rel.items():
-                image[v] = self.rel[(r, sw(i), sw(j))]
-            for (f, i), v in self.filt.items():
-                image[v] = self.filt[(f, sw(i))]
-            for i, v in self.inb.items():
-                image[v] = self.inb[sw(i)]
-            for (i, j), v in self.sb.items():
-                image[v] = self.sb[(min(sw(i), sw(j)), max(sw(i), sw(j)))]
-            for (i, j), v in self.lt.items():
-                image[v] = self.lt[(sw(i), sw(j))]
-            prefix_eq = self.cnf.true_lit
-            for var in self.decision_vars:
-                other = image[var]
-                if other == var:
-                    continue
-                # both positions compare under the current position's
-                # preference polarity: bit_t(M) <= bit_t(swapped M)
-                if self.preferred[var]:
-                    bit, other_bit = -var, -other
-                else:
-                    bit, other_bit = var, other
-                self.cnf.add([-prefix_eq, -bit, other_bit])
-                prefix_eq = self.cnf.aux_and([prefix_eq, self.cnf.aux_iff(var, other)])
+        The least model keeps: its image under any slot permutation is a
+        model too and no less, so it meets every constraint here, and the
+        static-order solver still returns it first.  A chain variable is
+        only ever forced true, so leaving it false when nothing forces it,
+        as the solver does with an unassigned auxiliary, meets every
+        clause."""
+        cnf = self.cnf
+        position = {var: n for n, var in enumerate(self.decision_vars)}
+        for e in range(self.k):
+            for e2 in range(e + 1, self.k):
+
+                def sw(i: int) -> int:
+                    return e2 if i == e else e if i == e2 else i
+
+                # each decision variable's partner under swapping slots e, e2
+                image: dict[int, int] = {}
+                for (c, i), v in self.den.items():
+                    image[v] = self.den[(c, sw(i))]
+                for (r, i, j), v in self.rel.items():
+                    image[v] = self.rel[(r, sw(i), sw(j))]
+                for (f, i), v in self.filt.items():
+                    image[v] = self.filt[(f, sw(i))]
+                for i, v in self.inb.items():
+                    image[v] = self.inb[sw(i)]
+                for (i, j), v in self.sb.items():
+                    image[v] = self.sb[(min(sw(i), sw(j)), max(sw(i), sw(j)))]
+                for (i, j), v in self.lt.items():
+                    image[v] = self.lt[(sw(i), sw(j))]
+                prefix = cnf.true_lit
+                for var in self.decision_vars:
+                    other = image[var]
+                    if position[other] <= position[var]:
+                        continue
+                    if self.preferred[var]:
+                        bit, other_bit = -var, -other
+                    else:
+                        bit, other_bit = var, other
+                    chain = cnf.new_var()
+                    cnf.add([-prefix, -bit, other_bit])
+                    cnf.add([-prefix, -bit, chain])
+                    cnf.add([-prefix, other_bit, chain])
+                    prefix = chain
 
     # ---- decode ---------------------------------------------------------------------
 

@@ -3,10 +3,28 @@
 import itertools
 import random
 
+import shaclsat.search as search
 from corpus import random_formula
-from shaclsat.gadgets import gadget_infinity
-from shaclsat.scl import AtConst, ForClass, SclSentence, sentence_conj
-from shaclsat.search import UNINTERPRETED, _Grounder, _Solver, _solve_once, bounded_sat
+from shaclsat.gadgets import DOMINO_VARIANTS, INFINITY_KINDS, TilingSystem, gadget_domino, gadget_infinity
+from shaclsat.scl import (
+    AtConst,
+    EqConst,
+    ForClass,
+    Not,
+    OrderCmp,
+    SclSentence,
+    formula_filters,
+    nodes,
+    sentence_conj,
+)
+from shaclsat.search import (
+    UNINTERPRETED,
+    _Grounder,
+    _least_model,
+    _Solver,
+    _solve_once,
+    bounded_sat,
+)
 from shaclsat.structures import Evaluator, FiniteStructure
 from shaclsat.terms import iri
 
@@ -95,15 +113,18 @@ class _CountingSolver(_Solver):
         return super()._analyze(conflict)
 
 
-# (propagations, conflicts) per domain size 1..4, measured at commit
-# 3188835.  Changes that keep the search (same decisions, watch order and
-# learned clauses) keep these values; a change that alters the search,
-# such as deleting learned clauses, re-pins them and says why.
+# (propagations, conflicts) per domain size 1..5.  Changes that keep the
+# search (same clauses, decisions, watch order and learned clauses) keep
+# these values; a change that alters the search, such as deleting learned
+# clauses, re-pins them and says why.  Re-pinned, and extended from k = 4
+# to 5, when the lex-leader constraints moved from adjacent swaps with a
+# seven-clause chain step to every slot transposition with a three-clause
+# step: fewer clauses, and a smaller space to refute.
 GADGET_SEARCH = {
-    "C": [(9, 0), (98, 2), (751, 12), (4571, 60)],
-    "STD": [(10, 0), (93, 3), (851, 12), (4617, 47)],
-    "O": [(10, 0), (228, 4), (2334, 32), (13507, 116)],
-    "EOprime": [(10, 0), (171, 2), (1527, 20), (9347, 87)],
+    "C": [(9, 0), (79, 2), (347, 9), (1707, 33), (8452, 128)],
+    "STD": [(10, 0), (74, 3), (462, 10), (3004, 34), (27787, 207)],
+    "O": [(10, 0), (189, 4), (1181, 28), (6361, 86), (28957, 265)],
+    "EOprime": [(10, 0), (138, 2), (675, 16), (3345, 58), (15995, 192)],
 }
 
 
@@ -173,3 +194,172 @@ def test_bounded_sat_agrees_with_structure_enumeration():
         verdict = bounded_sat(sentence, max_domain=2, budget=30, mode=UNINTERPRETED)
         assert verdict.is_sat == brute_sat, (sentence, verdict.outcome)
     assert checked >= 25
+
+
+def _tiling_systems() -> list[TilingSystem]:
+    def pairs(*ps):
+        return frozenset(tuple(p) for p in ps)
+
+    return [
+        TilingSystem(("t",), pairs("tt"), pairs("tt")),
+        TilingSystem(("a", "b"), pairs("ab", "ba"), pairs("ab", "ba")),
+        TilingSystem(("a", "b"), pairs("aa", "ab", "ba", "bb"), pairs("aa", "ab", "ba", "bb")),
+        TilingSystem(("t",), pairs(), pairs("tt")),  # empty H: no tiling
+    ]
+
+
+class _NoLeaderGrounder(_Grounder):
+    def _symmetry_leader(self) -> None:
+        pass
+
+
+def test_leader_constraints_keep_the_least_model(monkeypatch):
+    """The lex-leader constraints only cut symmetric copies: with and
+    without them, the uninterpreted search returns the same least model,
+    or none.  Random sentences come from seeds 7 (300 of depth 3) and 11
+    (120 of depth 4); every other one also needs two distinct elements."""
+    alice, bob = iri(EX + "alice"), iri(EX + "bob")
+    cases = []
+    filters = orders = 0
+    for seed, count, depth in ((7, 300, 3), (11, 120, 4)):
+        rng = random.Random(seed)
+        for n in range(count):
+            body = random_formula(rng, depth)
+            filters += bool(formula_filters(body))
+            orders += any(isinstance(f, OrderCmp) for f in nodes(body))
+            sentence = AtConst(alice, body) if rng.random() < 0.7 else ForClass(alice, body)
+            if n % 2:
+                sentence = sentence_conj([sentence, AtConst(bob, Not(EqConst(alice)))])
+            cases.append((sentence, 4))
+    assert filters >= 50 and orders >= 50
+    cases += [(gadget_domino(v, system), 3) for system in _tiling_systems() for v in DOMINO_VARIANTS]
+    cases += [(gadget_infinity(kind), 3) for kind in INFINITY_KINDS]
+
+    led = [_least_model(sentence, k, 0, UNINTERPRETED) for sentence, k in cases]
+    monkeypatch.setattr(search, "_Grounder", _NoLeaderGrounder)
+    free = [_least_model(sentence, k, 0, UNINTERPRETED) for sentence, k in cases]
+    for (sentence, _), a, b in zip(cases, led, free):
+        assert a == b, sentence
+    # the leader matters only where a model has two or more elements
+    assert sum(a is not None and len(a.domain) >= 2 for a in led) >= 150
+    assert all(a is None for a in led[-len(INFINITY_KINDS):])
+
+
+# --------------------------------------------------------------------------
+# UNSAT answers checked by reverse unit propagation
+# --------------------------------------------------------------------------
+
+
+class _RecordingSolver(_Solver):
+    """Keeps a copy of every learned clause, in the order it was learned."""
+
+    def __init__(self, *args):
+        self.learned = []
+        super().__init__(*args)
+
+    def _analyze(self, conflict):
+        learned, level = super()._analyze(conflict)
+        self.learned.append(list(learned))
+        return learned, level
+
+
+def _unit_propagation_conflicts(clauses, occurs, assumed) -> bool:
+    """Whether unit propagation over `clauses` from the literals `assumed`
+    reaches a conflict.  `occurs[lit]` lists the indices of the clauses
+    that contain `lit`.  A plain queue over occurrence lists, sharing no
+    code with the solver."""
+    true: set[int] = set()
+    queue: list[int] = []
+
+    def make_true(lit) -> bool:
+        if -lit in true:
+            return False
+        if lit not in true:
+            true.add(lit)
+            queue.append(lit)
+        return True
+
+    def visit(clause) -> bool:
+        """False on a conflict; sets the last open literal of a unit clause."""
+        open_lits = {l for l in clause if -l not in true}
+        if not open_lits:
+            return False
+        if len(open_lits) == 1:
+            return make_true(open_lits.pop())
+        return True
+
+    if not all(make_true(lit) for lit in assumed):
+        return True
+    if not all(visit(clause) for clause in clauses):
+        return True
+    while queue:
+        lit = queue.pop()
+        for index in occurs.get(-lit, ()):
+            if not visit(clauses[index]):
+                return True
+    return False
+
+
+def _check_refutation(n_vars, clauses, decisions, preferred):
+    """Solves the clauses, which must be unsatisfiable, and confirms every
+    learned clause by reverse unit propagation (RUP: assuming its negation
+    propagates to a conflict) over the input clauses and the clauses
+    learned before it; then confirms that the empty clause is RUP over all
+    of them (Goldberg & Novikov, DATE 2003)."""
+    solver = _RecordingSolver(n_vars, clauses, None)
+    assert solver.solve(decisions, preferred) is None
+    known: list[list[int]] = []
+    occurs: dict[int, list[int]] = {}
+
+    def learn(clause):
+        for lit in set(clause):
+            occurs.setdefault(lit, []).append(len(known))
+        known.append(clause)
+
+    for clause in clauses:
+        learn(clause)
+    for clause in solver.learned:
+        assert _unit_propagation_conflicts(known, occurs, [-lit for lit in clause]), clause
+        learn(clause)
+    assert _unit_propagation_conflicts(known, occurs, [])
+    return len(solver.learned)
+
+
+def test_unsat_answers_are_reverse_unit_propagation_refutations():
+    """The infinity gadgets and the dominos on the empty-H system, k = 1..4,
+    and unsatisfiable random CNFs: Tseitin-style ones as in the truth-table
+    check (seed 1618, mostly refuted by level-0 propagation) and random
+    3-SAT at 4.5 clauses per variable (seed 1619, refuted by learning)."""
+    learned = 0
+    empty_h = _tiling_systems()[-1]
+    for k in range(1, 5):
+        sentences = [gadget_infinity(kind) for kind in INFINITY_KINDS]
+        sentences += [gadget_domino(v, empty_h) for v in DOMINO_VARIANTS]
+        for sentence in sentences:
+            g = _Grounder(sentence, k, UNINTERPRETED)
+            learned += _check_refutation(g.cnf.n_vars, g.cnf.clauses, g.decision_vars, g.preferred)
+    assert learned >= 300
+    refuted = 0
+    rng = random.Random(1618)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        total, clauses = _random_tseitin_cnf(rng, n, rng.randint(10, 40), 3)
+        decisions = rng.sample(range(1, n + 1), n)
+        preferred = {v: rng.random() < 0.5 for v in decisions}
+        if _solve_once(total, clauses, decisions, preferred, None) is None:
+            _check_refutation(total, clauses, decisions, preferred)
+            refuted += 1
+    rng = random.Random(1619)
+    learned = 0
+    for _ in range(200):
+        n = rng.randint(10, 18)
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            for _ in range(round(4.5 * n))
+        ]
+        decisions = rng.sample(range(1, n + 1), n)
+        preferred = {v: rng.random() < 0.5 for v in decisions}
+        if _solve_once(n, clauses, decisions, preferred, None) is None:
+            learned += _check_refutation(n, clauses, decisions, preferred)
+            refuted += 1
+    assert refuted >= 300 and learned >= 500
