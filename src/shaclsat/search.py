@@ -375,8 +375,10 @@ class _Cnf:
         return -self.true_lit
 
     def aux_and(self, lits: list[int]) -> int:
-        lits = [l for l in lits if l != self.true_lit]
-        if any(l == self.false_lit for l in lits):
+        """A literal that holds when all of `lits` do.  Repeated operands
+        count once, and an operand beside its negation makes it false."""
+        lits = list(dict.fromkeys(l for l in lits if l != self.true_lit))
+        if self.false_lit in lits or any(-l in lits for l in lits):
             return self.false_lit
         if not lits:
             return self.true_lit

@@ -12,6 +12,7 @@ from shaclsat.filters import (
     canonical_key,
     gamma_with_witnesses,
 )
+from shaclsat.gadgets import INFINITY_KINDS, gadget_infinity
 from shaclsat.scl import (
     And,
     AtConst,
@@ -460,11 +461,12 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-# sha1 of the 529 CNFs below, re-pinned when the uninterpreted lex-leader
+# sha1 of the 529 CNFs below.  Re-pinned when the uninterpreted lex-leader
 # constraints moved from adjacent swaps with a seven-clause chain step to
 # every slot transposition with a three-clause step (only the leader's
-# auxiliaries and clauses changed)
-CNF_DIGEST = "296171be915567e1be81e430b0e1aa56d1cbfcd5"
+# auxiliaries and clauses changed), and again when `_Cnf.aux_and` stopped
+# repeating an operand in its clauses and answered false for l and not l
+CNF_DIGEST = "cca6469d8b237079a01fff4ddcf7413e5d94c720"
 
 
 def test_cnf_of_corpus_and_filter_documents_is_pinned():
@@ -485,3 +487,24 @@ def test_at_least_more_than_there_are_is_false_without_new_clauses():
     assert cnf.at_least(lits, 4) == cnf.false_lit
     assert cnf.at_least(lits, 10**5000) == cnf.false_lit
     assert cnf.clauses == clauses
+
+
+def test_conjunction_of_repeated_or_clashing_operands():
+    cnf = _Cnf()
+    a, b = cnf.new_var(), cnf.new_var()
+    clauses = list(cnf.clauses)
+    assert cnf.aux_and([a, a, cnf.true_lit]) == a
+    assert cnf.aux_and([a, b, -a]) == cnf.false_lit
+    assert cnf.aux_or([b, -b]) == cnf.true_lit
+    assert cnf.clauses == clauses
+    v = cnf.aux_and([a, b, a])
+    assert cnf.clauses[len(clauses):] == [[-v, a], [-v, b], [v, -a, -b]]
+
+
+def test_no_gadget_clause_repeats_a_literal():
+    """Squaring a star matrix puts each entry twice into a disjunction; the
+    grounded clauses still name each literal once."""
+    for kind in INFINITY_KINDS:
+        for k in range(1, 7):
+            clauses = _Grounder(gadget_infinity(kind), k, UNINTERPRETED).cnf.clauses
+            assert all(len(set(clause)) == len(clause) for clause in clauses), (kind, k)

@@ -119,10 +119,13 @@ class _CountingSolver(_Solver):
 # clauses, re-pins them and says why.  Re-pinned, and extended from k = 4
 # to 5, when the lex-leader constraints moved from adjacent swaps with a
 # seven-clause chain step to every slot transposition with a three-clause
-# step: fewer clauses, and a smaller space to refute.
+# step: fewer clauses, and a smaller space to refute.  STD at k = 1 moved
+# from 10 to 9 propagations when `_Cnf.aux_and` stopped repeating an
+# operand: a conjunction of one repeated operand is that operand, not a
+# fresh variable to propagate.
 GADGET_SEARCH = {
     "C": [(9, 0), (79, 2), (347, 9), (1707, 33), (8452, 128)],
-    "STD": [(10, 0), (74, 3), (462, 10), (3004, 34), (27787, 207)],
+    "STD": [(9, 0), (74, 3), (462, 10), (3004, 34), (27787, 207)],
     "O": [(10, 0), (189, 4), (1181, 28), (6361, 86), (28957, 265)],
     "EOprime": [(10, 0), (138, 2), (675, 16), (3345, 58), (15995, 192)],
 }
