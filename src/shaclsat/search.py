@@ -377,9 +377,10 @@ class _Cnf:
     def aux_and(self, lits: list[int]) -> int:
         """A literal that holds when all of `lits` do.  Repeated operands
         count once, and an operand beside its negation makes it false."""
-        lits = list(dict.fromkeys(l for l in lits if l != self.true_lit))
-        if self.false_lit in lits or any(-l in lits for l in lits):
+        operands = dict.fromkeys(l for l in lits if l != self.true_lit)
+        if self.false_lit in operands or any(-l in operands for l in operands):
             return self.false_lit
+        lits = list(operands)
         if not lits:
             return self.true_lit
         if len(lits) == 1:
