@@ -6,8 +6,8 @@ of its inner path's successor relation are found in one Tarjan pass, and a
 value-type component over the repeated path is decided once per strongly
 connected component; when counts are the only components that read the
 value set, a count walks the condensation only until its bound is
-decided.  It shares nothing with the logic translation pipeline, so the
-two can be checked against each other.
+decided.  It shares only the graph's index, no semantics, with the logic
+translation pipeline, so the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -138,43 +138,6 @@ class _Closure:
                     successors[j] = None
 
 
-class _Graph:
-    def __init__(self, graph: TripleGraph):
-        self.forward: dict[Term, dict[Term, set[Term]]] = {}
-        self.backward: dict[Term, dict[Term, set[Term]]] = {}
-        for s, p, o in graph.triples:
-            self.forward.setdefault(p, {}).setdefault(s, set()).add(o)
-            self.backward.setdefault(p, {}).setdefault(o, set()).add(s)
-        # per inner path of a repeated path, filled on first use
-        self.closures: dict[sh.ShaclPath, _Closure] = {}
-
-    def succ(self, predicate: Term, node: Term) -> set[Term]:
-        return self.forward.get(predicate, {}).get(node, set())
-
-    def pred(self, predicate: Term, node: Term) -> set[Term]:
-        return self.backward.get(predicate, {}).get(node, set())
-
-    def closure(self, inner: sh.ShaclPath, start: Set[Term]) -> tuple[_Closure, list[int]]:
-        """The condensation of inner's successor relation, kept for the
-        validation, and the component of each start node."""
-        closure = self.closures.get(inner)
-        if closure is None:
-            closure = self.closures[inner] = _Closure()
-        component = closure.component
-        if any(node not in component for node in start):
-            # the step is not stored, so a closure holds no reference back
-            # to the graph
-            if isinstance(inner, sh.PredicatePath):
-                predicate = inner.predicate
-                step = lambda node: self.succ(predicate, node)
-            else:
-                step = lambda node: _path_values(self, inner, {node})
-            for node in start:
-                if node not in component:
-                    closure.visit(node, step)
-        return closure, [component[node] for node in start]
-
-
 def _inverse(path: sh.ShaclPath) -> sh.ShaclPath:
     """The path whose pairs are path's pairs reversed."""
     if isinstance(path, sh.PredicatePath):
@@ -190,37 +153,37 @@ def _inverse(path: sh.ShaclPath) -> sh.ShaclPath:
     raise TypeError(f"unknown path {path!r}")
 
 
-def _path_values(g: _Graph, path: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
+def _path_values(validator: _Validator, path: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
     """The values of path from start; callers never mutate the result."""
     if isinstance(path, sh.PredicatePath):
         out: set[Term] = set()
         for node in start:
-            out |= g.succ(path.predicate, node)
+            out |= validator.succ(path.predicate, node)
         return out
     if isinstance(path, sh.InversePath):
         if isinstance(path.inner, sh.PredicatePath):
             out = set()
             for node in start:
-                out |= g.pred(path.inner.predicate, node)
+                out |= validator.pred(path.inner.predicate, node)
             return out
-        return _path_values(g, _inverse(path.inner), start)
+        return _path_values(validator, _inverse(path.inner), start)
     if isinstance(path, sh.SequencePath):
         current = start
         for part in path.parts:
-            current = _path_values(g, part, current)
+            current = _path_values(validator, part, current)
         return current
     if isinstance(path, sh.AlternativePath):
         out = set()
         for part in path.parts:
-            out |= _path_values(g, part, start)
+            out |= _path_values(validator, part, start)
         return out
     if isinstance(path, sh.ZeroOrOnePath):
-        return start | _path_values(g, path.inner, start)
+        return start | _path_values(validator, path.inner, start)
     if isinstance(path, sh.ZeroOrMorePath):
-        closure, tops = g.closure(path.inner, start)
+        closure, tops = validator.closure(path.inner, start)
         return closure.values(tops)
     if isinstance(path, sh.OneOrMorePath):
-        closure, tops = g.closure(path.inner, _path_values(g, path.inner, start))
+        closure, tops = validator.closure(path.inner, _path_values(validator, path.inner, start))
         return closure.values(tops)
     raise TypeError(f"unknown path {path!r}")
 
@@ -246,10 +209,38 @@ class _Validator:
     """
 
     def __init__(self, graph: TripleGraph, doc: sh.ShaclDocument):
-        self.g = _Graph(graph)
+        self.graph = graph
         self.doc = doc
         self.language_set = doc.language_set()
         self.memo: dict[tuple[Term, Term], bool] = {}
+        # per inner path of a repeated path, filled on first use
+        self.closures: dict[sh.ShaclPath, _Closure] = {}
+
+    def succ(self, predicate: Term, node: Term) -> set[Term]:
+        return self.graph.forward.get(predicate, {}).get(node, set())
+
+    def pred(self, predicate: Term, node: Term) -> set[Term]:
+        return self.graph.backward.get(predicate, {}).get(node, set())
+
+    def closure(self, inner: sh.ShaclPath, start: Set[Term]) -> tuple[_Closure, list[int]]:
+        """The condensation of inner's successor relation, kept for the
+        validation, and the component of each start node."""
+        closure = self.closures.get(inner)
+        if closure is None:
+            closure = self.closures[inner] = _Closure()
+        component = closure.component
+        if any(node not in component for node in start):
+            # the step is not stored, so a closure holds no reference back
+            # to the validator
+            if isinstance(inner, sh.PredicatePath):
+                predicate = inner.predicate
+                step = lambda node: self.succ(predicate, node)
+            else:
+                step = lambda node: _path_values(self, inner, {node})
+            for node in start:
+                if node not in component:
+                    closure.visit(node, step)
+        return closure, [component[node] for node in start]
 
     def conforms(self, shape: sh.Shape, node: Term) -> bool:
         key = (shape.name, node)
@@ -295,8 +286,8 @@ class _Validator:
         if isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath)):
             roots = {node}
             if isinstance(path, sh.OneOrMorePath):
-                roots = _path_values(self.g, path.inner, roots)
-            closure, tops = self.g.closure(path.inner, roots)
+                roots = _path_values(self, path.inner, roots)
+            closure, tops = self.closure(path.inner, roots)
             # when only counts read the value set, a count walks the
             # condensation until its bound is decided
             only_counts = all(
@@ -316,7 +307,7 @@ class _Validator:
                     ok = closure.count(tops, bound + 1) <= bound
             else:
                 if values is None:
-                    values = _path_values(self.g, path, {node})
+                    values = _path_values(self, path, {node})
                 if c.kind in _VALUE_SET_KINDS:
                     ok = self._property_constraint(shape, c, node, values)
                 elif c.kind == sh.QUALIFIED:
@@ -408,7 +399,7 @@ class _Validator:
         if kind == sh.IN:
             return node in c.args
         if kind == sh.CLASS:
-            return c.args[0] in self.g.succ(iri(ns.RDF_TYPE), node)
+            return c.args[0] in self.succ(iri(ns.RDF_TYPE), node)
         if kind == sh.DATATYPE:
             return (
                 node.is_literal
@@ -460,9 +451,9 @@ class _Validator:
         if kind == sh.MAX_COUNT:
             return len(values) <= c.args[0]
         if kind == sh.EQUALS:
-            return values == self.g.succ(c.args[0], node)
+            return values == self.succ(c.args[0], node)
         if kind == sh.DISJOINT:
-            return not (values & self.g.succ(c.args[0], node))
+            return not (values & self.succ(c.args[0], node))
         if kind in (sh.LESS_THAN, sh.LESS_THAN_OR_EQUALS):
             allowed = (
                 (ComparisonVerdict.LT,)
@@ -470,26 +461,26 @@ class _Validator:
                 else (ComparisonVerdict.LT, ComparisonVerdict.EQ)
             )
             for v in values:
-                for w in self.g.succ(c.args[0], node):
+                for w in self.succ(c.args[0], node):
                     if compare_terms(v, w) not in allowed:
                         return False
             return True
         # sh:closed
         for relation in self.doc.closed_theta(shape):
-            if self.g.succ(relation, node):
+            if self.succ(relation, node):
                 return False
         return True
 
 
-def target_extension(g: _Graph, target: sh.Target) -> set[Term]:
+def target_extension(graph: TripleGraph, target: sh.Target) -> set[Term]:
     if isinstance(target, sh.NodeTarget):
         return {target.node}
     if isinstance(target, sh.ClassTarget):
-        return set(g.pred(iri(ns.RDF_TYPE), target.cls))
+        return set(graph.backward.get(iri(ns.RDF_TYPE), {}).get(target.cls, ()))
     if isinstance(target, sh.SubjectsOfTarget):
-        return set(g.forward.get(target.relation, {}))
+        return set(graph.forward.get(target.relation, {}))
     if isinstance(target, sh.ObjectsOfTarget):
-        return set(g.backward.get(target.relation, {}))
+        return set(graph.backward.get(target.relation, {}))
     raise TypeError(f"unknown target {target!r}")
 
 
@@ -499,7 +490,7 @@ def validate_direct(graph: TripleGraph, doc: sh.ShaclDocument) -> ValidationRepo
     violations: list[tuple[Term, Term]] = []
     for shape in doc.shapes:
         for target in shape.targets:
-            for focus in sorted(target_extension(validator.g, target), key=Term.sort_key):
+            for focus in sorted(target_extension(graph, target), key=Term.sort_key):
                 if not validator.conforms(shape, focus):
                     violations.append((focus, shape.name))
     unique = sorted(set(violations), key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))

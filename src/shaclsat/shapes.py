@@ -4,11 +4,12 @@ extracted from RDF graphs."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional
 
 from . import namespaces as ns
 from .scl import pattern_error
-from .terms import Term, Triple, TripleGraph, iri, parse_integer_lexical
+from .terms import Term, TripleGraph, iri, parse_integer_lexical
 from .turtle import parse_turtle
 
 
@@ -330,7 +331,8 @@ _TARGET_PARAMS = {
     ns.SH_TARGET_OBJECTS_OF: ObjectsOfTarget,
 }
 
-_CONSTRAINT_PARAMS = {
+# in IRI order, the order a shape's constraints are read in
+_CONSTRAINT_PARAMS = dict(sorted({
     ns.SH_HAS_VALUE: HAS_VALUE,
     ns.SH_IN: IN,
     ns.SH_CLASS: CLASS,
@@ -359,23 +361,24 @@ _CONSTRAINT_PARAMS = {
     ns.SH_LESS_THAN_OR_EQUALS: LESS_THAN_OR_EQUALS,
     ns.SH_QUALIFIED_VALUE_SHAPE: QUALIFIED,
     ns.SH_CLOSED: CLOSED,
-}
+}.items()))
 
 _REF_OBJECT_PARAMS = (ns.SH_NOT, ns.SH_NODE, ns.SH_PROPERTY, ns.SH_QUALIFIED_VALUE_SHAPE)
 _REF_LIST_PARAMS = (ns.SH_AND, ns.SH_OR, ns.SH_XONE)
 
+# each vocabulary term built once and kept alive, as extraction looks up
+# every parameter of every shape
+_vocabulary = cache(iri)
+
 
 class _GraphIndex:
+    """Extraction's reads of the graph's index: sorted values, RDF
+    collections, and each parent's qualified value shapes."""
+
     def __init__(self, graph: TripleGraph):
-        self.by_subject: dict[Term, list[Triple]] = {}
-        self.parents: dict[Term, list[Term]] = {}  # the shapes naming each in sh:property
+        self.graph = graph
         # per parent shape, filled by qualified_below
         self.qualified: dict[Term, tuple[tuple[Term, set[Term]], ...]] = {}
-        prop = iri(ns.SH_PROPERTY)
-        for t in graph.sorted_triples():
-            self.by_subject.setdefault(t.subject, []).append(t)
-            if t.predicate == prop:
-                self.parents.setdefault(t.object, []).append(t.subject)
 
     def qualified_below(self, parent: Term) -> tuple[tuple[Term, set[Term]], ...]:
         """The qualified value shapes of parent's property shapes, sorted,
@@ -391,8 +394,8 @@ class _GraphIndex:
         return found
 
     def objects(self, subject: Term, predicate: str) -> list[Term]:
-        pred = iri(predicate)
-        return [t.object for t in self.by_subject.get(subject, []) if t.predicate == pred]
+        values = self.graph.forward.get(_vocabulary(predicate), {}).get(subject, ())
+        return sorted(values, key=Term.sort_key)
 
     def one(self, subject: Term, predicate: str) -> Optional[Term]:
         values = self.objects(subject, predicate)
@@ -460,24 +463,18 @@ def extract_document(graph: TripleGraph) -> ShaclDocument:
     empty shape definitions.
     """
     index = _GraphIndex(graph)
+    forward, backward = graph.forward, graph.backward
+    typed = backward.get(_vocabulary(ns.RDF_TYPE), {})
     candidates: set[Term] = set()
-    referenced: set[Term] = set()
-
-    shape_types = {iri(ns.SH_NODE_SHAPE), iri(ns.SH_PROPERTY_SHAPE)}
-    detect_params = {iri(p) for p in _TARGET_PARAMS} | {iri(p) for p in _CONSTRAINT_PARAMS} | {
-        iri(ns.SH_PATH)
-    }
-    for t in graph.triples:
-        if t.predicate == iri(ns.RDF_TYPE) and t.object in shape_types:
-            candidates.add(t.subject)
-        if t.predicate in detect_params:
-            candidates.add(t.subject)
-        if t.predicate.lexical in _REF_OBJECT_PARAMS:
-            referenced.add(t.object)
-        if t.predicate.lexical in _REF_LIST_PARAMS:
-            referenced |= set(index.collection(t.object))
-
-    candidates |= referenced
+    for shape_type in (ns.SH_NODE_SHAPE, ns.SH_PROPERTY_SHAPE):
+        candidates.update(typed.get(_vocabulary(shape_type), ()))
+    for param in (*_TARGET_PARAMS, *_CONSTRAINT_PARAMS, ns.SH_PATH):
+        candidates.update(forward.get(_vocabulary(param), ()))
+    for param in _REF_OBJECT_PARAMS:
+        candidates.update(backward.get(_vocabulary(param), ()))
+    for param in _REF_LIST_PARAMS:
+        for head in sorted(backward.get(_vocabulary(param), ()), key=Term.sort_key):
+            candidates.update(index.collection(head))
 
     shapes = []
     for name in sorted(candidates, key=Term.sort_key):
@@ -505,11 +502,10 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
     ignored = index.one(name, ns.SH_IGNORED_PROPERTIES)
 
     constraints: list[Constraint] = []
-    for t in index.by_subject.get(name, []):
-        kind = _CONSTRAINT_PARAMS.get(t.predicate.lexical)
-        if kind is None:
-            continue
-        obj = t.object
+    params = [
+        (kind, obj) for param, kind in _CONSTRAINT_PARAMS.items() for obj in index.objects(name, param)
+    ]
+    for kind, obj in params:
         if kind == IN:
             constraints.append(Constraint(IN, tuple(index.collection(obj))))
         elif kind == LANGUAGE_IN:
@@ -561,7 +557,8 @@ def _sibling_shapes(index: _GraphIndex, shape_name: Term, qvs: Term) -> tuple[Te
     """Qualified value shapes declared by sibling property shapes, other
     than qvs: each parent's sorted list without what only this shape
     declares."""
-    parents = index.parents.get(shape_name, ())
+    # the shapes naming this one in sh:property; with several, the union is sorted
+    parents = index.graph.backward.get(_vocabulary(ns.SH_PROPERTY), {}).get(shape_name, ())
     siblings = [
         value
         for parent in parents

@@ -9,6 +9,7 @@ enumerated extensions and order blocks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 from . import namespaces as ns
@@ -107,17 +108,15 @@ class FiniteStructure:
 
 def canonical_structure(graph: TripleGraph) -> FiniteStructure:
     """The structure a graph induces: its terms, its edges, canonical
-    filters and orders, and no shape assignment yet."""
-    domain = sorted(set(graph.nodes()), key=Term.sort_key)
-    if not domain:
-        domain = [iri(ns.GEN_NS + "inert:0")]
-    relations: dict[Term, set[tuple[Term, Term]]] = {}
-    for s, p, o in graph.triples:
-        relations.setdefault(p, set()).add((s, o))
-    return FiniteStructure(
-        domain=tuple(domain),
-        relations={name: frozenset(pairs) for name, pairs in relations.items()},
-    )
+    filters and orders, and no shape assignment yet; read off the graph's
+    forward index."""
+    terms: set[Term] = set()
+    relations: dict[Term, frozenset[tuple[Term, Term]]] = {}
+    for name, by_subject in graph.forward.items():
+        relations[name] = frozenset([(s, o) for s, objects in by_subject.items() for o in objects])
+        terms.update(by_subject, chain.from_iterable(by_subject.values()))
+    domain = sorted(terms, key=Term.sort_key) or [iri(ns.GEN_NS + "inert:0")]
+    return FiniteStructure(domain=tuple(domain), relations=relations)
 
 
 def with_constants(structure: FiniteStructure, constants: set[Term]) -> FiniteStructure:

@@ -18,8 +18,9 @@ from datetime import datetime
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .namespaces import (
     NUMERIC_DATATYPES,
@@ -196,6 +197,11 @@ class StrictModeError(ValueError):
 
 @dataclass(frozen=True)
 class TripleGraph:
+    """A set of triples, read by predicate through its one index: the
+    objects of each subject (`forward`) and the subjects of each object
+    (`backward`).  Each is built on first read and kept, outside `__eq__`,
+    `__hash__` and `__repr__`; readers never mutate it."""
+
     triples: frozenset[Triple]
     mode: str = GENERALIZED
 
@@ -210,18 +216,19 @@ class TripleGraph:
     def __len__(self) -> int:
         return len(self.triples)
 
-    def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples, key=Triple.sort_key)
+    @cached_property
+    def forward(self) -> dict[Term, dict[Term, set[Term]]]:
+        index: dict[Term, dict[Term, set[Term]]] = {}
+        for s, p, o in self.triples:
+            index.setdefault(p, {}).setdefault(s, set()).add(o)
+        return index
 
-    def nodes(self) -> Iterator[Term]:
-        """All terms occurring in subject or object position."""
-        for s, _, o in self.triples:
-            yield s
-            yield o
-
-
-def graph(triples, mode: str = GENERALIZED) -> TripleGraph:
-    return TripleGraph(frozenset(triples), mode)
+    @cached_property
+    def backward(self) -> dict[Term, dict[Term, set[Term]]]:
+        index: dict[Term, dict[Term, set[Term]]] = {}
+        for s, p, o in self.triples:
+            index.setdefault(p, {}).setdefault(o, set()).add(s)
+        return index
 
 
 class ComparisonVerdict(Enum):

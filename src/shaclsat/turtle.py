@@ -488,7 +488,7 @@ def serialize_turtle(graph: TripleGraph) -> str:
         return term
 
     # assign blank labels in the order blanks appear in the sorted input
-    for t in graph.sorted_triples():
+    for t in sorted(graph.triples, key=Triple.sort_key):
         canon(t.subject)
         canon(t.object)
 

@@ -477,7 +477,7 @@ def test_criterion_10_containment():
     if backward.outcome == "NotContained":
         graph = backward.counterexample
         witness_ok = (
-            len(set(graph.nodes())) <= 3
+            len({x for s, _, o in graph.triples for x in (s, o)}) <= 3
             and validate_direct(graph, d2).conforms
             and not validate_direct(graph, d1).conforms
         )

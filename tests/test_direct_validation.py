@@ -150,13 +150,13 @@ def test_monotone_targets_under_triple_addition():
     )
     rng = random.Random(5)
     for graph in graphs_for(seed=3, count=20):
-        from shaclsat.direct_validation import _Graph, target_extension
+        from shaclsat.direct_validation import target_extension
 
-        base = target_extension(_Graph(graph), doc.shapes[0].targets[0])
+        base = target_extension(graph, doc.shapes[0].targets[0])
         extra = Triple(iri(EX + "new"), iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
                        iri(EX + "P"))
         bigger = TripleGraph(frozenset(set(graph.triples) | {extra}))
-        grown = target_extension(_Graph(bigger), doc.shapes[0].targets[0])
+        grown = target_extension(bigger, doc.shapes[0].targets[0])
         assert base <= grown
 
 
@@ -238,7 +238,7 @@ def _cyclic_shapes() -> str:
 def test_both_routes_agree_on_repeated_paths_over_cyclic_graphs():
     from shaclsat.validation import validate
 
-    from shaclsat.direct_validation import _Graph, target_extension
+    from shaclsat.direct_validation import target_extension
 
     doc = parse_document(_cyclic_shapes())
     for seed in (1, 2, 3):
@@ -246,9 +246,8 @@ def test_both_routes_agree_on_repeated_paths_over_cyclic_graphs():
         direct = validate_direct(graph, doc)
         assert direct.violations == validate(graph, doc).violations, seed
         # every shape has focus nodes that conform and focus nodes that do not
-        g = _Graph(graph)
         for shape in doc.shapes:
-            focus = set().union(*(target_extension(g, t) for t in shape.targets))
+            focus = set().union(*(target_extension(graph, t) for t in shape.targets))
             violating = {node for node, name in direct.violations if name == shape.name}
             assert 0 < len(violating) < len(focus), (seed, shape.name)
 
@@ -303,7 +302,7 @@ def test_star_successors_and_value_checks_grow_linearly(monkeypatch):
         "sh:property [ sh:path [ sh:inversePath [ sh:zeroOrMorePath :knows ] ] ; sh:nodeKind sh:IRI ] ."
     ))
     knows = iri(EX + "knows")
-    succ = direct_validation._Graph.succ
+    succ = direct_validation._Validator.succ
     check = direct_validation._Validator._node_constraint
     steps = checks = 0
 
@@ -317,7 +316,7 @@ def test_star_successors_and_value_checks_grow_linearly(monkeypatch):
         checks += 1
         return check(validator, c, node)
 
-    monkeypatch.setattr(direct_validation._Graph, "succ", counting_succ)
+    monkeypatch.setattr(direct_validation._Validator, "succ", counting_succ)
     monkeypatch.setattr(direct_validation._Validator, "_node_constraint", counting_check)
     counts = []
     for n in (250, 1000):
@@ -352,7 +351,7 @@ def test_long_acyclic_paths_keep_the_condensation_linear():
         assert validator.conforms(doc.shape(iri(EX + name)), iri(EX + focus)), name
     # every node is a component of its own, stored once, with one edge to
     # the next: no node's closure is kept
-    closures = validator.g.closures
+    closures = validator.closures
     assert len(closures) == 2
     for closure in closures.values():
         assert sum(map(len, closure.members)) <= n + 1

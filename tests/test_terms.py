@@ -193,6 +193,56 @@ def test_a_triple_is_a_tuple_with_named_fields():
         t.subject = o
 
 
+def _naive_index(triples, key: int, value: int) -> dict:
+    """Per predicate, each term at position `key` with the set of terms at
+    `value`, by filtering the triples once per predicate and term."""
+    out = {}
+    for p in {t[1] for t in triples}:
+        rows = [t for t in triples if t[1] == p]
+        out[p] = {k: {t[value] for t in rows if t[key] == k} for k in {t[key] for t in rows}}
+    return out
+
+
+def _indexed_graphs() -> list[TripleGraph]:
+    from corpus import corpus_documents, graphs_for
+    from shaclsat.turtle import parse_turtle
+
+    e = "http://e/"
+    p, q = iri(e + "p"), iri(e + "q")
+    a, b, c, x = iri(e + "a"), iri(e + "b"), blank("c"), blank("x")
+    # repeated predicates: a subject with several objects and an object
+    # with several subjects, over IRIs, blank nodes and literals
+    mixed = [
+        Triple(a, p, b), Triple(a, p, c), Triple(a, p, string("s")), Triple(c, p, b),
+        Triple(x, p, b), Triple(a, q, b), Triple(integer(3), q, literal("t", language="en")),
+        Triple(c, q, integer(3)), Triple(b, p, b),
+    ]
+    return [
+        *graphs_for(seed=21, count=40, max_size=20),
+        *(parse_turtle(text) for _, text in corpus_documents()),
+        TripleGraph(frozenset(mixed)),
+        TripleGraph(frozenset()),
+    ]
+
+
+def test_the_triple_index_is_a_naive_rebuild_of_the_triples():
+    for graph in _indexed_graphs():
+        assert graph.forward == _naive_index(graph.triples, 0, 2)
+        assert graph.backward == _naive_index(graph.triples, 2, 0)
+
+
+def test_the_triple_index_stays_out_of_equality_hash_and_repr():
+    assert [f.name for f in dataclasses.fields(TripleGraph)] == ["triples", "mode"]
+    for graph in _indexed_graphs():
+        twin = TripleGraph(frozenset(list(graph.triples)))  # an equal set, built anew
+        before = (hash(graph), repr(graph))
+        # built on the first read and kept, on one of the two only
+        assert graph.forward is graph.forward and graph.backward is graph.backward
+        assert graph == twin and twin == graph and len({graph, twin}) == 1
+        assert hash(graph) == hash(twin) == before[0]
+        assert repr(graph) == before[1] == repr(TripleGraph(graph.triples))
+
+
 _term_pool = st.sampled_from(
     [
         integer(0),
