@@ -893,11 +893,12 @@ class _Grounder:
         image.  A compared position takes one chain variable and three
         clauses: prefix and bit give other_bit (no greater here), and prefix
         and equality here give the next chain variable, in the linear form
-        of Aloul, Markov & Sakallah (IEEE TC 2006).  A transposition is an
-        involution, so a position whose partner came earlier in the order
-        holds the partner's two values swapped: it is equal exactly when the
-        partner's position was, and is skipped, as is a variable that is
-        its own image.
+        of Aloul, Markov & Sakallah (IEEE TC 2006); the last compared
+        position has no next one, so it takes the first clause alone.  A
+        transposition is an involution, so a position whose partner came
+        earlier in the order holds the partner's two values swapped: it is
+        equal exactly when the partner's position was, and is skipped, as is
+        a variable that is its own image.
 
         The least model keeps: its image under any slot permutation is a
         model too and no less, so it meets every constraint here, and the
@@ -927,17 +928,18 @@ class _Grounder:
                     image[v] = self.sb[(min(sw(i), sw(j)), max(sw(i), sw(j)))]
                 for (i, j), v in self.lt.items():
                     image[v] = self.lt[(sw(i), sw(j))]
+                compared = [v for v in self.decision_vars if position[image[v]] > position[v]]
                 prefix = cnf.true_lit
-                for var in self.decision_vars:
+                for n, var in enumerate(compared, 1):
                     other = image[var]
-                    if position[other] <= position[var]:
-                        continue
                     if self.preferred[var]:
                         bit, other_bit = -var, -other
                     else:
                         bit, other_bit = var, other
-                    chain = cnf.new_var()
                     cnf.add([-prefix, -bit, other_bit])
+                    if n == len(compared):
+                        break  # no later position reads a chain variable
+                    chain = cnf.new_var()
                     cnf.add([-prefix, -bit, chain])
                     cnf.add([-prefix, other_bit, chain])
                     prefix = chain

@@ -465,8 +465,10 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
 # constraints moved from adjacent swaps with a seven-clause chain step to
 # every slot transposition with a three-clause step (only the leader's
 # auxiliaries and clauses changed), and again when `_Cnf.aux_and` stopped
-# repeating an operand in its clauses and answered false for l and not l
-CNF_DIGEST = "cca6469d8b237079a01fff4ddcf7413e5d94c720"
+# repeating an operand in its clauses and answered false for l and not l,
+# and again when the leader's last compared position of each transposition
+# stopped making a chain variable that no clause after it reads
+CNF_DIGEST = "3decd9e332918ad457086d7b21440c012cb47849"
 
 
 def test_cnf_of_corpus_and_filter_documents_is_pinned():
