@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, compress, product
 from typing import Optional
 
 from . import namespaces as ns
@@ -278,8 +278,12 @@ class _Solver:
 
     # main loop ----------------------------------------------------------
 
-    def solve(self, decisions: list[int], preferred: dict[int, bool]) -> Optional[list[int]]:
-        """Returns assignment list (index by var, -1/1) or None if unsat."""
+    def solve(
+        self, decisions: list[int], preferred: dict[int, bool], gates=()
+    ) -> Optional[list[int]]:
+        """Returns assignment list (index by var, -1/1) or None if unsat.
+        `gates` lists gates as `_Cnf.gates` does; the clauses may hold only
+        one half of a gate's definition."""
         if not self.ok:
             return None
         conflict = self._propagate()
@@ -292,13 +296,7 @@ class _Solver:
             while cursor < len(decisions) and assign[decisions[cursor]] != 0:
                 cursor += 1
             if cursor >= len(decisions):
-                # aux variables are determined by the decisions; propagate
-                # has already run, so anything unassigned is unconstrained
-                model = assign[: self.n + 1]
-                for var in range(1, self.n + 1):
-                    if model[var] == 0:
-                        model[var] = -1
-                return model
+                return self._complete(gates)
             var = decisions[cursor]
             lit = var if preferred.get(var, False) else -var
             self.trail_lim.append(len(self.trail))
@@ -322,6 +320,22 @@ class _Solver:
                 cursor = 0
         # unreachable
 
+    def _complete(self, gates) -> list[int]:
+        """The assignment with every variable that propagation left open
+        filled in: an open gate takes the value of its definition, oldest
+        gate first, so its operands are already valued; any other open
+        variable is false.  `_solve_once` says why this meets every clause."""
+        model = self.assign[: self.n + 1]
+        open_gates = [gate for gate in gates if not model[gate[0]]]
+        for var in range(1, self.n + 1):
+            if model[var] == 0:
+                model[var] = -1
+        for v, operands, iff, *_ in open_gates:
+            values = [model[l] if l > 0 else -model[-l] for l in operands]
+            holds = values[0] == values[1] if iff else -1 not in values
+            model[v] = 1 if holds else -1
+        return model
+
 
 def _solve_once(
     n_vars: int,
@@ -329,9 +343,11 @@ def _solve_once(
     decisions: list[int],
     preferred: dict[int, bool],
     deadline: Optional[float],
+    gates=(),
 ) -> Optional[list[int]]:
     """The lex-least model over `decisions` (each compared under its
-    preferred polarity), or None if the clauses are unsatisfiable.
+    preferred polarity), or None if the clauses are unsatisfiable.  When
+    `clauses` comes from `_Cnf.one_sided`, `gates` is that `_Cnf.gates`.
 
     No minimisation pass is needed as long as `_Solver` keeps this
     condition: it decides the first unassigned variable of `decisions`,
@@ -347,8 +363,31 @@ def _solve_once(
     which learned clauses the solver keeps; deleting some of them keeps
     the least model.  A faster existence check (VSIDS, restarts) must
     still answer SAT with a static-order pass like this one.
+
+    Returning a model needs one more fact: once every decision is assigned
+    and propagation stops without a conflict, the assignment extends to a
+    model of the clauses.  With both halves of every gate, propagation
+    fixes each gate from its operands.  With the clauses of
+    `_Cnf.one_sided` it still forces a gate used only positively to false
+    whenever its definition is false, and one used only negatively to true
+    whenever its definition is true.  This holds by induction over the
+    gates, oldest first: each operand of a kept half occurs in it in the
+    polarity that half reads, so it is forced where the half needs it.
+    So every literal that a kept clause reads and propagation left open is
+    a gate's, and becomes true when each open gate takes the value of its
+    definition, oldest gate first (`_Solver._complete`); every clause
+    holds.  The other variables outside `decisions` are shape variables,
+    which propagation fixes (each is asserted equal to a body whose gates
+    keep both halves), and the leader's chain variables, which are only
+    ever forced true, so false meets their clauses.  A full decision
+    assignment with no extension is thus still refuted.  Last, the
+    one-sided clauses have the same models over the decisions as both
+    halves (Plaisted & Greenbaum, J. Symb. Comp. 1986): recomputing each
+    gate of a one-sided model from its definition, oldest first, keeps
+    true every literal that a clause outside the gates reads and the model
+    made true.  So the least model is the same.
     """
-    return _Solver(n_vars, clauses, deadline).solve(decisions, preferred)
+    return _Solver(n_vars, clauses, deadline).solve(decisions, preferred, gates)
 
 
 # --------------------------------------------------------------------------
@@ -357,9 +396,19 @@ def _solve_once(
 
 
 class _Cnf:
+    """Clauses over numbered variables, and the Tseitin gates among them.
+
+    `gates` lists each gate oldest first as (variable, operands, is_iff,
+    index of its first clause): `aux_and` defines v <-> (all operands) and
+    `aux_iff` v <-> (a <-> b).  A gate's clauses are consecutive in
+    `clauses`, each with the gate's literal first: its "gate -> definition"
+    half, then its "definition -> gate" half.  `clauses` keeps both halves;
+    `one_sided` gives the clauses the solver reads."""
+
     def __init__(self) -> None:
         self.n_vars = 0
         self.clauses: list[list[int]] = []
+        self.gates: list[tuple[int, tuple[int, ...], bool, int]] = []
         self.true_lit = self.new_var()
         self.add([self.true_lit])
 
@@ -386,6 +435,7 @@ class _Cnf:
         if len(lits) == 1:
             return lits[0]
         v = self.new_var()
+        self.gates.append((v, tuple(lits), False, len(self.clauses)))
         for l in lits:
             self.add([-v, l])
         self.add([v] + [-l for l in lits])
@@ -404,11 +454,42 @@ class _Cnf:
         if b == self.false_lit:
             return -a
         v = self.new_var()
+        self.gates.append((v, (a, b), True, len(self.clauses)))
         self.add([-v, -a, b])
         self.add([-v, a, -b])
         self.add([v, a, b])
         self.add([v, -a, -b])
         return v
+
+    def one_sided(self, deadline: Optional[float]) -> list[list[int]]:
+        """The clauses with each gate's definition cut to the polarities the
+        gate is used in (Plaisted & Greenbaum, J. Symb. Comp. 1986): its
+        "gate -> definition" half stays only if the gate's literal occurs
+        positively in a kept clause outside the gate's own, and its
+        "definition -> gate" half only if it occurs negatively there.  A gate
+        is used only by clauses made after it, so one pass over the gates,
+        newest first, settles each gate after all of its users.  Call it
+        once grounding is complete; `_solve_once` explains why the least
+        model keeps.  Raises SearchBudgetExceeded if `deadline` has passed."""
+        _check_deadline(deadline)
+        clauses = self.clauses
+        keep = bytearray(b"\x01") * len(clauses)  # 1 on each clause kept so far
+        halves = []
+        for v, operands, iff, start in self.gates:
+            mid = start + (2 if iff else len(operands))
+            end = mid + (2 if iff else 1)
+            keep[start:end] = bytes(end - start)
+            halves.append((v, start, mid, end))
+        # the literals of the kept clauses; a gate's own clauses add its own
+        # literal only once the gate is settled, so it never counts as a use
+        used = set(chain.from_iterable(compress(clauses, keep)))
+        for v, start, mid, end in reversed(halves):
+            positive, negative = v in used, -v in used
+            for lo, hi, wanted in ((start, mid, positive), (mid, end, negative)):
+                if wanted:
+                    keep[lo:hi] = b"\x01" * (hi - lo)
+                    used.update(chain.from_iterable(clauses[lo:hi]))
+        return list(compress(clauses, keep))
 
     def at_least(self, lits: list[int], n: int) -> int:
         """A literal that holds when at least n of `lits` do: one conjunction
@@ -904,8 +985,8 @@ class _Grounder:
         model too and no less, so it meets every constraint here, and the
         static-order solver still returns it first.  A chain variable is
         only ever forced true, so leaving it false when nothing forces it,
-        as the solver does with an unassigned auxiliary, meets every
-        clause."""
+        as the solver does with an open variable that is no gate, meets
+        every clause."""
         cnf = self.cnf
         position = {var: n for n, var in enumerate(self.decision_vars)}
         for e in range(self.k):
@@ -1067,13 +1148,14 @@ def _least_model(
                 _check_deadline(deadline)
                 fails.append(-grounder.sentence_lit(part))
             grounder.cnf.add(fails)
-        _check_deadline(deadline)
+        cnf = grounder.cnf
         assignment = _solve_once(
-            grounder.cnf.n_vars,
-            grounder.cnf.clauses,
+            cnf.n_vars,
+            cnf.one_sided(deadline),
             grounder.decision_vars,
             grounder.preferred,
             deadline,
+            cnf.gates,
         )
         if assignment is not None:
             return grounder.decode(assignment)

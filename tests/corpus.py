@@ -179,6 +179,28 @@ def corpus_documents() -> list[tuple[str, str]]:
     return [(name, doc_ttl(body)) for name, body in sorted(DOCUMENTS.items())]
 
 
+def _property_document(shape: str, path: str, facets: str) -> str:
+    return doc_ttl(
+        f":{shape} a sh:NodeShape ; sh:targetNode :alice ;\n"
+        f"    sh:property [ sh:path {path} ; {facets} ] .\n"
+    )
+
+
+# The benchmark's containment questions: (name, first document, second
+# document, whether the first is contained in the second up to 4 elements)
+CONTAINMENT_PAIRS = tuple(
+    (name, _property_document("First", *first), _property_document("Second", *second), contained)
+    for name, first, second, contained in (
+        ("weaker_min_count", (":knows", "sh:minCount 1"), (":knows", "sh:minCount 2"), False),
+        ("weaker_max_count", (":knows", "sh:maxCount 2"), (":knows", "sh:maxCount 1"), False),
+        ("dropped_range", (":age", "sh:datatype xsd:integer"), (":age", "sh:minInclusive 18"), False),
+        ("stronger_min_count", (":knows", "sh:minCount 2"), (":knows", "sh:minCount 1"), True),
+        ("star_max_count", ("[ sh:zeroOrMorePath :knows ]", "sh:maxCount 1"),
+         (":knows", "sh:maxCount 1"), True),
+    )
+)
+
+
 # --------------------------------------------------------------------------
 # Random graphs over a document's vocabulary
 # --------------------------------------------------------------------------

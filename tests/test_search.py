@@ -267,6 +267,31 @@ def test_grounding_checks_the_budget_per_conjunct(monkeypatch):
     assert parts == []
 
 
+def test_gate_pass_checks_the_budget_before_any_solver_run(monkeypatch):
+    """The clock stands still until the first size is grounded and is past
+    the deadline from then on: the one-sided pass over the gates, the next
+    step, answers Aborted before any solver runs."""
+    from types import SimpleNamespace
+
+    import shaclsat.search as search
+    from shaclsat.gadgets import gadget_infinity
+
+    built = []
+    real_init = _Grounder.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(_Grounder, "__init__", init)
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: 1e9 if built else 0.0))
+    passes = _count_calls(monkeypatch, _Cnf, "one_sided")
+    runs = _count_calls(monkeypatch, search._Solver, "solve")
+    verdict = bounded_sat(gadget_infinity("O"), max_domain=6, budget=0.3, mode=UNINTERPRETED)
+    assert verdict.outcome == "Aborted"
+    assert len(built) == len(passes) == 1 and runs == []
+
+
 def test_containment_checks_the_budget_per_refuted_part(monkeypatch):
     """The clock stands still while the first size's grounder is built and
     is past the deadline from then on, so no refuted part of the second
@@ -467,8 +492,11 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
 # auxiliaries and clauses changed), and again when `_Cnf.aux_and` stopped
 # repeating an operand in its clauses and answered false for l and not l,
 # and again when the leader's last compared position of each transposition
-# stopped making a chain variable that no clause after it reads
-CNF_DIGEST = "3decd9e332918ad457086d7b21440c012cb47849"
+# stopped making a chain variable that no clause after it reads.  Re-pinned
+# once more when the digest moved from every grounded clause to the clauses
+# the solver reads, with each gate's definition cut to the polarities it is
+# used in (`_Cnf.one_sided`)
+CNF_DIGEST = "3d3a3dc5c984bd068d79038080ea5a118e0e513f"
 
 
 def test_cnf_of_corpus_and_filter_documents_is_pinned():
@@ -477,7 +505,8 @@ def test_cnf_of_corpus_and_filter_documents_is_pinned():
         for mode in (CANONICAL, UNINTERPRETED):
             for k in _sizes(sentence, mode):
                 g = _Grounder(sentence, k, mode)
-                state = (k, mode, g.cnf.n_vars, g.cnf.clauses, g.decision_vars, sorted(g.preferred.items()))
+                clauses = g.cnf.one_sided(None)
+                state = (k, mode, g.cnf.n_vars, clauses, g.decision_vars, sorted(g.preferred.items()))
                 digest.update(repr(state).encode())
     assert digest.hexdigest() == CNF_DIGEST
 

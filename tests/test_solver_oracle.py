@@ -3,8 +3,12 @@
 import itertools
 import random
 
+import pytest
+
+import shaclsat.containment as containment
 import shaclsat.search as search
-from corpus import random_formula
+from corpus import CONTAINMENT_PAIRS, corpus_documents, doc_ttl, random_formula
+from shaclsat.containment import check_containment
 from shaclsat.gadgets import DOMINO_VARIANTS, INFINITY_KINDS, TilingSystem, gadget_domino, gadget_infinity
 from shaclsat.scl import (
     AtConst,
@@ -18,15 +22,20 @@ from shaclsat.scl import (
     sentence_conj,
 )
 from shaclsat.search import (
+    CANONICAL,
     UNINTERPRETED,
+    _Cnf,
     _Grounder,
     _least_model,
     _Solver,
     _solve_once,
     bounded_sat,
 )
+from shaclsat.shapes import parse_document
 from shaclsat.structures import Evaluator, FiniteStructure
 from shaclsat.terms import iri
+from shaclsat.translate import translate
+from test_search import FILTERS8_TTL
 
 EX = "http://corpus.example/"
 
@@ -113,21 +122,24 @@ class _CountingSolver(_Solver):
         return super()._analyze(conflict)
 
 
-# (propagations, conflicts) per domain size 1..5.  Changes that keep the
-# search (same clauses, decisions, watch order and learned clauses) keep
-# these values; a change that alters the search, such as deleting learned
-# clauses, re-pins them and says why.  Re-pinned, and extended from k = 4
-# to 5, when the lex-leader constraints moved from adjacent swaps with a
-# seven-clause chain step to every slot transposition with a three-clause
-# step: fewer clauses, and a smaller space to refute.  STD at k = 1 moved
-# from 10 to 9 propagations when `_Cnf.aux_and` stopped repeating an
-# operand: a conjunction of one repeated operand is that operand, not a
-# fresh variable to propagate.
+# (propagations, conflicts) per domain size 1..6, over the clauses the
+# search reads (`_Cnf.one_sided`).  Changes that keep the search (same
+# clauses, decisions, watch order and learned clauses) keep these values;
+# a change that alters the search, such as deleting learned clauses,
+# re-pins them and says why.  Re-pinned, and extended from k = 4 to 5, when
+# the lex-leader constraints moved from adjacent swaps with a seven-clause
+# chain step to every slot transposition with a three-clause step: fewer
+# clauses, and a smaller space to refute.  STD at k = 1 moved from 10 to 9
+# propagations when `_Cnf.aux_and` stopped repeating an operand: a
+# conjunction of one repeated operand is that operand, not a fresh
+# variable to propagate.  Re-pinned, and extended to k = 6 (the size the
+# benchmark refutes), when each gate kept only the half of its definition
+# that its uses read: fewer clauses to propagate through and to learn from.
 GADGET_SEARCH = {
-    "C": [(9, 0), (79, 2), (347, 9), (1707, 33), (8452, 128)],
-    "STD": [(9, 0), (74, 3), (462, 10), (3004, 34), (27787, 207)],
-    "O": [(10, 0), (189, 4), (1181, 28), (6361, 86), (28957, 265)],
-    "EOprime": [(10, 0), (138, 2), (675, 16), (3345, 58), (15995, 192)],
+    "C": [(9, 0), (77, 2), (321, 9), (1610, 33), (7930, 125), (39671, 502)],
+    "STD": [(9, 0), (71, 3), (358, 9), (1976, 34), (14613, 178), (164510, 1342)],
+    "O": [(10, 0), (189, 4), (1066, 28), (5021, 86), (21099, 263), (82116, 770)],
+    "EOprime": [(10, 0), (138, 2), (678, 16), (3298, 58), (15084, 193), (68367, 649)],
 }
 
 
@@ -136,7 +148,7 @@ def test_gadget_refutations_keep_their_search():
         got = []
         for k in range(1, len(expected) + 1):
             grounder = _Grounder(gadget_infinity(kind), k, UNINTERPRETED)
-            solver = _CountingSolver(grounder.cnf.n_vars, grounder.cnf.clauses, None)
+            solver = _CountingSolver(grounder.cnf.n_vars, grounder.cnf.one_sided(None), None)
             assert solver.solve(grounder.decision_vars, grounder.preferred) is None
             got.append((solver.propagations, solver.conflicts))
         assert got == expected, kind
@@ -216,25 +228,30 @@ class _NoLeaderGrounder(_Grounder):
         pass
 
 
-def test_leader_constraints_keep_the_least_model(monkeypatch):
-    """The lex-leader constraints only cut symmetric copies: with and
-    without them, the uninterpreted search returns the same least model,
-    or none.  Random sentences come from seeds 7 (300 of depth 3) and 11
-    (120 of depth 4); every other one also needs two distinct elements."""
+def _random_sentences() -> list[SclSentence]:
+    """Seeds 7 (300 of depth 3) and 11 (120 of depth 4); every other one
+    also needs two distinct elements."""
     alice, bob = iri(EX + "alice"), iri(EX + "bob")
-    cases = []
-    filters = orders = 0
+    sentences = []
     for seed, count, depth in ((7, 300, 3), (11, 120, 4)):
         rng = random.Random(seed)
         for n in range(count):
             body = random_formula(rng, depth)
-            filters += bool(formula_filters(body))
-            orders += any(isinstance(f, OrderCmp) for f in nodes(body))
             sentence = AtConst(alice, body) if rng.random() < 0.7 else ForClass(alice, body)
             if n % 2:
                 sentence = sentence_conj([sentence, AtConst(bob, Not(EqConst(alice)))])
-            cases.append((sentence, 4))
-    assert filters >= 50 and orders >= 50
+            sentences.append(sentence)
+    return sentences
+
+
+def test_leader_constraints_keep_the_least_model(monkeypatch):
+    """The lex-leader constraints only cut symmetric copies: with and
+    without them, the uninterpreted search returns the same least model,
+    or none."""
+    sentences = _random_sentences()
+    assert sum(bool(formula_filters(s)) for s in sentences) >= 50
+    assert sum(any(isinstance(f, OrderCmp) for f in nodes(s)) for s in sentences) >= 50
+    cases = [(sentence, 4) for sentence in sentences]
     cases += [(gadget_domino(v, system), 3) for system in _tiling_systems() for v in DOMINO_VARIANTS]
     cases += [(gadget_infinity(kind), 3) for kind in INFINITY_KINDS]
 
@@ -246,6 +263,125 @@ def test_leader_constraints_keep_the_least_model(monkeypatch):
     # the leader matters only where a model has two or more elements
     assert sum(a is not None and len(a.domain) >= 2 for a in led) >= 150
     assert all(a is None for a in led[-len(INFINITY_KINDS):])
+
+
+def _containment_searches() -> list[tuple[tuple, dict]]:
+    """The arguments of the `_least_model` call that `check_containment`
+    makes on each of the corpus's containment pairs, at 4 elements."""
+    calls = []
+
+    def least_model(*args, **kwargs):
+        calls.append((args, kwargs))
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(containment, "_least_model", least_model)
+        for _, first, second, _ in CONTAINMENT_PAIRS:
+            check_containment(parse_document(first), parse_document(second), 4, budget=0)
+    return calls
+
+
+def test_one_sided_gates_keep_the_least_model(monkeypatch):
+    """`_Cnf.one_sided` drops only the gate halves that no use reads: with
+    it and with every clause, `_least_model` returns the same least model,
+    or none.  The random sentences and the corpus documents run in both
+    modes; the dominos on every tiling system and the four gadgets at
+    k <= 4, and the 8-filter document at k <= 5, run as the benchmark asks
+    them; so do the five containment questions, with their refuted parts."""
+    searches = [
+        ((sentence, 4, 0, mode), {}) for sentence in _random_sentences()
+        for mode in (CANONICAL, UNINTERPRETED)
+    ]
+    searches += [
+        ((translate(parse_document(text)), 4, 0, mode), {})
+        for _, text in corpus_documents() for mode in (CANONICAL, UNINTERPRETED)
+    ]
+    searches += [
+        ((gadget_domino(v, system), 4, 0, UNINTERPRETED), {})
+        for system in _tiling_systems() for v in DOMINO_VARIANTS
+    ]
+    searches += [((gadget_infinity(kind), 4, 0, UNINTERPRETED), {}) for kind in INFINITY_KINDS]
+    searches.append(((translate(parse_document(doc_ttl(FILTERS8_TTL))), 5, 0, CANONICAL), {}))
+    searches += _containment_searches()
+    assert len(searches) == 976
+
+    pruned = [_least_model(*args, **kwargs) for args, kwargs in searches]
+    monkeypatch.setattr(_Cnf, "one_sided", lambda self, deadline: self.clauses)
+    full = [_least_model(*args, **kwargs) for args, kwargs in searches]
+    for (args, _), a, b in zip(searches, pruned, full):
+        assert a == b, args
+    assert sum(a is not None for a in pruned) >= 850
+    assert sum(a is None for a in pruned) >= 50
+
+
+def _clauses_hold(model: list[int], clauses) -> bool:
+    return all(any(model[abs(l)] == (1 if l > 0 else -1) for l in clause) for clause in clauses)
+
+
+def _random_gate_cnf(rng: random.Random, n_vars: int) -> tuple[_Cnf, list[int]]:
+    """A `_Cnf` over `n_vars` decision variables, with random conjunctions,
+    disjunctions and equivalences over them and over earlier gates, and a
+    few random clauses over all of these.  Returns it and the decisions."""
+    cnf = _Cnf()
+    decisions = [cnf.new_var() for _ in range(n_vars)]
+    pool = list(decisions)
+
+    def pick() -> int:
+        return rng.choice(pool) * rng.choice((1, -1))
+
+    for _ in range(rng.randint(1, 12)):
+        operands = [pick() for _ in range(rng.randint(2, 3))]
+        kind = rng.randrange(3)
+        if kind == 2:
+            gate = cnf.aux_iff(operands[0], operands[1])
+        else:
+            gate = (cnf.aux_and if kind else cnf.aux_or)(operands)
+        pool.append(abs(gate))
+    for _ in range(rng.randint(1, 8)):
+        cnf.add([pick() for _ in range(rng.randint(1, 3))])
+    return cnf, decisions
+
+
+def test_returned_assignments_meet_every_clause(monkeypatch):
+    """Every assignment `_solve_once` returns satisfies every clause it was
+    given, gates left open by propagation included: over the 8-filter
+    document, the dominos with a tiling, the containment questions with a
+    counterexample, and random gate-built CNFs.  On the random CNFs the
+    one-sided clauses also give the same least model over the decisions
+    as every clause."""
+    returned = []
+    real = search._solve_once
+
+    def solve_once(n_vars, clauses, *args):
+        model = real(n_vars, clauses, *args)
+        if model is not None:
+            assert _clauses_hold(model, clauses)
+            returned.append(model)
+        return model
+
+    monkeypatch.setattr(search, "_solve_once", solve_once)
+    assert bounded_sat(translate(parse_document(doc_ttl(FILTERS8_TTL))), max_domain=5).is_sat
+    for system in _tiling_systems()[:-1]:
+        for v in DOMINO_VARIANTS:
+            assert bounded_sat(gadget_domino(v, system), 4, mode=UNINTERPRETED).is_sat
+    for _, first, second, contained in CONTAINMENT_PAIRS:
+        if not contained:
+            verdict = check_containment(parse_document(first), parse_document(second), 4)
+            assert verdict.outcome == "NotContained"
+    assert len(returned) == 1 + 3 * len(DOMINO_VARIANTS) + 3
+
+    rng = random.Random(2024)
+    for _ in range(1500):
+        cnf, decisions = _random_gate_cnf(rng, rng.randint(2, 8))
+        preferred = {v: rng.random() < 0.5 for v in decisions}
+        one_sided = cnf.one_sided(None)
+        model = solve_once(cnf.n_vars, one_sided, decisions, preferred, None, cnf.gates)
+        reference = real(cnf.n_vars, cnf.clauses, decisions, preferred, None)
+        if model is None or reference is None:
+            assert model is reference
+        else:
+            assert [model[v] for v in decisions] == [reference[v] for v in decisions]
+    assert len(returned) >= 1000
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +466,7 @@ def _check_refutation(n_vars, clauses, decisions, preferred):
 
 def test_unsat_answers_are_reverse_unit_propagation_refutations():
     """The infinity gadgets and the dominos on the empty-H system, k = 1..4,
-    and unsatisfiable random CNFs: Tseitin-style ones as in the truth-table
+    over the one-sided clauses the search reads, and unsatisfiable random CNFs: Tseitin-style ones as in the truth-table
     check (seed 1618, mostly refuted by level-0 propagation) and random
     3-SAT at 4.5 clauses per variable (seed 1619, refuted by learning)."""
     learned = 0
@@ -340,7 +476,8 @@ def test_unsat_answers_are_reverse_unit_propagation_refutations():
         sentences += [gadget_domino(v, empty_h) for v in DOMINO_VARIANTS]
         for sentence in sentences:
             g = _Grounder(sentence, k, UNINTERPRETED)
-            learned += _check_refutation(g.cnf.n_vars, g.cnf.clauses, g.decision_vars, g.preferred)
+            clauses = g.cnf.one_sided(None)
+            learned += _check_refutation(g.cnf.n_vars, clauses, g.decision_vars, g.preferred)
     assert learned >= 300
     refuted = 0
     rng = random.Random(1618)
