@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, product
+from itertools import combinations, compress, product
 from typing import Optional
 
 from . import namespaces as ns
@@ -482,13 +482,16 @@ class _Cnf:
             halves.append((v, start, mid, end))
         # the literals of the kept clauses; a gate's own clauses add its own
         # literal only once the gate is settled, so it never counts as a use
-        used = set(chain.from_iterable(compress(clauses, keep)))
+        used: set[int] = set()
+        for clause in compress(clauses, keep):
+            used.update(clause)
         for v, start, mid, end in reversed(halves):
             positive, negative = v in used, -v in used
             for lo, hi, wanted in ((start, mid, positive), (mid, end, negative)):
                 if wanted:
                     keep[lo:hi] = b"\x01" * (hi - lo)
-                    used.update(chain.from_iterable(clauses[lo:hi]))
+                    for clause in clauses[lo:hi]:
+                        used.update(clause)
         return list(compress(clauses, keep))
 
     def at_least(self, lits: list[int], n: int) -> int:
@@ -1148,14 +1151,13 @@ def _least_model(
                 _check_deadline(deadline)
                 fails.append(-grounder.sentence_lit(part))
             grounder.cnf.add(fails)
-        cnf = grounder.cnf
         assignment = _solve_once(
-            cnf.n_vars,
-            cnf.one_sided(deadline),
+            grounder.cnf.n_vars,
+            grounder.cnf.one_sided(deadline),
             grounder.decision_vars,
             grounder.preferred,
             deadline,
-            cnf.gates,
+            grounder.cnf.gates,
         )
         if assignment is not None:
             return grounder.decode(assignment)

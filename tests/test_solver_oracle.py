@@ -466,9 +466,10 @@ def _check_refutation(n_vars, clauses, decisions, preferred):
 
 def test_unsat_answers_are_reverse_unit_propagation_refutations():
     """The infinity gadgets and the dominos on the empty-H system, k = 1..4,
-    over the one-sided clauses the search reads, and unsatisfiable random CNFs: Tseitin-style ones as in the truth-table
-    check (seed 1618, mostly refuted by level-0 propagation) and random
-    3-SAT at 4.5 clauses per variable (seed 1619, refuted by learning)."""
+    over the one-sided clauses the search reads, and unsatisfiable random
+    CNFs: Tseitin-style ones as in the truth-table check (seed 1618, mostly
+    refuted by level-0 propagation) and random 3-SAT at 4.5 clauses per
+    variable (seed 1619, refuted by learning)."""
     learned = 0
     empty_h = _tiling_systems()[-1]
     for k in range(1, 5):
