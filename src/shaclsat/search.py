@@ -482,16 +482,13 @@ class _Cnf:
             halves.append((v, start, mid, end))
         # the literals of the kept clauses; a gate's own clauses add its own
         # literal only once the gate is settled, so it never counts as a use
-        used: set[int] = set()
-        for clause in compress(clauses, keep):
-            used.update(clause)
+        used = set().union(*compress(clauses, keep))
         for v, start, mid, end in reversed(halves):
             positive, negative = v in used, -v in used
             for lo, hi, wanted in ((start, mid, positive), (mid, end, negative)):
                 if wanted:
                     keep[lo:hi] = b"\x01" * (hi - lo)
-                    for clause in clauses[lo:hi]:
-                        used.update(clause)
+                    used.update(*clauses[lo:hi])
         return list(compress(clauses, keep))
 
     def at_least(self, lits: list[int], n: int) -> int:
