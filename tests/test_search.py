@@ -267,14 +267,13 @@ def test_grounding_checks_the_budget_per_conjunct(monkeypatch):
     assert parts == []
 
 
-def test_gate_pass_checks_the_budget_before_any_solver_run(monkeypatch):
-    """The clock stands still until the first size is grounded and is past
-    the deadline from then on: the one-sided pass over the gates, the next
-    step, answers Aborted before any solver runs."""
+def _expire_once_grounded(monkeypatch) -> list:
+    """Replace the search's clock: it stands still while the first size's
+    grounder is built and is past the deadline from then on.  Returns the
+    list of grounders built."""
     from types import SimpleNamespace
 
     import shaclsat.search as search
-    from shaclsat.gadgets import gadget_infinity
 
     built = []
     real_init = _Grounder.__init__
@@ -285,6 +284,17 @@ def test_gate_pass_checks_the_budget_before_any_solver_run(monkeypatch):
 
     monkeypatch.setattr(_Grounder, "__init__", init)
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: 1e9 if built else 0.0))
+    return built
+
+
+def test_gate_pass_checks_the_budget_before_any_solver_run(monkeypatch):
+    """Once the first size is grounded the clock is past the deadline: the
+    one-sided pass over the gates, the next step, answers Aborted before
+    any solver runs."""
+    import shaclsat.search as search
+    from shaclsat.gadgets import gadget_infinity
+
+    built = _expire_once_grounded(monkeypatch)
     passes = _count_calls(monkeypatch, _Cnf, "one_sided")
     runs = _count_calls(monkeypatch, search._Solver, "solve")
     verdict = bounded_sat(gadget_infinity("O"), max_domain=6, budget=0.3, mode=UNINTERPRETED)
@@ -296,21 +306,12 @@ def test_containment_checks_the_budget_per_refuted_part(monkeypatch):
     """The clock stands still while the first size's grounder is built and
     is past the deadline from then on, so no refuted part of the second
     document may be grounded."""
-    from types import SimpleNamespace
-
     from corpus import doc_ttl
-    import shaclsat.search as search
     from shaclsat.containment import check_containment
     from shaclsat.shapes import parse_document
 
-    built = []
-    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: 1e9 if built else 0.0))
-    real_init, real_lit = _Grounder.__init__, _Grounder.sentence_lit
-
-    def init(self, *args):
-        real_init(self, *args)
-        built.append(self)
-
+    built = _expire_once_grounded(monkeypatch)
+    real_lit = _Grounder.sentence_lit
     late = []
 
     def sentence_lit(self, part):
@@ -318,7 +319,6 @@ def test_containment_checks_the_budget_per_refuted_part(monkeypatch):
             late.append(part)
         return real_lit(self, part)
 
-    monkeypatch.setattr(_Grounder, "__init__", init)
     monkeypatch.setattr(_Grounder, "sentence_lit", sentence_lit)
     doc1 = parse_document(doc_ttl(":s a sh:PropertyShape ; sh:targetClass :A ; sh:path :r ; sh:minCount 1 ."))
     doc2 = parse_document(doc_ttl(
