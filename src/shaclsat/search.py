@@ -595,7 +595,6 @@ class _Grounder:
         self.decision_vars: list[int] = []
         self.preferred: dict[int, bool] = {}
 
-        self.const_slot = {c: i for i, c in enumerate(self.constants)}
         self.catalog: list[Term] = []
         self.ch: dict[tuple[int, int], int] = {}
         self.den: dict[tuple[Term, int], int] = {}
@@ -635,9 +634,14 @@ class _Grounder:
         return v
 
     def _setup_canonical(self) -> None:
+        """Constant number s names the term of slot s; every free slot picks
+        one catalog term, and the free slots ascend in catalog order."""
         m = len(self.constants)
         if m > self.k:
             raise ValueError("domain too small for the constants")
+        for s, c in enumerate(self.constants):
+            for i in range(self.k):
+                self.den[(c, i)] = self.cnf.true_lit if i == s else self.cnf.false_lit
         fresh = self.k - m
         self.catalog = _build_catalog(
             self.constants, self.filters, fresh, self.order_needed, self.table, self.deadline
@@ -677,16 +681,18 @@ class _Grounder:
                 self.filt[(f, i)] = self._decide(False)
 
     def _setup_order_vars(self) -> None:
-        k = self.k
+        k, sigma = self.k, self._sigma_cache
         for i in range(k):
-            self.inb[i] = self._decide(False)
+            self.inb[i] = sigma[(i, i, False)] = self._decide(False)
+            sigma[(i, i, True)] = self.cnf.false_lit
         for i in range(k):
             for j in range(i + 1, k):
                 self.sb[(i, j)] = self._decide(False)
         for i in range(k):
             for j in range(k):
                 if i != j:
-                    self.lt[(i, j)] = self._decide(False)
+                    lt = self.lt[(i, j)] = self._decide(False)
+                    sigma[(i, j, False)] = sigma[(i, j, True)] = lt
         sb = lambda i, j: self.sb[(min(i, j), max(i, j))]
         for i in range(k):
             for j in range(i + 1, k):
@@ -722,14 +728,6 @@ class _Grounder:
 
     # ---- atoms -----------------------------------------------------------
 
-    def _eq_const_lit(self, c: Term, i: int) -> int:
-        if self.mode == CANONICAL:
-            return self.cnf.true_lit if self.const_slot.get(c) == i else self.cnf.false_lit
-        if (c, i) not in self.den:
-            # constant absent from the scanned constant set (defensive)
-            raise KeyError(f"unknown constant {c}")
-        return self.den[(c, i)]
-
     def _choices(self, s: int) -> list[tuple[int, Term]]:
         """Canonical mode: the (literal, term) pairs slot `s` may hold.  The
         constants fill the first slots, one each; a free slot may hold any
@@ -739,10 +737,10 @@ class _Grounder:
         return [(self.ch[(s, t)], term) for t, term in enumerate(self.catalog)]
 
     def _filter_lit(self, name, i: int) -> int:
+        """Filter `name` at slot `i`: set up as a decision variable in
+        uninterpreted mode, read off the slot's choices in canonical mode."""
         key = (name, i)
         if key not in self.filt:
-            if self.mode == UNINTERPRETED:
-                raise KeyError(f"filter {name} not set up")
             bit, signature = self.table.bit[name], self.table.signature
             self.filt[key] = self.cnf.aux_or(
                 [lit for lit, term in self._choices(i) if signature(term) & bit]
@@ -750,16 +748,12 @@ class _Grounder:
         return self.filt[key]
 
     def _sigma_lit(self, a: int, b: int, strict: bool) -> int:
-        """y <= z (or <) between slots a and b."""
+        """y <= z (or <) between slots a and b: set up from the order
+        variables in uninterpreted mode, read off the slots' choices in
+        canonical mode."""
         key = (a, b, strict)
         if key not in self._sigma_cache:
-            if self.mode == CANONICAL:
-                lit = self._sigma_canonical(a, b, strict)
-            elif a == b:
-                lit = self.cnf.false_lit if strict else self.inb[a]
-            else:
-                lit = self.lt[(a, b)]
-            self._sigma_cache[key] = lit
+            self._sigma_cache[key] = self._sigma_canonical(a, b, strict)
         return self._sigma_cache[key]
 
     def _sigma_canonical(self, a: int, b: int, strict: bool) -> int:
@@ -861,7 +855,7 @@ class _Grounder:
         if isinstance(f, Top):
             return cnf.true_lit
         if isinstance(f, EqConst):
-            return self._eq_const_lit(f.constant, x)
+            return self.den[(f.constant, x)]
         if isinstance(f, Filter):
             return self._filter_lit(f.name, x)
         if isinstance(f, HasShape):
@@ -906,34 +900,21 @@ class _Grounder:
     def sentence_lit(self, part: SclSentence) -> int:
         cnf = self.cnf
         if isinstance(part, AtConst):
-            if self.mode == CANONICAL:
-                return self.formula_lit(part.body, self.const_slot[part.constant])
+            # a slot the constant cannot name grounds no body
             per_slot = [
                 cnf.aux_or([-self.den[(part.constant, i)], self.formula_lit(part.body, i)])
                 for i in range(self.k)
+                if self.den[(part.constant, i)] != cnf.false_lit
             ]
             return cnf.aux_and(per_slot)
         if isinstance(part, ForClass):
-            is_a = iri(ns.RDF_TYPE)
-            checks = []
-            if self.mode == CANONICAL:
-                c = self.const_slot[part.cls]
-                for i in range(self.k):
-                    checks.append(
-                        cnf.aux_or([-self.rel[(is_a, i, c)], self.formula_lit(part.body, i)])
-                    )
-            else:
-                for i in range(self.k):
-                    for j in range(self.k):
-                        checks.append(
-                            cnf.aux_or(
-                                [
-                                    -self.rel[(is_a, i, j)],
-                                    -self.den[(part.cls, j)],
-                                    self.formula_lit(part.body, i),
-                                ]
-                            )
-                        )
+            typed = self._rel_matrix(iri(ns.RDF_TYPE), False)
+            names = [self.den[(part.cls, j)] for j in range(self.k)]
+            checks = [
+                cnf.aux_or([-typed[i][j], -names[j], self.formula_lit(part.body, i)])
+                for i in range(self.k)
+                for j in range(self.k)
+            ]
             return cnf.aux_and(checks)
         if isinstance(part, ForSubjectsOf):
             edges = self._rel_matrix(part.relation, part.inverted)
@@ -1029,10 +1010,7 @@ class _Grounder:
 
     def decode(self, assignment: list[int]) -> FiniteStructure:
         def truth(lit: int) -> bool:
-            if lit == self.cnf.true_lit:
-                return True
-            if lit == self.cnf.false_lit:
-                return False
+            # the unit clause on `true_lit` makes it true in every assignment
             return assignment[abs(lit)] == (1 if lit > 0 else -1)
 
         if self.mode == CANONICAL:
