@@ -363,6 +363,25 @@ _CONSTRAINT_PARAMS = dict(sorted({
     ns.SH_CLOSED: CLOSED,
 }.items()))
 
+# parameters whose values SHACL's syntax rules make IRIs, each with the
+# IRIs it allows (None: any IRI)
+_IRI_PARAMS = {
+    ns.SH_TARGET_SUBJECTS_OF: None,
+    ns.SH_TARGET_OBJECTS_OF: None,
+    ns.SH_EQUALS: None,
+    ns.SH_DISJOINT: None,
+    ns.SH_LESS_THAN: None,
+    ns.SH_LESS_THAN_OR_EQUALS: None,
+    ns.SH_NODE_KIND: frozenset((
+        ns.SH_NK_IRI,
+        ns.SH_NK_LITERAL,
+        ns.SH_NK_BLANK,
+        ns.SH_NK_BLANK_OR_IRI,
+        ns.SH_NK_BLANK_OR_LITERAL,
+        ns.SH_NK_IRI_OR_LITERAL,
+    )),
+}
+
 _REF_OBJECT_PARAMS = (ns.SH_NOT, ns.SH_NODE, ns.SH_PROPERTY, ns.SH_QUALIFIED_VALUE_SHAPE)
 _REF_LIST_PARAMS = (ns.SH_AND, ns.SH_OR, ns.SH_XONE)
 
@@ -490,6 +509,11 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
     if declared_property and not path_values:
         raise ShaclModelError(f"property shape {name} has no sh:path value")
     path = _parse_path(index, path_values[0]) if path_values else None
+    for param, allowed in _IRI_PARAMS.items():
+        for value in index.objects(name, param):
+            if not value.is_iri or allowed is not None and value.lexical not in allowed:
+                short = param.removeprefix(ns.SH_NS)
+                raise ShaclModelError(f"shape {name} has an ill-formed sh:{short} value {value}")
 
     targets = sorted(
         (ctor(node) for param, ctor in _TARGET_PARAMS.items() for node in index.objects(name, param)),

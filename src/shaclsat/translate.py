@@ -194,6 +194,18 @@ _VALUE_TYPE_KINDS = (
 )
 
 
+def _at_least(count: int, pi: PathExpr, body: SclFormula) -> SclFormula:
+    """At least `count` values along `pi` satisfy `body`; a count of 0 or
+    less always holds."""
+    return CountExists(count, pi, body) if count >= 1 else Top()
+
+
+def _at_most(count: int, pi: PathExpr, body: SclFormula) -> SclFormula:
+    """At most `count` values along `pi` satisfy `body`; a negative count
+    never holds."""
+    return Not(CountExists(count + 1, pi, body)) if count >= 0 else Not(Top())
+
+
 def translate_property_constraint(
     atom: sh.Constraint,
     path: sh.ShaclPath,
@@ -214,10 +226,9 @@ def translate_property_constraint(
         ]
         return conj(parts)
     if kind == sh.MIN_COUNT:
-        count = atom.args[0]
-        return CountExists(count, pi, Top()) if count >= 1 else Top()
+        return _at_least(atom.args[0], pi, Top())
     if kind == sh.MAX_COUNT:
-        return Not(CountExists(atom.args[0] + 1, pi, Top()))
+        return _at_most(atom.args[0], pi, Top())
     if kind == sh.EQUALS:
         return Equals(pi, atom.args[0])
     if kind == sh.DISJOINT:
@@ -229,8 +240,8 @@ def translate_property_constraint(
     if kind == sh.QUALIFIED:
         ref, min_count, max_count, siblings = atom.args
         nu = conj([HasShape(ref)] + [Not(HasShape(s)) for s in siblings])
-        alpha = CountExists(min_count, pi, nu) if min_count else Top()
-        beta = Not(CountExists(max_count + 1, pi, nu)) if max_count is not None else Top()
+        alpha = _at_least(min_count, pi, nu) if min_count is not None else Top()
+        beta = _at_most(max_count, pi, nu) if max_count is not None else Top()
         return conj([alpha, beta])
     if kind == sh.CLOSED:
         theta = doc.closed_theta(shape) if shape is not None else ()

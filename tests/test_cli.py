@@ -554,6 +554,22 @@ def test_invalid_pattern_exits_65_on_every_route(tmp_path, capsys):
         assert "pattern '(': missing )" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param", [
+    "equals", "disjoint", "lessThan", "lessThanOrEquals", "targetSubjectsOf", "targetObjectsOf",
+])
+def test_relation_name_that_is_no_iri_exits_65_in_contains(tmp_path, capsys, param):
+    # a literal cannot name a relation of the counterexample graph
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(
+        f':s a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:class :C ; sh:{param} "x" .'
+    ))
+    other = tmp_path / "other.ttl"
+    other.write_text(doc_ttl(":t a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:maxCount 0 ."))
+    for pair in ((shapes, other), (other, shapes)):
+        assert dispatch(["contains", *map(str, pair)]) == 65
+        assert f'ill-formed sh:{param} value' in capsys.readouterr().err
+
+
 def _deep_sentence(depth: int) -> str:
     """`depth` nested levels cycling through not, and, an existential over
     a sequence and a counting quantifier, around an existential over an

@@ -174,6 +174,58 @@ def test_both_routes_agree_on_violation_sets():
             assert direct.violations == logical.violations, name
 
 
+# ---- malformed parameter values --------------------------------------------------
+
+_SWEEP_GRAPH = parse_turtle(doc_ttl(':a :p :b , "abc" .\n:b :p :c .\n:c a :C .'))
+
+# what a parameter needs beside it to be read at all
+_COMPANIONS = {
+    "qualifiedMinCount": "sh:qualifiedValueShape [ sh:class :C ] ; ",
+    "qualifiedMaxCount": "sh:qualifiedValueShape [ sh:class :C ] ; ",
+    "qualifiedValueShapesDisjoint": "sh:qualifiedValueShape [ sh:class :C ] ; ",
+    "ignoredProperties": "sh:closed true ; ",
+}
+
+
+def _swept_documents():
+    """Each parameter extraction reads, with each of a few ill-typed, empty,
+    negative or unknown values, on a node shape and on two property shapes;
+    the focus nodes include a literal."""
+    from shaclsat import namespaces as ns
+    from shaclsat.shapes import _CONSTRAINT_PARAMS, _TARGET_PARAMS
+
+    params = [*_TARGET_PARAMS, *_CONSTRAINT_PARAMS, ns.SH_QUALIFIED_MIN_COUNT,
+              ns.SH_QUALIFIED_MAX_COUNT, ns.SH_IGNORED_PROPERTIES, ns.SH_QUALIFIED_DISJOINT]
+    values = ['"x"', '"abc"', "_:b", "-1", "0", '( "x" )', "( )", ":v", ":p"]
+    placements = ["sh:NodeShape ; ", "sh:PropertyShape ; sh:path :p ; ",
+                  "sh:PropertyShape ; sh:path [ sh:zeroOrMorePath :p ] ; "]
+    for param in params:
+        short = param.removeprefix(ns.SH_NS)
+        for value in values:
+            for placement in placements:
+                yield doc_ttl(
+                    f':s a {placement}sh:targetNode :a , :b , "abc" ; '
+                    f"{_COMPANIONS.get(short, '')}sh:{short} {value} ."
+                )
+
+
+def test_malformed_parameters_are_rejected_or_both_routes_agree():
+    """Extraction rejects a parameter value SHACL's syntax rules forbid;
+    any document it accepts gets the same report from both routes."""
+    from shaclsat.shapes import ShaclModelError
+    from shaclsat.validation import validate
+
+    accepted = 0
+    for text in _swept_documents():
+        try:
+            doc = parse_document(text)
+        except ShaclModelError:
+            continue
+        accepted += 1
+        assert validate_direct(_SWEEP_GRAPH, doc) == validate(_SWEEP_GRAPH, doc), text
+    assert accepted >= 500
+
+
 # ---- repeated paths on cyclic graphs ---------------------------------------------
 
 TURTLE_PREFIXES = "@prefix : <http://corpus.example/> .\n"
