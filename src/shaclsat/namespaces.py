@@ -101,6 +101,9 @@ SH_NK_BLANK = _sh("BlankNode")
 SH_NK_BLANK_OR_IRI = _sh("BlankNodeOrIRI")
 SH_NK_BLANK_OR_LITERAL = _sh("BlankNodeOrLiteral")
 SH_NK_IRI_OR_LITERAL = _sh("IRIOrLiteral")
+# the six instances of sh:NodeKind, the only values sh:nodeKind may take
+SH_NODE_KINDS = frozenset((SH_NK_IRI, SH_NK_LITERAL, SH_NK_BLANK,
+                           SH_NK_BLANK_OR_IRI, SH_NK_BLANK_OR_LITERAL, SH_NK_IRI_OR_LITERAL))
 
 # Namespace for deterministic names this package generates itself.
 GEN_NS = "urn:shaclsat:"

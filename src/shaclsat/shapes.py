@@ -372,14 +372,7 @@ _IRI_PARAMS = {
     ns.SH_DISJOINT: None,
     ns.SH_LESS_THAN: None,
     ns.SH_LESS_THAN_OR_EQUALS: None,
-    ns.SH_NODE_KIND: frozenset((
-        ns.SH_NK_IRI,
-        ns.SH_NK_LITERAL,
-        ns.SH_NK_BLANK,
-        ns.SH_NK_BLANK_OR_IRI,
-        ns.SH_NK_BLANK_OR_LITERAL,
-        ns.SH_NK_IRI_OR_LITERAL,
-    )),
+    ns.SH_NODE_KIND: ns.SH_NODE_KINDS,
 }
 
 _REF_OBJECT_PARAMS = (ns.SH_NOT, ns.SH_NODE, ns.SH_PROPERTY, ns.SH_QUALIFIED_VALUE_SHAPE)
@@ -512,8 +505,8 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
     for param, allowed in _IRI_PARAMS.items():
         for value in index.objects(name, param):
             if not value.is_iri or allowed is not None and value.lexical not in allowed:
-                short = param.removeprefix(ns.SH_NS)
-                raise ShaclModelError(f"shape {name} has an ill-formed sh:{short} value {value}")
+                what = "sh:" + param.removeprefix(ns.SH_NS)
+                raise ShaclModelError(f"shape {name} has an ill-formed {what} value {value}")
 
     targets = sorted(
         (ctor(node) for param, ctor in _TARGET_PARAMS.items() for node in index.objects(name, param)),
