@@ -753,24 +753,19 @@ class _Grounder:
         canonical mode."""
         key = (a, b, strict)
         if key not in self._sigma_cache:
-            self._sigma_cache[key] = self._sigma_canonical(a, b, strict)
+            ok = (ComparisonVerdict.LT,) if strict else (ComparisonVerdict.LT, ComparisonVerdict.EQ)
+            if a == b:
+                holds = [lit for lit, term in self._choices(a) if compare_terms(term, term) in ok]
+            else:
+                # two slots never hold the same term, so a pair of one term is skipped
+                holds = [
+                    self.cnf.aux_and([lit_a, lit_b])
+                    for lit_a, term_a in self._choices(a)
+                    for lit_b, term_b in self._choices(b)
+                    if term_a != term_b and compare_terms(term_a, term_b) in ok
+                ]
+            self._sigma_cache[key] = self.cnf.aux_or(holds)
         return self._sigma_cache[key]
-
-    def _sigma_canonical(self, a: int, b: int, strict: bool) -> int:
-        ok = (ComparisonVerdict.LT,) if strict else (ComparisonVerdict.LT, ComparisonVerdict.EQ)
-        if a == b:
-            return self.cnf.aux_or(
-                [lit for lit, term in self._choices(a) if compare_terms(term, term) in ok]
-            )
-        # two slots never hold the same term, so a pair of one term is skipped
-        return self.cnf.aux_or(
-            [
-                self.cnf.aux_and([lit_a, lit_b])
-                for lit_a, term_a in self._choices(a)
-                for lit_b, term_b in self._choices(b)
-                if term_a != term_b and compare_terms(term_a, term_b) in ok
-            ]
-        )
 
     # ---- paths ------------------------------------------------------------
 
