@@ -222,8 +222,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 # Every form, keyed by (category, head), and every filter, keyed by name:
 # its constructor and the kinds of its arguments.  An argument kind is a
-# category (a parenthesised form), "filter", "term", "int", or a tuple of
-# the symbols allowed there.
+# category (a parenthesised form), "filter", "term", "iri" (a term that
+# names a relation), "int", or a tuple of the symbols allowed there.
 _CATEGORIES = ("sentence", "formula", "path")
 _FORMS = {
     ("sentence", "top"): (TopSentence, ()),
@@ -232,11 +232,11 @@ _FORMS = {
     ("sentence", "for-class"): (ForClass, ("term", "formula")),
     ("sentence", "for-subjects"): (
         lambda rel, body: ForSubjectsOf(rel, False, body),
-        ("term", "formula"),
+        ("iri", "formula"),
     ),
     ("sentence", "for-objects"): (
         lambda rel, body: ForSubjectsOf(rel, True, body),
-        ("term", "formula"),
+        ("iri", "formula"),
     ),
     ("sentence", "def-shape"): (ShapeDef, ("term", "formula")),
     ("sentence", "at-most"): (AtMostGlobal, ("int", "formula")),
@@ -250,14 +250,14 @@ _FORMS = {
         lambda n, path, body: CountExists(n, path, body) if n else Top(),
         ("int", "path", "formula"),
     ),
-    ("formula", "disjoint"): (Disjoint, ("path", "term")),
-    ("formula", "equals"): (Equals, ("path", "term")),
+    ("formula", "disjoint"): (Disjoint, ("path", "iri")),
+    ("formula", "equals"): (Equals, ("path", "iri")),
     ("formula", "order"): (
         lambda path, rel, op, direction: OrderCmp(path, rel, op == "lt", direction == "inv"),
-        ("path", "term", ("lt", "le"), ("fwd", "inv")),
+        ("path", "iri", ("lt", "le"), ("fwd", "inv")),
     ),
-    ("path", "rel"): (Rel, ("term",)),
-    ("path", "inv"): (lambda name: Rel(name, True), ("term",)),
+    ("path", "rel"): (Rel, ("iri",)),
+    ("path", "inv"): (lambda name: Rel(name, True), ("iri",)),
     ("path", "seq"): (Seq, ("path", "path")),
     ("path", "opt"): (Opt, ("path",)),
     ("path", "alt"): (Alt, ("path", "path")),
@@ -333,6 +333,12 @@ def _parse(text: str, category: str):
                 raise SclSyntaxError(f"expected symbol, got {kind}", pos)
             if value not in want:
                 raise SclSyntaxError(f"expected one of {want}, got {value!r}", pos)
+            args.append(value)
+        elif want == "iri":
+            if kind != "term":
+                raise SclSyntaxError(f"expected iri, got {kind}", pos)
+            if not value.is_iri:
+                raise SclSyntaxError(f"expected iri, got {n3(value)}", pos)
             args.append(value)
         elif kind == want:
             args.append(value)

@@ -570,6 +570,15 @@ def test_relation_name_that_is_no_iri_exits_65_in_contains(tmp_path, capsys, par
         assert f'ill-formed sh:{param} value' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ['"x"', "_:b"])
+def test_scl_relation_name_that_is_no_iri_exits_65(tmp_path, capsys, name):
+    scl = tmp_path / "rel.scl"
+    scl.write_text(f"(at <http://e/c> (count>= 1 (rel {name}) (top)))")
+    for command in ("sat", "back-translate"):
+        assert dispatch([command, str(scl)]) == 65
+        assert f"expected iri, got {name}" in capsys.readouterr().err
+
+
 def _deep_sentence(depth: int) -> str:
     """`depth` nested levels cycling through not, and, an existential over
     a sequence and a counting quantifier, around an existential over an

@@ -130,6 +130,31 @@ def test_syntax_errors_carry_positions():
         assert (str(err.value), err.value.position) == (f"{message} (offset {offset})", offset)
 
 
+# every position that names a relation, with {} where the name goes
+RELATION_POSITIONS = [
+    (parse_scl, "(at <http://e/c> (count>= 1 (rel {}) (top)))"),
+    (parse_scl, "(at <http://e/c> (count>= 1 (inv {}) (top)))"),
+    (parse_scl, "(for-subjects {} (top))"),
+    (parse_scl, "(for-objects {} (top))"),
+    (parse_scl_formula, "(disjoint (rel <http://e/r>) {})"),
+    (parse_scl_formula, "(equals (rel <http://e/r>) {})"),
+    (parse_scl_formula, "(order (rel <http://e/r>) {} lt fwd)"),
+]
+
+
+@pytest.mark.parametrize("parse, template", RELATION_POSITIONS)
+def test_relation_names_are_iris(parse, template):
+    assert print_scl(parse(template.format("<http://e/q>"))) == template.format("<http://e/q>")
+    for name in ('"x"', "_:b"):
+        text = template.format(name)
+        with pytest.raises(SclSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"expected iri, got {name} (offset {text.index(name)})"
+    text = template.format("(top)")
+    with pytest.raises(SclSyntaxError, match="expected iri, got lparen"):
+        parse(text)
+
+
 def test_deep_forms_parse_without_recursion():
     depth = 10_000
     chain = "(at <http://e/c> " + "(not " * depth + "(top)" + ")" * depth + ")"
