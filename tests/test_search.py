@@ -511,6 +511,38 @@ def test_cnf_of_corpus_and_filter_documents_is_pinned():
     assert digest.hexdigest() == CNF_DIGEST
 
 
+# sha1 of the verdicts below, models and counterexamples included
+MODEL_DIGEST = "252aba1ee0c25174293db0abc0c3026c337035ad"
+
+
+def test_models_and_counterexamples_are_pinned():
+    import json
+
+    from corpus import CONTAINMENT_PAIRS
+    from shaclsat.containment import check_containment
+    from shaclsat.gadgets import TilingSystem, gadget_domino
+    from shaclsat.shapes import parse_document
+
+    verdicts = [
+        bounded_sat(sentence, max_domain=3, budget=60, mode=mode)
+        for sentence in _sentences()
+        for mode in (CANONICAL, UNINTERPRETED)
+    ]
+    verdicts += [
+        check_containment(parse_document(first), parse_document(second), max_domain=3, budget=60)
+        for _, first, second, _ in CONTAINMENT_PAIRS
+    ]
+    single = TilingSystem(("t",), frozenset({("t", "t")}), frozenset({("t", "t")}))
+    verdicts += [
+        bounded_sat(gadget_domino(variant, single), max_domain=k, budget=60, mode=UNINTERPRETED)
+        for variant, k in (("SO", 1), ("SAC", 1), ("SEC", 1), ("SEOprime", 1), ("SZAE", 2))
+    ]
+    digest = hashlib.sha1()
+    for v in verdicts:
+        digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == MODEL_DIGEST
+
+
 def test_at_least_more_than_there_are_is_false_without_new_clauses():
     cnf = _Cnf()
     lits = [cnf.new_var() for _ in range(3)]
