@@ -95,7 +95,7 @@ def check_containment(
         return ContainmentVerdict("Aborted", reason="budget exhausted")
     if structure is None:
         return ContainmentVerdict("NoCounterexampleUpTo", bound=max_domain)
-    graph = structure.to_graph()
+    graph = structure.graph
     r1 = validate_direct(graph, doc1)
     r2 = validate_direct(graph, doc2)
     if not r1.conforms or r2.conforms:

@@ -63,7 +63,7 @@ from .scl import (
     shape_definitions,
 )
 from .structures import FiniteStructure, OrderBlock, shape_evaluator
-from .terms import ComparisonVerdict, Term, compare_terms, iri, literal
+from .terms import ComparisonVerdict, Term, Triple, TripleGraph, compare_terms, iri, literal
 from .translate import extract_definitions
 
 CANONICAL = "canonical"
@@ -1034,19 +1034,16 @@ class _Grounder:
             }
             order_blocks = self._decode_blocks(truth, terms)
 
-        relations = {}
-        for r in self.relations:
-            pairs = {
-                (terms[i], terms[j])
-                for i in range(self.k)
-                for j in range(self.k)
-                if truth(self.rel[(r, i, j)])
-            }
-            if pairs:
-                relations[r] = frozenset(pairs)
+        edges = [
+            Triple(terms[i], r, terms[j])
+            for r in self.relations
+            for i in range(self.k)
+            for j in range(self.k)
+            if truth(self.rel[(r, i, j)])
+        ]
         return FiniteStructure(
             domain=tuple(terms),
-            relations=relations,
+            graph=TripleGraph(frozenset(edges)),
             filter_interp=filter_interp,
             order_blocks=order_blocks,
             constants=constants_map,

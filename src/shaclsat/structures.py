@@ -1,7 +1,7 @@
 """Finite first-order structures and the sentence evaluator.
 
 A structure interprets binary relations over a finite domain of terms,
-carries a computed hasShape relation, and interprets filters and orders
+holding them as the edges of one `TripleGraph`, carries a computed hasShape relation, and interprets filters and orders
 either canonically (from the terms themselves) or explicitly (from
 enumerated extensions and order blocks).
 """
@@ -50,10 +50,10 @@ from .scl import (
 from .terms import (
     ComparisonVerdict,
     Term,
-    Triple,
     TripleGraph,
     compare_terms,
     iri,
+    n3,
 )
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class FiniteStructure:
     """Treat instances as immutable; derived structures are new objects."""
 
     domain: tuple[Term, ...]
-    relations: dict[Term, frozenset[tuple[Term, Term]]] = field(default_factory=dict)
+    graph: TripleGraph = TripleGraph(frozenset())  # the relations, as edges
     has_shape: frozenset[tuple[Term, Term]] = frozenset()
     filter_interp: Optional[dict] = None  # None = canonical
     order_blocks: Optional[tuple[OrderBlock, ...]] = None  # None = canonical
@@ -77,46 +77,40 @@ class FiniteStructure:
         if not self.domain:
             raise ValueError("structures have a non-empty domain")
         members = set(self.domain)
-        for name, pairs in self.relations.items():
-            for s, o in pairs:
-                if s not in members or o not in members:
-                    raise ValueError(f"relation {name} mentions terms outside the domain")
+        for name, by_subject in self.graph.forward.items():
+            for s, objects in by_subject.items():
+                if s not in members or not members.issuperset(objects):
+                    raise ValueError(f"relation {n3(name)} mentions terms outside the domain")
 
     def denote(self, constant: Term) -> Term:
         return self.constants.get(constant, constant)
 
     def to_json(self) -> dict:
-        from .terms import n3
-
         return {
             "domain": [n3(t) for t in self.domain],
             "relations": {
                 name.lexical: sorted(
-                    [n3(s), n3(o)] for s, o in pairs
+                    [n3(s), n3(o)] for s, objects in by_subject.items() for o in objects
                 )
-                for name, pairs in sorted(self.relations.items(), key=lambda kv: kv[0].sort_key())
+                for name, by_subject in sorted(
+                    self.graph.forward.items(), key=lambda kv: kv[0].sort_key()
+                )
             },
         }
 
     def to_graph(self) -> TripleGraph:
-        """Drop hasShape and read the relations back as a generalized graph."""
-        triples = [
-            Triple(s, name, o) for name, pairs in self.relations.items() for s, o in pairs
-        ]
-        return TripleGraph(frozenset(triples))
+        """The relations without hasShape: the structure's own graph."""
+        return self.graph
 
 
 def canonical_structure(graph: TripleGraph) -> FiniteStructure:
-    """The structure a graph induces: its terms, its edges, canonical
-    filters and orders, and no shape assignment yet; read off the graph's
-    forward index."""
+    """The structure a graph induces: its terms, the graph itself as its
+    relations, canonical filters and orders, and no shape assignment yet."""
     terms: set[Term] = set()
-    relations: dict[Term, frozenset[tuple[Term, Term]]] = {}
-    for name, by_subject in graph.forward.items():
-        relations[name] = frozenset([(s, o) for s, objects in by_subject.items() for o in objects])
+    for by_subject in graph.forward.values():
         terms.update(by_subject, chain.from_iterable(by_subject.values()))
     domain = sorted(terms, key=Term.sort_key) or [iri(ns.GEN_NS + "inert:0")]
-    return FiniteStructure(domain=tuple(domain), relations=relations)
+    return FiniteStructure(domain=tuple(domain), graph=graph)
 
 
 def with_constants(structure: FiniteStructure, constants: set[Term]) -> FiniteStructure:
@@ -170,13 +164,13 @@ class Evaluator:
         return fold(path, self._compute_successors, self._successors)
 
     def _compute_successors(self, path: PathExpr, done: dict) -> dict[int, frozenset[int]]:
-        """The successors of `path` from its subpaths' successors in `done`."""
+        """The successors of `path` from its subpaths' successors in `done`,
+        or, for a relation, from the graph's index in its direction."""
         grouped: dict[int, set[int]] = {}
         if isinstance(path, Rel):
-            for a, b in self.s.relations.get(path.name, ()):
-                if path.inverted:
-                    a, b = b, a
-                grouped.setdefault(self.index[a], set()).add(self.index[b])
+            edges = self.s.graph.backward if path.inverted else self.s.graph.forward
+            for a, bs in edges.get(path.name, {}).items():
+                grouped[self.index[a]] = {self.index[b] for b in bs}
         elif isinstance(path, Seq):
             right = done[path.right]
             for i, mids in done[path.left].items():

@@ -300,6 +300,13 @@ def random_formula(rng: random.Random, depth: int) -> SclFormula:
                     strict=rng.random() < 0.5, inverted=rng.random() < 0.5)
 
 
+def edge_graph(relations: dict) -> TripleGraph:
+    """The graph with an edge for each (subject, object) pair of each relation."""
+    return TripleGraph(
+        frozenset(Triple(s, name, o) for name, pairs in relations.items() for s, o in pairs)
+    )
+
+
 def random_structure(rng: random.Random, max_size: int = 4) -> FiniteStructure:
     size = rng.randint(1, max_size)
     domain = []
@@ -315,13 +322,7 @@ def random_structure(rng: random.Random, max_size: int = 4) -> FiniteStructure:
             )
         )
     domain = sorted(set(domain), key=Term.sort_key)
-    relations = {}
-    for r in _RELS:
-        pairs = set()
-        for a in domain:
-            for b in domain:
-                if rng.random() < 0.3:
-                    pairs.add((a, b))
-        if pairs:
-            relations[r] = frozenset(pairs)
-    return FiniteStructure(domain=tuple(domain), relations=relations)
+    edges = [
+        Triple(a, r, b) for r in _RELS for a in domain for b in domain if rng.random() < 0.3
+    ]
+    return FiniteStructure(domain=tuple(domain), graph=TripleGraph(frozenset(edges)))

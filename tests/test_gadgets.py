@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from corpus import edge_graph
 from shaclsat.gadgets import (
     DOMINO_VARIANTS,
     INFINITY_KINDS,
@@ -94,13 +95,13 @@ def _one_element_structures(sentence):
     constants = {c: element for c in node_constants(sentence)}
     order_options = (None, (), (OrderBlock("block0", (element,)),))
     for loops in itertools.product((False, True), repeat=len(relations)):
-        rel_map = {
-            name: frozenset({(element, element)}) for name, loop in zip(relations, loops) if loop
-        }
+        graph = edge_graph(
+            {name: {(element, element)} for name, loop in zip(relations, loops) if loop}
+        )
         for blocks in order_options:
             yield FiniteStructure(
                 domain=(element,),
-                relations=rel_map,
+                graph=graph,
                 constants=constants,
                 order_blocks=blocks,
             )

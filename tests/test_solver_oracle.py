@@ -7,7 +7,7 @@ import pytest
 
 import shaclsat.containment as containment
 import shaclsat.search as search
-from corpus import CONTAINMENT_PAIRS, corpus_documents, doc_ttl, random_formula
+from corpus import CONTAINMENT_PAIRS, corpus_documents, doc_ttl, edge_graph, random_formula
 from shaclsat.containment import check_containment
 from shaclsat.gadgets import DOMINO_VARIANTS, INFINITY_KINDS, TilingSystem, gadget_domino, gadget_infinity
 from shaclsat.scl import (
@@ -162,13 +162,11 @@ def _enumerate_structures(relations, constants, size):
         *[itertools.chain.from_iterable([itertools.combinations(pairs, k) for k in range(len(pairs) + 1)])
           for _ in relations]
     ):
-        rel_map = {
-            name: frozenset(chosen) for name, chosen in zip(relations, assignment) if chosen
-        }
+        graph = edge_graph(dict(zip(relations, assignment)))
         for denotations in itertools.product(terms, repeat=len(constants)):
             yield FiniteStructure(
                 domain=terms,
-                relations=rel_map,
+                graph=graph,
                 constants=dict(zip(constants, denotations)),
             )
 

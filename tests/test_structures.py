@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from corpus import doc_ttl, random_formula, random_path, random_structure
+from corpus import doc_ttl, edge_graph, random_formula, random_path, random_structure
 from shaclsat import namespaces as ns
 from shaclsat.filter_semantics import term_satisfies
 from shaclsat.scl import (
@@ -49,7 +49,7 @@ Q = iri(EX + "q")
 def chain(*labels):
     terms = [iri(EX + x) for x in labels]
     pairs = frozenset(zip(terms, terms[1:]))
-    return FiniteStructure(domain=tuple(terms), relations={R: pairs})
+    return FiniteStructure(domain=tuple(terms), graph=edge_graph({R: pairs}))
 
 
 def test_canonical_structure_of_fig1():
@@ -60,24 +60,26 @@ def test_canonical_structure_of_fig1():
     )
     s = canonical_structure(g)
     assert set(s.domain) == {iri(EX + n) for n in ("Alex", "Student", "CS", "Jane")}
-    assert s.relations[iri(ns.RDF_TYPE)] == frozenset({(iri(EX + "Alex"), iri(EX + "Student"))})
-    assert s.relations[iri(EX + "hasFaculty")] == frozenset(
-        {(iri(EX + "Alex"), iri(EX + "CS")), (iri(EX + "Jane"), iri(EX + "CS"))}
-    )
+    # the structure's relations are the graph's own edges, not a copy
+    assert s.graph is g and s.to_graph() is g
+    assert _relation_pairs(s, iri(ns.RDF_TYPE)) == {(iri(EX + "Alex"), iri(EX + "Student"))}
+    assert _relation_pairs(s, iri(EX + "hasFaculty")) == {
+        (iri(EX + "Alex"), iri(EX + "CS")), (iri(EX + "Jane"), iri(EX + "CS"))
+    }
 
 
 def test_canonical_structure_of_empty_graph_has_inert_element():
     s = canonical_structure(parse_turtle(""))
     assert len(s.domain) == 1
-    assert not s.relations
+    assert not s.graph.triples
 
 
 def test_structures_reject_stray_relation_terms():
-    with pytest.raises(ValueError):
-        FiniteStructure(
-            domain=(iri(EX + "a"),),
-            relations={R: frozenset({(iri(EX + "a"), iri(EX + "ghost"))})},
-        )
+    a, ghost = iri(EX + "a"), iri(EX + "ghost")
+    for stray in ((a, ghost), (ghost, a)):
+        with pytest.raises(ValueError, match="mentions terms outside the domain"):
+            FiniteStructure(domain=(a,), graph=edge_graph({R: {stray}}))
+    FiniteStructure(domain=(a,), graph=edge_graph({R: {(a, a)}}))
 
 
 def _pairs(successors):
@@ -106,7 +108,7 @@ def test_star_matches_independent_closure_oracle():
         pairs = {
             (a, b) for a in terms for b in terms if rng.random() < 0.3
         }
-        structure = FiniteStructure(domain=terms, relations={R: frozenset(pairs)})
+        structure = FiniteStructure(domain=terms, graph=edge_graph({R: pairs}))
         ev = Evaluator(structure)
         star = _pairs(ev.successors(Star(Rel(R))))
         # oracle: boolean matrix closure by iterated squaring
@@ -139,11 +141,16 @@ def test_preimage_matches_reference_pairs():
         assert Evaluator(structure).preimage(path, targets) == expected, (path, structure)
 
 
+def _relation_pairs(structure, name):
+    """A relation's (subject, object) pairs, read off the graph's triples."""
+    return {(s, o) for s, p, o in structure.graph.triples if p == name}
+
+
 def _reference_pairs(structure, path):
     """Path semantics over plain pair sets of terms, star by iterating to a fixpoint."""
     if isinstance(path, Rel):
-        pairs = structure.relations.get(path.name, frozenset())
-        return {(b, a) for a, b in pairs} if path.inverted else set(pairs)
+        pairs = _relation_pairs(structure, path.name)
+        return {(b, a) for a, b in pairs} if path.inverted else pairs
     if isinstance(path, Seq):
         left = _reference_pairs(structure, path.left)
         right = _reference_pairs(structure, path.right)
@@ -180,7 +187,7 @@ def _reference_holds(structure, f, x):
     if isinstance(f, CountExists):
         witnesses = [y for y in path_succ if _reference_holds(structure, f.body, y)]
         return len(witnesses) >= f.threshold
-    rel_succ = {b for a, b in structure.relations.get(f.relation, frozenset()) if a == x}
+    rel_succ = {b for a, b in _relation_pairs(structure, f.relation) if a == x}
     if isinstance(f, Disjoint):
         return not path_succ & rel_succ
     if isinstance(f, Equals):
@@ -298,7 +305,7 @@ def test_explicit_order_blocks():
     a, b, c = integer(1), literal("x"), iri(EX + "n")
     structure = FiniteStructure(
         domain=(a, b, c),
-        relations={R: frozenset({(c, a), (c, b)})},
+        graph=edge_graph({R: {(c, a), (c, b)}}),
         order_blocks=(OrderBlock("block0", (a, b)),),
     )
     ev = Evaluator(structure)
@@ -306,7 +313,7 @@ def test_explicit_order_blocks():
     assert ev.formula(OrderCmp(Rel(R), R, strict=False, inverted=False), 2) is False
     structure2 = FiniteStructure(
         domain=(a, b, c),
-        relations={R: frozenset({(c, a)}), Q: frozenset({(c, b)})},
+        graph=edge_graph({R: {(c, a)}, Q: {(c, b)}}),
         order_blocks=(OrderBlock("block0", (a, b)),),
     )
     assert Evaluator(structure2).formula(
@@ -318,7 +325,7 @@ def test_canonical_order_uses_term_values():
     one, two = integer(1), integer(2)
     structure = FiniteStructure(
         domain=(one, two, iri(EX + "n")),
-        relations={R: frozenset({(iri(EX + "n"), one)}), Q: frozenset({(iri(EX + "n"), two)})},
+        graph=edge_graph({R: {(iri(EX + "n"), one)}, Q: {(iri(EX + "n"), two)}}),
     )
     ev = Evaluator(structure)
     assert ev.formula(OrderCmp(Rel(R), Q, strict=True, inverted=False), 2)
@@ -331,13 +338,11 @@ def test_uninterpreted_filters_consult_the_interpretation():
     a = iri(EX + "a")
     structure = FiniteStructure(
         domain=(a,),
-        relations={},
         filter_interp={IsIri(): frozenset()},
     )
     assert not Evaluator(structure).formula(Filter(IsIri()), 0)
     structure2 = FiniteStructure(
         domain=(a,),
-        relations={},
         filter_interp={IsIri(): frozenset({a})},
     )
     assert Evaluator(structure2).formula(Filter(IsIri()), 0)
