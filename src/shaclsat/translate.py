@@ -107,22 +107,20 @@ def _path(path: sh.ShaclPath, inverted: bool) -> PathExpr:
     raise TypeError(f"unknown path {path!r}")
 
 
+_NODE_KIND_FILTERS = {
+    ns.SH_NK_IRI: (IsIri,),
+    ns.SH_NK_LITERAL: (IsLiteral,),
+    ns.SH_NK_BLANK: (IsBlank,),
+    ns.SH_NK_BLANK_OR_IRI: (IsBlank, IsIri),
+    ns.SH_NK_BLANK_OR_LITERAL: (IsBlank, IsLiteral),
+    ns.SH_NK_IRI_OR_LITERAL: (IsIri, IsLiteral),
+}
+
+
 def _node_kind_formula(kind_iri: str) -> SclFormula:
-    table = {
-        ns.SH_NK_IRI: Filter(IsIri()),
-        ns.SH_NK_LITERAL: Filter(IsLiteral()),
-        ns.SH_NK_BLANK: Filter(IsBlank()),
-    }
-    if kind_iri in table:
-        return table[kind_iri]
-    pairs = {
-        ns.SH_NK_BLANK_OR_IRI: (Filter(IsBlank()), Filter(IsIri())),
-        ns.SH_NK_BLANK_OR_LITERAL: (Filter(IsBlank()), Filter(IsLiteral())),
-        ns.SH_NK_IRI_OR_LITERAL: (Filter(IsIri()), Filter(IsLiteral())),
-    }
-    if kind_iri in pairs:
-        return disj(list(pairs[kind_iri]))
-    return Top()
+    """The disjunction of a node kind's filters; an unknown kind has none,
+    so no term matches it, as in `term_matches_node_kind`."""
+    return disj([Filter(name()) for name in _NODE_KIND_FILTERS.get(kind_iri, ())])
 
 
 def translate_node_constraint(atom: sh.Constraint) -> SclFormula:

@@ -226,6 +226,21 @@ def test_malformed_parameters_are_rejected_or_both_routes_agree():
     assert accepted >= 500
 
 
+def test_unknown_node_kind_matches_nothing_on_both_routes():
+    # extraction rejects a kind outside the six; an AST built directly may hold one
+    from shaclsat.shapes import NODE_KIND, Constraint, NodeTarget, ShaclDocument, Shape
+    from shaclsat.validation import validate
+
+    a = iri(EX + "a")
+    shape = Shape(iri(EX + "s"), targets=(NodeTarget(a),),
+                  constraints=(Constraint(NODE_KIND, (iri("http://e/v"),)),))
+    doc = ShaclDocument((shape,))
+    graph = TripleGraph(frozenset({Triple(a, iri(EX + "p"), iri(EX + "b"))}))
+    report = validate_direct(graph, doc)
+    assert report.violations == ((a, shape.name),)
+    assert validate(graph, doc) == report
+
+
 # ---- repeated paths on cyclic graphs ---------------------------------------------
 
 TURTLE_PREFIXES = "@prefix : <http://corpus.example/> .\n"
