@@ -9,7 +9,7 @@ from typing import Optional
 
 from . import namespaces as ns
 from .scl import pattern_error
-from .terms import Term, TripleGraph, iri, parse_integer_lexical
+from .terms import Term, TripleGraph, iri, n3, parse_integer_lexical
 from .turtle import parse_turtle
 
 
@@ -214,9 +214,9 @@ class Shape:
 
     def __post_init__(self) -> None:
         if self.is_property_shape and self.path is None:
-            raise ShaclModelError(f"property shape {self.name} has no path")
+            raise ShaclModelError(f"property shape {n3(self.name)} has no path")
         if not self.is_property_shape and self.path is not None:
-            raise ShaclModelError(f"node shape {self.name} carries a path")
+            raise ShaclModelError(f"node shape {n3(self.name)} carries a path")
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class ShaclDocument:
             raise ShaclModelError("duplicate shape names in document")
         cycle = _find_reference_cycle(self.shapes)
         if cycle:
-            raise RecursiveShapeError(f"recursive shape reference: {cycle}")
+            raise RecursiveShapeError(f"recursive shape reference: {' -> '.join(map(n3, cycle))}")
         # not a field: stays out of __eq__, __hash__ and __repr__
         object.__setattr__(self, "_by_name", by_name)
 
@@ -423,7 +423,7 @@ class _GraphIndex:
             seen.add(node)
             first = self.one(node, ns.RDF_FIRST)
             if first is None:
-                raise ShaclModelError(f"malformed RDF collection at {node}")
+                raise ShaclModelError(f"malformed RDF collection at {n3(node)}")
             out.append(first)
             node = self.one(node, ns.RDF_REST) or iri(ns.RDF_NIL)
         return out
@@ -452,7 +452,7 @@ def _parse_path(index: _GraphIndex, node: Term) -> ShaclPath:
         if len(parts) == 1:
             return parts[0]
         return AlternativePath(tuple(parts))
-    raise ShaclModelError(f"cannot interpret property path node {node}")
+    raise ShaclModelError(f"cannot interpret property path node {n3(node)}")
 
 
 def _as_int(term: Term, what: str) -> int:
@@ -460,7 +460,7 @@ def _as_int(term: Term, what: str) -> int:
     the integer datatypes are read everywhere else."""
     value = parse_integer_lexical(term.lexical, ns.XSD_INTEGER)
     if value is None:
-        raise ShaclModelError(f"{what} expects an integer, got {term}")
+        raise ShaclModelError(f"{what} expects an integer, got {n3(term)}")
     return value
 
 
@@ -497,16 +497,16 @@ def extract_document(graph: TripleGraph) -> ShaclDocument:
 def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
     path_values = index.objects(name, ns.SH_PATH)
     if len(path_values) > 1:
-        raise ShaclModelError(f"shape {name} has {len(path_values)} sh:path values")
+        raise ShaclModelError(f"shape {n3(name)} has {len(path_values)} sh:path values")
     declared_property = iri(ns.SH_PROPERTY_SHAPE) in index.objects(name, ns.RDF_TYPE)
     if declared_property and not path_values:
-        raise ShaclModelError(f"property shape {name} has no sh:path value")
+        raise ShaclModelError(f"property shape {n3(name)} has no sh:path value")
     path = _parse_path(index, path_values[0]) if path_values else None
     for param, allowed in _IRI_PARAMS.items():
         for value in index.objects(name, param):
             if not value.is_iri or allowed is not None and value.lexical not in allowed:
                 what = "sh:" + param.removeprefix(ns.SH_NS)
-                raise ShaclModelError(f"shape {name} has an ill-formed {what} value {value}")
+                raise ShaclModelError(f"shape {n3(name)} has an ill-formed {what} value {n3(value)}")
 
     targets = sorted(
         (ctor(node) for param, ctor in _TARGET_PARAMS.items() for node in index.objects(name, param)),
@@ -533,7 +533,7 @@ def _extract_shape(index: _GraphIndex, name: Term) -> Shape:
         elif kind == PATTERN:
             error = pattern_error(obj.lexical)
             if error is not None:
-                raise ShaclModelError(f"shape {name} has invalid sh:pattern {obj.lexical!r}: {error}")
+                raise ShaclModelError(f"shape {n3(name)} has invalid sh:pattern {obj.lexical!r}: {error}")
             constraints.append(Constraint(PATTERN, (obj.lexical,)))
         elif kind == UNIQUE_LANG:
             if _is_true(obj):

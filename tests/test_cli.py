@@ -362,7 +362,7 @@ def test_long_node_cycle_names_the_recursive_reference(tmp_path, capsys):
     assert dispatch(["validate", str(graph), str(shapes)]) == 65
     captured = capsys.readouterr()
     assert captured.out == "" and "recursive shape reference" in captured.err
-    assert "<http://corpus.example/s1500>" in captured.err
+    assert "<http://corpus.example/s1500> -> " in captured.err and "Term(" not in captured.err
 
 
 def test_long_path_list_gives_one_report_on_both_routes(tmp_path, capsys):
@@ -567,7 +567,8 @@ def test_relation_name_that_is_no_iri_exits_65_in_contains(tmp_path, capsys, par
     other.write_text(doc_ttl(":t a sh:PropertyShape ; sh:targetNode :a ; sh:path :p ; sh:maxCount 0 ."))
     for pair in ((shapes, other), (other, shapes)):
         assert dispatch(["contains", *map(str, pair)]) == 65
-        assert f'ill-formed sh:{param} value' in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f'ill-formed sh:{param} value "x"' in err and "Term(" not in err
 
 
 @pytest.mark.parametrize("name", ['"x"', "_:b"])

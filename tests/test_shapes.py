@@ -63,6 +63,23 @@ def test_counts_are_ascii_integers(count):
         parse_document(doc_ttl(f":s a sh:PropertyShape ; sh:path :r ; sh:minCount {count} ."))
 
 
+@pytest.mark.parametrize("body, message", [
+    (':s a sh:PropertyShape ; sh:path "x" .', 'cannot interpret property path node "x"'),
+    (":s a sh:PropertyShape ; sh:path [ sh:alternativePath :l ] .",
+     "malformed RDF collection at <http://corpus.example/l>"),
+    (':s a sh:PropertyShape ; sh:path :r ; sh:minCount "x" .', 'min_count expects an integer, got "x"'),
+    (':s a sh:PropertyShape ; sh:path :r ; sh:equals "x" .',
+     'shape <http://corpus.example/s> has an ill-formed sh:equals value "x"'),
+    (":s a sh:NodeShape ; sh:not :t .\n:t a sh:NodeShape ; sh:not :s .",
+     "recursive shape reference: <http://corpus.example/s> -> <http://corpus.example/t>"
+     " -> <http://corpus.example/s>"),
+])
+def test_extraction_errors_write_terms_in_n_triples(body, message):
+    with pytest.raises(ShaclModelError) as err:
+        parse_document(doc_ttl(body))
+    assert str(err.value) == message
+
+
 def test_counts_read_signs_and_zero_padding():
     doc = parse_document(doc_ttl(':s a sh:PropertyShape ; sh:path :r ; sh:minCount "+007" ; sh:maxLength " 4 " .'))
     assert {c.kind: c.args for c in doc.shapes[0].constraints} == {"min_count": (7,), "max_length": (4,)}
