@@ -335,10 +335,9 @@ def _parse(text: str, category: str):
                 raise SclSyntaxError(f"expected one of {want}, got {value!r}", pos)
             args.append(value)
         elif want == "iri":
-            if kind != "term":
-                raise SclSyntaxError(f"expected iri, got {kind}", pos)
-            if not value.is_iri:
-                raise SclSyntaxError(f"expected iri, got {n3(value)}", pos)
+            if kind != "term" or not value.is_iri:
+                got = n3(value) if kind == "term" else kind
+                raise SclSyntaxError(f"expected iri, got {got}", pos)
             args.append(value)
         elif kind == want:
             args.append(value)

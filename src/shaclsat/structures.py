@@ -1,9 +1,9 @@
 """Finite first-order structures and the sentence evaluator.
 
-A structure interprets binary relations over a finite domain of terms,
-holding them as the edges of one `TripleGraph`, carries a computed hasShape relation, and interprets filters and orders
-either canonically (from the terms themselves) or explicitly (from
-enumerated extensions and order blocks).
+A structure interprets binary relations over a finite domain of terms as
+the edges of one `TripleGraph`, carries a computed hasShape relation, and
+interprets filters and orders either canonically (from the terms
+themselves) or explicitly (from enumerated extensions and order blocks).
 """
 
 from __future__ import annotations
@@ -86,15 +86,12 @@ class FiniteStructure:
         return self.constants.get(constant, constant)
 
     def to_json(self) -> dict:
+        forward = sorted(self.graph.forward.items(), key=lambda kv: kv[0].sort_key())
         return {
             "domain": [n3(t) for t in self.domain],
             "relations": {
-                name.lexical: sorted(
-                    [n3(s), n3(o)] for s, objects in by_subject.items() for o in objects
-                )
-                for name, by_subject in sorted(
-                    self.graph.forward.items(), key=lambda kv: kv[0].sort_key()
-                )
+                name.lexical: sorted([n3(s), n3(o)] for s, objs in by_subject.items() for o in objs)
+                for name, by_subject in forward
             },
         }
 
