@@ -23,8 +23,16 @@ from shaclsat.scl import (
     Equals,
     Filter,
     HasDatatype,
+    HasLanguage,
     HasShape,
+    IsBlank,
     IsIri,
+    IsLiteral,
+    Matches,
+    MaxLength,
+    MaxValue,
+    MinLength,
+    MinValue,
     Not,
     Rel,
     SAnd,
@@ -33,6 +41,7 @@ from shaclsat.scl import (
     Star,
     Top,
     TopSentence,
+    conj,
     node_constants,
     sentence_conj,
 )
@@ -46,7 +55,8 @@ from shaclsat.search import (
     _order_witnesses,
     bounded_sat,
 )
-from shaclsat.terms import iri, n3
+from shaclsat.scl_text import print_scl
+from shaclsat.terms import integer, iri, literal, n3, string
 
 EX = "http://e/"
 C = iri(EX + "c")
@@ -511,6 +521,52 @@ def test_cnf_of_corpus_and_filter_documents_is_pinned():
                 state = (k, mode, g.cnf.n_vars, clauses, g.decision_vars, sorted(g.preferred.items()))
                 digest.update(repr(state).encode())
     assert digest.hexdigest() == CNF_DIGEST
+
+
+# the filters and constants the random sentences of AXIOM_DIGEST draw from
+_AXIOM_FILTERS = [
+    IsIri(), IsLiteral(), IsBlank(), HasDatatype(ns.XSD_INTEGER), HasDatatype(ns.XSD_STRING),
+    HasDatatype(ns.XSD_BOOLEAN), HasLanguage("en"), MinValue(integer(0), False),
+    MaxValue(integer(10), True), MinValue(string("b"), True), MinLength(2), MaxLength(3),
+    Matches("^a"),
+]
+_AXIOM_CONSTANTS = [C, iri(EX + "d"), string("ab"), integer(3), literal("x", language="en")]
+
+
+def _random_filter_sentences(seed: int, count: int) -> list:
+    """A constant meets, or has successors that meet, a random signed
+    conjunction of filters and constant equalities."""
+    import random
+
+    rng = random.Random(seed)
+    sentences = []
+    for _ in range(count):
+        atoms = [Filter(f) for f in rng.sample(_AXIOM_FILTERS, rng.randint(0, 5))]
+        atoms += [EqConst(c) for c in rng.sample(_AXIOM_CONSTANTS, rng.randint(0, 2))]
+        body = conj([a if rng.random() < 0.6 else Not(a) for a in atoms])
+        if rng.random() < 0.5:
+            body = CountExists(rng.randint(1, 2), Rel(R), body)
+        sentences.append(AtConst(rng.choice(_AXIOM_CONSTANTS), body))
+    return sentences
+
+
+# sha1 of the axiomatizations below (a `CapExceeded` contributes its
+# message), measured before a literal family became a count and a draw
+AXIOM_DIGEST = "7af9b6fb56ca4e6b73a6559f53af907861e57eb7"
+
+
+def test_axiomatizations_are_pinned():
+    digest = hashlib.sha1()
+    sentences = _sentences(FILTERS8_TTL, FILTERS7_TTL) + _random_filter_sentences(5, 120)
+    # 13 filters that hold together: more combinations than the cap
+    sentences.append(AtConst(C, conj([Filter(MinLength(n)) for n in range(1, 14)])))
+    for sentence in sentences:
+        try:
+            text = print_scl(axiomatize(sentence))
+        except CapExceeded as exc:
+            text = str(exc)
+        digest.update(text.encode())
+    assert digest.hexdigest() == AXIOM_DIGEST
 
 
 # sha1 of the verdicts below, models and counterexamples included
