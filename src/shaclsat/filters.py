@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import namespaces as ns
@@ -103,20 +103,17 @@ class FilterCombination:
             self.positive_eq & self.negative_eq or self.positive_filters & self.negative_filters
         )
 
-    def literals(self) -> list[tuple[bool, object]]:
-        out: list[tuple[bool, object]] = []
-        out += [(True, c) for c in sorted(self.positive_eq, key=Term.sort_key)]
-        out += [(False, c) for c in sorted(self.negative_eq, key=Term.sort_key)]
-        out += [(True, f) for f in sorted(self.positive_filters, key=FilterName.sort_key)]
-        out += [(False, f) for f in sorted(self.negative_filters, key=FilterName.sort_key)]
-        return out
-
     def formula(self) -> SclFormula:
-        parts: list[SclFormula] = []
-        for positive, item in self.literals():
-            atom = EqConst(item) if isinstance(item, Term) else Filter(item)
-            parts.append(atom if positive else Not(atom))
-        return conj(parts)
+        """The conjunction of the literals: the equalities, then the filters,
+        each positive ones first and each group in sort order."""
+        terms = lambda items: sorted(items, key=Term.sort_key)
+        names = lambda items: sorted(items, key=FilterName.sort_key)
+        return conj(
+            [EqConst(c) for c in terms(self.positive_eq)]
+            + [Not(EqConst(c)) for c in terms(self.negative_eq)]
+            + [Filter(f) for f in names(self.positive_filters)]
+            + [Not(Filter(f)) for f in names(self.negative_filters)]
+        )
 
 
 def term_satisfies_combination(combo: FilterCombination, term: Term) -> bool:
@@ -161,9 +158,9 @@ def _value_text(value) -> str:
     return str(value)
 
 
-# A literal family: its cardinality, its enumerated terms, and a sampler
-# that draws up to n more candidates (None when the terms are all of them).
-_Family = tuple[Cardinality, list[Term], Optional[Callable[[int], list[Term]]]]
+# A literal family: its cardinality, and a draw that returns candidate
+# terms: all of them when the family is enumerated, else n samples.
+_Family = tuple[Cardinality, Callable[[int], list[Term]]]
 
 
 class TermTable:
@@ -270,12 +267,12 @@ class _Bounds:
 @dataclass
 class _Solved:
     kinds: set[str]
+    bounds: _Bounds  # positive bounds only
+    neg_datatypes: set[str]
+    neg_languages: set[str]
+    neg_value_filters: list[FilterName]  # the negated MinValue and MaxValue filters
     datatype: Optional[str] = None
-    neg_datatypes: frozenset = frozenset()
     language: Optional[str] = None
-    neg_languages: frozenset = frozenset()
-    bounds: Optional[_Bounds] = None  # positive bounds only
-    neg_value_filters: tuple = ()
     len_lo: int = 0
     len_hi: Optional[int] = None
     impossible: bool = False
@@ -283,10 +280,7 @@ class _Solved:
 
 def _solve(combo: FilterCombination) -> _Solved:
     kinds = {"iri", "literal", "blank"}
-    sv = _Solved(kinds=kinds, bounds=_Bounds())
-    neg_dt: set[str] = set()
-    neg_lang: set[str] = set()
-    neg_values: list = []
+    sv = _Solved(kinds, _Bounds(), neg_datatypes=set(), neg_languages=set(), neg_value_filters=[])
     for f in combo.positive_filters:
         if isinstance(f, IsIri):
             kinds &= {"iri"}
@@ -328,27 +322,23 @@ def _solve(combo: FilterCombination) -> _Solved:
         elif isinstance(f, IsBlank):
             kinds -= {"blank"}
         elif isinstance(f, HasDatatype):
-            neg_dt.add(f.datatype)
+            sv.neg_datatypes.add(f.datatype)
         elif isinstance(f, HasLanguage):
-            neg_lang.add(f.tag.lower())
+            sv.neg_languages.add(f.tag.lower())
         elif isinstance(f, (MinValue, MaxValue)):
-            neg_values.append(f)
+            sv.neg_value_filters.append(f)
         elif isinstance(f, MinLength):
             # not(len >= n)  <=>  len <= n - 1
             sv.len_hi = f.bound - 1 if sv.len_hi is None else min(sv.len_hi, f.bound - 1)
         elif isinstance(f, MaxLength):
             sv.len_lo = max(sv.len_lo, f.bound + 1)
-    sv.kinds = kinds
-    sv.neg_datatypes = frozenset(neg_dt)
-    sv.neg_languages = frozenset(neg_lang)
-    sv.neg_value_filters = tuple(neg_values)
     if sv.bounds.impossible:
         sv.impossible = True
     if sv.len_hi is not None and sv.len_lo > sv.len_hi:
         sv.impossible = True
-    if sv.datatype is not None and sv.datatype in neg_dt:
+    if sv.datatype is not None and sv.datatype in sv.neg_datatypes:
         sv.impossible = True
-    if sv.language is not None and sv.language in neg_lang:
+    if sv.language is not None and sv.language in sv.neg_languages:
         sv.impossible = True
     if sv.datatype is not None and sv.language is not None and sv.datatype != ns.RDF_LANGSTRING:
         sv.impossible = True
@@ -445,15 +435,15 @@ _ORDERED_DATATYPES = {
 }
 _COMPARISON_TYPE = {dt: ctype for ctype, dts in _ORDERED_DATATYPES.items() for dt in dts}
 
-_EMPTY: _Family = (Cardinality(0), [], None)
+_EMPTY: _Family = (Cardinality(0), lambda n: [])
 
 
 def _datatype_family(
     combo: FilterCombination, sv: _Solved, datatype: str, table: TermTable
 ) -> _Family:
     """The canonical literals of one datatype that satisfy the combination.
-    A family small enough to enumerate lists every one of them and needs no
-    sampler; the bounds are solved once, for the count and the sampler."""
+    A family small enough to enumerate draws every one of them; the bounds
+    are solved once, for the count and the draw."""
     if datatype in sv.neg_datatypes:
         return _EMPTY
     ctype = _COMPARISON_TYPE.get(datatype)
@@ -462,16 +452,12 @@ def _datatype_family(
         if sv.bounds.ctype is not None:
             return _EMPTY
         if datatype != ns.RDF_LANGSTRING:
-            return INFINITE, [], lambda n: [literal(f"v{i}", datatype) for i in range(n)]
+            return INFINITE, lambda n: [literal(f"v{i}", datatype) for i in range(n)]
         if sv.language is None:  # a family per tag
-            return INFINITE, [], lambda n: _tagged_strings(sv, n)
-        return (
-            _string_space(sv.len_lo, sv.len_hi),
-            [],
-            lambda n: [
-                literal(s, language=sv.language) for s in _strings_within(sv.len_lo, sv.len_hi, n)
-            ],
-        )
+            return INFINITE, lambda n: _tagged_strings(sv, n)
+        return _string_space(sv.len_lo, sv.len_hi), lambda n: [
+            literal(s, language=sv.language) for s in _strings_within(sv.len_lo, sv.len_hi, n)
+        ]
     bounds = _family_bounds(sv, ctype)
     if bounds is None:
         return _EMPTY
@@ -485,7 +471,7 @@ def _datatype_family(
                 if key not in seen:
                     seen.add(key)
                     kept.append(term)
-        return Cardinality(len(kept)), kept, None
+        return Cardinality(len(kept)), lambda n: kept
 
     if datatype == ns.XSD_BOOLEAN:
         return enumerated([boolean(False), boolean(True)])
@@ -494,7 +480,7 @@ def _datatype_family(
         rng = _integer_range(bounds, datatype)
         if rng is None:
             return _EMPTY
-        lo, hi = rng  # the sampler's range, open ends included
+        lo, hi = rng  # the draw's range, open ends included
 
         def sample(n: int) -> list[Term]:
             start = lo if lo is not None else (min(hi, 0) - n if hi is not None else 0)
@@ -504,7 +490,7 @@ def _datatype_family(
         first, last = rng
         if first is None or last is None:
             if sv.len_hi is None:
-                return INFINITE, [], sample
+                return INFINITE, sample
             # bounded canonical length makes the set finite
             limit = 10**sv.len_hi
             first = -limit if first is None else first
@@ -515,7 +501,7 @@ def _datatype_family(
         if sv.len_lo > 0 or sv.len_hi is not None:
             count = _integer_length_count(first, last, sv.len_lo, sv.len_hi)
         count -= _excluded_in_family(combo, datatype, table)
-        return _finite(max(count, 0)), [], sample
+        return _finite(max(count, 0)), sample
 
     if ctype == STRING:
         nul_family = _nul_interval_terms(bounds)
@@ -523,11 +509,9 @@ def _datatype_family(
             return enumerated(nul_family)
         if bounds.lo is not None and bounds.hi is not None and bounds.lo[1] > bounds.hi[1]:
             return _EMPTY
-        return (
-            _string_space(sv.len_lo, sv.len_hi),
-            [],
-            lambda n: [literal(s) for s in _strings_within(sv.len_lo, sv.len_hi, n)],
-        )
+        return _string_space(sv.len_lo, sv.len_hi), lambda n: [
+            literal(s) for s in _strings_within(sv.len_lo, sv.len_hi, n)
+        ]
 
     # decimal, double, float and dateTime: dense orders
     if ctype == NUMERIC:
@@ -542,10 +526,10 @@ def _datatype_family(
     if shape == "point":
         return enumerated([_point_term(bounds, datatype)])
     if ctype == DATETIME:
-        return INFINITE, [], lambda n: [
+        return INFINITE, lambda n: [
             literal(f"2020-01-{day:02d}T00:00:00", datatype) for day in range(1, n + 1)
         ]
-    return INFINITE, [], lambda n: _dense_sample(bounds, datatype, n)
+    return INFINITE, lambda n: _dense_sample(bounds, datatype, n)
 
 
 # The largest finite double; `float` reads a numeral past it as infinity.
@@ -665,15 +649,14 @@ def gamma_with_witnesses(
     # combination only its filters are left to check
     used_keys = {table.key(c) for c in combo.negative_eq}
     required, mask = table.masks(combo)
-    for _, terms, sampler in families:
-        pool = terms + sampler(want * 3 + 8) if sampler and len(witnesses) < want else terms
-        for term in pool:
-            if len(witnesses) >= want:
-                break
+    for _, draw in families:
+        for term in draw(want * 3 + 8):
             signature, key = table.entry(term)
             if key not in used_keys and signature & mask == required:
                 used_keys.add(key)
                 witnesses.append(term)
+                if len(witnesses) == want:
+                    return count, witnesses
     return count, witnesses
 
 
@@ -688,11 +671,11 @@ def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardi
     # one about values rules out IRIs
     families: list[_Family] = []
     if "blank" in sv.kinds:
-        families.append((INFINITE, [], lambda n: [blank(f"w{i}") for i in range(n)]))
+        families.append((INFINITE, lambda n: [blank(f"w{i}") for i in range(n)]))
 
     if "iri" in sv.kinds:
 
-        def iri_sampler(n: int) -> list[Term]:
+        def iris(n: int) -> list[Term]:
             base = ns.GEN_NS + "fresh:"
             out = []
             for i in range(n):
@@ -704,7 +687,7 @@ def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardi
                 out.append(iri(name))
             return out
 
-        families.append((_string_space(sv.len_lo, sv.len_hi), [], iri_sampler))
+        families.append((_string_space(sv.len_lo, sv.len_hi), iris))
 
     if "literal" in sv.kinds:
         if sv.language is not None:
@@ -715,10 +698,10 @@ def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardi
             datatypes = _ORDERED_DATATYPES[sv.bounds.ctype]
         else:  # no pinned datatype, tag or bound
             datatypes = []
-            families.append((INFINITE, [], lambda n: _mixed_literals(sv, n)))
+            families.append((INFINITE, lambda n: _mixed_literals(sv, n)))
         families += [_datatype_family(combo, sv, datatype, table) for datatype in datatypes]
 
-    counts = [card.value for card, _, _ in families]
+    counts = [card.value for card, _ in families]
     if None in counts:
         return INFINITE, families
     return _finite(sum(counts)), families
@@ -794,54 +777,41 @@ def has_pattern_filters(sentence: SclSentence) -> bool:
     return any(isinstance(f, Matches) for f in formula_filters(sentence))
 
 
-def _literal_incompatible(a: tuple[bool, object], b: tuple[bool, object]) -> bool:
-    """Cheap pairwise unsatisfiability test between two positive literals."""
-    (pa, ia), (pb, ib) = a, b
-    if not (pa and pb):
-        return False
-    if isinstance(ia, Term) and isinstance(ib, Term):
-        return ia != ib
-    if isinstance(ia, Term) and isinstance(ib, FilterName):
-        return not term_satisfies(ib, ia)
-    if isinstance(ib, Term) and isinstance(ia, FilterName):
-        return not term_satisfies(ia, ib)
-    combo = FilterCombination(positive_filters=frozenset({ia, ib}))
-    solved = _solve(combo)
+def _literal_incompatible(a: object, b: object) -> bool:
+    """Cheap test that no term meets both constants or filters a and b;
+    a comes first in the alphabet, which lists the constants first."""
+    if isinstance(a, Term):
+        return a != b if isinstance(b, Term) else not term_satisfies(b, a)
+    solved = _solve(FilterCombination(positive_filters=frozenset({a, b})))
     return solved.impossible or not solved.kinds
 
 
 def incompatible_pairs(filters: list[FilterName], constants: list[Term]) -> list[tuple]:
-    items: list[tuple[bool, object]] = [(True, c) for c in constants] + [
-        (True, f) for f in filters
-    ]
-    out = []
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if _literal_incompatible(items[i], items[j]):
-                out.append((items[i][1], items[j][1]))
-    return out
+    return [pair for pair in combinations(constants + filters, 2) if _literal_incompatible(*pair)]
 
 
 def collect_combinations(sentence: SclSentence, cap: int = 4096) -> Iterator[FilterCombination]:
     """Full-sign combinations over the sentence's filter/constant alphabet,
     skipping those already ruled out by a pairwise incompatibility."""
     filters, constants = filter_alphabet(sentence)
-    incompat = {frozenset((a, b)) for a, b in incompatible_pairs(filters, constants)}
-    items: list[object] = list(constants) + list(filters)
+    return _combinations(constants + filters, incompatible_pairs(filters, constants), cap)
+
+
+def _combinations(items: list, pairs: list[tuple], cap: int) -> Iterator[FilterCombination]:
+    """`collect_combinations` over an alphabet and its incompatible pairs,
+    each pair in alphabet order."""
+    incompatible = set(pairs)
     emitted = 0
     for signs in product((True, False), repeat=len(items)):
         positives = [item for item, sign in zip(items, signs) if sign]
-        if _has_incompatible_pair(positives, incompat):
+        if any(pair in incompatible for pair in combinations(positives, 2)):
             continue
+        negatives = [item for item, sign in zip(items, signs) if not sign]
         combo = FilterCombination(
             positive_eq=frozenset(i for i in positives if isinstance(i, Term)),
-            negative_eq=frozenset(
-                i for i, sign in zip(items, signs) if isinstance(i, Term) and not sign
-            ),
+            negative_eq=frozenset(i for i in negatives if isinstance(i, Term)),
             positive_filters=frozenset(i for i in positives if isinstance(i, FilterName)),
-            negative_filters=frozenset(
-                i for i, sign in zip(items, signs) if isinstance(i, FilterName) and not sign
-            ),
+            negative_filters=frozenset(i for i in negatives if isinstance(i, FilterName)),
         )
         emitted += 1
         if emitted > cap:
@@ -849,29 +819,17 @@ def collect_combinations(sentence: SclSentence, cap: int = 4096) -> Iterator[Fil
         yield combo
 
 
-def _has_incompatible_pair(positives: list, incompat: set) -> bool:
-    for i in range(len(positives)):
-        for j in range(i + 1, len(positives)):
-            if frozenset((positives[i], positives[j])) in incompat:
-                return True
-    return False
-
-
 def axiomatize(sentence: SclSentence, cap: int = 4096) -> SclSentence:
     """Conjoin the upper-bound counting sentences that force uninterpreted
     filters to respect the canonical cardinalities."""
     filters, constants = filter_alphabet(sentence)
+    pairs = incompatible_pairs(filters, constants)
     table = TermTable(filters)
     parts: list[SclSentence] = [sentence]
-    for a, b in incompatible_pairs(filters, constants):
-        pair = conj(
-            [
-                EqConst(a) if isinstance(a, Term) else Filter(a),
-                EqConst(b) if isinstance(b, Term) else Filter(b),
-            ]
-        )
-        parts.append(AtMostGlobal(0, pair))
-    for combo in collect_combinations(sentence, cap):
+    for pair in pairs:
+        atoms = [EqConst(item) if isinstance(item, Term) else Filter(item) for item in pair]
+        parts.append(AtMostGlobal(0, conj(atoms)))
+    for combo in _combinations(constants + filters, pairs, cap):
         card = gamma(combo, table)
         if card.is_infinite:
             continue
