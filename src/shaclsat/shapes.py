@@ -429,11 +429,15 @@ class _GraphIndex:
         return out
 
 
-def _parse_path(index: _GraphIndex, node: Term) -> ShaclPath:
+def _parse_path(index: _GraphIndex, node: Term, descent: frozenset = frozenset()) -> ShaclPath:
+    """The path at node; descent holds the path nodes it is nested in."""
+    if node in descent:
+        raise ShaclModelError(f"cyclic property path at {n3(node)}")
+    descent = descent | {node}
     if node.is_iri and node.lexical != ns.RDF_NIL and index.one(node, ns.RDF_FIRST) is None:
         return PredicatePath(node)
     if index.one(node, ns.RDF_FIRST) is not None:
-        parts = [_parse_path(index, p) for p in index.collection(node)]
+        parts = [_parse_path(index, p, descent) for p in index.collection(node)]
         if len(parts) == 1:
             return parts[0]
         return SequencePath(tuple(parts))
@@ -445,10 +449,10 @@ def _parse_path(index: _GraphIndex, node: Term) -> ShaclPath:
     ):
         inner = index.one(node, pred)
         if inner is not None:
-            return ctor(_parse_path(index, inner))
+            return ctor(_parse_path(index, inner, descent))
     alt = index.one(node, ns.SH_ALTERNATIVE_PATH)
     if alt is not None:
-        parts = [_parse_path(index, p) for p in index.collection(alt)]
+        parts = [_parse_path(index, p, descent) for p in index.collection(alt)]
         if len(parts) == 1:
             return parts[0]
         return AlternativePath(tuple(parts))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from shaclsat.namespaces import XSD_BOOLEAN, XSD_DECIMAL
+from shaclsat.namespaces import RDF_FIRST, RDF_NIL, RDF_REST, XSD_BOOLEAN, XSD_DECIMAL
 from shaclsat.scl import (
     Alt,
     And,
@@ -177,6 +177,19 @@ DOCUMENTS: dict[str, str] = {
 
 def corpus_documents() -> list[tuple[str, str]]:
     return [(name, doc_ttl(body)) for name, body in sorted(DOCUMENTS.items())]
+
+
+# Property shapes whose path nests itself at the blank node _:x, which
+# extraction writes _:b0: the inverse of itself, a sequence list whose one
+# member is its own head, and the repetition of an alternative of itself
+CYCLIC_PATHS = tuple(
+    ":s a sh:PropertyShape ; sh:targetNode :alice ; sh:path _:x .\n" + nesting
+    for nesting in (
+        "_:x sh:inversePath _:x .",
+        f"_:x <{RDF_FIRST}> _:x ; <{RDF_REST}> <{RDF_NIL}> .",
+        "_:x sh:zeroOrMorePath [ sh:alternativePath ( :q _:x ) ] .",
+    )
+)
 
 
 def _property_document(shape: str, path: str, facets: str) -> str:

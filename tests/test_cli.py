@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import corpus_documents, doc_ttl, graphs_for
+from corpus import CYCLIC_PATHS, corpus_documents, doc_ttl, graphs_for
 from shaclsat.cli import dispatch
 from shaclsat.terms import TripleGraph
 from shaclsat.turtle import serialize_turtle
@@ -552,6 +552,18 @@ def test_invalid_pattern_exits_65_on_every_route(tmp_path, capsys):
                  ["sat", scl]):
         assert dispatch([str(a) for a in args]) == 65
         assert "pattern '(': missing )" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", CYCLIC_PATHS)
+def test_cyclic_property_path_exits_65_on_every_route(tmp_path, capsys, body):
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(doc_ttl(body))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(":alice :q :bob ."))
+    for args in (["translate", shapes], ["validate", graph, shapes], ["validate", "--direct", graph, shapes],
+                 ["sat", shapes], ["contains", shapes, shapes], ["contains", graph, shapes]):
+        assert dispatch([str(a) for a in args]) == 65
+        assert "cyclic property path at _:b0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("param", [

@@ -1,6 +1,6 @@
 import pytest
 
-from corpus import corpus_documents, doc_ttl, graphs_for
+from corpus import CYCLIC_PATHS, corpus_documents, doc_ttl, graphs_for
 from shaclsat.direct_validation import validate_direct
 from shaclsat.shapes import (
     AlternativePath,
@@ -73,11 +73,18 @@ def test_counts_are_ascii_integers(count):
     (":s a sh:NodeShape ; sh:not :t .\n:t a sh:NodeShape ; sh:not :s .",
      "recursive shape reference: <http://corpus.example/s> -> <http://corpus.example/t>"
      " -> <http://corpus.example/s>"),
+    *((body, "cyclic property path at _:b0") for body in CYCLIC_PATHS),
 ])
 def test_extraction_errors_write_terms_in_n_triples(body, message):
     with pytest.raises(ShaclModelError) as err:
         parse_document(doc_ttl(body))
     assert str(err.value) == message
+
+
+def test_a_path_node_in_two_list_members_is_no_cycle():
+    doc = parse_document(doc_ttl(":s a sh:PropertyShape ; sh:path ( _:x _:x ) .\n_:x sh:inversePath :r ."))
+    inverse = InversePath(PredicatePath(iri(EX + "r")))
+    assert doc.shapes[0].path == SequencePath((inverse, inverse))
 
 
 def test_counts_read_signs_and_zero_padding():
