@@ -138,52 +138,37 @@ class _Closure:
                     successors[j] = None
 
 
-def _inverse(path: sh.ShaclPath) -> sh.ShaclPath:
-    """The path whose pairs are path's pairs reversed."""
+def _path_values(
+    validator: _Validator, path: sh.ShaclPath, start: Set[Term], backward: bool
+) -> Set[Term]:
+    """The values of path from start or, when backward, the nodes from
+    which path reaches start; callers never mutate the result."""
     if isinstance(path, sh.PredicatePath):
-        return sh.InversePath(path)
-    if isinstance(path, sh.InversePath):
-        return path.inner
-    if isinstance(path, sh.SequencePath):
-        return sh.SequencePath(tuple(_inverse(part) for part in reversed(path.parts)))
-    if isinstance(path, sh.AlternativePath):
-        return sh.AlternativePath(tuple(_inverse(part) for part in path.parts))
-    if isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath, sh.ZeroOrOnePath)):
-        return type(path)(_inverse(path.inner))
-    raise TypeError(f"unknown path {path!r}")
-
-
-def _path_values(validator: _Validator, path: sh.ShaclPath, start: Set[Term]) -> Set[Term]:
-    """The values of path from start; callers never mutate the result."""
-    if isinstance(path, sh.PredicatePath):
+        step = validator.pred if backward else validator.succ
         out: set[Term] = set()
         for node in start:
-            out |= validator.succ(path.predicate, node)
+            out |= step(path.predicate, node)
         return out
     if isinstance(path, sh.InversePath):
-        if isinstance(path.inner, sh.PredicatePath):
-            out = set()
-            for node in start:
-                out |= validator.pred(path.inner.predicate, node)
-            return out
-        return _path_values(validator, _inverse(path.inner), start)
+        return _path_values(validator, path.inner, start, not backward)
     if isinstance(path, sh.SequencePath):
         current = start
-        for part in path.parts:
-            current = _path_values(validator, part, current)
+        for part in reversed(path.parts) if backward else path.parts:
+            current = _path_values(validator, part, current, backward)
         return current
     if isinstance(path, sh.AlternativePath):
         out = set()
         for part in path.parts:
-            out |= _path_values(validator, part, start)
+            out |= _path_values(validator, part, start, backward)
         return out
     if isinstance(path, sh.ZeroOrOnePath):
-        return start | _path_values(validator, path.inner, start)
+        return start | _path_values(validator, path.inner, start, backward)
     if isinstance(path, sh.ZeroOrMorePath):
-        closure, tops = validator.closure(path.inner, start)
+        closure, tops = validator.closure(path.inner, backward, start)
         return closure.values(tops)
     if isinstance(path, sh.OneOrMorePath):
-        closure, tops = validator.closure(path.inner, _path_values(validator, path.inner, start))
+        steps = _path_values(validator, path.inner, start, backward)
+        closure, tops = validator.closure(path.inner, backward, steps)
         return closure.values(tops)
     raise TypeError(f"unknown path {path!r}")
 
@@ -213,8 +198,8 @@ class _Validator:
         self.doc = doc
         self.language_set = doc.language_set()
         self.memo: dict[tuple[Term, Term], bool] = {}
-        # per inner path of a repeated path, filled on first use
-        self.closures: dict[sh.ShaclPath, _Closure] = {}
+        # per inner path of a repeated path and direction, filled on first use
+        self.closures: dict[tuple[sh.ShaclPath, bool], _Closure] = {}
 
     def succ(self, predicate: Term, node: Term) -> set[Term]:
         return self.graph.forward.get(predicate, {}).get(node, set())
@@ -222,21 +207,24 @@ class _Validator:
     def pred(self, predicate: Term, node: Term) -> set[Term]:
         return self.graph.backward.get(predicate, {}).get(node, set())
 
-    def closure(self, inner: sh.ShaclPath, start: Set[Term]) -> tuple[_Closure, list[int]]:
-        """The condensation of inner's successor relation, kept for the
-        validation, and the component of each start node."""
-        closure = self.closures.get(inner)
+    def closure(
+        self, inner: sh.ShaclPath, backward: bool, start: Set[Term]
+    ) -> tuple[_Closure, list[int]]:
+        """The condensation of inner's successor relation, or of its
+        inverse when backward, kept for the validation, and the component
+        of each start node."""
+        closure = self.closures.get((inner, backward))
         if closure is None:
-            closure = self.closures[inner] = _Closure()
+            closure = self.closures[inner, backward] = _Closure()
         component = closure.component
         if any(node not in component for node in start):
             # the step is not stored, so a closure holds no reference back
             # to the validator
             if isinstance(inner, sh.PredicatePath):
-                predicate = inner.predicate
-                step = lambda node: self.succ(predicate, node)
+                predicate, index = inner.predicate, self.pred if backward else self.succ
+                step = lambda node: index(predicate, node)
             else:
-                step = lambda node: _path_values(self, inner, {node})
+                step = lambda node: _path_values(self, inner, {node}, backward)
             for node in start:
                 if node not in component:
                     closure.visit(node, step)
@@ -279,15 +267,16 @@ class _Validator:
                 if not ok:
                     return False
             return True
-        path = shape.path
-        if isinstance(path, sh.InversePath) and not isinstance(path.inner, sh.PredicatePath):
-            path = _inverse(path.inner)  # so ^(p*) is read as the repeated path (^p)*
+        # the top-level inverses are a direction, so ^(p*) is the repeated path p* read backward
+        path, backward = shape.path, False
+        while isinstance(path, sh.InversePath):
+            path, backward = path.inner, not backward
         closure = None
         if isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath)):
             roots = {node}
             if isinstance(path, sh.OneOrMorePath):
-                roots = _path_values(self, path.inner, roots)
-            closure, tops = self.closure(path.inner, roots)
+                roots = _path_values(self, path.inner, roots, backward)
+            closure, tops = self.closure(path.inner, backward, roots)
             # when only counts read the value set, a count walks the
             # condensation until its bound is decided
             only_counts = all(
@@ -307,7 +296,7 @@ class _Validator:
                     ok = closure.count(tops, bound + 1) <= bound
             else:
                 if values is None:
-                    values = _path_values(self, path, {node})
+                    values = _path_values(self, path, {node}, backward)
                 if c.kind in _VALUE_SET_KINDS:
                     ok = self._property_constraint(shape, c, node, values)
                 elif c.kind == sh.QUALIFIED:
