@@ -44,7 +44,7 @@ _UNDECIDABLE_RULES = (
     ({S, O}, "tiling-reduction:S+O", True),
     ({S, A, C}, "tiling-reduction:S+A+C", False),
     ({S, E, C}, "tiling-reduction:S+E+C", False),
-    ("order+SE", "tiling-reduction:S+E+order", True),
+    ({S, E, OPRIME}, "tiling-reduction:S+E+order", True),
     ({S, Z, A, E}, "tiling-reduction:S+Z+A+E", False),
 )
 
@@ -67,11 +67,7 @@ def classify_features(raw: FeatureSet) -> ClassificationResult:
     generalized = False
     witness = "no-known-result"
     for rule, rule_witness, needs_generalized in _UNDECIDABLE_RULES:
-        if rule == "order+SE":
-            matched = {S, E} <= features and (O in features or OPRIME in features)
-        else:
-            matched = rule <= features
-        if matched:
+        if rule <= features:
             status = UNDECIDABLE
             witness = rule_witness
             generalized = needs_generalized
