@@ -675,7 +675,7 @@ def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardi
 
     if "iri" in sv.kinds:
 
-        def iris(n: int) -> list[Term]:
+        def iri_sampler(n: int) -> list[Term]:
             base = ns.GEN_NS + "fresh:"
             out = []
             for i in range(n):
@@ -687,7 +687,7 @@ def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardi
                 out.append(iri(name))
             return out
 
-        families.append((_string_space(sv.len_lo, sv.len_hi), iris))
+        families.append((_string_space(sv.len_lo, sv.len_hi), iri_sampler))
 
     if "literal" in sv.kinds:
         if sv.language is not None:
