@@ -601,6 +601,35 @@ def test_models_and_counterexamples_are_pinned():
     assert digest.hexdigest() == MODEL_DIGEST
 
 
+# sha1 of the verdicts below, models and counterexamples included, measured
+# before the canonical slots took one order ladder each
+FILTER_MODEL_DIGEST = "2ea482195cdf3739a49d774cf5d07f2fe285e4bf"
+
+
+def test_filter_models_and_counterexamples_are_pinned():
+    """The canonical search where its slot encoding costs most: the filter
+    documents at 5 elements and the containment questions at 4."""
+    import json
+
+    from corpus import CONTAINMENT_PAIRS, doc_ttl
+    from shaclsat.containment import check_containment
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    verdicts = [
+        bounded_sat(translate(parse_document(doc_ttl(body))), max_domain=5, budget=60)
+        for body in (FILTERS8_TTL, FILTERS7_TTL)
+    ]
+    verdicts += [
+        check_containment(parse_document(first), parse_document(second), max_domain=4, budget=60)
+        for _, first, second, _ in CONTAINMENT_PAIRS
+    ]
+    digest = hashlib.sha1()
+    for v in verdicts:
+        digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == FILTER_MODEL_DIGEST
+
+
 def test_at_least_more_than_there_are_is_false_without_new_clauses():
     cnf = _Cnf()
     lits = [cnf.new_var() for _ in range(3)]
