@@ -92,6 +92,11 @@ class Term(metaclass=_Interned):
     def sort_key(self) -> tuple:
         return (_KIND_RANK[self.kind], self.lexical, self.datatype or "", self.language or "")
 
+    @cached_property
+    def _value(self) -> Optional[tuple[str, object]]:
+        # parsed once per term: a term is interned, and its value is immutable
+        return _parse_value(self)
+
     def __reduce__(self):
         # a copied or unpickled term is rebuilt through the table
         return Term, (self.kind, self.lexical, self.datatype, self.language)
@@ -301,6 +306,10 @@ def term_value(term: Term) -> Optional[tuple[str, object]]:
     Returns None for IRIs, blank nodes, malformed literals and literals of
     non-orderable datatypes.
     """
+    return term._value
+
+
+def _parse_value(term: Term) -> Optional[tuple[str, object]]:
     if term.kind != LITERAL:
         return None
     if term.language:
@@ -340,8 +349,8 @@ def malformed_literal(term: Term) -> bool:
 
 
 def compare_terms(a: Term, b: Term) -> ComparisonVerdict:
-    va = term_value(a)
-    vb = term_value(b)
+    va = a._value
+    vb = b._value
     if va is None or vb is None or va[0] != vb[0]:
         return ComparisonVerdict.INCOMPARABLE
     x, y = va[1], vb[1]
