@@ -179,6 +179,7 @@ class TermTable:
         self._terms: dict[Term, tuple[int, tuple]] = {}
         self._masks: dict[FilterCombination, tuple[int, int]] = {}
         self._families: dict[FilterCombination, tuple[Cardinality, list[_Family]]] = {}
+        self._ranges: dict[tuple[str, int, int], list[tuple[Term, int, tuple]]] = {}
 
     def entry(self, term: Term) -> tuple[int, tuple]:
         """The term's signature and its canonical key."""
@@ -190,6 +191,20 @@ class TermTable:
                     signature |= bit
             entry = self._terms[term] = (signature, canonical_key(term))
         return entry
+
+    def integer_range(self, datatype: str, first: int, last: int) -> list[tuple[Term, int, tuple]]:
+        """(term, signature, key) of each canonical literal of the integer
+        datatype from `first` to `last`: the candidates of every family
+        that enumerates this range, built and signed once."""
+        entries = self._ranges.get((datatype, first, last))
+        if entries is None:
+            terms = (literal(decimal_form(v), datatype) for v in range(first, last + 1))
+            entries = self._ranges[(datatype, first, last)] = self.signed(terms)
+        return entries
+
+    def signed(self, terms: Iterable[Term]) -> list[tuple[Term, int, tuple]]:
+        """(term, signature, key) of each term."""
+        return [(term, *self.entry(term)) for term in terms]
 
     def signature(self, term: Term) -> int:
         return self.entry(term)[0]
@@ -462,19 +477,20 @@ def _datatype_family(
     if bounds is None:
         return _EMPTY
 
-    def enumerated(candidates: Iterable[Term]) -> _Family:
+    def enumerated(entries: Iterable[tuple[Term, int, tuple]]) -> _Family:
+        """The family of the (term, signature, key) candidates that meet
+        `combo`, one per key."""
+        required, mask = table.masks(combo)
         seen = set()
         kept = []
-        for term in candidates:
-            if table.satisfies(combo, term):
-                _, key = table.entry(term)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(term)
+        for term, signature, key in entries:
+            if signature & mask == required and term not in combo.negative_eq and key not in seen:
+                seen.add(key)
+                kept.append(term)
         return Cardinality(len(kept)), lambda n: kept
 
     if datatype == ns.XSD_BOOLEAN:
-        return enumerated([boolean(False), boolean(True)])
+        return enumerated(table.signed([boolean(False), boolean(True)]))
 
     if datatype in ns.XSD_INTEGER_RANGES:
         rng = _integer_range(bounds, datatype)
@@ -496,7 +512,7 @@ def _datatype_family(
             first = -limit if first is None else first
             last = limit if last is None else last
         if last - first + 1 <= _ENUM_LIMIT:
-            return enumerated(literal(decimal_form(v), datatype) for v in range(first, last + 1))
+            return enumerated(table.integer_range(datatype, first, last))
         count = last - first + 1
         if sv.len_lo > 0 or sv.len_hi is not None:
             count = _integer_length_count(first, last, sv.len_lo, sv.len_hi)
@@ -506,7 +522,7 @@ def _datatype_family(
     if ctype == STRING:
         nul_family = _nul_interval_terms(bounds)
         if nul_family is not None:
-            return enumerated(nul_family)
+            return enumerated(table.signed(nul_family))
         if bounds.lo is not None and bounds.hi is not None and bounds.lo[1] > bounds.hi[1]:
             return _EMPTY
         return _string_space(sv.len_lo, sv.len_hi), lambda n: [
@@ -519,12 +535,12 @@ def _datatype_family(
         if bounds is None:  # no finite value left; a double or float may be INF or -INF
             if datatype == ns.XSD_DECIMAL:
                 return _EMPTY
-            return enumerated([literal("-INF", datatype), literal("INF", datatype)])
+            return enumerated(table.signed([literal("-INF", datatype), literal("INF", datatype)]))
     shape = _dense_interval(bounds)
     if shape == "empty":
         return _EMPTY
     if shape == "point":
-        return enumerated([_point_term(bounds, datatype)])
+        return enumerated(table.signed([_point_term(bounds, datatype)]))
     if ctype == DATETIME:
         return INFINITE, lambda n: [
             literal(f"2020-01-{day:02d}T00:00:00", datatype) for day in range(1, n + 1)
