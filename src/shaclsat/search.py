@@ -378,8 +378,10 @@ def _solve_once(
     definition, oldest gate first (`_Solver._complete`); every clause
     holds.  The other variables outside `decisions` are shape variables,
     which propagation fixes (each is asserted equal to a body whose gates
-    keep both halves), and the leader's chain variables, which are only
-    ever forced true, so false meets their clauses.  A full decision
+    keep both halves); the rungs of the canonical slots' order ladders,
+    which propagation fixes once each slot's choice variables are valued
+    (`_Cnf.ascending_choices`); and the leader's chain variables, which are
+    only ever forced true, so false meets their clauses.  A full decision
     assignment with no extension is thus still refuted.  Last, the
     one-sided clauses have the same models over the decisions as both
     halves (Plaisted & Greenbaum, J. Symb. Comp. 1986): recomputing each
@@ -505,6 +507,35 @@ class _Cnf:
             return
         for subset in combinations(lits, bound + 1):
             self.add([-l for l in subset])
+
+    def ascending_choices(self, rows: list[list[int]]) -> None:
+        """Each row of n literals has exactly one true, and its column
+        strictly ascends from row to row; in at most 4n clauses per row.
+
+        Each row gets an order ladder, as in the order encoding (Tamura,
+        Taga, Kitagawa & Banbara, Constraints 2009) and the sequential
+        counter (Sinz, CP 2005).  Its rung t, for t in 1 .. n - 1, holds
+        when the row's column is at least t; rung 0 always holds.  A row's
+        column t sets its rung t and clears its rung t + 1, each rung
+        implies the one below it, and the next row's column t clears this
+        row's rung t.  So two columns of one row, or a column at or below
+        the previous row's, clash.  The rungs are no decision variables:
+        once a row's column is chosen, propagation fixes every rung of its
+        ladder."""
+        above: Optional[list[int]] = None  # the previous row's rungs 1 .. n - 1
+        for row in rows:
+            self.add(row)  # at least one
+            rungs = [self.new_var() for _ in row[1:]]
+            for t, rung in enumerate(rungs, 1):
+                self.add([-row[t], rung])
+                self.add([-row[t - 1], -rung])
+                if t > 1:
+                    self.add([-rung, rungs[t - 2]])
+            if above is not None:
+                self.add([-row[0]])
+                for t, rung in enumerate(above, 1):
+                    self.add([-row[t], -rung])
+            above = rungs
 
 
 def _order_witnesses(count: int) -> list[Term]:
@@ -635,7 +666,8 @@ class _Grounder:
 
     def _setup_canonical(self) -> None:
         """Constant number s names the term of slot s; every free slot picks
-        one catalog term, and the free slots ascend in catalog order."""
+        one catalog term, and the free slots ascend in catalog order, read
+        on one order ladder per free slot."""
         m = len(self.constants)
         if m > self.k:
             raise ValueError("domain too small for the constants")
@@ -648,19 +680,13 @@ class _Grounder:
         )
         # not enough distinct candidate terms; extend with plain IRIs
         self.catalog += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(self.catalog))]
+        rows = []
         for s in range(m, self.k):
             row = [self._decide(t == 0) for t in range(len(self.catalog))]
             self.ch.update(((s, t), v) for t, v in enumerate(row))
-            self.cnf.add(row)  # at least one
-            self.cnf.at_most(row, 1)
-        for t in range(len(self.catalog)):
-            col = [self.ch[(s, t)] for s in range(m, self.k)]
-            self.cnf.at_most(col, 1)
+            rows.append(row)
         # fixed slot order: catalog indices ascend across free slots
-        for s in range(m, self.k - 1):
-            for a in range(len(self.catalog)):
-                for b in range(a + 1):
-                    self.cnf.add([-self.ch[(s, a)], -self.ch[(s + 1, b)]])
+        self.cnf.ascending_choices(rows)
 
     def _setup_uninterpreted(self) -> None:
         for c in self.constants:

@@ -658,3 +658,83 @@ def test_no_gadget_clause_repeats_a_literal():
         for k in range(1, 7):
             clauses = _Grounder(gadget_infinity(kind), k, UNINTERPRETED).cnf.clauses
             assert all(len(set(clause)) == len(clause) for clause in clauses), (kind, k)
+
+
+def _propagate_every_assignment(n_vars: int, clauses, decisions: list[int]):
+    """Unit propagation from every assignment of `decisions` at once.  Bit
+    i of a mask stands for the assignment that makes decisions[j] true
+    exactly when bit j of i is set.  Returns the mask of the assignments
+    whose propagation meets a conflict, and per variable the masks of the
+    assignments that fix it true and false."""
+    width = 1 << len(decisions)
+    every = (1 << width) - 1
+    true, false = [0] * (n_vars + 1), [0] * (n_vars + 1)
+    for j, v in enumerate(decisions):
+        half = 1 << j  # bit j of i is set on the upper half of each 2 * half run
+        true[v] = (((1 << half) - 1) << half) * (every // ((1 << 2 * half) - 1))
+        false[v] = every ^ true[v]
+
+    def masks(lit: int) -> list[int]:
+        return [true, false] if lit > 0 else [false, true]
+
+    refuted, changed = 0, True
+    while changed:
+        changed = False
+        for clause in clauses:
+            all_false = every
+            for lit in clause:
+                all_false &= masks(lit)[1][abs(lit)]
+            refuted |= all_false
+            for lit in clause:
+                others_false = every
+                for other in clause:
+                    if other != lit:
+                        others_false &= masks(other)[1][abs(other)]
+                holds = masks(lit)[0]
+                forced = others_false & ~holds[abs(lit)]
+                if forced:
+                    holds[abs(lit)] |= forced
+                    changed = True
+    for v in range(1, n_vars + 1):
+        refuted |= true[v] & false[v]
+    return refuted, true, false
+
+
+def test_slot_ladders_admit_exactly_one_ascending_choice_per_slot():
+    """For every assignment of the choice literals of 1 to 3 free slots over
+    a catalog of 1 to 6 terms, the slot clauses admit it exactly when each
+    slot picks one term and the picked indices strictly ascend; unit
+    propagation from an admitted assignment fixes every ladder variable,
+    and a refused one meets a conflict."""
+    for n in range(1, 7):
+        for slots in range(1, 4):
+            cnf = _Cnf()
+            rows = [[cnf.new_var() for _ in range(n)] for _ in range(slots)]
+            cnf.ascending_choices(rows)
+            assert len(cnf.clauses) - 1 <= 4 * n * slots
+            decisions = [v for row in rows for v in row]
+            refuted, true, false = _propagate_every_assignment(cnf.n_vars, cnf.clauses, decisions)
+            admitted = ((1 << (1 << len(decisions))) - 1) & ~refuted
+            expected = 0
+            for columns in itertools.combinations(range(n), slots):
+                expected |= 1 << sum(1 << (s * n + t) for s, t in enumerate(columns))
+            assert admitted == expected, (n, slots)
+            for v in range(1, cnf.n_vars + 1):
+                assert (true[v] | false[v]) & admitted == admitted, (n, slots, v)
+
+
+def test_canonical_clauses_grow_linearly_in_catalog_and_free_slots():
+    """`FILTERS8_TTL`'s clauses per catalog term and free slot do not grow
+    with the size, as they did while every slot paired its choices."""
+    from corpus import doc_ttl
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    sentence = translate(parse_document(doc_ttl(FILTERS8_TTL)))
+    counts, ratios = [], []
+    for k in range(2, 6):
+        grounder = _Grounder(sentence, k, CANONICAL)
+        counts.append(len(grounder.cnf.one_sided(None)))
+        ratios.append(counts[-1] / (len(grounder.catalog) * (k - len(grounder.constants))))
+    assert counts[-1] < 5000, counts
+    assert ratios == sorted(ratios, reverse=True), ratios
