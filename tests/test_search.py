@@ -507,8 +507,11 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
 # stopped making a chain variable that no clause after it reads.  Re-pinned
 # once more when the digest moved from every grounded clause to the clauses
 # the solver reads, with each gate's definition cut to the polarities it is
-# used in (`_Cnf.one_sided`)
-CNF_DIGEST = "3d3a3dc5c984bd068d79038080ea5a118e0e513f"
+# used in (`_Cnf.one_sided`).  Re-pinned when each free canonical slot took
+# one order ladder in place of the pairwise at-most-one and ascent clauses
+# (`_Cnf.ascending_choices`): the canonical CNFs gained the ladders' rungs
+# and clauses; the uninterpreted CNFs did not move
+CNF_DIGEST = "c0ac2436c21acc27c817f5f47130ba67743f98bf"
 
 
 def test_cnf_of_corpus_and_filter_documents_is_pinned():
