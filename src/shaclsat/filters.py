@@ -845,7 +845,8 @@ def axiomatize(sentence: SclSentence, cap: int = 4096) -> SclSentence:
     for pair in pairs:
         atoms = [EqConst(item) if isinstance(item, Term) else Filter(item) for item in pair]
         parts.append(AtMostGlobal(0, conj(atoms)))
-    for combo in _combinations(constants + filters, pairs, cap):
+    # every combination is counted against the cap before any `gamma`
+    for combo in list(_combinations(constants + filters, pairs, cap)):
         card = gamma(combo, table)
         if card.is_infinite:
             continue

@@ -241,6 +241,20 @@ def test_collect_combinations_cap():
         list(collect_combinations(sentence, cap=16))
 
 
+def test_axiomatize_counts_against_the_cap_before_any_gamma(monkeypatch):
+    import shaclsat.filters as filters
+
+    calls = []
+    real = filters.gamma
+    monkeypatch.setattr(filters, "gamma", lambda *args: calls.append(args) or real(*args))
+    sentence = _sentence_with([MinLength(i) for i in range(8)])
+    with pytest.raises(CapExceeded, match="more than 16 filter combinations"):
+        axiomatize(sentence, cap=16)
+    assert calls == []
+    axiomatize(sentence)  # the constant and the 8 filters hold together
+    assert len(calls) == 2**9
+
+
 def test_axiomatize_boolean_bound_present():
     sentence = AtConst(iri("http://e/n"), CountExists(1, Rel(iri("http://e/R")),
                                                       Filter(HasDatatype(ns.XSD_BOOLEAN))))
