@@ -677,8 +677,12 @@ def _propagate_every_assignment(n_vars: int, clauses, decisions: list[int]):
         true[v] = (((1 << half) - 1) << half) * (every // ((1 << 2 * half) - 1))
         false[v] = every ^ true[v]
 
-    def masks(lit: int) -> list[int]:
-        return [true, false] if lit > 0 else [false, true]
+    def holds(lit: int) -> list[int]:
+        """The masks, by variable, on which `lit`'s variable gives it true."""
+        return true if lit > 0 else false
+
+    def fails(lit: int) -> int:
+        return (false if lit > 0 else true)[abs(lit)]
 
     refuted, changed = 0, True
     while changed:
@@ -686,17 +690,16 @@ def _propagate_every_assignment(n_vars: int, clauses, decisions: list[int]):
         for clause in clauses:
             all_false = every
             for lit in clause:
-                all_false &= masks(lit)[1][abs(lit)]
+                all_false &= fails(lit)
             refuted |= all_false
             for lit in clause:
                 others_false = every
                 for other in clause:
                     if other != lit:
-                        others_false &= masks(other)[1][abs(other)]
-                holds = masks(lit)[0]
-                forced = others_false & ~holds[abs(lit)]
+                        others_false &= fails(other)
+                forced = others_false & ~holds(lit)[abs(lit)]
                 if forced:
-                    holds[abs(lit)] |= forced
+                    holds(lit)[abs(lit)] |= forced
                     changed = True
     for v in range(1, n_vars + 1):
         refuted |= true[v] & false[v]
