@@ -1,13 +1,20 @@
 """Ground truth of monadic filters over individual RDF terms.
 
-Both validation routes and the canonical model search consult these
-predicates, in the same way they share `compare_terms`.
+`term_test` turns a filter into a plain predicate on terms once: the
+pattern compiled, the language tag lowered and the bound's value read,
+so each test of a term makes one comparison.  Both validation routes and
+the canonical model search consult these predicates, in the same way
+they share `compare_terms`; `term_satisfies` is the same test, built for
+one call.  Callers that test many terms keep the predicates they build:
+the term table of a search holds one per filter of its alphabet, and the
+structure evaluator one per filter it reads.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Optional
+from typing import Callable, Optional
 
 from . import namespaces as ns
 from .scl import (
@@ -24,12 +31,16 @@ from .scl import (
     MinValue,
 )
 from .terms import (
-    ComparisonVerdict,
+    BLANK,
+    IRI,
+    LITERAL,
     Term,
-    compare_terms,
     effective_datatype,
     malformed_literal,
+    term_value,
 )
+
+TermTest = Callable[[Term], bool]
 
 
 def string_representation(term: Term) -> Optional[str]:
@@ -57,41 +68,62 @@ def term_matches_node_kind(term: Term, node_kind_iri: str) -> bool:
 
 def term_satisfies(filter_name: FilterName, term: Term) -> bool:
     """Canonical truth of a monadic filter at a term."""
+    return term_test(filter_name)(term)
+
+
+def term_test(filter_name: FilterName) -> TermTest:
+    """The filter as a predicate on terms.  An invalid `Matches` pattern
+    raises `re.error` here, before any term is tested."""
     if isinstance(filter_name, IsIri):
-        return term.is_iri
+        return lambda term: term.kind == IRI
     if isinstance(filter_name, IsLiteral):
-        return term.is_literal
+        return lambda term: term.kind == LITERAL
     if isinstance(filter_name, IsBlank):
-        return term.is_blank
+        return lambda term: term.kind == BLANK
     if isinstance(filter_name, HasDatatype):
-        return (
-            term.is_literal
-            and effective_datatype(term) == filter_name.datatype
+        datatype = filter_name.datatype
+        return lambda term: (
+            term.kind == LITERAL
+            and effective_datatype(term) == datatype
             and not malformed_literal(term)
         )
     if isinstance(filter_name, HasLanguage):
-        return (
-            term.is_literal
-            and term.language is not None
-            and term.language.lower() == filter_name.tag.lower()
+        tag = filter_name.tag.lower()
+        return lambda term: (
+            term.kind == LITERAL and term.language is not None and term.language.lower() == tag
         )
     if isinstance(filter_name, MinLength):
-        rep = string_representation(term)
-        return rep is not None and len(rep) >= filter_name.bound
+        bound = filter_name.bound
+        return lambda term: term.kind != BLANK and len(term.lexical) >= bound
     if isinstance(filter_name, MaxLength):
-        rep = string_representation(term)
-        return rep is not None and len(rep) <= filter_name.bound
+        bound = filter_name.bound
+        return lambda term: term.kind != BLANK and len(term.lexical) <= bound
     if isinstance(filter_name, Matches):
-        rep = string_representation(term)
-        return rep is not None and re.search(filter_name.pattern, rep) is not None
+        search = re.compile(filter_name.pattern).search
+        return lambda term: term.kind != BLANK and search(term.lexical) is not None
     if isinstance(filter_name, MinValue):
-        verdict = compare_terms(term, filter_name.bound)
-        if filter_name.strict:
-            return verdict is ComparisonVerdict.GT
-        return verdict in (ComparisonVerdict.GT, ComparisonVerdict.EQ)
+        return _bound_test(filter_name.bound, operator.gt if filter_name.strict else operator.ge)
     if isinstance(filter_name, MaxValue):
-        verdict = compare_terms(term, filter_name.bound)
-        if filter_name.strict:
-            return verdict is ComparisonVerdict.LT
-        return verdict in (ComparisonVerdict.LT, ComparisonVerdict.EQ)
+        return _bound_test(filter_name.bound, operator.lt if filter_name.strict else operator.le)
     raise TypeError(f"unknown filter {filter_name!r}")
+
+
+def _bound_test(bound: Term, holds: Callable[[object, object], bool]) -> TermTest:
+    """A value bound: the term's value is of the bound's comparison type
+    and `holds` of it and the bound's value.  A bound with no value holds
+    at no term."""
+    parsed = term_value(bound)
+    if parsed is None:
+        return lambda term: False
+    ctype, limit = parsed
+
+    def test(term: Term) -> bool:
+        value = term_value(term)
+        if value is None or value[0] != ctype:
+            return False
+        try:
+            return holds(value[1], limit)
+        except TypeError:  # a naive and a timezone-aware dateTime are incomparable
+            return False
+
+    return test

@@ -22,7 +22,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import namespaces as ns
-from .filter_semantics import term_satisfies
+from .filter_semantics import term_satisfies, term_test
 from .scl import (
     AtMostGlobal,
     EqConst,
@@ -170,12 +170,15 @@ class TermTable:
 
     Bit i of a term's signature is set when the i-th filter of `filters`
     holds at the term, so a combination over those filters is one mask
-    compare away.  The table only grows; build one for one search or one
+    compare away.  Each filter is compiled once, into the predicate
+    `term_test` builds, and a term is signed by running the predicates.
+    The table only grows; build one for one search or one
     axiomatization and drop it when that call returns.
     """
 
     def __init__(self, filters: Iterable[FilterName]):
         self.bit = {f: 1 << i for i, f in enumerate(filters)}
+        self._tests = [(bit, term_test(f)) for f, bit in self.bit.items()]
         self._terms: dict[Term, tuple[int, tuple]] = {}
         self._masks: dict[FilterCombination, tuple[int, int]] = {}
         self._families: dict[FilterCombination, tuple[Cardinality, list[_Family]]] = {}
@@ -186,8 +189,8 @@ class TermTable:
         entry = self._terms.get(term)
         if entry is None:
             signature = 0
-            for f, bit in self.bit.items():
-                if term_satisfies(f, term):
+            for bit, test in self._tests:
+                if test(term):
                     signature |= bit
             entry = self._terms[term] = (signature, canonical_key(term))
         return entry

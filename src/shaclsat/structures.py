@@ -13,7 +13,7 @@ from itertools import chain
 from typing import Optional
 
 from . import namespaces as ns
-from .filter_semantics import term_satisfies
+from .filter_semantics import TermTest, term_test
 from .scl import (
     And,
     AtConst,
@@ -129,7 +129,8 @@ class Evaluator:
     successor sets.  Extensions and successor sets are `fold` values, so
     each is computed once per (interned) AST node, children first, and
     equal subformulas share one entry.  A shape atom inside a formula takes
-    the assignment current when the fold reaches it (see `assign`).
+    the assignment current when the fold reaches it (see `assign`).  A
+    canonical filter is compiled by `term_test` once per evaluator.
     """
 
     def __init__(self, structure: FiniteStructure):
@@ -146,6 +147,7 @@ class Evaluator:
         }
         self._successors: dict[PathExpr, dict[int, frozenset[int]]] = {}
         self._extensions: dict[SclFormula, frozenset[int]] = FormulaValues()
+        self._filter_tests: dict[object, TermTest] = {}  # canonical filters, each built once
         self._order_position: Optional[dict[Term, tuple[int, int]]] = None
         if structure.order_blocks is not None:
             self._order_position = {}
@@ -233,7 +235,10 @@ class Evaluator:
 
     def filter_truth(self, name, element: int) -> bool:
         if self.s.filter_interp is None:
-            return term_satisfies(name, self.s.domain[element])
+            test = self._filter_tests.get(name)
+            if test is None:
+                test = self._filter_tests[name] = term_test(name)
+            return test(self.s.domain[element])
         return self.s.domain[element] in self.s.filter_interp.get(name, ())
 
     def order_verdict(self, a: int, b: int) -> ComparisonVerdict:

@@ -464,26 +464,12 @@ def test_catalog_from_one_term_table_matches_the_rebuilt_catalog():
     assert digest.hexdigest() == CATALOG_DIGEST
 
 
-def test_search_tests_each_filter_at_each_term_once(monkeypatch):
-    """Within the search (catalog and grounding; the re-evaluation of the
-    model afterwards is an independent check), no (filter, term) pair is
-    tested twice."""
-    import shaclsat
-    import shaclsat.filter_semantics as semantics
+def _while_searching(monkeypatch) -> list:
+    """A list that is non-empty exactly while `_least_model` runs: the
+    search proper, without the re-evaluation of its model afterwards."""
     import shaclsat.search as search
 
-    [sentence] = _sentences(FILTERS8_TTL)[-1:]
-    calls = []
     searching = []
-    real = semantics.term_satisfies
-
-    def counted(name, term):
-        if searching:
-            calls.append((name, term))
-        return real(name, term)
-
-    for module in [m for m in vars(shaclsat).values() if getattr(m, "term_satisfies", None) is real]:
-        monkeypatch.setattr(module, "term_satisfies", counted)
     real_least = search._least_model
 
     def least_model(*args, **kwargs):
@@ -494,6 +480,34 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
             searching.pop()
 
     monkeypatch.setattr(search, "_least_model", least_model)
+    return searching
+
+
+def test_search_tests_each_filter_at_each_term_once(monkeypatch):
+    """Within the search (catalog and grounding; the re-evaluation of the
+    model afterwards is an independent check), no (filter, term) pair is
+    tested twice.  Every test of a filter at a term runs a predicate that
+    `term_test` built, `term_satisfies` included, so each one is counted."""
+    import shaclsat
+    import shaclsat.filter_semantics as semantics
+
+    [sentence] = _sentences(FILTERS8_TTL)[-1:]
+    calls = []
+    searching = _while_searching(monkeypatch)
+    real = semantics.term_test
+
+    def counted(name):
+        test = real(name)
+
+        def run(term):
+            if searching:
+                calls.append((name, term))
+            return test(term)
+
+        return run
+
+    for module in [m for m in vars(shaclsat).values() if getattr(m, "term_test", None) is real]:
+        monkeypatch.setattr(module, "term_test", counted)
     assert bounded_sat(sentence, max_domain=5).is_sat
     assert calls and len(calls) == len(set(calls))
 
