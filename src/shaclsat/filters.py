@@ -172,8 +172,11 @@ class TermTable:
     holds at the term, so a combination over those filters is one mask
     compare away.  Each filter is compiled once, into the predicate
     `term_test` builds, and a term is signed by running the predicates.
-    The table only grows; build one for one search or one
-    axiomatization and drop it when that call returns.
+    The sampled draws of the dense datatypes (decimal, double and float)
+    are kept per (lower end, upper end, datatype, n), so each is drawn
+    once.  The table only grows; build one for one search or one
+    axiomatization and drop it when that call returns.  No family refers
+    back to the table, so dropping it frees it without the cycle collector.
     """
 
     def __init__(self, filters: Iterable[FilterName]):
@@ -183,6 +186,7 @@ class TermTable:
         self._masks: dict[FilterCombination, tuple[int, int]] = {}
         self._families: dict[FilterCombination, tuple[Cardinality, list[_Family]]] = {}
         self._ranges: dict[tuple[str, int, int], list[tuple[Term, int, tuple]]] = {}
+        self.dense_samples: dict[tuple, list[Term]] = {}
 
     def entry(self, term: Term) -> tuple[int, tuple]:
         """The term's signature and its canonical key."""
@@ -548,7 +552,16 @@ def _datatype_family(
         return INFINITE, lambda n: [
             literal(f"2020-01-{day:02d}T00:00:00", datatype) for day in range(1, n + 1)
         ]
-    return INFINITE, lambda n: _dense_sample(bounds, datatype, n)
+    samples = table.dense_samples  # the draw refers to the samples, never to the table
+
+    def dense(n: int) -> list[Term]:
+        key = (bounds.lo, bounds.hi, datatype, n)
+        drawn = samples.get(key)
+        if drawn is None:
+            drawn = samples[key] = _dense_sample(bounds, datatype, n)
+        return drawn
+
+    return INFINITE, dense
 
 
 # The largest finite double; `float` reads a numeral past it as infinity.

@@ -512,6 +512,54 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_search_draws_each_dense_sample_once(monkeypatch):
+    """One canonical search draws each decimal, double and float sample
+    once per (bounds, datatype, n), however many combinations and sizes
+    read it."""
+    import shaclsat.filters as filters
+
+    [sentence] = _sentences(FILTERS8_TTL)[-1:]
+    draws = []
+    real = filters._dense_sample
+
+    def counted(bounds, datatype, n):
+        draws.append((bounds.lo, bounds.hi, datatype, n))
+        return real(bounds, datatype, n)
+
+    monkeypatch.setattr(filters, "_dense_sample", counted)
+    assert bounded_sat(sentence, max_domain=5).is_sat
+    assert draws and len(draws) == len(set(draws))
+
+
+def test_no_term_table_outlives_its_search(monkeypatch):
+    """With the cycle collector off, every term table a search builds is
+    freed by the time `bounded_sat` returns: no family refers back to its
+    table."""
+    import gc
+    import weakref
+
+    import shaclsat.search as search
+
+    tables = []
+    real = search.TermTable
+
+    def tracked(filters):
+        table = real(filters)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(search, "TermTable", tracked)
+    [sentence] = _sentences(FILTERS8_TTL)[-1:]
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = bounded_sat(sentence, max_domain=5)
+        assert verdict.is_sat and tables
+        assert all(ref() is None for ref in tables)
+    finally:
+        gc.enable()
+
+
 # sha1 of the 529 CNFs below.  Re-pinned when the uninterpreted lex-leader
 # constraints moved from adjacent swaps with a seven-clause chain step to
 # every slot transposition with a three-clause step (only the leader's
