@@ -405,13 +405,23 @@ def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[in
     return (lo, hi)
 
 
+# the integers of any one length of this many characters or more outnumber the cap
+_CAP_DIGITS = len(decimal_form(CARDINALITY_CAP)) + 2
+
+
+def _width(value: int) -> int:
+    """No fewer characters than the canonical decimal form of `value` has:
+    digits plus a sign."""
+    return abs(value).bit_length() * 31 // 100 + 2
+
+
 def _integer_length_count(lo: int, hi: int, len_lo: int, len_hi: Optional[int]) -> int:
     """Integers in [lo, hi] whose canonical decimal form has an allowed length.
 
     Those whose form has at most L characters are one interval,
     [1 - 10^(L-1), 10^L - 1], so the count is two interval intersections."""
-    # no integer in [lo, hi] has more characters than this: digits plus a sign
-    widest = max(abs(lo), abs(hi)).bit_length() * 31 // 100 + 2
+    # no integer in [lo, hi] has more characters than this
+    widest = max(_width(lo), _width(hi))
 
     def at_most(length: int) -> int:
         length = min(length, widest)
@@ -511,18 +521,24 @@ def _datatype_family(
             return [literal(decimal_form(v), datatype) for v in range(start, stop)]
 
         first, last = rng
+        len_lo, len_hi = sv.len_lo, sv.len_hi
         if first is None or last is None:
-            if sv.len_hi is None:
+            if len_hi is None:
                 return INFINITE, sample
-            # bounded canonical length makes the set finite
-            limit = 10**sv.len_hi
+            # bounded canonical length makes the set finite.  The integers
+            # of any one length from `reach` on lie beyond the finite end and
+            # outnumber the cap, so the lengths are clamped before any power
+            reach = max(_width(end) for end in (first, last, 0) if end is not None) + _CAP_DIGITS
+            len_hi = min(len_hi, reach)
+            len_lo = min(len_lo, len_hi)
+            limit = 10**len_hi
             first = -limit if first is None else first
             last = limit if last is None else last
         if last - first + 1 <= _ENUM_LIMIT:
             return enumerated(table.integer_range(datatype, first, last))
         count = last - first + 1
-        if sv.len_lo > 0 or sv.len_hi is not None:
-            count = _integer_length_count(first, last, sv.len_lo, sv.len_hi)
+        if len_lo > 0 or len_hi is not None:
+            count = _integer_length_count(first, last, len_lo, len_hi)
         count -= _excluded_in_family(combo, datatype, table)
         return _finite(max(count, 0)), sample
 

@@ -123,6 +123,26 @@ def test_sat_long_integer_catalog_answers_within_budget(tmp_path, capsys):
     assert elapsed < 2.0
 
 
+def test_sat_open_integer_range_with_huge_max_length_answers_within_budget(tmp_path, capsys):
+    # an open integer range closed by sh:maxLength: past the digits the
+    # cardinality cap reaches, the length is clamped before any power of 10
+    doc = tmp_path / "open.ttl"
+    doc.write_text(
+        doc_ttl(
+            ":s a sh:NodeShape ; sh:targetNode :a ; sh:property :p .\n"
+            ":p a sh:PropertyShape ; sh:path :r ; sh:minCount 1 ; "
+            "sh:datatype xsd:integer ; sh:minInclusive 0 ; sh:maxLength 30000000 ."
+        )
+    )
+    start = time.perf_counter()
+    code = dispatch(["sat", str(doc), "--budget", "2"])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["outcome"] == "Sat"
+    assert out["model"]["domain"] == ["<http://corpus.example/a>", '"0"^^<http://www.w3.org/2001/XMLSchema#integer>']
+    assert elapsed < 1.0
+
+
 def test_contains_exit_codes(tmp_path, capsys):
     d1 = tmp_path / "d1.ttl"
     d2 = tmp_path / "d2.ttl"
