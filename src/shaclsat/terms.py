@@ -126,10 +126,13 @@ def integer(value: int) -> Term:
 
 
 def decimal_form(value: int) -> str:
-    """The canonical decimal form of an integer.  `str(int)` refuses
-    integers past the interpreter's digit limit; a `Decimal` with exponent
-    0 prints the same digits at any length."""
-    return str(Decimal(value))
+    """The canonical decimal form of an integer: `str(int)`, and past the
+    interpreter's digit limit, where `str` refuses, a `Decimal` with
+    exponent 0, which prints the same digits at any length."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 def string(value: str) -> Term:

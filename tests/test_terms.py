@@ -3,6 +3,8 @@ import dataclasses
 import gc
 import math
 import pickle
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from shaclsat.terms import (
     blank,
     boolean,
     compare_terms,
+    decimal_form,
     integer,
     iri,
     literal,
@@ -170,6 +173,14 @@ def test_numeric_lexical_forms():
         term = literal(lexical, datatype)
         assert term_value(term) == value, lexical[:20]
         assert malformed_literal(term) is (value is None), lexical[:20]
+
+
+def test_decimal_form_is_the_decimal_digits_at_any_length():
+    past_limit = 10 ** (sys.get_int_max_str_digits() + 5) + 7
+    values = [0, 1, -1, past_limit, -past_limit]
+    values += [sign * 10**k for k in (1, 2, 19, 20, 300) for sign in (1, -1)]
+    for value in values:
+        assert decimal_form(value) == str(Decimal(value))
 
 
 def test_strict_mode_rejects_literal_subjects():
