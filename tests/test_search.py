@@ -464,25 +464,6 @@ def test_catalog_from_one_term_table_matches_the_rebuilt_catalog():
     assert digest.hexdigest() == CATALOG_DIGEST
 
 
-def _while_searching(monkeypatch) -> list:
-    """A list that is non-empty exactly while `_least_model` runs: the
-    search proper, without the re-evaluation of its model afterwards."""
-    import shaclsat.search as search
-
-    searching = []
-    real_least = search._least_model
-
-    def least_model(*args, **kwargs):
-        searching.append(True)
-        try:
-            return real_least(*args, **kwargs)
-        finally:
-            searching.pop()
-
-    monkeypatch.setattr(search, "_least_model", least_model)
-    return searching
-
-
 def test_search_tests_each_filter_at_each_term_once(monkeypatch):
     """Within the search (catalog and grounding; the re-evaluation of the
     model afterwards is an independent check), no (filter, term) pair is
@@ -490,10 +471,11 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
     `term_test` built, `term_satisfies` included, so each one is counted."""
     import shaclsat
     import shaclsat.filter_semantics as semantics
+    import shaclsat.search as search
 
     [sentence] = _sentences(FILTERS8_TTL)[-1:]
     calls = []
-    searching = _while_searching(monkeypatch)
+    searching = []
     real = semantics.term_test
 
     def counted(name):
@@ -508,6 +490,16 @@ def test_search_tests_each_filter_at_each_term_once(monkeypatch):
 
     for module in [m for m in vars(shaclsat).values() if getattr(m, "term_test", None) is real]:
         monkeypatch.setattr(module, "term_test", counted)
+    real_least = search._least_model
+
+    def least_model(*args, **kwargs):
+        searching.append(True)
+        try:
+            return real_least(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(search, "_least_model", least_model)
     assert bounded_sat(sentence, max_domain=5).is_sat
     assert calls and len(calls) == len(set(calls))
 
