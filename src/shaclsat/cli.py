@@ -14,7 +14,7 @@ import sys
 from .classify import classify
 from .containment import check_containment
 from .direct_validation import validate_direct
-from .filters import CapExceeded, axiomatize, has_pattern_filters
+from .filters import COMBINATION_CAP, CapExceeded, axiomatize, has_pattern_filters
 from .gadgets import DOMINO_VARIANTS, INFINITY_KINDS, TilingSystem, gadget_domino, gadget_infinity
 from .rewrite import name_subformulas, rewrite_sentence
 from .scl import IllFormedSentence, SclSentence
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-domain", type=int, default=4)
     p.add_argument("--budget", type=float, default=10.0)
     p.add_argument("--axiomatize", action="store_true", help="conjoin the filter axioms first")
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=int, default=COMBINATION_CAP)
     p.add_argument(
         "--model-mode",
         choices=(CANONICAL, UNINTERPRETED, "auto"),
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("axiomatize", help="emit the filter cardinality axioms")
     p.add_argument("sentence")
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=int, default=COMBINATION_CAP)
 
     p = sub.add_parser("rewrite", help="apply the semantics-preserving rewrites")
     p.add_argument("sentence")

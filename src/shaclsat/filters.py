@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import namespaces as ns
@@ -64,6 +64,7 @@ from .terms import (
 # Unicode scalar values (codepoints minus surrogates)
 ALPHABET_SIZE = 0x110000 - 0x0800
 CARDINALITY_CAP = 2**64
+COMBINATION_CAP = 4096  # most filter combinations a catalog or an axiomatization lists
 _ENUM_LIMIT = 4096
 
 
@@ -838,36 +839,48 @@ def incompatible_pairs(filters: list[FilterName], constants: list[Term]) -> list
     return [pair for pair in combinations(constants + filters, 2) if _literal_incompatible(*pair)]
 
 
-def collect_combinations(sentence: SclSentence, cap: int = 4096) -> Iterator[FilterCombination]:
+def collect_combinations(sentence: SclSentence, cap: int = COMBINATION_CAP) -> Iterator[FilterCombination]:
     """Full-sign combinations over the sentence's filter/constant alphabet,
     skipping those already ruled out by a pairwise incompatibility."""
     filters, constants = filter_alphabet(sentence)
-    return _combinations(constants + filters, incompatible_pairs(filters, constants), cap)
+    return compatible_combinations(constants + filters, incompatible_pairs(filters, constants), cap)
 
 
-def _combinations(items: list, pairs: list[tuple], cap: int) -> Iterator[FilterCombination]:
-    """`collect_combinations` over an alphabet and its incompatible pairs,
-    each pair in alphabet order."""
-    incompatible = set(pairs)
+def compatible_combinations(
+    items: list, pairs: list[tuple], cap: int = COMBINATION_CAP, excluded: frozenset = frozenset()
+) -> Iterator[FilterCombination]:
+    """The combination of each full sign vector over `items` that makes no
+    incompatible pair (in alphabet order) true, in the order of
+    `product((True, False), repeat=len(items))`, with the constants of
+    `excluded` negated; CapExceeded on the one past `cap`.  Depth first,
+    each step signs true every later item that clashes with no item signed
+    true so far, so it visits one prefix per combination it yields."""
+    index = {item: i for i, item in enumerate(items)}
+    clashes = [0] * len(items)  # bit j of clashes[i]: item j > i is incompatible with item i
+    for a, b in pairs:
+        clashes[index[a]] |= 1 << index[b]
     emitted = 0
-    for signs in product((True, False), repeat=len(items)):
-        positives = [item for item, sign in zip(items, signs) if sign]
-        if any(pair in incompatible for pair in combinations(positives, 2)):
-            continue
-        negatives = [item for item, sign in zip(items, signs) if not sign]
-        combo = FilterCombination(
-            positive_eq=frozenset(i for i in positives if isinstance(i, Term)),
-            negative_eq=frozenset(i for i in negatives if isinstance(i, Term)),
-            positive_filters=frozenset(i for i in positives if isinstance(i, FilterName)),
-            negative_filters=frozenset(i for i in negatives if isinstance(i, FilterName)),
-        )
+    stack = [(0, 0, 0)]  # (items signed true, items they clash with, first item to sign), as bits
+    while stack:
+        positive, blocked, start = stack.pop()
+        for i in range(start, len(items)):
+            if not blocked >> i & 1:
+                stack.append((positive, blocked, i + 1))  # item i false comes after item i true
+                positive, blocked = positive | 1 << i, blocked | clashes[i]
         emitted += 1
         if emitted > cap:
             raise CapExceeded(f"more than {cap} filter combinations")
-        yield combo
+        positives = [item for i, item in enumerate(items) if positive >> i & 1]
+        negatives = [item for i, item in enumerate(items) if not positive >> i & 1]
+        yield FilterCombination(
+            positive_eq=frozenset(x for x in positives if isinstance(x, Term)),
+            negative_eq=excluded.union(x for x in negatives if isinstance(x, Term)),
+            positive_filters=frozenset(x for x in positives if isinstance(x, FilterName)),
+            negative_filters=frozenset(x for x in negatives if isinstance(x, FilterName)),
+        )
 
 
-def axiomatize(sentence: SclSentence, cap: int = 4096) -> SclSentence:
+def axiomatize(sentence: SclSentence, cap: int = COMBINATION_CAP) -> SclSentence:
     """Conjoin the upper-bound counting sentences that force uninterpreted
     filters to respect the canonical cardinalities."""
     filters, constants = filter_alphabet(sentence)
@@ -878,7 +891,7 @@ def axiomatize(sentence: SclSentence, cap: int = 4096) -> SclSentence:
         atoms = [EqConst(item) if isinstance(item, Term) else Filter(item) for item in pair]
         parts.append(AtMostGlobal(0, conj(atoms)))
     # every combination is counted against the cap before any `gamma`
-    for combo in list(_combinations(constants + filters, pairs, cap)):
+    for combo in list(compatible_combinations(constants + filters, pairs, cap)):
         card = gamma(combo, table)
         if card.is_infinite:
             continue

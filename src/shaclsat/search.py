@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from itertools import combinations, compress
 from typing import Optional
 
 from . import namespaces as ns
-from .filters import CapExceeded, FilterCombination, TermTable, gamma_with_witnesses
+from .filters import TermTable, compatible_combinations, gamma_with_witnesses, incompatible_pairs
 from .scl import (
     Alt,
     And,
@@ -68,7 +68,6 @@ from .translate import extract_definitions
 
 CANONICAL = "canonical"
 UNINTERPRETED = "uninterpreted"
-CATALOG_CAP = 1 << 12  # most filter combinations the canonical catalog enumerates
 
 
 class SearchBudgetExceeded(Exception):
@@ -579,16 +578,10 @@ def _build_catalog(
 
     for i in range(fresh_count):
         push(iri(f"{ns.GEN_NS}elem:{i}"))
-    if 2 ** len(filters) > CATALOG_CAP:
-        raise CapExceeded(f"filter alphabet too large for catalog ({len(filters)} filters)")
     if filters and fresh_count:
-        for signs in product((True, False), repeat=len(filters)):
+        pairs = incompatible_pairs(filters, [])
+        for combo in compatible_combinations(filters, pairs, excluded=frozenset(constants)):
             _check_deadline(deadline)
-            combo = FilterCombination(
-                positive_filters=frozenset(f for f, s in zip(filters, signs) if s),
-                negative_filters=frozenset(f for f, s in zip(filters, signs) if not s),
-                negative_eq=frozenset(constants),
-            )
             _, witnesses = gamma_with_witnesses(combo, fresh_count, table)
             for term in witnesses:
                 push(term)

@@ -6,6 +6,7 @@ import pytest
 
 from shaclsat import namespaces as ns
 from shaclsat.filters import (
+    COMBINATION_CAP,
     CapExceeded,
     FilterCombination,
     axiomatize,
@@ -47,7 +48,6 @@ from shaclsat.scl import (
 )
 from shaclsat.search import (
     CANONICAL,
-    CATALOG_CAP,
     UNINTERPRETED,
     _check_deadline,
     _Cnf,
@@ -422,7 +422,7 @@ def _parent_build_catalog(
     for i in range(fresh_count):
         push(iri(f"{ns.GEN_NS}elem:{i}"))
     if filters:
-        if 2 ** len(filters) > CATALOG_CAP:
+        if 2 ** len(filters) > COMBINATION_CAP:
             raise CapExceeded(f"filter alphabet too large for catalog ({len(filters)} filters)")
         for signs in product((True, False), repeat=len(filters)):
             _check_deadline(deadline)
