@@ -10,7 +10,7 @@ from typing import Optional
 from . import shapes as sh
 from .direct_validation import validate_direct
 from .scl import ShapeDef, conjuncts, sentence_conj
-from .search import CANONICAL, ModelConfirmationError, SearchBudgetExceeded, _least_model
+from .search import CANONICAL, ModelConfirmationError, SearchAborted, _least_model
 from .terms import Term, TripleGraph, iri
 from .translate import extract_definitions, translate
 
@@ -91,8 +91,8 @@ def check_containment(
         structure = _least_model(
             base, max_domain, budget, CANONICAL, scan=full, refuted=targeted2
         )
-    except SearchBudgetExceeded:
-        return ContainmentVerdict("Aborted", reason="budget exhausted")
+    except SearchAborted as err:
+        return ContainmentVerdict("Aborted", reason=str(err))
     if structure is None:
         return ContainmentVerdict("NoCounterexampleUpTo", bound=max_domain)
     graph = structure.graph

@@ -26,7 +26,8 @@ from itertools import combinations, compress
 from typing import Optional
 
 from . import namespaces as ns
-from .filters import TermTable, compatible_combinations, gamma_with_witnesses, incompatible_pairs
+from .filters import CapExceeded, FilterCombination, TermTable, gamma_with_witnesses
+from .filters import compatible_combinations, incompatible_pairs
 from .scl import (
     Alt,
     And,
@@ -62,6 +63,7 @@ from .scl import (
     relation_names,
     shape_definitions,
 )
+from .scl_text import print_scl
 from .structures import FiniteStructure, OrderBlock, shape_evaluator
 from .terms import ComparisonVerdict, Term, Triple, TripleGraph, compare_terms, iri, literal
 from .translate import extract_definitions
@@ -70,8 +72,13 @@ CANONICAL = "canonical"
 UNINTERPRETED = "uninterpreted"
 
 
-class SearchBudgetExceeded(Exception):
-    pass
+class SearchAborted(Exception):
+    """The search stops without a verdict; the message is the reason."""
+
+
+class SearchBudgetExceeded(SearchAborted):
+    def __init__(self) -> None:
+        super().__init__("budget exhausted")
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -561,14 +568,18 @@ def _build_catalog(
     order_needed: bool,
     table: TermTable,
     deadline: Optional[float] = None,
-) -> list[Term]:
-    """Candidate terms for free domain slots in canonical mode.  `table`
-    (over `filters`) carries signatures and combinations from one size to
-    the next.  Raises SearchBudgetExceeded once `deadline` has passed,
-    checked before each filter combination; with no free slot there are no
-    witnesses to draw, so no combination is visited."""
+) -> tuple[list[Term], Optional[FilterCombination]]:
+    """Candidate terms for free domain slots in canonical mode, and the
+    first filter combination that drew fewer witnesses than it has terms,
+    up to `fresh_count` (None when none did).  `table` (over `filters`)
+    carries signatures and combinations from one size to the next.  Raises
+    SearchBudgetExceeded once `deadline` has passed, checked before each
+    filter combination, and SearchAborted past the cap on combinations;
+    with no free slot there are no witnesses to draw, so no combination is
+    visited."""
     taken = {table.key(c) for c in constants}
     catalog: list[Term] = []
+    short: Optional[FilterCombination] = None
 
     def push(term: Term) -> None:
         key = table.key(term)
@@ -580,15 +591,22 @@ def _build_catalog(
         push(iri(f"{ns.GEN_NS}elem:{i}"))
     if filters and fresh_count:
         pairs = incompatible_pairs(filters, [])
-        for combo in compatible_combinations(filters, pairs, excluded=frozenset(constants)):
+        try:  # every combination is counted against the cap before any witness is drawn
+            combos = list(compatible_combinations(filters, pairs, excluded=frozenset(constants)))
+        except CapExceeded as err:
+            raise SearchAborted(f"filter catalog cap reached: {err}") from None
+        for combo in combos:
             _check_deadline(deadline)
-            _, witnesses = gamma_with_witnesses(combo, fresh_count, table)
+            count, witnesses = gamma_with_witnesses(combo, fresh_count, table)
+            need = fresh_count if count.is_infinite else min(fresh_count, count.value)
+            if short is None and len(witnesses) < need:
+                short = combo
             for term in witnesses:
                 push(term)
     if order_needed:
         for term in _order_witnesses(fresh_count):
             push(term)
-    return catalog
+    return catalog, short
 
 
 class _Grounder:
@@ -620,6 +638,7 @@ class _Grounder:
         self.preferred: dict[int, bool] = {}
 
         self.catalog: list[Term] = []
+        self.short: Optional[FilterCombination] = None  # a combination the catalog fell short of
         self.ch: dict[tuple[int, int], int] = {}
         self.den: dict[tuple[Term, int], int] = {}
         self.rel: dict[tuple[Term, int, int], int] = {}
@@ -668,7 +687,7 @@ class _Grounder:
             for i in range(self.k):
                 self.den[(c, i)] = self.cnf.true_lit if i == s else self.cnf.false_lit
         fresh = self.k - m
-        self.catalog = _build_catalog(
+        self.catalog, self.short = _build_catalog(
             self.constants, self.filters, fresh, self.order_needed, self.table, self.deadline
         )
         # not enough distinct candidate terms; extend with plain IRIs
@@ -1113,7 +1132,9 @@ def _least_model(
     refuted: tuple[SclSentence, ...] = (),
 ) -> Optional[FiniteStructure]:
     """The least model of `sentence` over the smallest domain size up to
-    `max_domain`, or None when there is none.
+    `max_domain`, or None when there is none.  A canonical catalog that
+    fell short of a filter combination may miss a model, so then
+    SearchAborted names that combination's positive filters instead.
 
     A non-empty `refuted` also requires some of its parts to fail.  `scan`
     (default: `sentence`) supplies the signature: relations, constants,
@@ -1122,15 +1143,21 @@ def _least_model(
     shape assignment.  Raises SearchBudgetExceeded once `budget` seconds
     have passed, checked before grounding each size, once per filter
     combination of the catalog and per conjunct and refuted part while
-    grounding it, before solving it and during propagation.
+    grounding it, before solving it and during propagation, and
+    SearchAborted when a catalog passes the cap on filter combinations.
     """
     deadline = time.monotonic() + budget if budget else None
     scan = scan if scan is not None else sentence
     lower = max(1, len(node_constants(scan))) if mode == CANONICAL else 1
     table = TermTable(_sorted_filters(scan)) if mode == CANONICAL else None
+    incomplete = None
     for k in range(lower, max_domain + 1):
         _check_deadline(deadline)
         grounder = _Grounder(sentence, k, mode, scan, deadline, table)
+        if grounder.short is not None and incomplete is None:
+            positives = FilterCombination(positive_filters=grounder.short.positive_filters)
+            incomplete = f"filter catalog incomplete at k={k}: too few witnesses of "
+            incomplete += print_scl(positives.formula())
         if refuted:
             fails = []
             for part in refuted:
@@ -1147,6 +1174,8 @@ def _least_model(
         )
         if assignment is not None:
             return grounder.decode(assignment)
+    if incomplete is not None:
+        raise SearchAborted(incomplete)
     return None
 
 
@@ -1160,16 +1189,18 @@ def bounded_sat(
 
     Returns the canonically least model over the smallest satisfiable
     domain size, UnsatUpTo(max_domain) when sizes 1..max_domain are
-    exhausted, or Aborted on budget exhaustion.  Raises IllFormedSentence
-    when a shape definition is missing, duplicated or recursive.
+    exhausted, or Aborted with the reason the search stopped: the budget
+    ran out, or the filter catalog reached its cap or fell short.  Raises
+    IllFormedSentence when a shape definition is missing, duplicated or
+    recursive.
     """
     defects = check_well_formed(sentence)
     if defects:
         raise IllFormedSentence(defects)
     try:
         structure = _least_model(sentence, max_domain, budget, mode)
-    except SearchBudgetExceeded:
-        return SatVerdict("Aborted", reason="budget exhausted")
+    except SearchAborted as err:
+        return SatVerdict("Aborted", reason=str(err))
     if structure is None:
         return SatVerdict("UnsatUpTo", bound=max_domain)
     ev = shape_evaluator(structure, extract_definitions(sentence))

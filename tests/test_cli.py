@@ -143,6 +143,42 @@ def test_sat_open_integer_range_with_huge_max_length_answers_within_budget(tmp_p
     assert elapsed < 1.0
 
 
+def test_catalog_short_of_witnesses_answers_aborted_not_a_refutation(tmp_path, capsys):
+    # `:a :name "qq"` conforms, yet no draw reads the pattern, so the
+    # catalog holds no witness of "^q": neither search may refute the document
+    shapes = tmp_path / "q.ttl"
+    shapes.write_text(doc_ttl(
+        ":s a sh:NodeShape ; sh:targetNode :a ; sh:property [ sh:path :name ; "
+        'sh:minCount 1 ; sh:datatype xsd:string ; sh:pattern "^q" ] .'
+    ))
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(doc_ttl(':a :name "qq" .'))
+    no_name = tmp_path / "no-name.ttl"
+    no_name.write_text(doc_ttl(":t a sh:NodeShape ; sh:targetNode :a ; sh:property [ sh:path :name ; sh:maxCount 0 ] ."))
+    assert dispatch(["validate", "--direct", str(graph), str(shapes)]) == 0
+    capsys.readouterr()
+    reason = (
+        "filter catalog incomplete at k=2: too few witnesses of (and (filter datatype "
+        '<http://www.w3.org/2001/XMLSchema#string>) (filter pattern "^q"))'
+    )
+    for args in (["sat", shapes], ["contains", shapes, no_name]):
+        assert dispatch([str(a) for a in args]) == 2
+        assert json.loads(capsys.readouterr().out) == {"outcome": "Aborted", "reason": reason}
+
+
+def test_catalog_cap_answers_aborted_naming_the_cap(tmp_path, capsys):
+    # 13 pairwise compatible filters: 8,192 combinations, past the cap of
+    # 4,096; the least model needs a free slot, so a catalog is built
+    shapes = tmp_path / "lengths.ttl"
+    shapes.write_text(doc_ttl(":s a sh:NodeShape ; sh:targetNode :a ; " + " ; ".join(
+        f"sh:property [ sh:path :p{n} ; sh:minCount 1 ; sh:minLength {n} ]" for n in range(100, 113)
+    ) + " ."))
+    assert dispatch(["sat", str(shapes)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "outcome": "Aborted", "reason": "filter catalog cap reached: more than 4096 filter combinations"
+    }
+
+
 def test_contains_exit_codes(tmp_path, capsys):
     d1 = tmp_path / "d1.ttl"
     d2 = tmp_path / "d2.ttl"
