@@ -778,12 +778,12 @@ def _strings_within(len_lo: int, len_hi: Optional[int], n: int) -> list[str]:
     base = len(_SAMPLE_ALPHABET)
     out = []
     for i in range(min(n, base**min(length, 8))):
-        digits = []
-        value = i
-        for _ in range(length):
-            digits.append(_SAMPLE_ALPHABET[value % base])
-            value //= base
-        out.append("".join(digits))
+        # the base-36 digits of i, least significant first, padded with the zero digit
+        digits, value = [], i
+        while value:
+            value, digit = divmod(value, base)
+            digits.append(_SAMPLE_ALPHABET[digit])
+        out.append("".join(digits) + _SAMPLE_ALPHABET[0] * (length - len(digits)))
     return out
 
 

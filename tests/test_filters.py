@@ -6,7 +6,9 @@ import pytest
 
 from shaclsat import namespaces as ns
 from shaclsat.filters import (
+    _SAMPLE_ALPHABET,
     _integer_length_count,
+    _strings_within,
     ALPHABET_SIZE,
     CapExceeded,
     Cardinality,
@@ -448,3 +450,33 @@ def test_integer_length_count_matches_enumeration():
         assert _integer_length_count(lo, hi, len_lo, len_hi) == expected, (lo, hi, len_lo, len_hi)
     # a length bound far past the range's widest form builds no power of it
     assert _integer_length_count(-5, 20, 2, 10**12) == 16  # -5 … -1 and 10 … 20
+
+
+def _strings_one_character_at_a_time(len_lo, len_hi, n):
+    """The bounded string draw as it was first written: each sample built
+    one character at a time, least significant base-36 digit first."""
+    if len_lo > len_hi:
+        return []
+    if len_hi == 0:
+        return [""]
+    out = []
+    for i in range(min(n, 36 ** min(len_hi, 8))):
+        chars, value = [], i
+        for _ in range(len_hi):
+            chars.append(_SAMPLE_ALPHABET[value % 36])
+            value //= 36
+        out.append("".join(chars))
+    return out
+
+
+def test_string_draw_equals_the_per_character_draw():
+    # counts past 36 and 36**2 reach indices of two and three digits, and
+    # 36**3 + 2 one of four digits in a length of 9, past the 8 that
+    # bound the sample count
+    for len_lo in (0, 1, 8, 9):
+        for len_hi in (0, 1, 2, 8, 9):
+            for n in (0, 1, 36, 37, 36**2 + 1):
+                expected = _strings_one_character_at_a_time(len_lo, len_hi, n)
+                assert _strings_within(len_lo, len_hi, n) == expected, (len_lo, len_hi, n)
+    assert _strings_within(0, 9, 36**3 + 2) == _strings_one_character_at_a_time(0, 9, 36**3 + 2)
+    assert _strings_within(0, 9, 36**3 + 2)[-1] == "baabaaaaa"
