@@ -15,10 +15,10 @@ from __future__ import annotations
 import re
 from collections.abc import Set
 from dataclasses import dataclass
+from typing import Optional
 
 from . import namespaces as ns
 from . import shapes as sh
-from .filter_semantics import string_representation, term_matches_node_kind
 from .terms import ComparisonVerdict, Term, TripleGraph, compare_terms, iri
 from .terms import effective_datatype, malformed_literal
 
@@ -174,6 +174,29 @@ def _path_values(
 
 
 # components whose reading at a node is conformance to other shapes
+def string_representation(term: Term) -> Optional[str]:
+    """SPARQL str() of a term; None for blank nodes."""
+    if term.is_blank:
+        return None
+    return term.lexical
+
+
+def term_matches_node_kind(term: Term, node_kind_iri: str) -> bool:
+    if node_kind_iri == ns.SH_NK_IRI:
+        return term.is_iri
+    if node_kind_iri == ns.SH_NK_LITERAL:
+        return term.is_literal
+    if node_kind_iri == ns.SH_NK_BLANK:
+        return term.is_blank
+    if node_kind_iri == ns.SH_NK_BLANK_OR_IRI:
+        return term.is_blank or term.is_iri
+    if node_kind_iri == ns.SH_NK_BLANK_OR_LITERAL:
+        return term.is_blank or term.is_literal
+    if node_kind_iri == ns.SH_NK_IRI_OR_LITERAL:
+        return term.is_iri or term.is_literal
+    return False
+
+
 _REFERENCE_KINDS = frozenset((sh.NOT, sh.AND, sh.OR, sh.XONE, sh.NODE, sh.PROPERTY))
 # property shape components that read the value set as a whole
 _VALUE_SET_KINDS = frozenset((

@@ -2,10 +2,11 @@
 
 `term_test` turns a filter into a plain predicate on terms once: the
 pattern compiled, the language tag lowered and the bound's value read,
-so each test of a term makes one comparison.  Both validation routes and
-the canonical model search consult these predicates, in the same way
-they share `compare_terms`; `term_satisfies` is the same test, built for
-one call.  Callers that test many terms keep the predicates they build:
+so each test of a term makes one comparison.  The logic route's structure
+evaluator and the canonical model search consult these predicates; the
+direct validator reads each SHACL component on its own, so the two
+validation routes stay independent.  `term_satisfies` is the same test,
+built for one call.  Callers that test many terms keep the predicates they build:
 the term table of a search holds one per filter of its alphabet, and the
 structure evaluator one per filter it reads.
 """
@@ -14,9 +15,8 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Callable, Optional
+from typing import Callable
 
-from . import namespaces as ns
 from .scl import (
     FilterName,
     HasDatatype,
@@ -41,29 +41,6 @@ from .terms import (
 )
 
 TermTest = Callable[[Term], bool]
-
-
-def string_representation(term: Term) -> Optional[str]:
-    """SPARQL str() of a term; None for blank nodes."""
-    if term.is_blank:
-        return None
-    return term.lexical
-
-
-def term_matches_node_kind(term: Term, node_kind_iri: str) -> bool:
-    if node_kind_iri == ns.SH_NK_IRI:
-        return term.is_iri
-    if node_kind_iri == ns.SH_NK_LITERAL:
-        return term.is_literal
-    if node_kind_iri == ns.SH_NK_BLANK:
-        return term.is_blank
-    if node_kind_iri == ns.SH_NK_BLANK_OR_IRI:
-        return term.is_blank or term.is_iri
-    if node_kind_iri == ns.SH_NK_BLANK_OR_LITERAL:
-        return term.is_blank or term.is_literal
-    if node_kind_iri == ns.SH_NK_IRI_OR_LITERAL:
-        return term.is_iri or term.is_literal
-    return False
 
 
 def term_satisfies(filter_name: FilterName, term: Term) -> bool:
