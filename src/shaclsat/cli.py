@@ -88,7 +88,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-domain", type=int, default=4)
     p.add_argument("--budget", type=float, default=10.0)
     p.add_argument("--axiomatize", action="store_true", help="conjoin the filter axioms first")
-    p.add_argument("--cap", type=int, default=COMBINATION_CAP)
+    p.add_argument(
+        "--cap", type=int, default=COMBINATION_CAP,
+        help="most filter combinations --axiomatize lists; read only with --axiomatize "
+        "(default: %(default)s)",
+    )
     p.add_argument(
         "--model-mode",
         choices=(CANONICAL, UNINTERPRETED, "auto"),
@@ -104,7 +108,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("axiomatize", help="emit the filter cardinality axioms")
     p.add_argument("sentence")
-    p.add_argument("--cap", type=int, default=COMBINATION_CAP)
+    p.add_argument(
+        "--cap", type=int, default=COMBINATION_CAP,
+        help="most filter combinations the axioms list (default: %(default)s)",
+    )
 
     p = sub.add_parser("rewrite", help="apply the semantics-preserving rewrites")
     p.add_argument("sentence")

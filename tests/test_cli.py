@@ -179,6 +179,16 @@ def test_catalog_cap_answers_aborted_naming_the_cap(tmp_path, capsys):
     }
 
 
+def test_cap_flags_say_what_they_cap(capsys):
+    from shaclsat.filters import COMBINATION_CAP
+
+    for command, text in (("sat", "read only with --axiomatize"), ("axiomatize", "the axioms list")):
+        with pytest.raises(SystemExit):
+            dispatch([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert text in out and f"(default: {COMBINATION_CAP})" in out
+
+
 def test_contains_exit_codes(tmp_path, capsys):
     d1 = tmp_path / "d1.ttl"
     d2 = tmp_path / "d2.ttl"
