@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import random
-from itertools import product
+import sys
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +18,7 @@ from shaclsat.filters import (
     axiomatize,
     canonical_key,
     collect_combinations,
+    compatible_combinations,
     gamma,
     gamma_with_witnesses,
     has_pattern_filters,
@@ -37,8 +40,10 @@ from shaclsat.scl import (
     MaxValue,
     MinLength,
     MinValue,
+    Not,
     Rel,
     Top,
+    conj,
     conjuncts,
 )
 from shaclsat.terms import blank, boolean, integer, iri, literal, n3, string
@@ -241,6 +246,93 @@ def test_collect_combinations_cap():
     sentence = _sentence_with(filters)
     with pytest.raises(CapExceeded):
         list(collect_combinations(sentence, cap=16))
+
+
+def _product_combinations(items, pairs, cap, excluded):
+    """The walk as it was first written: every sign vector in `product`
+    order, the incompatible ones dropped after they are built."""
+    emitted = 0
+    for signs in product((True, False), repeat=len(items)):
+        positives = [item for item, sign in zip(items, signs) if sign]
+        if any(pair in pairs for pair in combinations(positives, 2)):
+            continue
+        negatives = [item for item, sign in zip(items, signs) if not sign]
+        emitted += 1
+        if emitted > cap:
+            raise CapExceeded(f"more than {cap} filter combinations")
+        yield FilterCombination(
+            positive_eq=frozenset(i for i in positives if not isinstance(i, MinLength)),
+            negative_eq=excluded | frozenset(i for i in negatives if not isinstance(i, MinLength)),
+            positive_filters=frozenset(i for i in positives if isinstance(i, MinLength)),
+            negative_filters=frozenset(i for i in negatives if isinstance(i, MinLength)),
+        )
+
+
+def _drained(combos):
+    """The combinations up to the cap, and the cap's message, if any."""
+    out = []
+    try:
+        for c in combos:
+            out.append(c)
+    except CapExceeded as exc:
+        return out, str(exc)
+    return out, None
+
+
+def test_walk_is_the_product_order_without_the_incompatible_vectors():
+    rng = random.Random(28)
+    for _ in range(300):
+        items = [iri(f"http://e/c{i}") for i in range(rng.randint(0, 5))]
+        items += [MinLength(i) for i in range(rng.randint(0, 5))]
+        pairs = [pair for pair in combinations(items, 2) if rng.random() < rng.random()]
+        excluded = frozenset(iri(f"http://e/x{i}") for i in range(rng.randint(0, 2)))
+        cap = rng.choice([0, 1, 3, 17, 4096])
+        got = _drained(compatible_combinations(items, pairs, cap, excluded))
+        expected = _drained(_product_combinations(items, set(pairs), cap, excluded))
+        assert got == expected, (items, pairs, cap)
+    # ten items, no pair: all 1,024 vectors, and the cap stops on the one past it
+    items = [MinLength(i) for i in range(10)]
+    assert len(list(compatible_combinations(items, []))) == 1024
+    combos, message = _drained(compatible_combinations(items, [], 1000))
+    assert len(combos) == 1000 and message == "more than 1000 filter combinations"
+
+
+def test_walk_visits_one_prefix_per_combination():
+    """A constant that differs from m others has m + 2 combinations: all
+    constants negated, or one of them alone.  The walk pops one prefix per
+    combination, so the count grows linearly in m, and with 17 others it
+    runs fewer than 2^11 lines, where a walk over all 2^18 sign vectors
+    runs hundreds of thousands.  Lines are counted by tracing the walk, so
+    no clock is read."""
+    code = compatible_combinations.__code__
+    source, first = inspect.getsourcelines(compatible_combinations)
+    pops = {first + i for i, line in enumerate(source) if "stack.pop()" in line}
+    assert pops
+    lines = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return local
+
+        return local
+
+    for others in range(18):
+        body = conj([Not(EqConst(iri(f"http://e/d{i}"))) for i in range(others)])
+        lines.clear()
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            combos = list(collect_combinations(AtConst(iri("http://e/c"), body)))
+        finally:
+            sys.settrace(previous)
+        assert len(combos) == others + 2
+        assert sum(line in pops for line in lines) == others + 2
+    assert len(lines) < 2**11
 
 
 def test_axiomatize_counts_against_the_cap_before_any_gamma(monkeypatch):

@@ -798,3 +798,47 @@ def test_canonical_clauses_grow_linearly_in_catalog_and_free_slots():
         ratios.append(counts[-1] / (len(grounder.catalog) * (k - len(grounder.constants))))
     assert counts[-1] < 5000, counts
     assert ratios == sorted(ratios, reverse=True), ratios
+
+
+# Eight typed properties of one focus node, 13 filters: 8,192 sign vectors,
+# of which the incompatible pairs (datatypes, node kinds, tags) leave 260
+FILTERS13_TTL = (
+    ":s a sh:NodeShape ; sh:targetNode :a ;\n"
+    "  sh:property [ sh:path :p1 ; sh:minCount 1 ; sh:datatype xsd:string ; sh:maxLength 8 ] ;\n"
+    "  sh:property [ sh:path :p2 ; sh:minCount 1 ; sh:datatype xsd:integer ;\n"
+    "                sh:minInclusive 0 ; sh:maxInclusive 150 ] ;\n"
+    "  sh:property [ sh:path :p3 ; sh:minCount 1 ; sh:datatype xsd:date ] ;\n"
+    "  sh:property [ sh:path :p4 ; sh:minCount 1 ; sh:nodeKind sh:IRI ] ;\n"
+    "  sh:property [ sh:path :p5 ; sh:minCount 1 ; sh:datatype xsd:string ; sh:minLength 2 ] ;\n"
+    "  sh:property [ sh:path :p6 ; sh:minCount 1 ; sh:datatype xsd:boolean ] ;\n"
+    '  sh:property [ sh:path :p7 ; sh:minCount 1 ; sh:languageIn ( "en" "de" ) ] ;\n'
+    "  sh:property [ sh:path :p8 ; sh:minCount 1 ; sh:datatype xsd:decimal ; sh:minExclusive 0 ] .\n"
+)
+
+
+def test_thirteen_filter_shape_answers_sat_at_seven_elements():
+    """13 filters have 8,192 sign vectors, past the cap of 4,096, but only
+    260 compatible ones, and the catalog walks only those: the document is
+    answered.  Its least model has seven elements, and k = 7 grounds in
+    under 20,000 clauses."""
+    from corpus import doc_ttl
+    from shaclsat.direct_validation import validate_direct
+    from shaclsat.filters import incompatible_pairs
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    doc = parse_document(doc_ttl(FILTERS13_TTL))
+    sentence = translate(doc)
+    grounder = _Grounder(sentence, 7, CANONICAL)
+    assert len(grounder.filters) == 13
+    pairs = set(incompatible_pairs(grounder.filters, []))
+    compatible = [
+        signs for signs in product((True, False), repeat=13)
+        if not any(pair in pairs for pair in itertools.combinations(
+            [f for f, sign in zip(grounder.filters, signs) if sign], 2))
+    ]
+    assert len(compatible) == 260
+    assert len(grounder.cnf.clauses) < 20_000
+    verdict = bounded_sat(sentence, max_domain=7, budget=60)
+    assert verdict.is_sat and len(verdict.model.domain) == 7
+    assert validate_direct(verdict.model.graph, doc).conforms
