@@ -173,7 +173,6 @@ def _path_values(
     raise TypeError(f"unknown path {path!r}")
 
 
-# components whose reading at a node is conformance to other shapes
 def string_representation(term: Term) -> Optional[str]:
     """SPARQL str() of a term; None for blank nodes."""
     if term.is_blank:
@@ -197,6 +196,7 @@ def term_matches_node_kind(term: Term, node_kind_iri: str) -> bool:
     return False
 
 
+# components whose reading at a node is conformance to other shapes
 _REFERENCE_KINDS = frozenset((sh.NOT, sh.AND, sh.OR, sh.XONE, sh.NODE, sh.PROPERTY))
 # property shape components that read the value set as a whole
 _VALUE_SET_KINDS = frozenset((

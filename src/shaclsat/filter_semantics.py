@@ -6,9 +6,9 @@ so each test of a term makes one comparison.  The logic route's structure
 evaluator and the canonical model search consult these predicates; the
 direct validator reads each SHACL component on its own, so the two
 validation routes stay independent.  `term_satisfies` is the same test,
-built for one call.  Callers that test many terms keep the predicates they build:
-the term table of a search holds one per filter of its alphabet, and the
-structure evaluator one per filter it reads.
+built for one call.  Callers that test many terms keep the predicates
+they build: the term table of a search holds one per filter of its
+alphabet, and the structure evaluator one per filter it reads.
 """
 
 from __future__ import annotations

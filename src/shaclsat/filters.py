@@ -839,7 +839,9 @@ def incompatible_pairs(filters: list[FilterName], constants: list[Term]) -> list
     return [pair for pair in combinations(constants + filters, 2) if _literal_incompatible(*pair)]
 
 
-def collect_combinations(sentence: SclSentence, cap: int = COMBINATION_CAP) -> Iterator[FilterCombination]:
+def collect_combinations(
+    sentence: SclSentence, cap: int = COMBINATION_CAP
+) -> Iterator[FilterCombination]:
     """Full-sign combinations over the sentence's filter/constant alphabet,
     skipping those already ruled out by a pairwise incompatibility."""
     filters, constants = filter_alphabet(sentence)
