@@ -567,11 +567,12 @@ def _build_catalog(
     fresh_count: int,
     order_needed: bool,
     table: TermTable,
+    short: list[FilterCombination],
     deadline: Optional[float] = None,
-) -> tuple[list[Term], Optional[FilterCombination]]:
-    """Candidate terms for free domain slots in canonical mode, and the
-    first filter combination that drew fewer witnesses than it has terms,
-    up to `fresh_count` (None when none did).  `table` (over `filters`)
+) -> list[Term]:
+    """Candidate terms for free domain slots in canonical mode.  Each filter
+    combination that draws fewer witnesses than it has terms, up to
+    `fresh_count`, is appended to `short`.  `table` (over `filters`)
     carries signatures and combinations from one size to the next.  Raises
     SearchBudgetExceeded once `deadline` has passed, checked before each
     filter combination, and SearchAborted past the cap on combinations;
@@ -579,7 +580,6 @@ def _build_catalog(
     visited."""
     taken = {table.key(c) for c in constants}
     catalog: list[Term] = []
-    short: Optional[FilterCombination] = None
 
     def push(term: Term) -> None:
         key = table.key(term)
@@ -599,14 +599,14 @@ def _build_catalog(
             _check_deadline(deadline)
             count, witnesses = gamma_with_witnesses(combo, fresh_count, table)
             need = fresh_count if count.is_infinite else min(fresh_count, count.value)
-            if short is None and len(witnesses) < need:
-                short = combo
+            if len(witnesses) < need:
+                short.append(combo)
             for term in witnesses:
                 push(term)
     if order_needed:
         for term in _order_witnesses(fresh_count):
             push(term)
-    return catalog, short
+    return catalog
 
 
 class _Grounder:
@@ -638,7 +638,7 @@ class _Grounder:
         self.preferred: dict[int, bool] = {}
 
         self.catalog: list[Term] = []
-        self.short: Optional[FilterCombination] = None  # a combination the catalog fell short of
+        self.short: list[FilterCombination] = []  # the combinations the catalog fell short of
         self.ch: dict[tuple[int, int], int] = {}
         self.den: dict[tuple[Term, int], int] = {}
         self.rel: dict[tuple[Term, int, int], int] = {}
@@ -687,8 +687,9 @@ class _Grounder:
             for i in range(self.k):
                 self.den[(c, i)] = self.cnf.true_lit if i == s else self.cnf.false_lit
         fresh = self.k - m
-        self.catalog, self.short = _build_catalog(
-            self.constants, self.filters, fresh, self.order_needed, self.table, self.deadline
+        self.catalog = _build_catalog(
+            self.constants, self.filters, fresh, self.order_needed, self.table, self.short,
+            self.deadline,
         )
         # not enough distinct candidate terms; extend with plain IRIs
         self.catalog += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(self.catalog))]
@@ -1154,8 +1155,8 @@ def _least_model(
     for k in range(lower, max_domain + 1):
         _check_deadline(deadline)
         grounder = _Grounder(sentence, k, mode, scan, deadline, table)
-        if grounder.short is not None and incomplete is None:
-            positives = FilterCombination(positive_filters=grounder.short.positive_filters)
+        if grounder.short and incomplete is None:
+            positives = FilterCombination(positive_filters=grounder.short[0].positive_filters)
             incomplete = f"filter catalog incomplete at k={k}: too few witnesses of "
             incomplete += print_scl(positives.formula())
         if refuted:
