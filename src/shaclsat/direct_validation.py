@@ -1,9 +1,22 @@
 """Direct conformance checking over the SHACL AST.
 
-This evaluator works straight on shapes, targets and paths.  A repeated
-path is condensed once per validation: the strongly connected components
-of its inner path's successor relation are found in one Tarjan pass, and a
-value-type component over the repeated path is decided once per strongly
+This evaluator works straight on shapes, targets and paths.  Each shape is
+decided through a plan, built on the shape's first use in a validation: a
+property shape's path is read once (its direction and, for a predicate,
+the index of that predicate's edges in that direction), and each
+component is compiled once, by the compiler for its kind, into a test of
+one value or a test of the value set.
+
+A shape is plain when it holds no shape reference, or when every shape it
+references holds none.  A plain shape is decided by a direct call, which
+calls the plans of the shapes it references, and leaves no memo entry.
+Any other shape is decided in a frame of an explicit stack, once per
+(shape, node) pair; a frame calls plain shapes directly, so no call chain
+spans more than two shapes however long a chain of references is.
+
+A repeated path is condensed once per validation: the strongly connected
+components of its inner path's successor relation are found in one Tarjan
+pass, and a value test over the repeated path is decided once per strongly
 connected component; when counts are the only components that read the
 value set, a count walks the condensation only until its bound is
 decided.  It shares only the graph's index, no semantics, with the logic
@@ -13,14 +26,20 @@ translation pipeline, so the two can be checked against each other.
 from __future__ import annotations
 
 import re
-from collections.abc import Set
+import weakref
+from collections.abc import Callable, Collection, Set
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from . import namespaces as ns
 from . import shapes as sh
-from .terms import ComparisonVerdict, Term, TripleGraph, compare_terms, iri
+from .terms import BLANK, IRI, LITERAL, ComparisonVerdict, Term, TripleGraph, compare_terms, iri
 from .terms import effective_datatype, malformed_literal
+
+_EMPTY: frozenset = frozenset()
+
+ValueTest = Callable[[Term], bool]
+SetTest = Callable[[Term, Set[Term]], bool]  # (focus node, value set)
 
 
 @dataclass(frozen=True)
@@ -87,6 +106,33 @@ class _Closure:
             if n >= limit:
                 return limit
         return n
+
+    def unknown(self, top: int, known: dict[int, bool]) -> list[int]:
+        """The components reachable from top that have no verdict in known,
+        not looking past one that has, in id order: each comes after every
+        component it leads into."""
+        if top in known:
+            return []
+        seen = {top}
+        todo = [top]
+        while todo:
+            for below in self.below[todo.pop()]:
+                if below not in seen and below not in known:
+                    seen.add(below)
+                    todo.append(below)
+        return sorted(seen)
+
+    def every(self, tops: list[int], known: dict[int, bool], test: ValueTest) -> bool:
+        """Whether every member of the components reachable from tops passes
+        test, decided once per component: its verdict is its members' and
+        its successors'."""
+        members, below = self.members, self.below
+        for top in tops:
+            for cid in self.unknown(top, known):
+                known[cid] = all(known[b] for b in below[cid]) and all(map(test, members[cid]))
+            if not known[top]:
+                return False
+        return True
 
     def visit(self, root: Term, step) -> None:
         """Tarjan's pass from root over the nodes no earlier pass met."""
@@ -173,53 +219,372 @@ def _path_values(
     raise TypeError(f"unknown path {path!r}")
 
 
-def string_representation(term: Term) -> Optional[str]:
-    """SPARQL str() of a term; None for blank nodes."""
-    if term.is_blank:
-        return None
-    return term.lexical
+# --------------------------------------------------------------------------
+# Component compilers: one per kind, each run once per plan
+# --------------------------------------------------------------------------
+
+# the term kinds each node kind admits; an unknown node kind admits none
+_NODE_KINDS = {
+    ns.SH_NK_IRI: frozenset((IRI,)),
+    ns.SH_NK_LITERAL: frozenset((LITERAL,)),
+    ns.SH_NK_BLANK: frozenset((BLANK,)),
+    ns.SH_NK_BLANK_OR_IRI: frozenset((BLANK, IRI)),
+    ns.SH_NK_BLANK_OR_LITERAL: frozenset((BLANK, LITERAL)),
+    ns.SH_NK_IRI_OR_LITERAL: frozenset((IRI, LITERAL)),
+}
 
 
-def term_matches_node_kind(term: Term, node_kind_iri: str) -> bool:
-    if node_kind_iri == ns.SH_NK_IRI:
-        return term.is_iri
-    if node_kind_iri == ns.SH_NK_LITERAL:
-        return term.is_literal
-    if node_kind_iri == ns.SH_NK_BLANK:
-        return term.is_blank
-    if node_kind_iri == ns.SH_NK_BLANK_OR_IRI:
-        return term.is_blank or term.is_iri
-    if node_kind_iri == ns.SH_NK_BLANK_OR_LITERAL:
-        return term.is_blank or term.is_literal
-    if node_kind_iri == ns.SH_NK_IRI_OR_LITERAL:
-        return term.is_iri or term.is_literal
-    return False
+class _Compiler:
+    """The compilers of one shape's components, one method per kind, each
+    taking the component's arguments: a value-type component compiles into
+    a test of one value, a component that reads the value set into a test
+    of the focus node and its value set."""
+
+    def __init__(self, graph: TripleGraph, doc: sh.ShaclDocument, shape: sh.Shape):
+        self.graph, self.doc, self.shape = graph, doc, shape
+
+    def value_test(self, c: sh.Constraint) -> ValueTest:
+        return _VALUE_COMPILERS[c.kind](self, *c.args)
+
+    def set_test(self, c: sh.Constraint) -> SetTest:
+        return _SET_COMPILERS[c.kind](self, *c.args)
+
+    # value-type components -----------------------------------------------
+
+    def has_value(self, value: Term) -> ValueTest:
+        return lambda v: v == value
+
+    def in_(self, *values: Term) -> ValueTest:
+        return frozenset(values).__contains__
+
+    def cls(self, cls: Term) -> ValueTest:
+        types = self.graph.forward.get(iri(ns.RDF_TYPE), {})
+        return lambda v: cls in types.get(v, _EMPTY)
+
+    def datatype(self, datatype: Term) -> ValueTest:
+        name = datatype.lexical
+        return lambda v: (
+            v.kind == LITERAL and effective_datatype(v) == name and not malformed_literal(v)
+        )
+
+    def node_kind(self, node_kind: Term) -> ValueTest:
+        kinds = _NODE_KINDS.get(node_kind.lexical, _EMPTY)
+        return lambda v: v.kind in kinds
+
+    def min_exclusive(self, bound: Term) -> ValueTest:
+        return _compares_to(bound, (ComparisonVerdict.GT,))
+
+    def min_inclusive(self, bound: Term) -> ValueTest:
+        return _compares_to(bound, (ComparisonVerdict.GT, ComparisonVerdict.EQ))
+
+    def max_exclusive(self, bound: Term) -> ValueTest:
+        return _compares_to(bound, (ComparisonVerdict.LT,))
+
+    def max_inclusive(self, bound: Term) -> ValueTest:
+        return _compares_to(bound, (ComparisonVerdict.LT, ComparisonVerdict.EQ))
+
+    # lengths and patterns read SPARQL str(), which a blank node lacks
+    def min_length(self, least: int) -> ValueTest:
+        return lambda v: v.kind != BLANK and len(v.lexical) >= least
+
+    def max_length(self, most: int) -> ValueTest:
+        return lambda v: v.kind != BLANK and len(v.lexical) <= most
+
+    def pattern(self, regex: str) -> ValueTest:
+        search = re.compile(regex).search
+        return lambda v: v.kind != BLANK and search(v.lexical) is not None
+
+    def language_in(self, *tags: str) -> ValueTest:
+        lowered = frozenset(tag.lower() for tag in tags)
+        return lambda v: v.kind == LITERAL and v.language is not None and v.language.lower() in lowered
+
+    # components that read the value set ----------------------------------
+
+    def contains_value(self, value: Term) -> SetTest:
+        return lambda node, values: value in values
+
+    def unique_lang(self) -> SetTest:
+        tags = frozenset(tag.lower() for tag in self.doc.language_set())
+        return lambda node, values: _no_tag_twice(values, tags)
+
+    def min_count(self, least: int) -> SetTest:
+        return lambda node, values: len(values) >= least
+
+    def max_count(self, most: int) -> SetTest:
+        return lambda node, values: len(values) <= most
+
+    def equals(self, relation: Term) -> SetTest:
+        edges = self.graph.forward.get(relation, {})
+        return lambda node, values: values == edges.get(node, _EMPTY)
+
+    def disjoint(self, relation: Term) -> SetTest:
+        edges = self.graph.forward.get(relation, {})
+        return lambda node, values: values.isdisjoint(edges.get(node, _EMPTY))
+
+    def less_than(self, relation: Term) -> SetTest:
+        return self._each_pair(relation, (ComparisonVerdict.LT,))
+
+    def less_than_or_equals(self, relation: Term) -> SetTest:
+        return self._each_pair(relation, (ComparisonVerdict.LT, ComparisonVerdict.EQ))
+
+    def _each_pair(self, relation: Term, allowed: tuple[ComparisonVerdict, ...]) -> SetTest:
+        """Each value compares to each value of relation as one of allowed."""
+        edges = self.graph.forward.get(relation, {})
+        return lambda node, values: all(
+            compare_terms(v, w) in allowed for v in values for w in edges.get(node, _EMPTY)
+        )
+
+    def closed(self, *ignored: Term) -> SetTest:
+        forward = self.graph.forward
+        forbidden = [forward[r] for r in self.doc.closed_theta(self.shape, ignored) if r in forward]
+        return lambda node, values: not any(node in edges for edges in forbidden)
 
 
+def _compares_to(bound: Term, allowed: tuple[ComparisonVerdict, ...]) -> ValueTest:
+    return lambda v: compare_terms(v, bound) in allowed
+
+
+def _no_tag_twice(values: Set[Term], tags: frozenset[str]) -> bool:
+    """Whether no two values carry the same one of tags, compared in lower case."""
+    seen = set()
+    for v in values:
+        if v.kind == LITERAL and v.language:
+            tag = v.language.lower()
+            if tag in tags:
+                if tag in seen:
+                    return False
+                seen.add(tag)
+    return True
+
+
+# value-type components: a test of each value node (of a node shape: of the node)
+_VALUE_COMPILERS = {
+    sh.HAS_VALUE: _Compiler.has_value,
+    sh.IN: _Compiler.in_,
+    sh.CLASS: _Compiler.cls,
+    sh.DATATYPE: _Compiler.datatype,
+    sh.NODE_KIND: _Compiler.node_kind,
+    sh.MIN_EXCLUSIVE: _Compiler.min_exclusive,
+    sh.MIN_INCLUSIVE: _Compiler.min_inclusive,
+    sh.MAX_EXCLUSIVE: _Compiler.max_exclusive,
+    sh.MAX_INCLUSIVE: _Compiler.max_inclusive,
+    sh.MIN_LENGTH: _Compiler.min_length,
+    sh.MAX_LENGTH: _Compiler.max_length,
+    sh.PATTERN: _Compiler.pattern,
+    sh.LANGUAGE_IN: _Compiler.language_in,
+}
+# components of a property shape that read the value set as a whole
+_SET_COMPILERS = {
+    sh.HAS_VALUE: _Compiler.contains_value,
+    sh.UNIQUE_LANG: _Compiler.unique_lang,
+    sh.MIN_COUNT: _Compiler.min_count,
+    sh.MAX_COUNT: _Compiler.max_count,
+    sh.EQUALS: _Compiler.equals,
+    sh.DISJOINT: _Compiler.disjoint,
+    sh.LESS_THAN: _Compiler.less_than,
+    sh.LESS_THAN_OR_EQUALS: _Compiler.less_than_or_equals,
+    sh.CLOSED: _Compiler.closed,
+}
+_COUNT_KINDS = frozenset((sh.MIN_COUNT, sh.MAX_COUNT))
 # components whose reading at a node is conformance to other shapes
 _REFERENCE_KINDS = frozenset((sh.NOT, sh.AND, sh.OR, sh.XONE, sh.NODE, sh.PROPERTY))
-# property shape components that read the value set as a whole
-_VALUE_SET_KINDS = frozenset((
-    sh.HAS_VALUE, sh.UNIQUE_LANG, sh.MIN_COUNT, sh.MAX_COUNT, sh.EQUALS, sh.DISJOINT,
-    sh.LESS_THAN, sh.LESS_THAN_OR_EQUALS, sh.CLOSED,
-))
-_COUNT_KINDS = frozenset((sh.MIN_COUNT, sh.MAX_COUNT))
+
+
+def _reference_test(kind: str, plans: tuple[_Plan, ...]) -> ValueTest:
+    """A reference component whose shapes are all plain, as a value test."""
+    decides = [plan.decide for plan in plans]
+    if kind == sh.NOT:
+        decide = decides[0]
+        return lambda v: not decide(v)
+    if kind == sh.AND:
+        return lambda v: all(decide(v) for decide in decides)
+    if kind == sh.OR:
+        return lambda v: any(decide(v) for decide in decides)
+    if kind == sh.XONE:
+        return lambda v: sum(decide(v) for decide in decides) == 1
+    return decides[0]  # sh:node, sh:property
+
+
+def _qualified_test(c: sh.Constraint, plans: tuple[_Plan, ...]) -> SetTest:
+    """A qualified value shape whose shapes are all plain, as a value-set
+    test: the values that conform to it and to none of its siblings."""
+    _, least, most, _ = c.args
+    qualifies, *siblings = [plan.decide for plan in plans]
+
+    return lambda node, values: _within(
+        sum(1 for v in values if qualifies(v) and not any(sibling(v) for sibling in siblings)),
+        least, most,
+    )
+
+
+def _within(n: int, least: Optional[int], most: Optional[int]) -> bool:
+    """Whether n lies between the bounds; None bounds nothing."""
+    return (least is None or n >= least) and (most is None or n <= most)
+
+
+# --------------------------------------------------------------------------
+# Plans
+# --------------------------------------------------------------------------
+
+
+class _Plan:
+    """How a shape is decided in one validation, built on the shape's first
+    use; this class decides a node shape, whose only value is the node.
+
+    `tests` are the compiled value tests, by constraint; a reference to
+    plain shapes is one of them, calling their plans.  `framed` holds the
+    reference components that name a shape that is not plain, with each
+    named shape's plan when it is plain and its name when not: only a frame
+    of `_Validator.conforms` reads them.
+    """
+
+    def __init__(self, validator: _Validator, shape: sh.Shape):
+        self.name = shape.name
+        self.plain = validator.is_plain(shape)
+        self.tests: dict[sh.Constraint, ValueTest] = {}
+        self.set_tests: list[SetTest] = []
+        self.framed: list[tuple[sh.Constraint, tuple[Union[_Plan, Term], ...]]] = []
+        compiler = _Compiler(validator.graph, validator.doc, shape)
+        for c in shape.constraints:
+            kind = c.kind
+            if kind in _REFERENCE_KINDS:
+                refs = validator.refs(c.args)
+                if self._all_plain(c, refs):
+                    self.tests[c] = _reference_test(kind, refs)
+            elif not shape.is_property_shape:
+                # a value-set component has no reading at a node shape
+                if kind in _VALUE_COMPILERS:
+                    self.tests[c] = compiler.value_test(c)
+            elif kind == sh.QUALIFIED:
+                refs = validator.refs((c.args[0], *c.args[3]))
+                if self._all_plain(c, refs):
+                    self.set_tests.append(_qualified_test(c, refs))
+            elif kind in _SET_COMPILERS:
+                self.set_tests.append(compiler.set_test(c))
+            else:
+                self.tests[c] = compiler.value_test(c)
+
+    def _all_plain(self, c: sh.Constraint, refs: tuple) -> bool:
+        """Whether refs are all plans; if not, c joins the framed components."""
+        if all(isinstance(ref, _Plan) for ref in refs):
+            return True
+        self.framed.append((c, refs))
+        return False
+
+    def values(self, node: Term) -> Collection[Term]:
+        return (node,)
+
+    def decide(self, node: Term) -> bool:
+        """Whether node passes every compiled test: the shape's verdict
+        when it is plain."""
+        for test in self.tests.values():
+            if not test(node):
+                return False
+        return True
+
+
+class _PathPlan(_Plan):
+    """How a property shape over a path with no top-level repetition is
+    decided: a predicate path reads its edges' index, any other path is
+    evaluated from the focus node."""
+
+    def __init__(self, validator: _Validator, shape: sh.Shape, path: sh.ShaclPath, backward: bool):
+        super().__init__(validator, shape)
+        self.edges = None
+        if isinstance(path, sh.PredicatePath):
+            index = validator.graph.backward if backward else validator.graph.forward
+            self.edges = index.get(path.predicate, {})
+        else:
+            # the validator holds its plans, so a plan holds it weakly: a
+            # cycle would keep the validation's memory until a full collection
+            self.validator, self.path, self.backward = weakref.proxy(validator), path, backward
+
+    def values(self, node: Term) -> Set[Term]:
+        if self.edges is not None:
+            return self.edges.get(node, _EMPTY)
+        return _path_values(self.validator, self.path, {node}, self.backward)
+
+    def decide(self, node: Term) -> bool:
+        if not (self.tests or self.set_tests):
+            return True
+        values = self.values(node)
+        for test in self.set_tests:
+            if not test(node, values):
+                return False
+        for test in self.tests.values():
+            for v in values:
+                if not test(v):
+                    return False
+        return True
+
+
+class _RepeatedPlan(_Plan):
+    """How a property shape over a repeated path is decided: off the
+    condensation of the inner path, a value test once per component."""
+
+    def __init__(self, validator: _Validator, shape: sh.Shape, path: sh.ShaclPath, backward: bool):
+        super().__init__(validator, shape)
+        self.validator, self.inner, self.backward = weakref.proxy(validator), path.inner, backward
+        self.one_or_more = isinstance(path, sh.OneOrMorePath)
+        closure = validator.closures.setdefault((path.inner, backward), _Closure())
+        self.reached = [(test, closure.verdicts.setdefault(c, {})) for c, test in self.tests.items()]
+        # when only counts read the value set, a count walks the
+        # condensation until its bound is decided
+        reads_set = [c for c in shape.constraints if c.kind in _SET_COMPILERS or c.kind == sh.QUALIFIED]
+        self.counts = None
+        if all(c.kind in _COUNT_KINDS for c in reads_set):
+            self.counts = [(c.kind == sh.MIN_COUNT, c.args[0]) for c in reads_set]
+
+    def reach(self, node: Term) -> tuple[_Closure, list[int]]:
+        """The condensation and the components the path's values start from."""
+        roots = {node}
+        if self.one_or_more:
+            roots = _path_values(self.validator, self.inner, roots, self.backward)
+        return self.validator.closure(self.inner, self.backward, roots)
+
+    def values(self, node: Term) -> Set[Term]:
+        closure, tops = self.reach(node)
+        return closure.values(tops)
+
+    def decide(self, node: Term) -> bool:
+        closure, tops = self.reach(node)
+        for test, known in self.reached:
+            if not closure.every(tops, known, test):
+                return False
+        if self.counts is not None:
+            for at_least, bound in self.counts:
+                if at_least and closure.count(tops, bound) < bound:
+                    return False
+                if not at_least and closure.count(tops, bound + 1) > bound:
+                    return False
+        elif self.set_tests:
+            values = closure.values(tops)
+            for test in self.set_tests:
+                if not test(node, values):
+                    return False
+        return True
+
+
+# --------------------------------------------------------------------------
+# The validator
+# --------------------------------------------------------------------------
 
 
 class _Validator:
-    """Conformance of (shape, node) pairs, each decided once.
+    """Conformance of (shape, node) pairs, through one plan per shape.
 
-    A shape reference is never a Python call: `conforms` keeps an explicit
-    stack of frames, one generator per pair being decided, which yields the
-    (shape name, node) pairs it needs and returns its verdict, so a chain
-    of `sh:node` references is as deep as the stack list, not the
-    interpreter's.
+    `conforms` decides a plain shape by its plan's direct call.  Any other
+    shape is decided in an explicit stack of frames, one generator per
+    (shape, node) pair being decided, which yields the pairs it needs of
+    shapes that are not plain and returns its verdict; each such pair is
+    decided once and kept in `memo`.  A chain of `sh:node` references is
+    thus as deep as the stack list, not the interpreter's.
     """
 
     def __init__(self, graph: TripleGraph, doc: sh.ShaclDocument):
         self.graph = graph
         self.doc = doc
-        self.language_set = doc.language_set()
+        self.plans: dict[Term, _Plan] = {}
         self.memo: dict[tuple[Term, Term], bool] = {}
         # per inner path of a repeated path and direction, filled on first use
         self.closures: dict[tuple[sh.ShaclPath, bool], _Closure] = {}
@@ -253,12 +618,54 @@ class _Validator:
                     closure.visit(node, step)
         return closure, [component[node] for node in start]
 
+    def _ref(self, name: Term) -> sh.Shape:
+        try:
+            return self.doc.shape(name)
+        except KeyError:
+            return sh.Shape(name=name)
+
+    def is_plain(self, shape: sh.Shape) -> bool:
+        """Whether no shape that shape references holds a reference."""
+        return not any(
+            d.shape_refs()
+            for c in shape.constraints
+            for name in c.shape_refs()
+            for d in self._ref(name).constraints
+        )
+
+    def plan(self, shape: sh.Shape) -> _Plan:
+        plan = self.plans.get(shape.name)
+        if plan is None:
+            if not shape.is_property_shape:
+                plan = _Plan(self, shape)
+            else:
+                # the top-level inverses are a direction, so ^(p*) is the
+                # repeated path p* read backward
+                path, backward = shape.path, False
+                while isinstance(path, sh.InversePath):
+                    path, backward = path.inner, not backward
+                repeated = isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath))
+                plan = (_RepeatedPlan if repeated else _PathPlan)(self, shape, path, backward)
+            self.plans[shape.name] = plan
+        return plan
+
+    def refs(self, names) -> tuple[Union[_Plan, Term], ...]:
+        """Each named shape's plan when it is plain, else its name."""
+        out = []
+        for name in names:
+            shape = self._ref(name)
+            out.append(self.plan(shape) if self.is_plain(shape) else name)
+        return tuple(out)
+
     def conforms(self, shape: sh.Shape, node: Term) -> bool:
-        key = (shape.name, node)
+        plan = self.plan(shape)
+        if plan.plain:
+            return plan.decide(node)
+        key = (plan.name, node)
         memo = self.memo
         if key in memo:
             return memo[key]
-        frames = [(key, self._frame(shape, node))]
+        frames = [(key, self._frame(plan, node))]
         answer = None
         while frames:
             key, frame = frames[-1]
@@ -270,216 +677,87 @@ class _Validator:
                 continue
             answer = memo.get(need)
             if answer is None:
-                frames.append((need, self._frame(self._ref(need[0]), need[1])))
+                frames.append((need, self._frame(self.plan(self._ref(need[0])), need[1])))
         return answer
 
-    def _ref(self, name: Term) -> sh.Shape:
-        try:
-            return self.doc.shape(name)
-        except KeyError:
-            return sh.Shape(name=name)
-
-    def _frame(self, shape: sh.Shape, node: Term):
-        """Whether node conforms to shape, as a frame of `conforms`."""
-        if not shape.is_property_shape:
-            for c in shape.constraints:
-                if c.kind in _REFERENCE_KINDS:
-                    ok = yield from self._reference(c, node)
-                else:
-                    ok = self._node_constraint(c, node)
-                if not ok:
-                    return False
-            return True
-        # the top-level inverses are a direction, so ^(p*) is the repeated path p* read backward
-        path, backward = shape.path, False
-        while isinstance(path, sh.InversePath):
-            path, backward = path.inner, not backward
-        closure = None
-        if isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath)):
-            roots = {node}
-            if isinstance(path, sh.OneOrMorePath):
-                roots = _path_values(self, path.inner, roots, backward)
-            closure, tops = self.closure(path.inner, backward, roots)
-            # when only counts read the value set, a count walks the
-            # condensation until its bound is decided
-            only_counts = all(
-                c.kind in _COUNT_KINDS
-                for c in shape.constraints
-                if c.kind in _VALUE_SET_KINDS or c.kind == sh.QUALIFIED
-            )
-        values = None  # gathered only when a constraint reads the value set
-        for c in shape.constraints:
-            if closure is not None and c.kind not in _VALUE_SET_KINDS and c.kind != sh.QUALIFIED:
-                ok = yield from self._every_reached_value(c, closure, tops)
-            elif closure is not None and only_counts:
-                bound = c.args[0]
-                if c.kind == sh.MIN_COUNT:
-                    ok = closure.count(tops, bound) >= bound
-                else:
-                    ok = closure.count(tops, bound + 1) <= bound
+    def _frame(self, plan: _Plan, node: Term):
+        """Whether node conforms to the shape of plan, which is not plain,
+        as a frame of `conforms`."""
+        if not plan.decide(node):
+            return False
+        for c, refs in plan.framed:
+            if c.kind == sh.QUALIFIED:
+                ok = yield from self._qualified(c, refs, plan.values(node))
+            elif isinstance(plan, _RepeatedPlan):
+                closure, tops = plan.reach(node)
+                ok = yield from self._every_reached(c, refs, closure, tops)
             else:
-                if values is None:
-                    values = _path_values(self, path, {node}, backward)
-                if c.kind in _VALUE_SET_KINDS:
-                    ok = self._property_constraint(shape, c, node, values)
-                elif c.kind == sh.QUALIFIED:
-                    ok = yield from self._qualified(c, values)
-                else:  # value-type components apply to every value node
-                    ok = yield from self._every_value(c, values)
+                ok = yield from self._every(c.kind, refs, plan.values(node))
             if not ok:
                 return False
         return True
 
-    # shape references ---------------------------------------------------
+    # framed shape references ---------------------------------------------
 
-    def _reference(self, c: sh.Constraint, node: Term):
-        kind = c.kind
+    @staticmethod
+    def _ask(ref: Union[_Plan, Term], node: Term):
+        """Whether node conforms to ref: a plain shape's plan is called, any
+        other shape is asked of `conforms`."""
+        if isinstance(ref, _Plan):
+            return ref.decide(node)
+        return (yield (ref, node))
+
+    def _reference(self, kind: str, refs: tuple, node: Term):
+        ask = self._ask
         if kind == sh.NOT:
-            return not (yield (c.args[0], node))
+            return not (yield from ask(refs[0], node))
         if kind == sh.AND:
-            for s in c.args:
-                if not (yield (s, node)):
+            for ref in refs:
+                if not (yield from ask(ref, node)):
                     return False
             return True
         if kind == sh.OR:
-            for s in c.args:
-                if (yield (s, node)):
+            for ref in refs:
+                if (yield from ask(ref, node)):
                     return True
             return False
         if kind == sh.XONE:
             met = 0
-            for s in c.args:
-                met += (yield (s, node))
+            for ref in refs:
+                met += (yield from ask(ref, node))
             return met == 1
-        return (yield (c.args[0], node))  # sh:node, sh:property
+        return (yield from ask(refs[0], node))  # sh:node, sh:property
 
-    def _qualified(self, c: sh.Constraint, values: Set[Term]):
-        ref, min_count, max_count, siblings = c.args
+    def _qualified(self, c: sh.Constraint, refs: tuple, values: Set[Term]):
+        _, min_count, max_count, _ = c.args
+        qualifies, *siblings = refs
         matching = 0
         for v in values:
-            if (yield (ref, v)):
-                for s in siblings:
-                    if (yield (s, v)):
+            if (yield from self._ask(qualifies, v)):
+                for sibling in siblings:
+                    if (yield from self._ask(sibling, v)):
                         break
                 else:
                     matching += 1
-        if min_count is not None and matching < min_count:
-            return False
-        if max_count is not None and matching > max_count:
-            return False
-        return True
+        return _within(matching, min_count, max_count)
 
-    def _every_value(self, c: sh.Constraint, values: Set[Term]):
-        if c.kind in _REFERENCE_KINDS:
-            for v in values:
-                if not (yield from self._reference(c, v)):
-                    return False
-            return True
-        return all(self._node_constraint(c, v) for v in values)
-
-    def _every_reached_value(self, c: sh.Constraint, closure: _Closure, tops: list[int]):
-        """Whether every member of the components reachable from tops meets
-        the value-type component c, decided once per component: its
-        verdict is its members' and its successors'."""
-        known = closure.verdicts.setdefault(c, {})
-        for top in tops:
-            todo = [top]
-            while todo:
-                cid = todo[-1]
-                if cid in known:
-                    todo.pop()
-                    continue
-                later = [below for below in closure.below[cid] if below not in known]
-                if later:
-                    todo += later
-                    continue
-                todo.pop()
-                ok = all(known[below] for below in closure.below[cid])
-                if ok:
-                    ok = yield from self._every_value(c, closure.members[cid])
-                known[cid] = ok
-            if not known[top]:
+    def _every(self, kind: str, refs: tuple, values: Collection[Term]):
+        for v in values:
+            if not (yield from self._reference(kind, refs, v)):
                 return False
         return True
 
-    # node shape components ---------------------------------------------
-
-    def _node_constraint(self, c: sh.Constraint, node: Term) -> bool:
-        kind = c.kind
-        if kind == sh.HAS_VALUE:
-            return node == c.args[0]
-        if kind == sh.IN:
-            return node in c.args
-        if kind == sh.CLASS:
-            return c.args[0] in self.succ(iri(ns.RDF_TYPE), node)
-        if kind == sh.DATATYPE:
-            return (
-                node.is_literal
-                and effective_datatype(node) == c.args[0].lexical
-                and not malformed_literal(node)
-            )
-        if kind == sh.NODE_KIND:
-            return term_matches_node_kind(node, c.args[0].lexical)
-        if kind == sh.MIN_EXCLUSIVE:
-            return compare_terms(node, c.args[0]) is ComparisonVerdict.GT
-        if kind == sh.MIN_INCLUSIVE:
-            return compare_terms(node, c.args[0]) in (ComparisonVerdict.GT, ComparisonVerdict.EQ)
-        if kind == sh.MAX_EXCLUSIVE:
-            return compare_terms(node, c.args[0]) is ComparisonVerdict.LT
-        if kind == sh.MAX_INCLUSIVE:
-            return compare_terms(node, c.args[0]) in (ComparisonVerdict.LT, ComparisonVerdict.EQ)
-        if kind == sh.MIN_LENGTH:
-            rep = string_representation(node)
-            return rep is not None and len(rep) >= c.args[0]
-        if kind == sh.MAX_LENGTH:
-            rep = string_representation(node)
-            return rep is not None and len(rep) <= c.args[0]
-        if kind == sh.PATTERN:
-            rep = string_representation(node)
-            return rep is not None and re.search(c.args[0], rep) is not None
-        if kind == sh.LANGUAGE_IN:
-            return node.is_literal and node.language is not None and any(
-                node.language.lower() == tag.lower() for tag in c.args
-            )
-        # components without a node-shape reading never constrain
-        return True
-
-    # property shape components -----------------------------------------
-
-    def _property_constraint(self, shape, c: sh.Constraint, node: Term, values: Set[Term]) -> bool:
-        kind = c.kind
-        if kind == sh.HAS_VALUE:
-            return c.args[0] in values
-        if kind == sh.UNIQUE_LANG:
-            for tag in self.language_set:
-                tagged = [
-                    v for v in values if v.is_literal and v.language and v.language.lower() == tag.lower()
-                ]
-                if len(tagged) >= 2:
-                    return False
-            return True
-        if kind == sh.MIN_COUNT:
-            return len(values) >= c.args[0]
-        if kind == sh.MAX_COUNT:
-            return len(values) <= c.args[0]
-        if kind == sh.EQUALS:
-            return values == self.succ(c.args[0], node)
-        if kind == sh.DISJOINT:
-            return not (values & self.succ(c.args[0], node))
-        if kind in (sh.LESS_THAN, sh.LESS_THAN_OR_EQUALS):
-            allowed = (
-                (ComparisonVerdict.LT,)
-                if kind == sh.LESS_THAN
-                else (ComparisonVerdict.LT, ComparisonVerdict.EQ)
-            )
-            for v in values:
-                for w in self.succ(c.args[0], node):
-                    if compare_terms(v, w) not in allowed:
-                        return False
-            return True
-        # sh:closed
-        for relation in self.doc.closed_theta(shape):
-            if self.succ(relation, node):
+    def _every_reached(self, c: sh.Constraint, refs: tuple, closure: _Closure, tops: list[int]):
+        """Whether every member of the components reachable from tops meets
+        the reference component c, as `_Closure.every` decides a test."""
+        known = closure.verdicts.setdefault(c, {})
+        for top in tops:
+            for cid in closure.unknown(top, known):
+                ok = all(known[below] for below in closure.below[cid])
+                if ok:
+                    ok = yield from self._every(c.kind, refs, closure.members[cid])
+                known[cid] = ok
+            if not known[top]:
                 return False
         return True
 

@@ -1135,7 +1135,8 @@ def _least_model(
     """The least model of `sentence` over the smallest domain size up to
     `max_domain`, or None when there is none.  A canonical catalog that
     fell short of a filter combination may miss a model, so then
-    SearchAborted names that combination's positive filters instead.
+    SearchAborted names that combination's filters, positive and negative,
+    instead.
 
     A non-empty `refuted` also requires some of its parts to fail.  `scan`
     (default: `sentence`) supplies the signature: relations, constants,
@@ -1156,9 +1157,12 @@ def _least_model(
         _check_deadline(deadline)
         grounder = _Grounder(sentence, k, mode, scan, deadline, table)
         if grounder.short and incomplete is None:
-            positives = FilterCombination(positive_filters=grounder.short[0].positive_filters)
+            short = grounder.short[0]
+            filters = FilterCombination(
+                positive_filters=short.positive_filters, negative_filters=short.negative_filters
+            )
             incomplete = f"filter catalog incomplete at k={k}: too few witnesses of "
-            incomplete += print_scl(positives.formula())
+            incomplete += print_scl(filters.formula())
         if refuted:
             fails = []
             for part in refuted:

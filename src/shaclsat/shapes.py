@@ -260,12 +260,9 @@ class ShaclDocument:
                     out.add(c.args[0])
         return out | set(self.vocabulary_context)
 
-    def closed_theta(self, shape: Shape) -> tuple[Term, ...]:
-        """Forbidden relations for a closed constraint at `shape`."""
-        closed = [c for c in shape.constraints if c.kind == CLOSED]
-        if not closed:
-            return ()
-        ignored = set(closed[0].args)
+    def closed_theta(self, shape: Shape, ignored: tuple[Term, ...]) -> tuple[Term, ...]:
+        """Forbidden relations for a closed constraint at `shape` that
+        ignores the relations `ignored`."""
         declared: set[Term] = set()
         for c in shape.constraints:
             if c.kind == PROPERTY:
@@ -275,7 +272,7 @@ class ShaclDocument:
                     continue
                 if isinstance(ref.path, PredicatePath):
                     declared.add(ref.path.predicate)
-        theta = self.relation_names() - declared - ignored
+        theta = self.relation_names() - declared - set(ignored)
         return tuple(sorted(theta, key=Term.sort_key))
 
 

@@ -243,7 +243,7 @@ def translate_property_constraint(
         beta = _at_most(max_count, pi, nu) if max_count is not None else Top()
         return conj([alpha, beta])
     if kind == sh.CLOSED:
-        theta = doc.closed_theta(shape) if shape is not None else ()
+        theta = doc.closed_theta(shape, atom.args) if shape is not None else ()
         return conj([Not(exists(Rel(r), Top())) for r in theta])
     return Top()
 

@@ -343,6 +343,67 @@ def test_general_inverse_paths_agree_with_logic_route():
     ]
 
 
+# :R and :S hold no shape reference, so every shape that names only them is
+# plain; :wrapR is :R and :wrapS is :S, each through :anchor, which names
+# the empty :top, so a shape that names them is not.  Each plain shape
+# below (suffix p) reaches :R by a call; its twin (suffix f) reaches it
+# through frames, and decides the same.
+_TWIN_TARGETS = "sh:targetClass :A ; sh:targetSubjectsOf :q"
+_TWIN_SHAPES = {
+    "property": ("sh:property :R", "sh:node :wrapR"),
+    "not": ("sh:not :R", "sh:not :wrapR"),
+    "or": ("sh:or ( :S :R )", "sh:or ( :wrapS :R )"),
+    "xone": ("sh:xone ( :R :S )", "sh:xone ( :R :wrapS )"),
+    "qualified": (
+        "sh:path :q ; sh:qualifiedValueShape :R ; sh:qualifiedMinCount 1",
+        "sh:path :q ; sh:qualifiedValueShape :wrapR ; sh:qualifiedMinCount 1",
+    ),
+    "star": ("sh:path [ sh:zeroOrMorePath :q ] ; sh:node :R",
+             "sh:path [ sh:zeroOrMorePath :q ] ; sh:node :wrapR"),
+}
+
+
+def _twin_shapes() -> str:
+    lines = [
+        ":R a sh:PropertyShape ; sh:path [ sh:zeroOrMorePath :p ] ; "
+        "sh:nodeKind sh:IRI ; sh:minCount 2 ; sh:maxCount 15 .",
+        ":top a sh:NodeShape .",
+        ":anchor a sh:NodeShape ; sh:node :top .",
+        ":S a sh:NodeShape ; sh:class :B .",
+        ":wrapR a sh:NodeShape ; sh:property :R ; sh:node :anchor .",
+        ":wrapS a sh:NodeShape ; sh:node :S ; sh:node :anchor .",
+    ]
+    for name, pair in _TWIN_SHAPES.items():
+        for suffix, body in zip("pf", pair):
+            kind = "sh:PropertyShape" if "sh:path" in body else "sh:NodeShape"
+            lines.append(f":{name}{suffix} a {kind} ; {_TWIN_TARGETS} ; {body} .")
+    return doc_ttl("\n".join(lines))
+
+
+def test_plain_calls_and_frames_agree_on_a_reference_free_shape():
+    from shaclsat.direct_validation import _Validator
+    from shaclsat.validation import validate
+
+    doc = parse_document(_twin_shapes())
+    validator = _Validator(TripleGraph(frozenset()), doc)
+    for name in _TWIN_SHAPES:
+        plain, framed = (validator.plan(doc.shape(iri(f"{EX}{name}{s}"))) for s in "pf")
+        assert plain.plain and not framed.plain, name
+    for seed in (1, 2, 3):
+        graph = parse_turtle(_cyclic_turtle(seed))
+        direct = validate_direct(graph, doc)
+        assert direct.violations == validate(graph, doc).violations, seed
+        violating = {}
+        for node, shape in direct.violations:
+            violating.setdefault(shape.lexical[len(EX):], set()).add(node)
+        for name in _TWIN_SHAPES:
+            plain, framed = violating.get(name + "p", set()), violating.get(name + "f", set())
+            assert plain == framed, (seed, name)
+            assert plain, (seed, name)
+        # :R fails at some focus nodes and holds at others
+        assert violating["property" + "p"] != violating["not" + "p"]
+
+
 def _person_turtle(n: int) -> str:
     """n persons on :knows rings of about 1.25*sqrt(n) persons, and one in
     ten a tail pointing into a ring."""
@@ -370,7 +431,7 @@ def test_star_successors_and_value_checks_grow_linearly(monkeypatch):
     ))
     knows = iri(EX + "knows")
     succ = direct_validation._Validator.succ
-    check = direct_validation._Validator._node_constraint
+    value_test = direct_validation._Compiler.value_test
     steps = checks = 0
 
     def counting_succ(g, predicate, node):
@@ -378,13 +439,17 @@ def test_star_successors_and_value_checks_grow_linearly(monkeypatch):
         steps += predicate == knows
         return succ(g, predicate, node)
 
-    def counting_check(validator, c, node):
-        nonlocal checks
-        checks += 1
-        return check(validator, c, node)
+    def counting_value_test(compiler, c):
+        test = value_test(compiler, c)
+
+        def counting_test(node):
+            nonlocal checks
+            checks += 1
+            return test(node)
+        return counting_test
 
     monkeypatch.setattr(direct_validation._Validator, "succ", counting_succ)
-    monkeypatch.setattr(direct_validation._Validator, "_node_constraint", counting_check)
+    monkeypatch.setattr(direct_validation._Compiler, "value_test", counting_value_test)
     counts = []
     for n in (250, 1000):
         steps = checks = 0
@@ -393,6 +458,57 @@ def test_star_successors_and_value_checks_grow_linearly(monkeypatch):
     # each node's successors are read once, and each node is checked once
     # per direction (tails included); a BFS per focus node grows about 8x
     assert counts == [(250, 500), (1000, 2000)]
+
+
+PERSON_SHAPES = doc_ttl(
+    ":PersonShape a sh:NodeShape ; sh:targetClass :Person ; "
+    "sh:property [ sh:path :knows ; sh:minCount 1 ] ; "
+    "sh:property [ sh:path [ sh:zeroOrMorePath :knows ] ; sh:nodeKind sh:IRI ] ; "
+    "sh:property [ sh:path :age ; sh:datatype xsd:integer ; sh:maxCount 1 ] ."
+)
+
+
+def test_plain_shapes_build_one_plan_each_and_start_no_frame(monkeypatch):
+    from shaclsat import direct_validation
+
+    validators = []
+    frames = 0
+    init, frame = direct_validation._Validator.__init__, direct_validation._Validator._frame
+
+    def keeping_init(validator, graph, doc):
+        init(validator, graph, doc)
+        validators.append(validator)
+
+    def counting_frame(validator, plan, node):
+        nonlocal frames
+        frames += 1
+        return frame(validator, plan, node)
+
+    monkeypatch.setattr(direct_validation._Validator, "__init__", keeping_init)
+    monkeypatch.setattr(direct_validation._Validator, "_frame", counting_frame)
+    # the person shape names three shapes that name none, so it is plain
+    doc = parse_document(PERSON_SHAPES)
+    for n in (250, 1000):
+        validators.clear()
+        frames = 0
+        assert validate_direct(parse_turtle(_person_turtle(n)), doc).conforms
+        (validator,) = validators
+        assert len(validator.plans) == len(doc.shapes) == 4
+        assert frames == 0
+        assert validator.memo == {}
+    # :top names :middle, which names a shape: :top is decided in frames,
+    # one per focus node, and :middle by calls from them
+    doc = parse_document(doc_ttl(
+        ":top a sh:NodeShape ; sh:targetClass :Person ; sh:node :middle .\n"
+        ":middle a sh:NodeShape ; sh:property [ sh:path :knows ; sh:minCount 1 ] ."
+    ))
+    for n in (250, 1000):
+        validators.clear()
+        frames = 0
+        assert validate_direct(parse_turtle(_person_turtle(n)), doc).conforms
+        (validator,) = validators
+        assert frames == n
+        assert {shape for shape, _ in validator.memo} == {iri(EX + "top")}
 
 
 def _chain_validator(n: int, doc):

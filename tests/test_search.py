@@ -607,6 +607,28 @@ def _random_filter_sentences(seed: int, count: int) -> list:
     return sentences
 
 
+def test_short_catalog_reason_names_the_negative_filters():
+    # the combination the catalog falls short of for FILTERS7_TTL is empty
+    # only because of its negated sh:maxLength 5 (length 6 or more)
+    from corpus import doc_ttl
+    from shaclsat.containment import check_containment
+    from shaclsat.shapes import parse_document
+
+    doc = parse_document(doc_ttl(FILTERS7_TTL))
+    verdict = check_containment(doc, doc, max_domain=3, budget=60)
+    assert verdict.outcome == "Aborted"
+    assert "(not (filter max-length 5))" in verdict.reason
+    assert "(eq " not in verdict.reason  # the excluded constants are left out
+
+
+def test_short_catalog_reason_of_an_all_negative_combination_is_not_top():
+    # random sentence 14 falls short of a combination with no positive filter
+    verdict = bounded_sat(_random_filter_sentences(5, 120)[14], max_domain=3, budget=60)
+    assert verdict.outcome == "Aborted"
+    assert "(top)" not in verdict.reason
+    assert "(not (filter min-length 2))" in verdict.reason
+
+
 # sha1 of the axiomatizations below (a `CapExceeded` contributes its
 # message), measured before a literal family became a count and a draw
 AXIOM_DIGEST = "7af9b6fb56ca4e6b73a6559f53af907861e57eb7"
