@@ -296,7 +296,9 @@ class _Compiler:
 
     def language_in(self, *tags: str) -> ValueTest:
         lowered = frozenset(tag.lower() for tag in tags)
-        return lambda v: v.kind == LITERAL and v.language is not None and v.language.lower() in lowered
+        return lambda v: (
+            v.kind == LITERAL and v.language is not None and v.language.lower() in lowered
+        )
 
     # components that read the value set ----------------------------------
 
@@ -447,29 +449,22 @@ class _Plan:
         compiler = _Compiler(validator.graph, validator.doc, shape)
         for c in shape.constraints:
             kind = c.kind
-            if kind in _REFERENCE_KINDS:
-                refs = validator.refs(c.args)
-                if self._all_plain(c, refs):
+            if kind in _REFERENCE_KINDS or kind == sh.QUALIFIED and shape.is_property_shape:
+                refs = validator.refs(c.shape_refs())
+                if not all(isinstance(ref, _Plan) for ref in refs):
+                    self.framed.append((c, refs))
+                elif kind == sh.QUALIFIED:
+                    self.set_tests.append(_qualified_test(c, refs))
+                else:
                     self.tests[c] = _reference_test(kind, refs)
             elif not shape.is_property_shape:
-                # a value-set component has no reading at a node shape
+                # a component that reads a value set has no reading at a node shape
                 if kind in _VALUE_COMPILERS:
                     self.tests[c] = compiler.value_test(c)
-            elif kind == sh.QUALIFIED:
-                refs = validator.refs((c.args[0], *c.args[3]))
-                if self._all_plain(c, refs):
-                    self.set_tests.append(_qualified_test(c, refs))
             elif kind in _SET_COMPILERS:
                 self.set_tests.append(compiler.set_test(c))
             else:
                 self.tests[c] = compiler.value_test(c)
-
-    def _all_plain(self, c: sh.Constraint, refs: tuple) -> bool:
-        """Whether refs are all plans; if not, c joins the framed components."""
-        if all(isinstance(ref, _Plan) for ref in refs):
-            return True
-        self.framed.append((c, refs))
-        return False
 
     def values(self, node: Term) -> Collection[Term]:
         return (node,)
@@ -527,10 +522,14 @@ class _RepeatedPlan(_Plan):
         self.validator, self.inner, self.backward = weakref.proxy(validator), path.inner, backward
         self.one_or_more = isinstance(path, sh.OneOrMorePath)
         closure = validator.closures.setdefault((path.inner, backward), _Closure())
-        self.reached = [(test, closure.verdicts.setdefault(c, {})) for c, test in self.tests.items()]
+        self.reached = [
+            (test, closure.verdicts.setdefault(c, {})) for c, test in self.tests.items()
+        ]
         # when only counts read the value set, a count walks the
         # condensation until its bound is decided
-        reads_set = [c for c in shape.constraints if c.kind in _SET_COMPILERS or c.kind == sh.QUALIFIED]
+        reads_set = [
+            c for c in shape.constraints if c.kind in _SET_COMPILERS or c.kind == sh.QUALIFIED
+        ]
         self.counts = None
         if all(c.kind in _COUNT_KINDS for c in reads_set):
             self.counts = [(c.kind == sh.MIN_COUNT, c.args[0]) for c in reads_set]

@@ -120,7 +120,7 @@ _NODE_KIND_FILTERS = {
 def _node_kind_formula(kind_iri: str) -> SclFormula:
     """The disjunction of a node kind's filters; an unknown kind has none,
     so no term matches it, as in the direct validator's
-    `direct_validation.term_matches_node_kind`."""
+    `direct_validation._NODE_KINDS`."""
     return disj([Filter(name()) for name in _NODE_KIND_FILTERS.get(kind_iri, ())])
 
 

@@ -399,9 +399,9 @@ def test_plain_calls_and_frames_agree_on_a_reference_free_shape():
         for name in _TWIN_SHAPES:
             plain, framed = violating.get(name + "p", set()), violating.get(name + "f", set())
             assert plain == framed, (seed, name)
+            # each shape has violations; by :propertyp and :notp, :R fails
+            # at some focus nodes and holds at others
             assert plain, (seed, name)
-        # :R fails at some focus nodes and holds at others
-        assert violating["property" + "p"] != violating["not" + "p"]
 
 
 def _person_turtle(n: int) -> str:
