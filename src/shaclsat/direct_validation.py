@@ -9,10 +9,14 @@ one value or a test of the value set.
 
 A shape is plain when it holds no shape reference, or when every shape it
 references holds none.  A plain shape is decided by a direct call, which
-calls the plans of the shapes it references, and leaves no memo entry.
-Any other shape is decided in a frame of an explicit stack, once per
-(shape, node) pair; a frame calls plain shapes directly, so no call chain
-spans more than two shapes however long a chain of references is.
+calls the plans of the shapes it references.  Any other shape is decided
+in a frame of an explicit stack, once per (shape, node) pair, kept in the
+memo; a frame calls plain shapes directly.  So a Python call chain spans
+at most one frame's shape and two plain ones, however long a chain of
+references is.  A plain shape that a reference asks keeps its verdict
+per node, as the values of many nodes can share one node; only a node
+shape's `sh:node` or `sh:property` calls it afresh, as that asks at the
+node shape's own node, once per decision of the node shape.
 
 A repeated path is condensed once per validation: the strongly connected
 components of its inner path's successor relation are found in one Tarjan
@@ -29,7 +33,7 @@ import re
 import weakref
 from collections.abc import Callable, Collection, Set
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import namespaces as ns
 from . import shapes as sh
@@ -107,29 +111,39 @@ class _Closure:
                 return limit
         return n
 
-    def unknown(self, top: int, known: dict[int, bool]) -> list[int]:
-        """The components reachable from top that have no verdict in known,
-        not looking past one that has, in id order: each comes after every
-        component it leads into."""
-        if top in known:
-            return []
-        seen = {top}
-        todo = [top]
-        while todo:
-            for below in self.below[todo.pop()]:
-                if below not in seen and below not in known:
-                    seen.add(below)
-                    todo.append(below)
-        return sorted(seen)
+    def undecided(self, tops: list[int], known: dict[int, bool]):
+        """The components reachable from tops that have no verdict in known
+        and whose successors all pass, each after every component it leads
+        into, for the caller to record its verdict in known before taking
+        the next: a component's verdict is its members' and its
+        successors'.  A component with a failing successor fails here, and
+        the walk ends at the first top that fails."""
+        below = self.below
+        for top in tops:
+            if top not in known:
+                seen = {top}
+                todo = [top]
+                while todo:
+                    for b in below[todo.pop()]:
+                        if b not in seen and b not in known:
+                            seen.add(b)
+                            todo.append(b)
+                # in id order, each comes after every component it leads into
+                for cid in sorted(seen):
+                    if all(known[b] for b in below[cid]):
+                        yield cid
+                    else:
+                        known[cid] = False
+            if not known[top]:
+                return
 
     def every(self, tops: list[int], known: dict[int, bool], test: ValueTest) -> bool:
         """Whether every member of the components reachable from tops passes
-        test, decided once per component: its verdict is its members' and
-        its successors'."""
-        members, below = self.members, self.below
+        test, decided once per component."""
+        members = self.members
+        for cid in self.undecided(tops, known):
+            known[cid] = all(map(test, members[cid]))
         for top in tops:
-            for cid in self.unknown(top, known):
-                known[cid] = all(known[b] for b in below[cid]) and all(map(test, members[cid]))
             if not known[top]:
                 return False
         return True
@@ -392,36 +406,78 @@ _COUNT_KINDS = frozenset((sh.MIN_COUNT, sh.MAX_COUNT))
 _REFERENCE_KINDS = frozenset((sh.NOT, sh.AND, sh.OR, sh.XONE, sh.NODE, sh.PROPERTY))
 
 
-def _reference_test(kind: str, plans: tuple[_Plan, ...]) -> ValueTest:
-    """A reference component whose shapes are all plain, as a value test."""
-    decides = [plan.decide for plan in plans]
+# --------------------------------------------------------------------------
+# Shape references
+# --------------------------------------------------------------------------
+
+# A reference component's shapes are each a plan, when the shape is plain,
+# or a name.  These generators decide the component: they call a plan and
+# yield (name, node) for a name, to `_Validator.conforms`, which sends the
+# verdict back.  When every shape is a plan they yield nothing, and `_run`
+# reads their verdict.
+
+
+def _run(decision) -> bool:
+    """The verdict of a decision whose shapes are all plans."""
+    try:
+        next(decision)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a decision over plain shapes asked for a frame")
+
+
+def _ask(ref, node: Term):
+    """Whether node conforms to ref: a plain shape's plan is called, any
+    other shape is asked of `conforms`."""
+    if isinstance(ref, _Plan):
+        return ref.decide_once(node)
+    return (yield (ref, node))
+
+
+def _reference(kind: str, refs: tuple, node: Term):
     if kind == sh.NOT:
-        decide = decides[0]
-        return lambda v: not decide(v)
+        return not (yield from _ask(refs[0], node))
     if kind == sh.AND:
-        return lambda v: all(decide(v) for decide in decides)
+        for ref in refs:
+            if not (yield from _ask(ref, node)):
+                return False
+        return True
     if kind == sh.OR:
-        return lambda v: any(decide(v) for decide in decides)
+        for ref in refs:
+            if (yield from _ask(ref, node)):
+                return True
+        return False
     if kind == sh.XONE:
-        return lambda v: sum(decide(v) for decide in decides) == 1
-    return decides[0]  # sh:node, sh:property
+        met = 0
+        for ref in refs:
+            met += (yield from _ask(ref, node))
+        return met == 1
+    return (yield from _ask(refs[0], node))  # sh:node, sh:property
 
 
-def _qualified_test(c: sh.Constraint, plans: tuple[_Plan, ...]) -> SetTest:
-    """A qualified value shape whose shapes are all plain, as a value-set
-    test: the values that conform to it and to none of its siblings."""
-    _, least, most, _ = c.args
-    qualifies, *siblings = [plan.decide for plan in plans]
+def _qualified(c: sh.Constraint, refs: tuple, values: Set[Term]):
+    _, min_count, max_count, _ = c.args
+    qualifies, *siblings = refs
+    matching = 0
+    for v in values:
+        if (yield from _ask(qualifies, v)):
+            for sibling in siblings:
+                if (yield from _ask(sibling, v)):
+                    break
+            else:
+                matching += 1
+    if min_count is not None and matching < min_count:
+        return False
+    if max_count is not None and matching > max_count:
+        return False
+    return True
 
-    return lambda node, values: _within(
-        sum(1 for v in values if qualifies(v) and not any(sibling(v) for sibling in siblings)),
-        least, most,
-    )
 
-
-def _within(n: int, least: Optional[int], most: Optional[int]) -> bool:
-    """Whether n lies between the bounds; None bounds nothing."""
-    return (least is None or n >= least) and (most is None or n <= most)
+def _every(kind: str, refs: tuple, values: Collection[Term]):
+    for v in values:
+        if not (yield from _reference(kind, refs, v)):
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -433,11 +489,13 @@ class _Plan:
     """How a shape is decided in one validation, built on the shape's first
     use; this class decides a node shape, whose only value is the node.
 
-    `tests` are the compiled value tests, by constraint; a reference to
-    plain shapes is one of them, calling their plans.  `framed` holds the
-    reference components that name a shape that is not plain, with each
-    named shape's plan when it is plain and its name when not: only a frame
-    of `_Validator.conforms` reads them.
+    A decision reads what `reach` gives at the node (here the node itself)
+    and runs `check` over it.  `tests` are the compiled value tests, by
+    constraint, and `set_tests` the value-set tests; a reference component
+    whose shapes are all plain is one of them.  `framed` holds the reference
+    components that name a shape that is not plain, with each named shape's
+    plan when it is plain and its name when not: only a frame of
+    `_Validator.conforms` reads them.
     """
 
     def __init__(self, validator: _Validator, shape: sh.Shape):
@@ -446,6 +504,8 @@ class _Plan:
         self.tests: dict[sh.Constraint, ValueTest] = {}
         self.set_tests: list[SetTest] = []
         self.framed: list[tuple[sh.Constraint, tuple[Union[_Plan, Term], ...]]] = []
+        # the verdicts of decide_once, by node
+        self.verdicts: dict[Term, bool] = {}
         compiler = _Compiler(validator.graph, validator.doc, shape)
         for c in shape.constraints:
             kind = c.kind
@@ -454,9 +514,17 @@ class _Plan:
                 if not all(isinstance(ref, _Plan) for ref in refs):
                     self.framed.append((c, refs))
                 elif kind == sh.QUALIFIED:
-                    self.set_tests.append(_qualified_test(c, refs))
+                    self.set_tests.append(
+                        lambda node, values, c=c, refs=refs: _run(_qualified(c, refs, values))
+                    )
+                elif kind in (sh.NODE, sh.PROPERTY):
+                    # a node shape asks at its own node, once per decision
+                    # of its own, so only a property shape's values keep
+                    # their verdicts
+                    (ref,) = refs
+                    self.tests[c] = ref.decide_once if shape.is_property_shape else ref.decide
                 else:
-                    self.tests[c] = _reference_test(kind, refs)
+                    self.tests[c] = lambda v, kind=kind, refs=refs: _run(_reference(kind, refs, v))
             elif not shape.is_property_shape:
                 # a component that reads a value set has no reading at a node shape
                 if kind in _VALUE_COMPILERS:
@@ -466,16 +534,41 @@ class _Plan:
             else:
                 self.tests[c] = compiler.value_test(c)
 
-    def values(self, node: Term) -> Collection[Term]:
+    def reach(self, node: Term) -> Collection[Term]:
         return (node,)
 
+    def value_set(self, reached) -> Collection[Term]:
+        """The value set of what reach gave."""
+        return reached
+
+    def check(self, node: Term, values: Collection[Term]) -> bool:
+        """Whether node, with what reach gave at it, passes every compiled
+        test."""
+        for test in self.set_tests:
+            if not test(node, values):
+                return False
+        for test in self.tests.values():
+            for v in values:
+                if not test(v):
+                    return False
+        return True
+
     def decide(self, node: Term) -> bool:
-        """Whether node passes every compiled test: the shape's verdict
-        when it is plain."""
+        """Whether node passes every compiled test, which is check at the
+        node's one value in one loop: the shape's verdict when it is
+        plain."""
         for test in self.tests.values():
             if not test(node):
                 return False
         return True
+
+    def decide_once(self, node: Term) -> bool:
+        """decide, kept per node: a reference asks this at the values of a
+        path, which the values of many nodes can share."""
+        verdict = self.verdicts.get(node)
+        if verdict is None:
+            verdict = self.verdicts[node] = self.decide(node)
+        return verdict
 
 
 class _PathPlan(_Plan):
@@ -494,23 +587,13 @@ class _PathPlan(_Plan):
             # cycle would keep the validation's memory until a full collection
             self.validator, self.path, self.backward = weakref.proxy(validator), path, backward
 
-    def values(self, node: Term) -> Set[Term]:
+    def reach(self, node: Term) -> Set[Term]:
         if self.edges is not None:
             return self.edges.get(node, _EMPTY)
         return _path_values(self.validator, self.path, {node}, self.backward)
 
     def decide(self, node: Term) -> bool:
-        if not (self.tests or self.set_tests):
-            return True
-        values = self.values(node)
-        for test in self.set_tests:
-            if not test(node, values):
-                return False
-        for test in self.tests.values():
-            for v in values:
-                if not test(v):
-                    return False
-        return True
+        return self.check(node, self.reach(node))
 
 
 class _RepeatedPlan(_Plan):
@@ -522,7 +605,8 @@ class _RepeatedPlan(_Plan):
         self.validator, self.inner, self.backward = weakref.proxy(validator), path.inner, backward
         self.one_or_more = isinstance(path, sh.OneOrMorePath)
         closure = validator.closures.setdefault((path.inner, backward), _Closure())
-        self.reached = [
+        # each value test with its verdicts by component
+        self.component_tests = [
             (test, closure.verdicts.setdefault(c, {})) for c, test in self.tests.items()
         ]
         # when only counts read the value set, a count walks the
@@ -541,13 +625,15 @@ class _RepeatedPlan(_Plan):
             roots = _path_values(self.validator, self.inner, roots, self.backward)
         return self.validator.closure(self.inner, self.backward, roots)
 
-    def values(self, node: Term) -> Set[Term]:
-        closure, tops = self.reach(node)
+    decide = _PathPlan.decide  # check over what reach gives
+
+    def value_set(self, reached: tuple[_Closure, list[int]]) -> Set[Term]:
+        closure, tops = reached
         return closure.values(tops)
 
-    def decide(self, node: Term) -> bool:
-        closure, tops = self.reach(node)
-        for test, known in self.reached:
+    def check(self, node: Term, reached: tuple[_Closure, list[int]]) -> bool:
+        closure, tops = reached
+        for test, known in self.component_tests:
             if not closure.every(tops, known, test):
                 return False
         if self.counts is not None:
@@ -572,12 +658,14 @@ class _RepeatedPlan(_Plan):
 class _Validator:
     """Conformance of (shape, node) pairs, through one plan per shape.
 
-    `conforms` decides a plain shape by its plan's direct call.  Any other
-    shape is decided in an explicit stack of frames, one generator per
-    (shape, node) pair being decided, which yields the pairs it needs of
-    shapes that are not plain and returns its verdict; each such pair is
-    decided once and kept in `memo`.  A chain of `sh:node` references is
-    thus as deep as the stack list, not the interpreter's.
+    `conforms` decides a plain shape by its plan's direct call, which
+    leaves no memo entry.  Any other shape is decided in an explicit stack
+    of frames, one generator per (shape, node) pair being decided: the
+    frame runs its plan's compiled tests, then its `framed` components,
+    which yield the pairs they need of shapes that are not plain, and it
+    returns its verdict; each such pair is decided once and kept in
+    `memo`.  A chain of `sh:node` references is thus as deep as the stack
+    list, not the interpreter's.
     """
 
     def __init__(self, graph: TripleGraph, doc: sh.ShaclDocument):
@@ -682,81 +770,25 @@ class _Validator:
     def _frame(self, plan: _Plan, node: Term):
         """Whether node conforms to the shape of plan, which is not plain,
         as a frame of `conforms`."""
-        if not plan.decide(node):
+        reached = plan.reach(node)
+        if not plan.check(node, reached):
             return False
+        values = None
         for c, refs in plan.framed:
-            if c.kind == sh.QUALIFIED:
-                ok = yield from self._qualified(c, refs, plan.values(node))
-            elif isinstance(plan, _RepeatedPlan):
-                closure, tops = plan.reach(node)
-                ok = yield from self._every_reached(c, refs, closure, tops)
+            if isinstance(plan, _RepeatedPlan) and c.kind != sh.QUALIFIED:
+                closure, tops = reached
+                known = closure.verdicts.setdefault(c, {})
+                for cid in closure.undecided(tops, known):
+                    known[cid] = yield from _every(c.kind, refs, closure.members[cid])
+                ok = all(known[top] for top in tops)
             else:
-                ok = yield from self._every(c.kind, refs, plan.values(node))
-            if not ok:
-                return False
-        return True
-
-    # framed shape references ---------------------------------------------
-
-    @staticmethod
-    def _ask(ref: Union[_Plan, Term], node: Term):
-        """Whether node conforms to ref: a plain shape's plan is called, any
-        other shape is asked of `conforms`."""
-        if isinstance(ref, _Plan):
-            return ref.decide(node)
-        return (yield (ref, node))
-
-    def _reference(self, kind: str, refs: tuple, node: Term):
-        ask = self._ask
-        if kind == sh.NOT:
-            return not (yield from ask(refs[0], node))
-        if kind == sh.AND:
-            for ref in refs:
-                if not (yield from ask(ref, node)):
-                    return False
-            return True
-        if kind == sh.OR:
-            for ref in refs:
-                if (yield from ask(ref, node)):
-                    return True
-            return False
-        if kind == sh.XONE:
-            met = 0
-            for ref in refs:
-                met += (yield from ask(ref, node))
-            return met == 1
-        return (yield from ask(refs[0], node))  # sh:node, sh:property
-
-    def _qualified(self, c: sh.Constraint, refs: tuple, values: Set[Term]):
-        _, min_count, max_count, _ = c.args
-        qualifies, *siblings = refs
-        matching = 0
-        for v in values:
-            if (yield from self._ask(qualifies, v)):
-                for sibling in siblings:
-                    if (yield from self._ask(sibling, v)):
-                        break
+                if values is None:
+                    values = plan.value_set(reached)
+                if c.kind == sh.QUALIFIED:
+                    ok = yield from _qualified(c, refs, values)
                 else:
-                    matching += 1
-        return _within(matching, min_count, max_count)
-
-    def _every(self, kind: str, refs: tuple, values: Collection[Term]):
-        for v in values:
-            if not (yield from self._reference(kind, refs, v)):
-                return False
-        return True
-
-    def _every_reached(self, c: sh.Constraint, refs: tuple, closure: _Closure, tops: list[int]):
-        """Whether every member of the components reachable from tops meets
-        the reference component c, as `_Closure.every` decides a test."""
-        known = closure.verdicts.setdefault(c, {})
-        for top in tops:
-            for cid in closure.unknown(top, known):
-                ok = all(known[below] for below in closure.below[cid])
-                if ok:
-                    ok = yield from self._every(c.kind, refs, closure.members[cid])
-                known[cid] = ok
-            if not known[top]:
+                    ok = yield from _every(c.kind, refs, values)
+            if not ok:
                 return False
         return True
 

@@ -496,6 +496,7 @@ def test_plain_shapes_build_one_plan_each_and_start_no_frame(monkeypatch):
         assert len(validator.plans) == len(doc.shapes) == 4
         assert frames == 0
         assert validator.memo == {}
+        assert all(plan.verdicts == {} for plan in validator.plans.values())
     # :top names :middle, which names a shape: :top is decided in frames,
     # one per focus node, and :middle by calls from them
     doc = parse_document(doc_ttl(
@@ -509,6 +510,62 @@ def test_plain_shapes_build_one_plan_each_and_start_no_frame(monkeypatch):
         (validator,) = validators
         assert frames == n
         assert {shape for shape, _ in validator.memo} == {iri(EX + "top")}
+
+
+# :S and :T reach :Q and :R at :hub, which every person :knows; :hub knows
+# every person and likes itself.  :S is plain and names :Q by sh:node and
+# sh:qualifiedValueShape, and :R by sh:not; :T runs in frames, as :wrap
+# names :anchor, which names :top, and its sh:or asks :Q first.
+HUB_SHAPES = doc_ttl(
+    ":S a sh:PropertyShape ; sh:targetClass :Person ; sh:path :knows ; sh:node :Q ; "
+    "sh:not :R ; sh:qualifiedValueShape :Q ; sh:qualifiedMinCount 1 .\n"
+    ":T a sh:PropertyShape ; sh:targetClass :Person ; sh:path :knows ; sh:or ( :Q :wrap ) .\n"
+    ":Q a sh:PropertyShape ; sh:path :knows ; sh:nodeKind sh:IRI .\n"
+    ":R a sh:PropertyShape ; sh:path [ sh:zeroOrMorePath :knows ] ; sh:disjoint :likes .\n"
+    ":wrap a sh:NodeShape ; sh:node :anchor .\n"
+    ":anchor a sh:NodeShape ; sh:node :top .\n"
+    ":top a sh:NodeShape ."
+)
+
+
+def test_shapes_asked_at_a_shared_value_are_decided_once_per_node(monkeypatch):
+    from shaclsat import direct_validation
+
+    compiler = direct_validation._Compiler
+    value_test, set_test = compiler.value_test, compiler.set_test
+    checks = set_checks = 0
+
+    def counting_value_test(comp, c):
+        test = value_test(comp, c)
+
+        def counting_test(node):
+            nonlocal checks
+            checks += 1
+            return test(node)
+        return counting_test
+
+    def counting_set_test(comp, c):
+        test = set_test(comp, c)
+
+        def counting_test(node, values):
+            nonlocal set_checks
+            set_checks += 1
+            return test(node, values)
+        return counting_test
+
+    monkeypatch.setattr(compiler, "value_test", counting_value_test)
+    monkeypatch.setattr(compiler, "set_test", counting_set_test)
+    doc = parse_document(HUB_SHAPES)
+    counts = []
+    for n in (50, 200):
+        lines = [f":p{i} a :Person ; :knows :hub .\n:hub :knows :p{i} ." for i in range(n)]
+        graph = parse_turtle(TURTLE_PREFIXES + "\n".join(lines) + "\n:hub :likes :hub .")
+        checks = set_checks = 0
+        assert validate_direct(graph, doc).conforms
+        counts.append((checks, set_checks))
+    # :Q's nodeKind test runs once per value of :hub and :R's disjointness
+    # once; asking them afresh at each person's :hub would grow as n * n
+    assert counts == [(50, 1), (200, 1)]
 
 
 def _chain_validator(n: int, doc):
