@@ -593,6 +593,8 @@ class _PathPlan(_Plan):
         return _path_values(self.validator, self.path, {node}, self.backward)
 
     def decide(self, node: Term) -> bool:
+        if not (self.tests or self.set_tests):  # a shape with no component walks no path
+            return True
         return self.check(node, self.reach(node))
 
 
