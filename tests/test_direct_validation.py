@@ -628,6 +628,37 @@ def test_counts_over_a_repeated_path_stop_once_decided(monkeypatch):
     assert gathered <= (2 + 4) * n
 
 
+def test_a_framed_reference_over_a_repeated_path_is_asked_once_per_node(monkeypatch):
+    from shaclsat import direct_validation
+
+    # :wrap names :anchor, which names :top, so :star is decided in frames
+    doc = parse_document(doc_ttl(
+        ":star a sh:PropertyShape ; sh:targetSubjectsOf :r ; "
+        "sh:path [ sh:zeroOrMorePath :r ] ; sh:node :wrap .\n"
+        ":wrap a sh:NodeShape ; sh:node :anchor .\n"
+        ":anchor a sh:NodeShape ; sh:node :top .\n"
+        ":top a sh:NodeShape ."
+    ))
+    ask = direct_validation._ask
+    asked = 0
+
+    def counting_ask(ref, node):
+        nonlocal asked
+        asked += 1
+        return (yield from ask(ref, node))
+
+    monkeypatch.setattr(direct_validation, "_ask", counting_ask)
+    counts = []
+    for n in (300, 600):
+        graph = parse_turtle(TURTLE_PREFIXES + "\n".join(f":c{i} :r :c{i + 1} ." for i in range(n)))
+        asked = 0
+        assert validate_direct(graph, doc).conforms
+        counts.append(asked)
+    # :wrap is asked once at each of the n + 1 chain nodes; asking it at
+    # every value of every focus node takes about n * n / 2
+    assert counts == [301, 601]
+
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shaclsat"
 
 
