@@ -10,13 +10,13 @@ one value or a test of the value set.
 A shape is plain when it holds no shape reference, or when every shape it
 references holds none.  A plain shape is decided by a direct call, which
 calls the plans of the shapes it references.  Any other shape is decided
-in a frame of an explicit stack, once per (shape, node) pair, kept in the
-memo; a frame calls plain shapes directly.  So a Python call chain spans
-at most one frame's shape and two plain ones, however long a chain of
-references is.  A plain shape that a reference asks keeps its verdict
-per node, as the values of many nodes can share one node; only a node
-shape's `sh:node` or `sh:property` calls it afresh, as that asks at the
-node shape's own node, once per decision of the node shape.
+in a frame of an explicit stack, once per (shape, node) pair, whose
+verdict its plan keeps; a frame calls plain shapes directly.  So a Python
+call chain spans at most one frame's shape and two plain ones, however
+long a chain of references is.  A plain shape that a reference asks keeps
+its verdict per node, as the values of many nodes can share one node;
+only a node shape's `sh:node` or `sh:property` calls it afresh, as that
+asks at the node shape's own node, once per decision of the node shape.
 
 A repeated path is condensed once per validation: the strongly connected
 components of its inner path's successor relation are found in one Tarjan
@@ -38,7 +38,7 @@ from typing import Union
 from . import namespaces as ns
 from . import shapes as sh
 from .terms import BLANK, IRI, LITERAL, ComparisonVerdict, Term, TripleGraph, compare_terms, iri
-from .terms import effective_datatype, malformed_literal
+from .terms import effective_datatype, malformed_literal, n3
 
 _EMPTY: frozenset = frozenset()
 
@@ -52,8 +52,6 @@ class ValidationReport:
     violations: tuple[tuple[Term, Term], ...]  # (focus node, shape name)
 
     def to_json(self) -> dict:
-        from .terms import n3
-
         return {
             "conforms": self.conforms,
             "violations": [
@@ -487,25 +485,38 @@ def _every(kind: str, refs: tuple, values: Collection[Term]):
 
 class _Plan:
     """How a shape is decided in one validation, built on the shape's first
-    use; this class decides a node shape, whose only value is the node.
+    use.
 
-    A decision reads what `reach` gives at the node (here the node itself)
-    and runs `check` over it.  `tests` are the compiled value tests, by
+    A decision reads what `reach` gives at the node and runs `check` over
+    it: a node shape's one value is the node, a predicate path reads its
+    edges' index, and any other path with no top-level repetition is
+    evaluated from the node.  `tests` are the compiled value tests, by
     constraint, and `set_tests` the value-set tests; a reference component
     whose shapes are all plain is one of them.  `framed` holds the reference
     components that name a shape that is not plain, with each named shape's
     plan when it is plain and its name when not: only a frame of
-    `_Validator.conforms` reads them.
+    `_Validator.conforms` reads them.  `verdicts` keeps a verdict per node:
+    those of `decide_once` for a plain shape, those of its frames for any
+    other.
     """
 
-    def __init__(self, validator: _Validator, shape: sh.Shape):
+    def __init__(
+        self, validator: _Validator, shape: sh.Shape, path: sh.ShaclPath | None, backward: bool
+    ):
         self.name = shape.name
         self.plain = validator.is_plain(shape)
         self.tests: dict[sh.Constraint, ValueTest] = {}
         self.set_tests: list[SetTest] = []
         self.framed: list[tuple[sh.Constraint, tuple[Union[_Plan, Term], ...]]] = []
-        # the verdicts of decide_once, by node
         self.verdicts: dict[Term, bool] = {}
+        self.path, self.edges = path, None
+        if isinstance(path, sh.PredicatePath):
+            index = validator.graph.backward if backward else validator.graph.forward
+            self.edges = index.get(path.predicate, {})
+        elif path is not None:
+            # the validator holds its plans, so a plan holds it weakly: a
+            # cycle would keep the validation's memory until a full collection
+            self.validator, self.backward = weakref.proxy(validator), backward
         compiler = _Compiler(validator.graph, validator.doc, shape)
         for c in shape.constraints:
             kind = c.kind
@@ -535,7 +546,11 @@ class _Plan:
                 self.tests[c] = compiler.value_test(c)
 
     def reach(self, node: Term) -> Collection[Term]:
-        return (node,)
+        if self.edges is not None:
+            return self.edges.get(node, _EMPTY)
+        if self.path is None:
+            return (node,)
+        return _path_values(self.validator, self.path, {node}, self.backward)
 
     def value_set(self, reached) -> Collection[Term]:
         """The value set of what reach gave."""
@@ -554,13 +569,11 @@ class _Plan:
         return True
 
     def decide(self, node: Term) -> bool:
-        """Whether node passes every compiled test, which is check at the
-        node's one value in one loop: the shape's verdict when it is
-        plain."""
-        for test in self.tests.values():
-            if not test(node):
-                return False
-        return True
+        """Whether node passes every compiled test: the shape's verdict when
+        it is plain."""
+        if not (self.tests or self.set_tests):  # a shape with no component walks no path
+            return True
+        return self.check(node, self.reach(node))
 
     def decide_once(self, node: Term) -> bool:
         """decide, kept per node: a reference asks this at the values of a
@@ -571,40 +584,13 @@ class _Plan:
         return verdict
 
 
-class _PathPlan(_Plan):
-    """How a property shape over a path with no top-level repetition is
-    decided: a predicate path reads its edges' index, any other path is
-    evaluated from the focus node."""
-
-    def __init__(self, validator: _Validator, shape: sh.Shape, path: sh.ShaclPath, backward: bool):
-        super().__init__(validator, shape)
-        self.edges = None
-        if isinstance(path, sh.PredicatePath):
-            index = validator.graph.backward if backward else validator.graph.forward
-            self.edges = index.get(path.predicate, {})
-        else:
-            # the validator holds its plans, so a plan holds it weakly: a
-            # cycle would keep the validation's memory until a full collection
-            self.validator, self.path, self.backward = weakref.proxy(validator), path, backward
-
-    def reach(self, node: Term) -> Set[Term]:
-        if self.edges is not None:
-            return self.edges.get(node, _EMPTY)
-        return _path_values(self.validator, self.path, {node}, self.backward)
-
-    def decide(self, node: Term) -> bool:
-        if not (self.tests or self.set_tests):  # a shape with no component walks no path
-            return True
-        return self.check(node, self.reach(node))
-
-
 class _RepeatedPlan(_Plan):
     """How a property shape over a repeated path is decided: off the
     condensation of the inner path, a value test once per component."""
 
     def __init__(self, validator: _Validator, shape: sh.Shape, path: sh.ShaclPath, backward: bool):
-        super().__init__(validator, shape)
-        self.validator, self.inner, self.backward = weakref.proxy(validator), path.inner, backward
+        super().__init__(validator, shape, path, backward)
+        self.inner = path.inner
         self.one_or_more = isinstance(path, sh.OneOrMorePath)
         closure = validator.closures.setdefault((path.inner, backward), _Closure())
         # each value test with its verdicts by component
@@ -626,8 +612,6 @@ class _RepeatedPlan(_Plan):
         if self.one_or_more:
             roots = _path_values(self.validator, self.inner, roots, self.backward)
         return self.validator.closure(self.inner, self.backward, roots)
-
-    decide = _PathPlan.decide  # check over what reach gives
 
     def value_set(self, reached: tuple[_Closure, list[int]]) -> Set[Term]:
         closure, tops = reached
@@ -661,12 +645,12 @@ class _Validator:
     """Conformance of (shape, node) pairs, through one plan per shape.
 
     `conforms` decides a plain shape by its plan's direct call, which
-    leaves no memo entry.  Any other shape is decided in an explicit stack
-    of frames, one generator per (shape, node) pair being decided: the
-    frame runs its plan's compiled tests, then its `framed` components,
-    which yield the pairs they need of shapes that are not plain, and it
-    returns its verdict; each such pair is decided once and kept in
-    `memo`.  A chain of `sh:node` references is thus as deep as the stack
+    keeps no verdict.  Any other shape is decided in an explicit stack of
+    frames, one generator per (plan, node) pair being decided: the frame
+    runs its plan's compiled tests, then its `framed` components, which
+    yield the pairs they need of shapes that are not plain, and it returns
+    its verdict; each such pair is decided once, and its plan keeps the
+    verdict.  A chain of `sh:node` references is thus as deep as the stack
     list, not the interpreter's.
     """
 
@@ -674,15 +658,14 @@ class _Validator:
         self.graph = graph
         self.doc = doc
         self.plans: dict[Term, _Plan] = {}
-        self.memo: dict[tuple[Term, Term], bool] = {}
         # per inner path of a repeated path and direction, filled on first use
         self.closures: dict[tuple[sh.ShaclPath, bool], _Closure] = {}
 
-    def succ(self, predicate: Term, node: Term) -> set[Term]:
-        return self.graph.forward.get(predicate, {}).get(node, set())
+    def succ(self, predicate: Term, node: Term) -> Set[Term]:
+        return self.graph.forward.get(predicate, {}).get(node, _EMPTY)
 
-    def pred(self, predicate: Term, node: Term) -> set[Term]:
-        return self.graph.backward.get(predicate, {}).get(node, set())
+    def pred(self, predicate: Term, node: Term) -> Set[Term]:
+        return self.graph.backward.get(predicate, {}).get(node, _EMPTY)
 
     def closure(
         self, inner: sh.ShaclPath, backward: bool, start: Set[Term]
@@ -725,17 +708,15 @@ class _Validator:
     def plan(self, shape: sh.Shape) -> _Plan:
         plan = self.plans.get(shape.name)
         if plan is None:
-            if not shape.is_property_shape:
-                plan = _Plan(self, shape)
-            else:
-                # the top-level inverses are a direction, so ^(p*) is the
-                # repeated path p* read backward
-                path, backward = shape.path, False
-                while isinstance(path, sh.InversePath):
-                    path, backward = path.inner, not backward
-                repeated = isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath))
-                plan = (_RepeatedPlan if repeated else _PathPlan)(self, shape, path, backward)
-            self.plans[shape.name] = plan
+            # the top-level inverses are a direction, so ^(p*) is the
+            # repeated path p* read backward
+            path, backward = shape.path, False
+            while isinstance(path, sh.InversePath):
+                path, backward = path.inner, not backward
+            repeated = isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath))
+            plan = self.plans[shape.name] = (_RepeatedPlan if repeated else _Plan)(
+                self, shape, path, backward
+            )
         return plan
 
     def refs(self, names) -> tuple[Union[_Plan, Term], ...]:
@@ -750,23 +731,22 @@ class _Validator:
         plan = self.plan(shape)
         if plan.plain:
             return plan.decide(node)
-        key = (plan.name, node)
-        memo = self.memo
-        if key in memo:
-            return memo[key]
-        frames = [(key, self._frame(plan, node))]
-        answer = None
+        answer = plan.verdicts.get(node)
+        if answer is not None:
+            return answer
+        frames = [(plan, node, self._frame(plan, node))]
         while frames:
-            key, frame = frames[-1]
+            plan, node, frame = frames[-1]
             try:
-                need = frame.send(answer)
+                name, node = frame.send(answer)
             except StopIteration as done:
                 frames.pop()
-                answer = memo[key] = done.value
+                answer = plan.verdicts[node] = done.value
                 continue
-            answer = memo.get(need)
+            plan = self.plan(self._ref(name))
+            answer = plan.verdicts.get(node)
             if answer is None:
-                frames.append((need, self._frame(self.plan(self._ref(need[0])), need[1])))
+                frames.append((plan, node, self._frame(plan, node)))
         return answer
 
     def _frame(self, plan: _Plan, node: Term):
@@ -813,7 +793,7 @@ def validate_direct(graph: TripleGraph, doc: sh.ShaclDocument) -> ValidationRepo
     violations: list[tuple[Term, Term]] = []
     for shape in doc.shapes:
         for target in shape.targets:
-            for focus in sorted(target_extension(graph, target), key=Term.sort_key):
+            for focus in target_extension(graph, target):
                 if not validator.conforms(shape, focus):
                     violations.append((focus, shape.name))
     unique = sorted(set(violations), key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))

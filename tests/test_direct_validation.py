@@ -495,7 +495,7 @@ def test_plain_shapes_build_one_plan_each_and_start_no_frame(monkeypatch):
         (validator,) = validators
         assert len(validator.plans) == len(doc.shapes) == 4
         assert frames == 0
-        assert validator.memo == {}
+        assert validator.plans[iri(EX + "PersonShape")].verdicts == {}
         assert all(plan.verdicts == {} for plan in validator.plans.values())
     # :top names :middle, which names a shape: :top is decided in frames,
     # one per focus node, and :middle by calls from them
@@ -509,7 +509,7 @@ def test_plain_shapes_build_one_plan_each_and_start_no_frame(monkeypatch):
         assert validate_direct(parse_turtle(_person_turtle(n)), doc).conforms
         (validator,) = validators
         assert frames == n
-        assert {shape for shape, _ in validator.memo} == {iri(EX + "top")}
+        assert {name for name, plan in validator.plans.items() if plan.verdicts} == {iri(EX + "top")}
 
 
 # :S and :T reach :Q and :R at :hub, which every person :knows; :hub knows
