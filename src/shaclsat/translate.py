@@ -61,7 +61,7 @@ from .scl import (
     sentence_conj,
 )
 from .scl_text import _pieces
-from .terms import Term, Triple, TripleGraph, integer, iri
+from .terms import Term, Triple, TripleGraph, blank, integer, iri, string
 
 
 class NotShaclExpressible(ValueError):
@@ -318,8 +318,6 @@ class _MuState:
         return fold(node, _print_step, self.texts)
 
     def blank_node(self, context: str) -> Term:
-        from .terms import blank
-
         digest = hashlib.sha256(context.encode("utf-8")).hexdigest()[:16]
         return blank(f"g{digest}")
 
@@ -375,8 +373,6 @@ def _mu_filter(state: _MuState, name, subject: Term) -> None:
     elif isinstance(name, HasDatatype):
         state.add(subject, ns.SH_DATATYPE, iri(name.datatype))
     elif isinstance(name, HasLanguage):
-        from .terms import string
-
         head = state.collection([string(name.tag)], f"lang|{name.tag}|{subject.lexical}")
         state.add(subject, ns.SH_LANGUAGE_IN, head)
     elif isinstance(name, MinLength):
@@ -384,8 +380,6 @@ def _mu_filter(state: _MuState, name, subject: Term) -> None:
     elif isinstance(name, MaxLength):
         state.add(subject, ns.SH_MAX_LENGTH, integer(name.bound))
     elif isinstance(name, Matches):
-        from .terms import string
-
         state.add(subject, ns.SH_PATTERN, string(name.pattern))
     elif isinstance(name, MinValue):
         pred = ns.SH_MIN_EXCLUSIVE if name.strict else ns.SH_MIN_INCLUSIVE
