@@ -503,7 +503,6 @@ class _Plan:
     def __init__(
         self, validator: _Validator, shape: sh.Shape, path: sh.ShaclPath | None, backward: bool
     ):
-        self.name = shape.name
         self.plain = validator.is_plain(shape)
         self.tests: dict[sh.Constraint, ValueTest] = {}
         self.set_tests: list[SetTest] = []
@@ -590,7 +589,6 @@ class _RepeatedPlan(_Plan):
 
     def __init__(self, validator: _Validator, shape: sh.Shape, path: sh.ShaclPath, backward: bool):
         super().__init__(validator, shape, path, backward)
-        self.inner = path.inner
         self.one_or_more = isinstance(path, sh.OneOrMorePath)
         closure = validator.closures.setdefault((path.inner, backward), _Closure())
         # each value test with its verdicts by component
@@ -608,10 +606,10 @@ class _RepeatedPlan(_Plan):
 
     def reach(self, node: Term) -> tuple[_Closure, list[int]]:
         """The condensation and the components the path's values start from."""
-        roots = {node}
+        inner, roots = self.path.inner, {node}
         if self.one_or_more:
-            roots = _path_values(self.validator, self.inner, roots, self.backward)
-        return self.validator.closure(self.inner, self.backward, roots)
+            roots = _path_values(self.validator, inner, roots, self.backward)
+        return self.validator.closure(inner, self.backward, roots)
 
     def value_set(self, reached: tuple[_Closure, list[int]]) -> Set[Term]:
         closure, tops = reached
