@@ -14,6 +14,7 @@ covered by dedicated zero conjuncts instead of being enumerated.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -161,7 +162,7 @@ def _value_text(value) -> str:
 
 # A literal family: its cardinality, and a draw that returns candidate
 # terms: all of them when the family is enumerated, else n samples.
-_Family = tuple[Cardinality, Callable[[int], list[Term]]]
+_Family = tuple[Cardinality, Callable[[int], Iterable[Term]]]
 
 
 class TermTable:
@@ -173,11 +174,13 @@ class TermTable:
     holds at the term, so a combination over those filters is one mask
     compare away.  Each filter is compiled once, into the predicate
     `term_test` builds, and a term is signed by running the predicates.
-    The sampled draws of the dense datatypes (decimal, double and float)
-    are kept per (lower end, upper end, datatype, n), so each is drawn
-    once.  The table only grows; build one for one search or one
-    axiomatization and drop it when that call returns.  No family refers
-    back to the table, so dropping it frees it without the cycle collector.
+    An enumerated integer range signs no term: its members are read off
+    their decimal forms, kept per range, length bounds and patterns.  The
+    sampled draws of the dense datatypes (decimal, double and float) are
+    kept per (lower end, upper end, datatype, n), so each is drawn once.
+    The table only grows; build one for one search or one axiomatization
+    and drop it when that call returns.  No family refers back to the
+    table, so dropping it frees it without the cycle collector.
     """
 
     def __init__(self, filters: Iterable[FilterName]):
@@ -186,7 +189,7 @@ class TermTable:
         self._terms: dict[Term, tuple[int, tuple]] = {}
         self._masks: dict[FilterCombination, tuple[int, int]] = {}
         self._families: dict[FilterCombination, tuple[Cardinality, list[_Family]]] = {}
-        self._ranges: dict[tuple[str, int, int], list[tuple[Term, int, tuple]]] = {}
+        self.integer_forms: dict[tuple, dict[str, None]] = {}
         self.dense_samples: dict[tuple, list[Term]] = {}
 
     def entry(self, term: Term) -> tuple[int, tuple]:
@@ -199,20 +202,6 @@ class TermTable:
                     signature |= bit
             entry = self._terms[term] = (signature, canonical_key(term))
         return entry
-
-    def integer_range(self, datatype: str, first: int, last: int) -> list[tuple[Term, int, tuple]]:
-        """(term, signature, key) of each canonical literal of the integer
-        datatype from `first` to `last`: the candidates of every family
-        that enumerates this range, built and signed once."""
-        entries = self._ranges.get((datatype, first, last))
-        if entries is None:
-            terms = (literal(decimal_form(v), datatype) for v in range(first, last + 1))
-            entries = self._ranges[(datatype, first, last)] = self.signed(terms)
-        return entries
-
-    def signed(self, terms: Iterable[Term]) -> list[tuple[Term, int, tuple]]:
-        """(term, signature, key) of each term."""
-        return [(term, *self.entry(term)) for term in terms]
 
     def signature(self, term: Term) -> int:
         return self.entry(term)[0]
@@ -280,11 +269,8 @@ class _Bounds:
 
     @property
     def ctype(self) -> Optional[str]:
-        if self.lo is not None:
-            return self.lo[0]
-        if self.hi is not None:
-            return self.hi[0]
-        return None
+        end = self.lo or self.hi
+        return end[0] if end else None
 
 
 @dataclass
@@ -396,10 +382,7 @@ def _integer_range(bounds: _Bounds, datatype: str) -> Optional[tuple[Optional[in
         if value == -math.inf:
             return None
         if value != math.inf:
-            if strict:
-                candidate = math.ceil(value) - 1
-            else:
-                candidate = math.floor(value)
+            candidate = math.ceil(value) - 1 if strict else math.floor(value)
             hi = candidate if hi is None else min(hi, candidate)
     if lo is not None and hi is not None and lo > hi:
         return None
@@ -495,20 +478,20 @@ def _datatype_family(
     if bounds is None:
         return _EMPTY
 
-    def enumerated(entries: Iterable[tuple[Term, int, tuple]]) -> _Family:
-        """The family of the (term, signature, key) candidates that meet
-        `combo`, one per key."""
+    def enumerated(terms: list[Term]) -> _Family:
+        """The family of the candidates that meet `combo`, one per key."""
         required, mask = table.masks(combo)
         seen = set()
         kept = []
-        for term, signature, key in entries:
+        for term in terms:
+            signature, key = table.entry(term)
             if signature & mask == required and term not in combo.negative_eq and key not in seen:
                 seen.add(key)
                 kept.append(term)
         return Cardinality(len(kept)), lambda n: kept
 
     if datatype == ns.XSD_BOOLEAN:
-        return enumerated(table.signed([boolean(False), boolean(True)]))
+        return enumerated([boolean(False), boolean(True)])
 
     if datatype in ns.XSD_INTEGER_RANGES:
         rng = _integer_range(bounds, datatype)
@@ -536,17 +519,19 @@ def _datatype_family(
             first = -limit if first is None else first
             last = limit if last is None else last
         if last - first + 1 <= _ENUM_LIMIT:
-            return enumerated(table.integer_range(datatype, first, last))
+            return _integer_family(combo, datatype, (first, last, len_lo, len_hi), table.integer_forms)
         count = last - first + 1
         if len_lo > 0 or len_hi is not None:
             count = _integer_length_count(first, last, len_lo, len_hi)
-        count -= _excluded_in_family(combo, datatype, table)
+        required, mask = table.masks(combo)
+        for text in _excluded_forms(combo, datatype):  # at the canonical element
+            count -= table.signature(literal(text, datatype)) & mask == required
         return _finite(max(count, 0)), sample
 
     if ctype == STRING:
         nul_family = _nul_interval_terms(bounds)
         if nul_family is not None:
-            return enumerated(table.signed(nul_family))
+            return enumerated(nul_family)
         if bounds.lo is not None and bounds.hi is not None and bounds.lo[1] > bounds.hi[1]:
             return _EMPTY
         return _string_space(sv.len_lo, sv.len_hi), lambda n: [
@@ -559,12 +544,12 @@ def _datatype_family(
         if bounds is None:  # no finite value left; a double or float may be INF or -INF
             if datatype == ns.XSD_DECIMAL:
                 return _EMPTY
-            return enumerated(table.signed([literal("-INF", datatype), literal("INF", datatype)]))
+            return enumerated([literal("-INF", datatype), literal("INF", datatype)])
     shape = _dense_interval(bounds)
     if shape == "empty":
         return _EMPTY
     if shape == "point":
-        return enumerated(table.signed([_point_term(bounds, datatype)]))
+        return enumerated([_point_term(bounds, datatype)])
     if ctype == DATETIME:
         return INFINITE, lambda n: [
             literal(f"2020-01-{day:02d}T00:00:00", datatype) for day in range(1, n + 1)
@@ -579,6 +564,39 @@ def _datatype_family(
         return drawn
 
     return INFINITE, dense
+
+
+def _integer_family(combo: FilterCombination, datatype: str, extent: tuple, forms_of: dict) -> _Family:
+    """The canonical literals of an integer datatype that meet `combo`,
+    over `extent` (first, last, len_lo, len_hi): at most `_ENUM_LIMIT`
+    values, at each of which every filter but the lengths and patterns
+    holds already.  So the members are read off their decimal forms, found
+    once per `forms_of` for each extent and pattern signs."""
+    positive = frozenset(f.pattern for f in combo.positive_filters if isinstance(f, Matches))
+    negative = frozenset(f.pattern for f in combo.negative_filters if isinstance(f, Matches))
+    forms = forms_of.get((extent, positive, negative))
+    if forms is None:
+        first, last, len_lo, len_hi = extent
+        matches = [re.compile(p).search for p in positive]
+        misses = [re.compile(p).search for p in negative]
+        texts = (decimal_form(value) for value in range(first, last + 1))
+        forms = forms_of[(extent, positive, negative)] = dict.fromkeys(
+            text
+            for text in texts
+            if len_lo <= len(text) and (len_hi is None or len(text) <= len_hi)
+            and all(search(text) for search in matches) and not any(search(text) for search in misses)
+        )
+    excluded = forms.keys() & _excluded_forms(combo, datatype)
+    return Cardinality(len(forms) - len(excluded)), lambda n: (
+        literal(text, datatype) for text in forms if text not in excluded
+    )
+
+
+def _excluded_forms(combo: FilterCombination, datatype: str) -> set[str]:
+    """The decimal forms of the canonical elements that the integer
+    datatype's excluded constants denote, whatever their lexical forms."""
+    values = [term_value(c) for c in combo.negative_eq if effective_datatype(c) == datatype]
+    return {decimal_form(value[1].numerator) for value in values if value}
 
 
 # The largest finite double; `float` reads a numeral past it as infinity.
@@ -653,18 +671,6 @@ def _nul_interval_terms(bounds: _Bounds) -> Optional[list[Term]]:
     return [literal(lo + "\x00" * j) for j in range(pad + 1)]
 
 
-def _excluded_in_family(combo: FilterCombination, datatype: str, table: TermTable) -> int:
-    """Excluded constants of the family that pass the combination's filters."""
-    required, mask = table.masks(combo)
-    keys = set()
-    for c in combo.negative_eq:
-        if c.is_literal and effective_datatype(c) == datatype:
-            signature, key = table.entry(c)
-            if signature & mask == required:
-                keys.add(key)
-    return len(keys)
-
-
 def gamma(combo: FilterCombination, table: Optional[TermTable] = None) -> Cardinality:
     count, _ = gamma_with_witnesses(combo, 0, table)
     return count
@@ -728,9 +734,7 @@ def _witness_families(combo: FilterCombination, table: TermTable) -> tuple[Cardi
             base = ns.GEN_NS + "fresh:"
             out = []
             for i in range(n):
-                name = f"{base}{i}"
-                if len(name) < sv.len_lo:
-                    name = name + "x" * (sv.len_lo - len(name))
+                name = f"{base}{i}".ljust(sv.len_lo, "x")
                 if sv.len_hi is not None and len(name) > sv.len_hi:
                     name = f"u{i}"[: sv.len_hi]
                 out.append(iri(name))
@@ -765,13 +769,7 @@ def _strings_within(len_lo: int, len_hi: Optional[int], n: int) -> list[str]:
     if len_hi is not None and lo > len_hi:
         return []
     if len_hi is None:
-        out = []
-        for i in range(n):
-            s = f"s{i}"
-            if len(s) < lo:
-                s += "x" * (lo - len(s))
-            out.append(s)
-        return out
+        return [f"s{i}".ljust(lo, "x") for i in range(n)]
     length = len_hi  # the widest allowed length has the most room
     if length == 0:
         return [""]
