@@ -479,13 +479,14 @@ def _datatype_family(
         return _EMPTY
 
     def enumerated(terms: list[Term]) -> _Family:
-        """The family of the candidates that meet `combo`, one per key."""
+        """The family of the candidates that meet `combo`, one per key; an
+        excluded constant's key is taken from the start."""
         required, mask = table.masks(combo)
-        seen = set()
+        seen = {canonical_key(c) for c in combo.negative_eq}
         kept = []
         for term in terms:
             signature, key = table.entry(term)
-            if signature & mask == required and term not in combo.negative_eq and key not in seen:
+            if signature & mask == required and key not in seen:
                 seen.add(key)
                 kept.append(term)
         return Cardinality(len(kept)), lambda n: kept
