@@ -588,6 +588,22 @@ def test_an_integer_range_signs_only_the_witnesses_drawn_from_it(monkeypatch):
     assert _signed_terms(monkeypatch, lambda: axiomatize(sentence)) == (1, 0)
 
 
+def test_the_axioms_count_an_excluded_non_canonical_integer_once():
+    """Six distinct `:p` values in [0, 4] do not exist.  "+3" is the
+    integer 3, so the axioms allow four integers of [0, 4] other than it;
+    allowing five let the axiomatized uninterpreted search find a model
+    with seven elements."""
+    body = (
+        ":s a sh:NodeShape ; sh:targetNode :a ;\n"
+        "  sh:property [ sh:path :p ; sh:minCount 6 ; sh:datatype xsd:integer ;\n"
+        "                sh:minInclusive 0 ; sh:maxInclusive 4 ] ;\n"
+        '  sh:property [ sh:path :q ; sh:hasValue "+3"^^xsd:integer ] .\n'
+    )
+    [sentence] = _sentences(body)[-1:]
+    verdict = bounded_sat(axiomatize(sentence), max_domain=7, mode=UNINTERPRETED)
+    assert verdict.outcome == "UnsatUpTo" and verdict.bound == 7
+
+
 # sha1 of the 529 CNFs below.  Re-pinned when the uninterpreted lex-leader
 # constraints moved from adjacent swaps with a seven-clause chain step to
 # every slot transposition with a three-clause step (only the leader's
