@@ -21,8 +21,10 @@ hasShape is always defined by its definition, never enumerated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations, compress
+from operator import neg
 from typing import Optional
 
 from . import namespaces as ns
@@ -77,8 +79,8 @@ class SearchAborted(Exception):
 
 
 class SearchBudgetExceeded(SearchAborted):
-    def __init__(self) -> None:
-        super().__init__("budget exhausted")
+    def __init__(self, k: Optional[int] = None) -> None:
+        super().__init__("budget exhausted" if k is None else f"budget exhausted at k={k}")
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -157,9 +159,16 @@ class _Solver:
     def add_clause(self, lits: list[int]) -> None:
         if not self.ok:
             return
-        clause = list(dict.fromkeys(lits))
-        if any(-lit in clause for lit in clause):
-            return  # tautology
+        if len(lits) == 2:  # the most common width, read with no set
+            a, b = lits
+            if a == -b:
+                return  # tautology
+            clause = [a, b] if a != b else [a]
+        else:
+            unique = set(lits)
+            if not unique.isdisjoint(map(neg, lits)):
+                return  # tautology
+            clause = list(lits) if len(unique) == len(lits) else list(dict.fromkeys(lits))
         if not clause:
             self.ok = False
             return
@@ -434,8 +443,9 @@ class _Cnf:
     def aux_and(self, lits: list[int]) -> int:
         """A literal that holds when all of `lits` do.  Repeated operands
         count once, and an operand beside its negation makes it false."""
-        operands = dict.fromkeys(l for l in lits if l != self.true_lit)
-        if self.false_lit in operands or any(-l in operands for l in operands):
+        operands = dict.fromkeys(lits)
+        operands.pop(self.true_lit, None)
+        if self.false_lit in operands or not operands.keys().isdisjoint(map(neg, operands)):
             return self.false_lit
         lits = list(operands)
         if not lits:
@@ -444,9 +454,8 @@ class _Cnf:
             return lits[0]
         v = self.new_var()
         self.gates.append((v, tuple(lits), False, len(self.clauses)))
-        for l in lits:
-            self.add([-v, l])
-        self.add([v] + [-l for l in lits])
+        self.clauses += [[-v, l] for l in lits]
+        self.clauses.append([v, *map(neg, lits)])
         return v
 
     def aux_or(self, lits: list[int]) -> int:
@@ -463,10 +472,7 @@ class _Cnf:
             return -a
         v = self.new_var()
         self.gates.append((v, (a, b), True, len(self.clauses)))
-        self.add([-v, -a, b])
-        self.add([-v, a, -b])
-        self.add([v, a, b])
-        self.add([v, -a, -b])
+        self.clauses += [[-v, -a, b], [-v, a, -b], [v, a, b], [v, -a, -b]]
         return v
 
     def one_sided(self, deadline: Optional[float]) -> list[list[int]]:
@@ -557,82 +563,85 @@ def _order_witnesses(count: int) -> list[Term]:
     return out
 
 
-def _sorted_filters(scan: SclSentence) -> list[FilterName]:
-    return sorted(formula_filters(scan), key=FilterName.sort_key)
+class _SearchPlan:
+    """What no size of one search changes: the sorted relations, constants
+    and filters of `scan`, its shape names, whether it has order atoms, the
+    least size worth grounding, and in canonical mode one term table.
+    Built once per search and dropped when the search returns."""
+
+    def __init__(self, scan: SclSentence, mode: str):
+        self.relations = sorted(relation_names(scan), key=Term.sort_key)
+        self.constants = sorted(node_constants(scan), key=Term.sort_key)
+        self.filters = sorted(formula_filters(scan), key=FilterName.sort_key)
+        self.shape_names = list(dict.fromkeys(d.name for d in shape_definitions(scan)))
+        self.order_needed = any(isinstance(n, OrderCmp) for n in nodes(scan))
+        self.lower = max(1, len(self.constants)) if mode == CANONICAL else 1
+        self.table = TermTable(self.filters) if mode == CANONICAL else None
+
+    @cached_property
+    def combinations(self) -> list[FilterCombination]:
+        """The filter combinations a catalog draws from, each constant
+        excluded, walked by the first size with a free slot; SearchAborted
+        past the cap.  Every one is counted before any witness is drawn."""
+        pairs, excluded = incompatible_pairs(self.filters, []), frozenset(self.constants)
+        try:
+            return list(compatible_combinations(self.filters, pairs, excluded=excluded))
+        except CapExceeded as err:
+            raise SearchAborted(f"filter catalog cap reached: {err}") from None
 
 
 def _build_catalog(
-    constants: list[Term],
-    filters: list,
-    fresh_count: int,
-    order_needed: bool,
-    table: TermTable,
-    short: list[FilterCombination],
-    deadline: Optional[float] = None,
+    plan: _SearchPlan, fresh_count: int, short: list[FilterCombination], deadline: Optional[float]
 ) -> list[Term]:
-    """Candidate terms for free domain slots in canonical mode.  Each filter
-    combination that draws fewer witnesses than it has terms, up to
-    `fresh_count`, is appended to `short`.  `table` (over `filters`)
-    carries signatures and combinations from one size to the next.  Raises
-    SearchBudgetExceeded once `deadline` has passed, checked before each
-    filter combination, and SearchAborted past the cap on combinations;
-    with no free slot there are no witnesses to draw, so no combination is
-    visited."""
-    taken = {table.key(c) for c in constants}
+    """Candidate terms for free domain slots in canonical mode, from
+    `plan`'s term table and filter combinations.  Each combination that
+    draws fewer witnesses than it has terms, up to `fresh_count`, is
+    appended to `short`.  Raises SearchBudgetExceeded once `deadline` has
+    passed, checked before each combination; with no free slot there are
+    no witnesses to draw, so no combination is walked or visited."""
+    taken = {plan.table.key(c) for c in plan.constants}
     catalog: list[Term] = []
 
     def push(term: Term) -> None:
-        key = table.key(term)
+        key = plan.table.key(term)
         if key not in taken:
             taken.add(key)
             catalog.append(term)
 
     for i in range(fresh_count):
         push(iri(f"{ns.GEN_NS}elem:{i}"))
-    if filters and fresh_count:
-        pairs = incompatible_pairs(filters, [])
-        try:  # every combination is counted against the cap before any witness is drawn
-            combos = list(compatible_combinations(filters, pairs, excluded=frozenset(constants)))
-        except CapExceeded as err:
-            raise SearchAborted(f"filter catalog cap reached: {err}") from None
-        for combo in combos:
+    if plan.filters and fresh_count:
+        for combo in plan.combinations:
             _check_deadline(deadline)
-            count, witnesses = gamma_with_witnesses(combo, fresh_count, table)
+            count, witnesses = gamma_with_witnesses(combo, fresh_count, plan.table)
             need = fresh_count if count.is_infinite else min(fresh_count, count.value)
             if len(witnesses) < need:
                 short.append(combo)
             for term in witnesses:
                 push(term)
-    if order_needed:
+    if plan.order_needed:
         for term in _order_witnesses(fresh_count):
             push(term)
     return catalog
 
 
 class _Grounder:
+    """The CNF of `sentence` over `k` slots in `mode`, its decision
+    variables in branching order, and the decoding of a model.  A search
+    passes one `plan` to every size; a grounder built without one plans
+    `sentence` itself."""
+
     def __init__(
-        self,
-        sentence: SclSentence,
-        k: int,
-        mode: str,
-        scan: Optional[SclSentence] = None,
+        self, sentence: SclSentence, k: int, mode: str, plan: Optional[_SearchPlan] = None,
         deadline: Optional[float] = None,
-        table: Optional[TermTable] = None,
     ):
         self.sentence = sentence
         self.k = k
         self.mode = mode
         self.deadline = deadline
         self.cnf = _Cnf()
-        scan = scan if scan is not None else sentence
-        self.relations = sorted(relation_names(scan), key=Term.sort_key)
-        self.constants = sorted(node_constants(scan), key=Term.sort_key)
-        self.filters = _sorted_filters(scan)
-        seen_defs: dict[Term, ShapeDef] = {}
-        for d in shape_definitions(scan):
-            seen_defs.setdefault(d.name, d)
-        self.defs = list(seen_defs.values())
-        self.order_needed = any(isinstance(n, OrderCmp) for n in nodes(scan))
+        plan = self.plan = plan if plan is not None else _SearchPlan(sentence, mode)
+        self.relations, self.constants, self.filters = plan.relations, plan.constants, plan.filters
 
         self.decision_vars: list[int] = []
         self.preferred: dict[int, bool] = {}
@@ -652,15 +661,13 @@ class _Grounder:
         self._sigma_cache: dict[tuple[int, int, bool], int] = {}
 
         if mode == CANONICAL:
-            # signatures over the filters of `scan`, shared by the catalog and the filter atoms
-            self.table = table if table is not None else TermTable(self.filters)
             self._setup_canonical()
         else:
             self._setup_uninterpreted()
         self._setup_relations()
         if mode == UNINTERPRETED and self.filters:
             self._setup_filter_vars()
-        if mode == UNINTERPRETED and self.order_needed:
+        if mode == UNINTERPRETED and plan.order_needed:
             self._setup_order_vars()
         self._setup_shape_vars()
         self._assert_sentence()
@@ -687,10 +694,7 @@ class _Grounder:
             for i in range(self.k):
                 self.den[(c, i)] = self.cnf.true_lit if i == s else self.cnf.false_lit
         fresh = self.k - m
-        self.catalog = _build_catalog(
-            self.constants, self.filters, fresh, self.order_needed, self.table, self.short,
-            self.deadline,
-        )
+        self.catalog = _build_catalog(self.plan, fresh, self.short, self.deadline)
         # not enough distinct candidate terms; extend with plain IRIs
         self.catalog += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(self.catalog))]
         rows = []
@@ -761,9 +765,9 @@ class _Grounder:
                         self.cnf.add([-sb(i, j), -sb(j, l), sb(i, l)])
 
     def _setup_shape_vars(self) -> None:
-        for d in self.defs:
+        for name in self.plan.shape_names:
             for i in range(self.k):
-                self.hs[(d.name, i)] = self.cnf.new_var()
+                self.hs[(name, i)] = self.cnf.new_var()
 
     # ---- atoms -----------------------------------------------------------
 
@@ -780,7 +784,7 @@ class _Grounder:
         uninterpreted mode, read off the slot's choices in canonical mode."""
         key = (name, i)
         if key not in self.filt:
-            bit, signature = self.table.bit[name], self.table.signature
+            bit, signature = self.plan.table.bit[name], self.plan.table.signature
             self.filt[key] = self.cnf.aux_or(
                 [lit for lit, term in self._choices(i) if signature(term) & bit]
             )
@@ -1089,7 +1093,7 @@ class _Grounder:
         )
 
     def _decode_blocks(self, truth, terms: list[Term]) -> Optional[tuple[OrderBlock, ...]]:
-        if not self.order_needed:
+        if not self.plan.order_needed:
             return ()
         members = [i for i in range(self.k) if truth(self.inb[i])]
         blocks: list[list[int]] = []
@@ -1140,45 +1144,41 @@ def _least_model(
 
     A non-empty `refuted` also requires some of its parts to fail.  `scan`
     (default: `sentence`) supplies the signature: relations, constants,
-    filters and shape definitions.  In canonical mode every size reads one
-    term table, dropped on return.  The decoded structure carries no
-    shape assignment.  Raises SearchBudgetExceeded once `budget` seconds
-    have passed, checked before grounding each size, once per filter
-    combination of the catalog and per conjunct and refuted part while
-    grounding it, before solving it and during propagation, and
+    filters and shape definitions; one `_SearchPlan` of it serves every
+    size and is dropped on return.  The decoded structure carries no shape
+    assignment.  Raises SearchBudgetExceeded, naming the size, once
+    `budget` seconds have passed, checked before grounding each size, once
+    per filter combination of the catalog and per conjunct and refuted part
+    while grounding it, before solving it and during propagation, and
     SearchAborted when a catalog passes the cap on filter combinations.
     """
     deadline = time.monotonic() + budget if budget else None
-    scan = scan if scan is not None else sentence
-    lower = max(1, len(node_constants(scan))) if mode == CANONICAL else 1
-    table = TermTable(_sorted_filters(scan)) if mode == CANONICAL else None
+    plan = _SearchPlan(scan if scan is not None else sentence, mode)
     incomplete = None
-    for k in range(lower, max_domain + 1):
-        _check_deadline(deadline)
-        grounder = _Grounder(sentence, k, mode, scan, deadline, table)
-        if grounder.short and incomplete is None:
-            short = grounder.short[0]
-            filters = FilterCombination(
-                positive_filters=short.positive_filters, negative_filters=short.negative_filters
+    for k in range(plan.lower, max_domain + 1):
+        try:
+            _check_deadline(deadline)
+            grounder = _Grounder(sentence, k, mode, plan, deadline)
+            cnf = grounder.cnf
+            if refuted:
+                fails = []
+                for part in refuted:
+                    _check_deadline(deadline)
+                    fails.append(-grounder.sentence_lit(part))
+                cnf.add(fails)
+            clauses = cnf.one_sided(deadline)
+            assignment = _solve_once(
+                cnf.n_vars, clauses, grounder.decision_vars, grounder.preferred, deadline, cnf.gates
             )
-            incomplete = f"filter catalog incomplete at k={k}: too few witnesses of "
-            incomplete += print_scl(filters.formula())
-        if refuted:
-            fails = []
-            for part in refuted:
-                _check_deadline(deadline)
-                fails.append(-grounder.sentence_lit(part))
-            grounder.cnf.add(fails)
-        assignment = _solve_once(
-            grounder.cnf.n_vars,
-            grounder.cnf.one_sided(deadline),
-            grounder.decision_vars,
-            grounder.preferred,
-            deadline,
-            grounder.cnf.gates,
-        )
+        except SearchBudgetExceeded:
+            raise SearchBudgetExceeded(k) from None
         if assignment is not None:
             return grounder.decode(assignment)
+        if grounder.short and incomplete is None:
+            # a catalog combination signs filters and excludes constants; name its filters
+            filters = replace(grounder.short[0], negative_eq=frozenset())
+            incomplete = f"filter catalog incomplete at k={k}: too few witnesses of "
+            incomplete += print_scl(filters.formula())
     if incomplete is not None:
         raise SearchAborted(incomplete)
     return None

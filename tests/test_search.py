@@ -241,9 +241,9 @@ def _count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -265,7 +265,7 @@ def test_catalog_checks_the_budget_per_filter_combination(monkeypatch):
     clock = lambda: 1e9 if len(combos) >= 3 else 0.0
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=clock))
     verdict = bounded_sat(sentence, max_domain=5, budget=0.3)
-    assert verdict.outcome == "Aborted"
+    assert verdict.to_json() == {"outcome": "Aborted", "reason": "budget exhausted at k=2"}
     assert [want for _, want, _ in combos] == [1, 1, 1]
 
 
@@ -310,7 +310,7 @@ def test_gate_pass_checks_the_budget_before_any_solver_run(monkeypatch):
     passes = _count_calls(monkeypatch, _Cnf, "one_sided")
     runs = _count_calls(monkeypatch, search._Solver, "solve")
     verdict = bounded_sat(gadget_infinity("O"), max_domain=6, budget=0.3, mode=UNINTERPRETED)
-    assert verdict.outcome == "Aborted"
+    assert verdict.to_json() == {"outcome": "Aborted", "reason": "budget exhausted at k=1"}
     assert len(built) == len(passes) == 1 and runs == []
 
 
@@ -445,18 +445,19 @@ CATALOG_DIGEST = "b732fe8555499a96b4adbf24972ea7542bb1e26b"
 
 
 def test_catalog_from_one_term_table_matches_the_rebuilt_catalog():
-    """Sizes 1 to 5 share one term table, as in a search; each size's
-    catalog is the one rebuilt from scratch, in the same order, and the
-    one built before the table."""
+    """Sizes 1 to 5 share one search plan, and so one term table and one
+    walk over the filter combinations, as in a search; each size's catalog
+    is the one rebuilt from scratch, in the same order, and the one built
+    before the table."""
     digest = hashlib.sha1()
     for sentence in _sentences(FILTERS8_TTL, FILTERS7_TTL):
-        table = None
+        plan = None
         for k in _sizes(sentence, CANONICAL):
-            grounder = _Grounder(sentence, k, CANONICAL, table=table)
-            table = grounder.table
+            grounder = _Grounder(sentence, k, CANONICAL, plan)
+            plan = grounder.plan
             fresh = k - len(grounder.constants)
             expected = _parent_build_catalog(
-                grounder.constants, grounder.filters, fresh, grounder.order_needed
+                grounder.constants, grounder.filters, fresh, grounder.plan.order_needed
             )
             expected += [iri(f"{ns.GEN_NS}extra:{i}") for i in range(fresh - len(expected))]
             assert grounder.catalog == expected, (k, sentence)
@@ -550,6 +551,70 @@ def test_no_term_table_outlives_its_search(monkeypatch):
         assert all(ref() is None for ref in tables)
     finally:
         gc.enable()
+
+
+# what a search prepares once: the scans of its signature, and in canonical
+# mode its term table and its walk over the filter combinations
+_SCANS = ("relation_names", "node_constants", "shape_definitions")
+_CANONICAL_PREPARATION = ("TermTable", "incompatible_pairs", "compatible_combinations")
+_PREPARATION = _SCANS + _CANONICAL_PREPARATION
+
+
+def test_each_search_is_prepared_once_for_all_its_sizes(monkeypatch):
+    """However many sizes a search grounds, it scans its signature once; a
+    canonical search with a free slot builds one term table and walks the
+    filter combinations once, and an uninterpreted one does neither.
+    Scanning again for each size took one scan per size, and one more
+    `node_constants` for the least size."""
+    import shaclsat.search as search
+    from corpus import CONTAINMENT_PAIRS, doc_ttl
+    from shaclsat.containment import check_containment
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    sentence = translate(parse_document(doc_ttl(FILTERS8_TTL)))
+    [(first, second)] = [(a, b) for name, a, b, _ in CONTAINMENT_PAIRS if name == "dropped_range"]
+    first, second = parse_document(first), parse_document(second)
+    gadget = gadget_infinity("O")
+    searches = [
+        # `sh:pattern "^a"` leaves the catalog short of witnesses up to 3 elements
+        (lambda: bounded_sat(sentence, max_domain=3), "Aborted", True),
+        (lambda: bounded_sat(sentence, max_domain=5), "Sat", True),
+        (lambda: bounded_sat(gadget, max_domain=6, mode=UNINTERPRETED), "UnsatUpTo", False),
+        (lambda: check_containment(first, second, max_domain=4), "NotContained", True),
+    ]
+    for run, outcome, canonical in searches:
+        sizes = _count_calls(monkeypatch, _Grounder, "__init__")
+        calls = {name: _count_calls(monkeypatch, search, name) for name in _PREPARATION}
+        assert run().outcome == outcome
+        assert len(sizes) >= 2
+        once = dict.fromkeys(_SCANS, 1) | dict.fromkeys(_CANONICAL_PREPARATION, int(canonical))
+        assert {name: len(made) for name, made in calls.items()} == once, outcome
+        monkeypatch.undo()
+
+
+def test_filter_combinations_are_walked_only_for_a_free_slot(monkeypatch):
+    """13 pairwise compatible `sh:minLength` filters have more combinations
+    than the cap.  At one element the one slot holds `:a`, so no
+    combination is walked and the answer is a refutation; at two the free
+    slot walks them, and the search stops at the cap."""
+    import shaclsat.search as search
+    from corpus import doc_ttl
+    from shaclsat.shapes import parse_document
+    from shaclsat.translate import translate
+
+    lengths = " ; ".join(
+        f"sh:property [ sh:path :p{n} ; sh:minCount 1 ; sh:minLength {n} ]" for n in range(100, 113)
+    )
+    body = f":s a sh:NodeShape ; sh:targetNode :a ; {lengths} ."
+    sentence = translate(parse_document(doc_ttl(body)))
+    pairs = _count_calls(monkeypatch, search, "incompatible_pairs")
+    walks = _count_calls(monkeypatch, search, "compatible_combinations")
+    assert bounded_sat(sentence, max_domain=1).to_json() == {"outcome": "UnsatUpTo", "bound": 1}
+    assert pairs == walks == []
+    reason = "filter catalog cap reached: more than 4096 filter combinations"
+    assert bounded_sat(sentence, max_domain=2).to_json() == {"outcome": "Aborted", "reason": reason}
+    assert len(pairs) == len(walks) == 1
 
 
 def _signed_terms(monkeypatch, run) -> tuple[int, int]:

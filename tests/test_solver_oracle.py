@@ -114,6 +114,61 @@ def test_solver_agrees_with_truth_table_and_returns_lex_least():
     _check_against_truth_table(random.Random(4242), 1000, 9, 6)
 
 
+def _reference_add_clause(solver: _Solver, lits: list[int]) -> None:
+    """`_Solver.add_clause` as it was before its set-based intake: repeated
+    literals dropped in order, a tautology found by a scan of the list."""
+    if not solver.ok:
+        return
+    clause = list(dict.fromkeys(lits))
+    if any(-lit in clause for lit in clause):
+        return  # tautology
+    if not clause:
+        solver.ok = False
+        return
+    if len(clause) == 1:
+        if not solver._enqueue(clause[0], None):
+            solver.ok = False
+        return
+    solver.watches[clause[0]].append(clause)
+    solver.watches[clause[1]].append(clause)
+
+
+def _intake_clauses(rng: random.Random, n_vars: int) -> list[list[int]]:
+    """Clauses of 0 to 300 literals over `n_vars` variables: repeated
+    literals, tautologies, units and empty clauses among them.  Half of
+    the clauses sign a variable by its parity, so that wide ones are not
+    all tautologies."""
+    clauses = []
+    for _ in range(rng.randint(1, 30)):
+        draw = rng.random()
+        width = 0 if draw < 0.03 else rng.randint(1, 3) if draw < 0.7 else rng.randint(4, 300)
+        variables = [rng.randint(1, n_vars) for _ in range(width)]
+        if rng.random() < 0.5:
+            clauses.append([v if v % 2 else -v for v in variables])
+        else:
+            clauses.append([v * rng.choice((1, -1)) for v in variables])
+    return clauses
+
+
+def test_clause_intake_matches_the_reference():
+    """A solver built from seeded clauses watches the same clauses, in the
+    same literal order, and enqueues the same units as the reference
+    intake, and leaves its input clauses as they were."""
+    rng = random.Random(2024)
+    for _ in range(600):
+        n_vars = rng.choice((2, 3, 6, 40, 400))
+        clauses = _intake_clauses(rng, n_vars)
+        original = [list(clause) for clause in clauses]
+        solver = _Solver(n_vars, clauses, None)
+        reference = _Solver(n_vars, [], None)
+        for clause in original:
+            _reference_add_clause(reference, clause)
+        assert clauses == original
+        assert solver.ok == reference.ok, original
+        assert solver.watches == reference.watches, original
+        assert (solver.trail, solver.assign) == (reference.trail, reference.assign), original
+
+
 class _CountingSolver(_Solver):
     conflicts = 0
 
